@@ -22,13 +22,18 @@ A = B = {2} in Z/12), while every use of the axiom in the verified theorems
 applies it to subgroups; augmenting by 0 restores exactly that reading.
 
 Exhaustive subset runs encode subsets of a finite ring as bitmasks inside
-numpy arrays, so all-pairs checks over 4096 subsets stay fast.
+numpy arrays and evaluate the closure once per subset.  The unary axioms
+are one sweep over that table; the pairwise axioms C2 and C4a are decided
+by exact reductions of the all-pairs domain (a superset meet for C2, and
+fiber-minimal subsets for C4a), proved in ``check_axioms_finite``.  Their
+counterexamples are the first violating pair in row-major mask order.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -64,6 +69,8 @@ DEFAULT_SAMPLE_COUNT = 2000
 DEFAULT_SEED = int.from_bytes(b"A1GEBRA", "big")
 
 POINT_GUARD = 4096
+# pairs per chunk of the exhaustive engine's C4a grid
+PAIR_GRID = 1 << 20
 
 
 class IntPolyContext:
@@ -585,20 +592,11 @@ class FiniteDomain:
             clv[m] = self.mask_of(clfun_set(self.set_of(m)))
         return clv
 
-    def pair_setsum_aug(self):
-        """Full pair table of 0-augmented set-sums (cached; small rings only)."""
-        if getattr(self, "_pair_aug", None) is None:
-            if self.nmasks > (1 << 12):
-                raise ResourceLimitError("pair table too large to cache")
-            aug = self.masks | self.zero_bit
-            sh_aug = [self.shift_tables[i][aug] for i in range(self.n)]
-            w = np.zeros((self.nmasks, self.nmasks), dtype=np.int32)
-            baug_row = aug
-            for i in range(self.n):
-                has_b = (((baug_row >> i) & 1) != 0)[None, :]
-                w |= np.where(has_b, sh_aug[i][:, None], 0)
-            self._pair_aug = w
-        return self._pair_aug
+    def pair_setsum_aug(self, a_masks, b_masks):
+        """Table of 0-augmented set-sums (A | 0) + (B | 0): rows A, columns B."""
+        a_aug = np.asarray(a_masks, dtype=np.int32) | self.zero_bit
+        b_aug = np.asarray(b_masks, dtype=np.int32) | self.zero_bit
+        return self.setsum_vec(a_aug[:, None], b_aug[None, :])
 
 
 def _first_violation(viol):
@@ -617,11 +615,37 @@ def _lowest_bit_elem(dom, mask):
     return None
 
 
-def check_axioms_finite(cl, dom, report, chunk_cols=None):
-    """All six verdicts over every subset of the domain (vectorized)."""
-    if chunk_cols is None:
-        # cap the pairwise grids at ~16M entries
-        chunk_cols = max(1, min(1 << 12, (1 << 24) // dom.nmasks))
+def check_axioms_finite(cl, dom, report):
+    """All six verdicts over every subset of the domain (vectorized).
+
+    C1, C3, C4b and absorption are one sweep each over the closure table.
+    Each pairwise axiom reports the first violating pair (A, B) in
+    row-major mask order, the order of a sweep over all 4^n pairs; two
+    exact reductions replace that sweep.
+
+    C2 (A inside B implies cl(A) inside cl(B)) holds at A iff cl(A) lies in
+    meet(A), the intersection of cl(B) over all supersets B of A.  The meet
+    table is a superset transform, n passes over 2^n masks.  The first A
+    with cl(A) not inside meet(A) is the first row holding a violation, and
+    its first violating superset B completes the row-major first pair.
+
+    C4a (cl(A) + cl(B) inside cl((A | 0) + (B | 0))) is quantified over the
+    fiber-minimal subsets when C2 holds: those A with cl(A - {a}) != cl(A)
+    for every a in A.  Under C2 these are exactly the subsets with no
+    proper subset of the same closure: if A' is a proper subset of A with
+    cl(A') = cl(A) and a is in A - A', then cl(A') <= cl(A - {a}) <= cl(A)
+    forces cl(A - {a}) = cl(A).  Proof that the first violation is kept:
+    let (A, B) be the row-major first violation over all pairs and suppose
+    A' is a proper subset of A with cl(A') = cl(A).  Then (A', B) has the
+    same left side, and by C2 its right side is no larger, since
+    (A' | 0) + (B | 0) lies in (A | 0) + (B | 0); so (A', B) violates too,
+    in an earlier row (A' < A as masks).  The same argument within row A
+    applies to B.  So both members of the first violation are minimal, it
+    is the first violation among minimal pairs, and none exists among them
+    when none exists at all.  When C2 fails the argument does not apply,
+    and the domain is every subset.  Rows are walked in chunks of about
+    PAIR_GRID pairs, stopping at the first chunk with a violation.
+    """
     clv = dom.closure_vector(lambda s: cl.eval_set(s))
     masks = dom.masks
     midx = masks
@@ -694,58 +718,44 @@ def check_axioms_finite(cl, dom, report, chunk_cols=None):
             "A": dom.sorted_set(m), "r": r_found, "s": s_found,
             "witness": witness})
 
-    # pairwise: C2 and C4a, chunked over the second subset.  The left side
-    # of C4a only depends on the pair of closure values, which repeat
-    # heavily, so it is computed on the deduplicated values and gathered.
-    zbit = dom.zero_bit
-    uniq, inv = np.unique(clv, return_inverse=True)
-    inv = inv.astype(np.int32)
-    k = len(uniq)
-    lhs_small = dom.setsum_vec(
-        np.broadcast_to(uniq[:, None], (k, k)).copy(),
-        np.broadcast_to(uniq[None, :], (k, k)).copy())
-
-    sh_aug = [dom.shift_tables[i][masks | zbit] for i in range(dom.n)]
+    # C2: cl(A) inside cl(B) for every B containing A.  meet[A] is the AND
+    # of cl(B) over all supersets B of A, one pass per element bit.
+    meet = clv.copy()
+    for i in range(dom.n):
+        view = meet.reshape(-1, 2, 1 << i)
+        view[:, 0, :] &= view[:, 1, :]
+    pos = _first_violation((clv & ~meet) != 0)
     c2_ce = None
+    if pos is not None:
+        (a,) = pos
+        sup = masks[(masks & a) == a]
+        (j,) = _first_violation((clv[a] & ~clv[sup]) != 0)
+        c2_ce = {"A": dom.sorted_set(a), "B": dom.sorted_set(sup[j]),
+                 "witness": _lowest_bit_elem(dom, clv[a] & ~clv[sup[j]])}
+
+    # C4a: cl(A) + cl(B) inside cl((A | 0) + (B | 0)), over the fiber-minimal
+    # subsets when C2 holds and over all subsets when it fails.
+    if c2_ce is None:
+        redundant = np.zeros(dom.nmasks, dtype=bool)
+        for i in range(dom.n):
+            bit = 1 << i
+            redundant |= ((masks & bit) != 0) & (clv[masks ^ bit] == clv)
+        pool = masks[~redundant]
+    else:
+        pool = masks
     c4a_ce = None
-    use_cached_pairs = dom.nmasks <= (1 << 12)
-    for start in range(0, dom.nmasks, chunk_cols):
-        stop = min(start + chunk_cols, dom.nmasks)
-        b_row = masks[start:stop]
-        clb_row = clv[start:stop]
-
-        if c2_ce is None:
-            subset = (masks[:, None] & ~b_row[None, :]) == 0
-            bad = (clv[:, None] & ~clb_row[None, :]) != 0
-            pos = _first_violation(subset & bad)
-            if pos is not None:
-                i, j = pos
-                c2_ce = {
-                    "A": dom.sorted_set(masks[i]),
-                    "B": dom.sorted_set(masks[start + j]),
-                    "witness": _lowest_bit_elem(
-                        dom, clv[i] & ~clv[start + j])}
-
-        if c4a_ce is None:
-            if use_cached_pairs:
-                w = dom.pair_setsum_aug()[:, start:stop]
-            else:
-                baug_row = b_row | zbit
-                w = np.zeros((dom.nmasks, stop - start), dtype=np.int32)
-                for i in range(dom.n):
-                    has_b = (((baug_row >> i) & 1) != 0)[None, :]
-                    w |= np.where(has_b, sh_aug[i][:, None], 0)
-            rhs = clv[w]
-            lhs = lhs_small[inv[:, None], inv[None, start:stop]]
-            pos = _first_violation((lhs & ~rhs) != 0)
-            if pos is not None:
-                i, j = pos
-                c4a_ce = {
-                    "A": dom.sorted_set(masks[i]),
-                    "B": dom.sorted_set(masks[start + j]),
-                    "witness": _lowest_bit_elem(
-                        dom, lhs[i, j] & ~rhs[i, j])}
-        if c2_ce is not None and c4a_ce is not None:
+    cl_pool = clv[pool]
+    rows = max(1, PAIR_GRID // len(pool))
+    for start in range(0, len(pool), rows):
+        a_row = pool[start:start + rows]
+        lhs = dom.setsum_vec(cl_pool[start:start + rows, None], cl_pool[None, :])
+        rhs = clv[dom.pair_setsum_aug(a_row, pool)]
+        pos = _first_violation((lhs & ~rhs) != 0)
+        if pos is not None:
+            i, j = pos
+            c4a_ce = {"A": dom.sorted_set(a_row[i]),
+                      "B": dom.sorted_set(pool[j]),
+                      "witness": _lowest_bit_elem(dom, lhs[i, j] & ~rhs[i, j])}
             break
 
     report.record("C2", c2_ce is None, c2_ce)
@@ -753,7 +763,10 @@ def check_axioms_finite(cl, dom, report, chunk_cols=None):
     return report
 
 
-_DOMAIN_CACHE = {}
+# Weakly keyed: a quotient or localization model is keyed by identity, and
+# a strong key would keep it, and the construction its operations close
+# over, alive for the life of the process.
+_DOMAIN_CACHE = weakref.WeakKeyDictionary()
 
 
 def ring_domain(ring):

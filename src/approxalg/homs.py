@@ -137,22 +137,3 @@ def reduction_hom(src, dst):
 def table_hom(src, dst, mapping):
     return TableHom(src, dst, mapping)
 
-
-def hom_from_unit_image(src, dst):
-    """The unique unital hom from a cyclic ring, built from f(1) = 1."""
-    if isinstance(src, IntegerRing):
-        if isinstance(dst, ResidueRing):
-            return ReductionHom(src, dst)
-        if isinstance(dst, IntegerRing):
-            return IdentityHom(src)
-        raise PreconditionError(f"no canonical hom Z -> {dst}")
-    if isinstance(src, ResidueRing):
-        if isinstance(dst, ResidueRing):
-            return ReductionHom(src, dst)
-        mapping = {}
-        acc = dst.zero
-        for x in range(src.n):
-            mapping[x] = acc
-            acc = dst.add(acc, dst.one)
-        return TableHom(src, dst, mapping)
-    raise PreconditionError(f"{src} is not cyclic")

@@ -353,8 +353,8 @@ class LocalizedRing:
 
         def add(x, y):
             (a, s), (b, t) = x, y
-            return self._pair_class[self._canon_pair(
-                ring.add(ring.mul(a, t), ring.mul(b, s)), ring.mul(s, t))]
+            return self._pair_class[(ring.add(ring.mul(a, t), ring.mul(b, s)),
+                                     ring.mul(s, t))]
 
         def neg(x):
             (a, s) = x
@@ -386,9 +386,6 @@ class LocalizedRing:
                 break
         self.verdicts.append(Verdict("operations-well-defined", wd_ce is None,
                                      wd_ce, mode="all representative pairs"))
-
-    def _canon_pair(self, a, s):
-        return (a, s)
 
     # -- shared interface ---------------------------------------------------
 

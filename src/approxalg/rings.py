@@ -337,6 +337,11 @@ class TableRing(Ring):
 
     is_finite = True
 
+    # Compared by identity: every quotient of one ring by any ideal, and
+    # every localization of one ring, shares a label, not a table.
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
     def __init__(self, label, elems, add, neg, mul, zero, one, fmt=None):
         self._label = label
         self._elems = tuple(elems)
@@ -736,18 +741,3 @@ def classical_ideals(ring, guard=SUBGROUP_ENUM_GUARD):
             out.append(ideal_from_subgroup(sub))
     return out
 
-
-# ---------------------------------------------------------------------------
-# Z^k lattice helpers (modular closure membership for integer product rings)
-
-
-def product_modulus_subgroup(ring, m):
-    """The residue-model image ring (Z/m)^k for an integer product ring."""
-    if not (isinstance(ring, ProductRing) and not ring.is_finite):
-        raise PreconditionError("expected an integer product ring")
-    return ProductRing([ResidueRing(m)] * len(ring.factors))
-
-
-def reduce_mod(ring_from, ring_to, v):
-    """Componentwise reduction Z^k -> (Z/m)^k."""
-    return tuple(f.canon(x) for f, x in zip(ring_to.factors, v))

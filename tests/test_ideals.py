@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from approxalg import (
     ideal_generated,
     subgroup_generated,
 )
+from approxalg.closures import _DOMAIN_CACHE, check_axioms
 from approxalg.homs import identity_hom, reduction_hom
 from approxalg.ideals import (
     ApproxIdeal,
@@ -163,6 +166,32 @@ class TestQuotientRing:
         q = quotient_ring(Z12, ApproxIdeal(subgroup_generated(Z12, [3]), gen))
         assert q.class_count() == 3
         assert q.ok()
+
+    def test_quotients_sharing_a_label_keep_their_own_tables(self):
+        # Zn:12/cl(I) labels every quotient of Z/12; checking gen on Z/12/(6)
+        # first must not hand its tables to the check on Z/12/(3)
+        gen = GeneratedIdealClosure(Z12)
+        q6, q3 = (quotient_ring(Z12, ApproxIdeal(subgroup_generated(Z12, [d]),
+                                                 gen)).model
+                  for d in (6, 3))
+        assert q6.spec_string() == q3.spec_string()
+        assert q6 != q3
+        check_axioms(GeneratedIdealClosure(q6), mode="exhaustive")
+        after_q6 = check_axioms(GeneratedIdealClosure(q3), mode="exhaustive")
+        _DOMAIN_CACHE.clear()
+        fresh = check_axioms(GeneratedIdealClosure(q3), mode="exhaustive")
+        assert after_q6.to_dict() == fresh.to_dict()
+        assert fresh.all_pass(), fresh.to_text()
+
+    def test_domain_cache_does_not_keep_a_checked_quotient_alive(self):
+        gen = GeneratedIdealClosure(Z12)
+        model = quotient_ring(
+            Z12, ApproxIdeal(subgroup_generated(Z12, [4]), gen)).model
+        check_axioms(GeneratedIdealClosure(model), mode="exhaustive")
+        ref = weakref.ref(model)
+        del model
+        gc.collect()
+        assert ref() is None
 
     def test_zero_ideal_with_shift_closure(self):
         cl = shift(Z12, [6])

@@ -9,6 +9,7 @@ from approxalg import (
     ideal_generated,
     subgroup_generated,
 )
+from approxalg.closures import _DOMAIN_CACHE
 from approxalg.ideals import ApproxIdeal
 from approxalg.localization import (
     check_ext_contr_bijection,
@@ -89,6 +90,21 @@ class TestTransferredClosure:
         rep = check_transfer_axioms(loc)
         assert rep.mode == "exhaustive"
         assert rep.all_pass(), rep.to_text()
+
+    def test_localizations_sharing_a_label_keep_their_own_tables(self):
+        # S^-1(Zn:12) labels every localization of Z/12; the second check
+        # must not reuse the bitmask tables built for the first
+        gen = GeneratedIdealClosure(Z12)
+        first = localize(Z12, gen, mult_set(Z12, [7]))
+        second = localize(Z12, gen, mult_set(Z12, [5]))
+        assert first.model.spec_string() == second.model.spec_string()
+        assert first.model != second.model
+        check_transfer_axioms(first)
+        after_first = check_transfer_axioms(second)
+        _DOMAIN_CACHE.clear()
+        fresh = check_transfer_axioms(second)
+        assert after_first.to_dict() == fresh.to_dict()
+        assert fresh.all_pass(), fresh.to_text()
 
     def test_representative_independence(self, loc30):
         assert check_rep_independence(loc30).passed

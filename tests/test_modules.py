@@ -2,6 +2,7 @@ import pytest
 
 from approxalg import PreconditionError, ResidueRing, Z
 from approxalg.modules import (
+    SAMPLED_PAIR_SUBSETS,
     GeneratedSubmoduleClosure,
     ModuleSetShiftClosure,
     ModuleUnionFixedClosure,
@@ -61,6 +62,17 @@ class TestCMAxioms:
         m24 = finite_module(Z, [24])
         cl = SubmoduleShiftClosure(m24, [(8,)])
         rep = check_cm_axioms(m24, cl, mode="sampled", count=40)
+        assert rep.all_pass(), rep.to_text()
+
+    def test_sampled_domain_states_the_pair_subsets(self):
+        m6 = finite_module(Z, [6])
+        count = SAMPLED_PAIR_SUBSETS + 20
+        rep = check_cm_axioms(m6, GeneratedSubmoduleClosure(m6),
+                              mode="sampled", count=count)
+        n_sub = len(m6.all_submodules())
+        assert rep.domain == (
+            f"{count + n_sub} sampled subsets of {m6}; "
+            f"C2 and C4a on pairs of the first {SAMPLED_PAIR_SUBSETS}")
         assert rep.all_pass(), rep.to_text()
 
 
