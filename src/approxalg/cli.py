@@ -57,13 +57,8 @@ from .nullstellensatz import (
     variety,
 )
 from .reports import Report, Verdict
-from .rings import (
-    PrincipalSubgroup,
-    Z,
-    ideal_generated,
-    subgroup_generated,
-)
-from .spectrum import d_set, format_prime, spectrum, topology_check, v_set
+from .rings import Z, ideal_generated, subgroup_generated
+from .spectrum import d_set, spectrum, topology_check, v_set
 
 
 def build_parser():
@@ -185,7 +180,7 @@ def cmd_dset(args, report):
     sp = spectrum(ring, cl, guard=args.guard, z_bound=args.bound)
     f = parse_element(ring, args.ideal)
     opens = d_set(sp, f)
-    report.add_extra("dset", [format_prime(ring, p) for p in opens])
+    report.add_extra("dset", [repr(p) for p in opens])
 
 
 def cmd_is_prime(args, report):
@@ -206,11 +201,7 @@ def cmd_product(args, report):
     cl = parse_closure(ring, args.closure)
     a = _ideal_from(ring, cl, args.ideal[0])
     b = _ideal_from(ring, cl, args.ideal[1])
-    prod = approx_product(a, b)
-    if isinstance(prod.canonical, PrincipalSubgroup):
-        report.add_extra("product", f"({prod.canonical.d})")
-    else:
-        report.add_extra("product", format_prime(ring, prod.canonical))
+    report.add_extra("product", repr(approx_product(a, b)))
 
 
 def cmd_quotient(args, report):
@@ -247,8 +238,7 @@ def cmd_localize(args, report):
     bij, matched = check_ext_contr_bijection(loc, z_bound=args.bound)
     report.add_verdict(bij)
     report.add_extra("matched-pairs", [
-        f"{format_prime(ring, p)} <-> {format_prime(loc.model, e)}"
-        for p, e in matched])
+        f"{p!r} <-> {e!r}" for p, e in matched])
     rep = check_transfer_axioms(loc, mode=args.mode)
     for name in rep.AXIOMS:
         if name in rep.verdicts:
@@ -261,11 +251,7 @@ def cmd_radical(args, report):
     ring = parse_ring(args.ring)
     cl = parse_closure(ring, args.closure)
     ideal = _ideal_from(ring, cl, args.ideal)
-    rad = radical(ring, cl, ideal)
-    if isinstance(rad.canonical, PrincipalSubgroup):
-        report.add_extra("radical", f"({rad.canonical.d})")
-    else:
-        report.add_extra("radical", format_prime(ring, rad.canonical))
+    report.add_extra("radical", repr(radical(ring, cl, ideal)))
     report.add_verdict(check_rad_eq_nil(ring, cl, z_bound=args.bound))
 
 
@@ -378,18 +364,10 @@ def _run_scenario(sc):
     elif op == "radical":
         gens = parse_generators(ring, params["generators"])
         ideal = ApproxIdeal(subgroup_generated(ring, gens), cl, check=False)
-        rad = radical(ring, cl, ideal)
-        if isinstance(rad.canonical, PrincipalSubgroup):
-            got = f"({rad.canonical.d})"
-        else:
-            got = format_prime(ring, rad.canonical)
+        got = repr(radical(ring, cl, ideal))
     elif op == "closure-eval":
         gens = parse_generators(ring, params["generators"])
-        out = closure_eval(cl, gens)
-        if isinstance(out.canonical, PrincipalSubgroup):
-            got = f"({out.canonical.d})"
-        else:
-            got = format_prime(ring, out.canonical)
+        got = repr(closure_eval(cl, gens))
     else:
         raise PreconditionError(f"unknown scenario operation {op!r}")
     expected = sc.get("expected")

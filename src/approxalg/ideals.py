@@ -27,19 +27,18 @@ from .errors import DomainMismatchError, PreconditionError
 from .reports import Verdict
 from .rings import (
     FiniteSubgroup,
+    IdealRep,
     IntegerRing,
     PrincipalSubgroup,
     ResidueRing,
     TableRing,
-    ideal_generated,
+    ideal_classical_product,
+    ideal_from_subgroup,
     is_additive_subgroup,
+    is_prime,
     sort_key,
     subgroup_generated,
 )
-
-
-def _is_z(ring):
-    return isinstance(ring, IntegerRing)
 
 
 def _z_shift_modulus(cl):
@@ -64,21 +63,12 @@ class ApproxIdeal:
                 raise PreconditionError(f"not an approximate ideal: {ce}")
         self.closure = closure_eval(cl, base)
 
-    def base_values(self):
-        if isinstance(self.base, PrincipalSubgroup):
-            return self.base
-        return self.base.values
-
     def is_proper(self):
-        if isinstance(self.base, PrincipalSubgroup):
-            return self.base.d != 1
-        return len(self.base.values) < self.ring.cardinality()
+        return not self.base.is_whole()
 
     def is_closed(self):
         """Whether cl(I) = I."""
-        if isinstance(self.base, PrincipalSubgroup):
-            return self.closure.canonical.d == self.base.d
-        return frozenset(self.closure.canonical.values) == self.base.values
+        return _carrier(self.closure) == self.base
 
     def __eq__(self, other):
         return (isinstance(other, ApproxIdeal) and self.ring == other.ring
@@ -143,19 +133,18 @@ def is_approx_prime(p, cl, check_ideal=True):
         if g == 1:
             return False, {"reason": "closure-is-whole-ring", "x": 1, "y": 1}
         if m == 0:
-            ok = d == 0 or _is_prime_int(d)
+            ok = d == 0 or is_prime(d)
         else:
-            ok = _is_prime_int(d) and m % d == 0
+            ok = is_prime(d) and m % d == 0
         if ok:
             return True, None
         return False, _z_prime_counterexample(d, g)
 
-    values = p.values
-    card = ring.cardinality()
-    if len(values) >= card:
+    if p.is_whole():
         raise PreconditionError("improper: P is the whole ring")
+    values = p.values
     clset = materialize(cl, values)
-    if len(clset) >= card:
+    if len(clset) >= ring.cardinality():
         # such P can never be approximately prime; witness (1, 1)
         return False, {"reason": "closure-is-whole-ring",
                        "x": ring.one, "y": ring.one}
@@ -169,11 +158,6 @@ def is_approx_prime(p, cl, check_ideal=True):
             if ring.mul(x, y) in clset:
                 return False, {"x": x, "y": y, "product": ring.mul(x, y)}
     return True, None
-
-
-def _is_prime_int(n):
-    from .rings import is_prime
-    return is_prime(n)
 
 
 def _z_prime_counterexample(d, g):
@@ -252,14 +236,8 @@ def approx_product(a, b):
         raise DomainMismatchError("approximate ideals over different rings")
     if a.cl.describe() != b.cl.describe():
         raise DomainMismatchError("approximate ideals carry different closures")
-    ring = a.ring
-    if _is_z(ring):
-        prod = a.base.d * b.base.d
-        span = ideal_generated(ring, [prod])
-    else:
-        prods = {ring.mul(x, y)
-                 for x in a.base.values for y in b.base.values}
-        span = ideal_generated(ring, sorted(prods, key=sort_key))
+    span = ideal_classical_product(ideal_from_subgroup(a.base),
+                                   ideal_from_subgroup(b.base))
     return closure_eval(a.cl, span)
 
 
@@ -300,13 +278,16 @@ class QuotientRing:
 
 def quotient_ring(ring, ideal):
     """Build R/I for an approximate ideal, verifying well-definedness."""
+    if not isinstance(ideal, ApproxIdeal):
+        raise PreconditionError(
+            f"quotient_ring needs an ApproxIdeal, not {type(ideal).__name__}")
     if ideal.ring != ring:
         raise DomainMismatchError("ideal lives in a different ring")
     ok, ce = is_approx_ideal(ideal.base, ideal.cl)
     if not ok:
         raise PreconditionError(f"absorption fails: {ce}")
 
-    if _is_z(ring):
+    if isinstance(ring, IntegerRing):
         g = ideal.closure.canonical.d
         if g >= 2:
             model = ResidueRing(g)
@@ -432,24 +413,15 @@ def factorization_check(a, b, c):
         "C-proper": c.is_proper(),
         "A-prime": prime_ok,
         "A-closed": a.is_closed(),
-        "A-equals-BC": _subgroup_equals_ideal(a, product),
+        "A-equals-BC": _carrier(product) == a.base,
     }
-    conclusion = _contained(b, a) or _contained(c, a)
+    conclusion = b.base <= a.base or c.base <= a.base
     return FactorizationVerdict(hyps, conclusion)
 
 
-def _subgroup_equals_ideal(a, ideal_rep):
-    if isinstance(a.base, PrincipalSubgroup):
-        return a.base.d == ideal_rep.canonical.d
-    return a.base.values == frozenset(ideal_rep.canonical.values)
-
-
-def _contained(b, a):
-    if isinstance(a.base, PrincipalSubgroup):
-        if a.base.d == 0:
-            return b.base.d == 0
-        return b.base.d != 0 and b.base.d % a.base.d == 0
-    return b.base.values <= a.base.values
+def _carrier(value):
+    """The subgroup or plain set behind a ``closure_eval`` result."""
+    return value.canonical if isinstance(value, IdealRep) else value
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +430,7 @@ def _contained(b, a):
 
 def is_approx_prime_ring(ring, cl, z_bound=None):
     """Whether (0) is an approximate prime ideal of the ring."""
-    if _is_z(ring):
+    if isinstance(ring, IntegerRing):
         m = _z_shift_modulus(cl)
         if m == 0:
             return True, None
@@ -474,7 +446,7 @@ def check_thm_ring_prime(ring, cl, z_bound=None):
     set aRb is not contained in cl(0).  Returns the equivalence verdict.
     """
     side1, ce1 = is_approx_prime_ring(ring, cl)
-    if _is_z(ring):
+    if isinstance(ring, IntegerRing):
         m = _z_shift_modulus(cl)
         bound = z_bound or max(2 * m, 12)
         side2 = True
@@ -563,7 +535,7 @@ def image_transfer(f, i, cl_src, cl_dst):
 
     verdicts.append(_pullback_identity_verdict(f))
 
-    kernel_inside = _kernel_inside(f, i.base)
+    kernel_inside = f.kernel() <= i.base
     i_prime, _ = _prime_or_false(i.base, cl_src)
     pre_ok = closure_preimage_compatible(f, cl_src, cl_dst).passed
     if kernel_inside and i_prime and pre_ok:
@@ -603,13 +575,6 @@ def _image_subgroup(f, base):
         return subgroup_generated(f.dst, [f.apply(base.d)])
     img = {f.apply(x) for x in base.values}
     return FiniteSubgroup(f.dst, img, check=True)
-
-
-def _kernel_inside(f, base):
-    ker = f.kernel()
-    if isinstance(ker, PrincipalSubgroup):
-        return base.contains(ker.d)
-    return all(base.contains(x) for x in ker.values)
 
 
 def _pullback_identity_verdict(f, gen_bound=60):

@@ -41,8 +41,9 @@ from .rings import (
     is_additive_subgroup,
     is_prime,
     sort_key,
+    whole_subgroup,
 )
-from .spectrum import _prime_key, format_prime, spectrum
+from .spectrum import spectrum
 
 
 class MultSet:
@@ -93,6 +94,12 @@ class MultSet:
             if not any(g % p == 0 for g in self.generators):
                 return False
         return True
+
+    def meets(self, sub):
+        """Whether the subgroup holds an element of S."""
+        if isinstance(self.ring, IntegerRing):
+            return self.contains_multiple_of(sub.d)
+        return any(v in self.saturation for v in sub.values)
 
     def contains(self, x):
         """Membership test for an integer multiplicative set."""
@@ -551,22 +558,19 @@ def extend(loc, p_sub):
     is reported (``proper`` False), not raised.
     """
     if isinstance(loc.base, IntegerRing):
-        d = p_sub.d
-        meets = loc.mult.contains_multiple_of(d)
         m0 = loc.m0
         if m0 == 1:
             values = frozenset(loc.model.elements())
         else:
-            step = math.gcd(d, m0)
+            step = math.gcd(p_sub.d, m0)
             values = frozenset(range(0, m0, step)) if step else frozenset({0})
     else:
-        meets = any(v in loc.mult.saturation for v in p_sub.values)
         values = frozenset(loc._pair_class[(a, s)] for a in p_sub.values
                            for s in loc.sat)
     sub = FiniteSubgroup(loc.model, values, check=False)
-    proper = len(values) < loc.model.cardinality()
-    verdicts = [Verdict("extension-proper", proper,
-                        None if proper else {"P-meets-S": meets})]
+    proper = not sub.is_whole()
+    ce = None if proper else {"P-meets-S": loc.mult.meets(p_sub)}
+    verdicts = [Verdict("extension-proper", proper, ce)]
     if proper:
         prime, ce = is_approx_prime(sub, loc.transferred, check_ideal=False)
         verdicts.append(Verdict("extension-prime", prime, ce))
@@ -585,7 +589,7 @@ def contract(loc, q_sub):
         vals = {x for x in loc.base.elements() if loc.iota(x) in q_sub.values}
         out = FiniteSubgroup(loc.base, vals, check=False)
     q_prime, _ = is_approx_prime(q_sub, loc.transferred, check_ideal=False) \
-        if len(q_sub.values) < loc.model.cardinality() else (False, None)
+        if not q_sub.is_whole() else (False, None)
     verdicts = []
     if q_prime:
         try:
@@ -603,65 +607,46 @@ def check_ext_contr_bijection(loc, z_bound=None):
     """
     base_spec = spectrum(loc.base, loc.base_cl, z_bound=z_bound)
     loc_spec = spectrum(loc.model, loc.transferred)
-    avoiding = []
-    for p in base_spec.primes:
-        if isinstance(p, PrincipalSubgroup):
-            meets = loc.mult.contains_multiple_of(p.d)
-        else:
-            meets = any(v in loc.mult.saturation for v in p.values)
-        if not meets:
-            avoiding.append(p)
+    avoiding = [p for p in base_spec.primes if not loc.mult.meets(p)]
 
     matched = []
     problems = []
-    loc_keys = {_prime_key(q) for q in loc_spec.primes}
+    loc_primes = set(loc_spec.primes)
     for p in avoiding:
         ext, _ = extend(loc, p)
-        if _prime_key(ext) not in loc_keys:
-            problems.append({"P": format_prime(loc.base, p),
+        if ext not in loc_primes:
+            problems.append({"P": repr(p),
                              "issue": "extension-not-in-spectrum"})
             continue
         back, _ = contract(loc, ext)
-        if _prime_key(back) != _prime_key(p):
-            problems.append({"P": format_prime(loc.base, p),
-                             "issue": "round-trip-P"})
+        if back != p:
+            problems.append({"P": repr(p), "issue": "round-trip-P"})
             continue
         matched.append((p, ext))
-    ext_keys = {_prime_key(e) for _, e in matched}
+    extended = {e for _, e in matched}
     for q in loc_spec.primes:
-        if _prime_key(q) not in ext_keys:
-            problems.append({"q": format_prime(loc.model, q),
-                             "issue": "not-hit-by-extension"})
+        if q not in extended:
+            problems.append({"q": repr(q), "issue": "not-hit-by-extension"})
             continue
         back, _ = contract(loc, q)
         ext2, _ = extend(loc, back)
-        if _prime_key(ext2) != _prime_key(q):
-            problems.append({"q": format_prime(loc.model, q),
-                             "issue": "round-trip-q"})
+        if ext2 != q:
+            problems.append({"q": repr(q), "issue": "round-trip-q"})
 
     order_ce = None
     for (p1, e1) in matched:
         for (p2, e2) in matched:
-            if _sub_le(p1, p2) != (e1.values <= e2.values):
-                order_ce = {"P1": format_prime(loc.base, p1),
-                            "P2": format_prime(loc.base, p2)}
+            if (p1 <= p2) != (e1 <= e2):
+                order_ce = {"P1": repr(p1), "P2": repr(p2)}
     if order_ce:
         problems.append({"issue": "inclusion-order", **order_ce})
 
     verdict = Verdict(
         "extension-contraction-bijection", not problems,
         problems[0] if problems else None,
-        details={"avoiding": [format_prime(loc.base, p) for p in avoiding],
+        details={"avoiding": [repr(p) for p in avoiding],
                  "localized": loc_spec.labels()})
     return verdict, matched
-
-
-def _sub_le(p1, p2):
-    if isinstance(p1, PrincipalSubgroup):
-        if p2.d == 0:
-            return p1.d == 0
-        return p1.d % p2.d == 0
-    return p1.values <= p2.values
 
 
 # ---------------------------------------------------------------------------
@@ -687,11 +672,10 @@ def _power_orbit_members(ring, g, clset):
 
 def radical(ring, cl, ideal):
     """rad(I) = {g : some power of g lies in cl(I)}, as an ideal."""
+    base = ideal.base if isinstance(ideal, ApproxIdeal) else ideal
     if isinstance(ring, IntegerRing):
-        d = ideal.base.d if isinstance(ideal, ApproxIdeal) else ideal.d
-        g = cl.z_principal_image(d)
+        g = cl.z_principal_image(base.d)
         return ideal_generated(Z, [_squarefree_kernel(g)])
-    base = ideal.base.values if isinstance(ideal, ApproxIdeal) else ideal.values
     clset = materialize(cl, base)
     members = set()
     for g in ring.elements():
@@ -747,20 +731,12 @@ def z_radical_bruteforce(cl, d, bound=200):
 
 
 def prime_radical(spec):
-    """The intersection of all approximate primes in the spectrum."""
-    if isinstance(spec.ring, IntegerRing):
-        if not spec.primes:
-            return PrincipalSubgroup(1)  # empty intersection: the whole ring
-        acc = 1
-        for p in spec.primes:
-            acc = math.lcm(acc, p.d)
-        return PrincipalSubgroup(acc)
-    values = None
+    """The intersection of all approximate primes in the spectrum (the
+    whole ring when the spectrum is empty)."""
+    out = whole_subgroup(spec.ring)
     for p in spec.primes:
-        values = p.values if values is None else values & p.values
-    if values is None:
-        values = frozenset(spec.ring.elements())
-    return FiniteSubgroup(spec.ring, values, check=False)
+        out = out & p
+    return out
 
 
 def check_rad_eq_nil(ring, cl, z_bound=None):
@@ -777,13 +753,13 @@ def check_rad_eq_nil(ring, cl, z_bound=None):
         agree = rad0 == inter.d and swept == expected
         return Verdict("radical-equals-prime-intersection", agree,
                        None if agree else {"rad0": f"({rad0})",
-                                           "intersection": f"({inter.d})"},
+                                           "intersection": repr(inter)},
                        details={"rad0": f"({rad0})",
-                                "intersection": f"({inter.d})"})
+                                "intersection": repr(inter)})
     zero_ideal = ApproxIdeal(FiniteSubgroup(ring, {ring.zero}, check=False),
                              cl, check=False)
     rad = radical(ring, cl, zero_ideal)
-    agree = frozenset(rad.canonical.values) == inter.values
+    agree = rad.canonical == inter
     return Verdict("radical-equals-prime-intersection", agree,
                    None if agree else {
                        "rad0": sorted(rad.canonical.values, key=sort_key),

@@ -13,7 +13,7 @@ import itertools
 import random
 
 from . import polynomials as poly
-from .closures import closure_member, materialize
+from .closures import POINT_GUARD, closure_member, materialize
 from .errors import PreconditionError, ResourceLimitError
 from .ideals import is_approx_prime
 from .reports import Verdict
@@ -26,8 +26,6 @@ from .rings import (
     is_additive_subgroup,
     sort_key,
 )
-
-POINT_GUARD = 4096
 
 
 class Variety:

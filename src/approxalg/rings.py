@@ -16,9 +16,12 @@ structural equality of values is element equality.  The supported rings:
   operation tables; used internally for quotients and localizations.
 
 Additive subgroups are ``FiniteSubgroup`` (explicit sets, finite rings) or
-``PrincipalSubgroup(d)`` (d*Z inside the integers).  Finitely generated
-ideals carry their generators plus a canonical subgroup form with decidable
-membership.
+``PrincipalSubgroup(d)`` (d*Z inside the integers).  Both, and the plain
+``ElementSet``, answer one protocol: ``contains``, ``<=`` and ``<``
+(inclusion), ``&`` (intersection), ``==`` and ``hash``, ``is_whole()`` and
+``repr``, so code above this module need not ask which kind it holds.
+Finitely generated ideals carry their generators plus a canonical subgroup
+form with decidable membership.
 """
 
 from __future__ import annotations
@@ -545,6 +548,21 @@ class ElementSet:
     def contains(self, v):
         return self.ring.canon(v) in self.values
 
+    def is_whole(self):
+        return len(self.values) == self.ring.cardinality()
+
+    def __le__(self, other):
+        _same_ring(self, other)
+        return self.values <= other.values
+
+    def __lt__(self, other):
+        _same_ring(self, other)
+        return self.values < other.values
+
+    def __and__(self, other):
+        _same_ring(self, other)
+        return ElementSet(self.ring, self.values & other.values)
+
     def sorted_values(self):
         return sorted(self.values, key=sort_key)
 
@@ -577,14 +595,26 @@ class FiniteSubgroup(ElementSet):
     def elements(self):
         return self.sorted_values()
 
+    def __and__(self, other):
+        if not isinstance(other, FiniteSubgroup):
+            return super().__and__(other)
+        _same_ring(self, other)
+        return FiniteSubgroup(self.ring, self.values & other.values, check=False)
+
 
 class PrincipalSubgroup:
-    """d*Z inside the integers, d >= 0 the unique nonnegative generator."""
+    """d*Z inside the integers, d >= 0 the unique nonnegative generator.
+
+    dZ lies inside eZ iff e divides d, so (0) lies inside every subgroup;
+    dZ & eZ is lcm(d, e)Z.
+    """
+
+    __slots__ = ("d",)
+    ring = Z
 
     def __init__(self, d):
         if d < 0:
             raise PreconditionError("generator must be nonnegative")
-        self.ring = Z
         self.d = d
 
     def contains(self, v):
@@ -592,6 +622,18 @@ class PrincipalSubgroup:
         if self.d == 0:
             return v == 0
         return v % self.d == 0
+
+    def is_whole(self):
+        return self.d == 1
+
+    def __le__(self, other):
+        return self.d % other.d == 0 if other.d else self.d == 0
+
+    def __lt__(self, other):
+        return self.d != other.d and self <= other
+
+    def __and__(self, other):
+        return PrincipalSubgroup(math.lcm(self.d, other.d))
 
     def __eq__(self, other):
         return isinstance(other, PrincipalSubgroup) and self.d == other.d
@@ -639,8 +681,6 @@ class IdealRep:
         return hash((self.ring, self.canonical))
 
     def __repr__(self):
-        if isinstance(self.canonical, PrincipalSubgroup):
-            return repr(self.canonical)
         return repr(self.canonical)
 
 
@@ -685,8 +725,8 @@ def ideal_classical_product(i, j):
 
 
 def _same_ring(i, j):
-    if i.ring != j.ring:
-        raise DomainMismatchError(f"ideals over {i.ring} and {j.ring}")
+    if i.ring is not j.ring and i.ring != j.ring:
+        raise DomainMismatchError(f"operands over {i.ring} and {j.ring}")
 
 
 def subgroup_generated(ring, gens):
@@ -700,6 +740,13 @@ def subgroup_generated(ring, gens):
     if not ring.is_finite:
         raise NotEnumerableError(f"subgroup_generated unsupported over {ring}")
     return FiniteSubgroup(ring, additive_closure(ring, gens), check=False)
+
+
+def whole_subgroup(ring):
+    """The ring itself as an additive subgroup."""
+    if isinstance(ring, IntegerRing):
+        return PrincipalSubgroup(1)
+    return FiniteSubgroup(ring, enumerate_elements(ring), check=False)
 
 
 def enumerate_subgroups(ring, guard=SUBGROUP_ENUM_GUARD):

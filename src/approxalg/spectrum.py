@@ -9,7 +9,9 @@ definition-based enumeration.
 
 from __future__ import annotations
 
+import itertools
 import math
+from functools import cached_property
 
 from .closures import materialize
 from .errors import PreconditionError
@@ -23,7 +25,7 @@ from .ideals import (
 )
 from .reports import Verdict
 from .rings import (
-    FiniteSubgroup,
+    ElementSet,
     IdealRep,
     IntegerRing,
     PrincipalSubgroup,
@@ -32,6 +34,8 @@ from .rings import (
     enumerate_subgroups,
     is_prime,
     sort_key,
+    subgroup_generated,
+    whole_subgroup,
 )
 
 
@@ -46,8 +50,13 @@ class SpectrumReport:
         self.bound = bound
         self.guard = guard
 
+    @cached_property
+    def prime_closures(self):
+        """cl(P) for each prime, in the order of ``primes``."""
+        return [_closure_of(self, p) for p in self.primes]
+
     def labels(self):
-        return [format_prime(self.ring, p) for p in self.primes]
+        return [repr(p) for p in self.primes]
 
     def __len__(self):
         return len(self.primes)
@@ -68,7 +77,7 @@ class ClosedSet:
         self.members = members
 
     def labels(self, ring):
-        return [format_prime(ring, p) for p in self.members]
+        return [repr(p) for p in self.members]
 
     def __len__(self):
         return len(self.members)
@@ -78,24 +87,15 @@ class ClosedSet:
 
     def __eq__(self, other):
         return isinstance(other, ClosedSet) and \
-            set(map(_prime_key, self.members)) == \
-            set(map(_prime_key, other.members))
+            set(self.members) == set(other.members)
 
     def __repr__(self):
         return f"V({self.defining!r}) = {self.members!r}"
 
 
 def format_prime(ring, p):
-    if isinstance(p, PrincipalSubgroup):
-        return f"({p.d})"
-    inner = ",".join(ring.format_element(v) for v in p.sorted_values())
-    return "{" + inner + "}"
-
-
-def _prime_key(p):
-    if isinstance(p, PrincipalSubgroup):
-        return ("principal", p.d)
-    return ("set", tuple(sorted(p.values, key=sort_key)))
+    """The label of a prime of ``ring``: its subgroup's repr."""
+    return repr(p)
 
 
 def spectrum(ring, cl, guard=64, z_bound=None):
@@ -120,7 +120,7 @@ def spectrum(ring, cl, guard=64, z_bound=None):
                   for p in range(2, m + 1) if is_prime(p) and m % p == 0]
         swept = z_prime_bruteforce_grid(m, bound)
         brute = [PrincipalSubgroup(int(d)) for d in range(bound + 1) if swept[d]]
-        if [p.d for p in closed] != [p.d for p in brute]:
+        if closed != brute:
             raise AssertionError(
                 f"closed form and bounded sweep disagree for m={m}: "
                 f"{[p.d for p in closed]} vs {[p.d for p in brute]}")
@@ -128,9 +128,8 @@ def spectrum(ring, cl, guard=64, z_bound=None):
                               method="closed-form+bounded-sweep", bound=bound)
 
     primes = []
-    card = ring.cardinality()
     for sub in enumerate_subgroups(ring, guard):
-        if len(sub.values) >= card:
+        if sub.is_whole():
             continue
         ok, _ = is_approx_ideal(sub, cl)
         if not ok:
@@ -142,61 +141,35 @@ def spectrum(ring, cl, guard=64, z_bound=None):
 
 
 def _closure_of(spec, defining):
-    """cl of a defining subgroup/ideal/generator list, in comparable form."""
-    cl = spec.cl
-    if isinstance(spec.ring, IntegerRing):
-        if isinstance(defining, IdealRep):
-            d = defining.canonical.d
-        elif isinstance(defining, PrincipalSubgroup):
-            d = defining.d
-        else:
-            d = 0
-            for g in defining:
-                d = math.gcd(d, g)
-        return cl.z_principal_image(d)
+    """cl(I) as a subgroup or set, for I an ideal, a subgroup, or a list of
+    generators (over Z the subgroup they span, elsewhere the set itself)."""
     if isinstance(defining, IdealRep):
-        vals = frozenset(defining.canonical.values)
-    elif isinstance(defining, FiniteSubgroup):
-        vals = defining.values
-    else:
-        vals = frozenset(spec.ring.canon(v) for v in defining)
-    return materialize(cl, vals)
-
-
-def _closure_contains(spec, outer, inner):
-    """cl-subset test in the comparable form produced by ``_closure_of``."""
+        defining = defining.canonical
     if isinstance(spec.ring, IntegerRing):
-        return PrincipalSubgroup(outer).contains(inner) if outer != 0 \
-            else inner == 0
-    return inner <= outer
+        d = defining.d if isinstance(defining, PrincipalSubgroup) \
+            else math.gcd(*defining)
+        return PrincipalSubgroup(spec.cl.z_principal_image(d))
+    return ElementSet(spec.ring, materialize(spec.cl, defining))
 
 
 def v_set(spec, defining):
     """V(I) = {P in the spectrum : cl(I) inside cl(P)}."""
     cli = _closure_of(spec, defining)
-    members = []
-    for p in spec.primes:
-        clp = _closure_of(spec, p)
-        if isinstance(spec.ring, IntegerRing):
-            ok = (cli == 0) if clp == 0 else (cli % clp == 0)
-        else:
-            ok = cli <= clp
-        if ok:
-            members.append(p)
-    return ClosedSet(defining, members)
+    return ClosedSet(defining, [p for p, clp in zip(spec.primes,
+                                                    spec.prime_closures)
+                                if cli <= clp])
 
 
 def d_set(spec, f_value):
     """D(f): the spectrum minus V(<f>)."""
-    closed = v_set(spec, [f_value])
-    keys = {_prime_key(p) for p in closed.members}
-    return [p for p in spec.primes if _prime_key(p) not in keys]
+    clf = _closure_of(spec, [f_value])
+    return [p for p, clp in zip(spec.primes, spec.prime_closures)
+            if not clf <= clp]
 
 
 def closure_of_point(spec, p):
     """The topological closure of {P}, which equals V(P)."""
-    keys = {_prime_key(q) for q in spec.primes}
-    if _prime_key(p) not in keys:
+    if p not in spec.primes:
         raise PreconditionError("point is not in the spectrum")
     return v_set(spec, p)
 
@@ -214,17 +187,6 @@ def _ideal_pool(spec, z_ideal_bound):
     return pool
 
 
-def _as_approx_ideal(spec, sub):
-    return ApproxIdeal(sub, spec.cl, check=False)
-
-
-def _v_of_sum(spec, a, b):
-    if isinstance(a, PrincipalSubgroup):
-        return v_set(spec, PrincipalSubgroup(math.gcd(a.d, b.d)))
-    summed = ideal_sum(ideal_from_subgroup(a), ideal_from_subgroup(b))
-    return v_set(spec, summed)
-
-
 def topology_check(spec, z_ideal_bound=120, f_pool=None):
     """The closed-set laws and separation properties, each from scratch.
 
@@ -236,45 +198,34 @@ def topology_check(spec, z_ideal_bound=120, f_pool=None):
     """
     verdicts = []
     pool = _ideal_pool(spec, z_ideal_bound)
+    reps = [ideal_from_subgroup(a) for a in pool]
+    approx = [ApproxIdeal(a, spec.cl, check=False) for a in pool]
+    v_pool = [set(v_set(spec, a)) for a in pool]
 
     inter_ce = None
     union_ce = None
-    for a in pool:
-        va = v_set(spec, a)
-        ka = set(map(_prime_key, va.members))
-        for b in pool:
-            vb = v_set(spec, b)
-            kb = set(map(_prime_key, vb.members))
-            vsum = _v_of_sum(spec, a, b)
-            if inter_ce is None and set(map(_prime_key, vsum.members)) != ka & kb:
-                inter_ce = {"I": repr(a), "J": repr(b)}
-            prod = approx_product(_as_approx_ideal(spec, a),
-                                  _as_approx_ideal(spec, b))
-            vprod = v_set(spec, prod)
-            if union_ce is None and set(map(_prime_key, vprod.members)) != ka | kb:
-                union_ce = {"I": repr(a), "J": repr(b),
+    for i, j in itertools.product(range(len(pool)), repeat=2):
+        if inter_ce is None and \
+                set(v_set(spec, ideal_sum(reps[i], reps[j]))) != \
+                v_pool[i] & v_pool[j]:
+            inter_ce = {"I": repr(pool[i]), "J": repr(pool[j])}
+        if union_ce is None:
+            vprod = v_set(spec, approx_product(approx[i], approx[j]))
+            if set(vprod) != v_pool[i] | v_pool[j]:
+                union_ce = {"I": repr(pool[i]), "J": repr(pool[j]),
                             "V(IJ)": vprod.labels(spec.ring)}
-            if inter_ce is not None and union_ce is not None:
-                break
         if inter_ce is not None and union_ce is not None:
             break
     # for small pools also sweep three-member families of the sum law
     inter_mode = f"{len(pool)} ideals, all pairs"
     if inter_ce is None and len(pool) <= 8:
-        import itertools as _it
-        for fam in _it.combinations(pool, 3):
-            keys = None
-            for a in fam:
-                ka = set(map(_prime_key, v_set(spec, a).members))
-                keys = ka if keys is None else keys & ka
-            summed = fam[0]
-            for b in fam[1:]:
-                summed_ideal = ideal_sum(ideal_from_subgroup(summed),
-                                         ideal_from_subgroup(b))
-                summed = summed_ideal.canonical
-            vsum = set(map(_prime_key, v_set(spec, summed).members))
-            if vsum != keys:
-                inter_ce = {"family": [repr(a) for a in fam]}
+        for fam in itertools.combinations(range(len(pool)), 3):
+            summed = reps[fam[0]]
+            for k in fam[1:]:
+                summed = ideal_sum(summed, reps[k])
+            if set(v_set(spec, summed)) != \
+                    v_pool[fam[0]] & v_pool[fam[1]] & v_pool[fam[2]]:
+                inter_ce = {"family": [repr(pool[k]) for k in fam]}
                 break
         inter_mode += " and triples"
     verdicts.append(Verdict("intersection-law", inter_ce is None, inter_ce,
@@ -283,8 +234,8 @@ def topology_check(spec, z_ideal_bound=120, f_pool=None):
                             mode=f"{len(pool)} ideals, all pairs"))
 
     # boundary cases: V(0) is everything, V(R) is empty
-    v_zero = v_set(spec, _zero_sub(spec))
-    v_whole = v_set(spec, _whole_sub(spec))
+    v_zero = v_set(spec, subgroup_generated(spec.ring, []))
+    v_whole = v_set(spec, whole_subgroup(spec.ring))
     verdicts.append(Verdict(
         "V(0)-is-whole-space", len(v_zero) == len(spec.primes)))
     verdicts.append(Verdict("V(R)-is-empty", len(v_whole) == 0))
@@ -297,33 +248,21 @@ def topology_check(spec, z_ideal_bound=120, f_pool=None):
         else:
             f_pool = sorted(spec.ring.elements(), key=sort_key)
 
-    t0_ce = None
-    opens = {f: {_prime_key(p) for p in d_set(spec, f)} for f in f_pool}
+    # T0: no two points lie in exactly the same basic opens
+    opens = {f: set(d_set(spec, f)) for f in f_pool}
     primes = list(spec.primes)
-    for i, p in enumerate(primes):
-        for q in primes[i + 1:]:
-            kp, kq = _prime_key(p), _prime_key(q)
-            if not any((kp in op) != (kq in op) for op in opens.values()):
-                t0_ce = {"P": format_prime(spec.ring, p),
-                         "Q": format_prime(spec.ring, q)}
-                break
-        if t0_ce is not None:
-            break
+    marks = [tuple(p in op for op in opens.values()) for p in primes]
+    t0_ce = next(({"P": repr(p), "Q": repr(primes[j])}
+                  for i, p in enumerate(primes)
+                  for j in range(i + 1, len(primes)) if marks[i] == marks[j]),
+                 None)
     verdicts.append(Verdict("T0", t0_ce is None, t0_ce,
                             mode=f"{len(f_pool)} basic opens"))
 
     # T1 computed two independent ways
-    incl_max = True
-    incl_ce = None
-    for p in primes:
-        for q in primes:
-            if _prime_key(p) != _prime_key(q) and _sub_contained(p, q):
-                incl_max = False
-                incl_ce = {"P": format_prime(spec.ring, p),
-                           "Q": format_prime(spec.ring, q)}
-                break
-        if not incl_max:
-            break
+    incl_ce = next(({"P": repr(p), "Q": repr(q)}
+                    for p in primes for q in primes if p < q), None)
+    incl_max = incl_ce is None
     singletons = all(len(closure_of_point(spec, p)) == 1 for p in primes)
     verdicts.append(Verdict("T1-criterion-agreement", incl_max == singletons,
                             None if incl_max == singletons else
@@ -335,7 +274,7 @@ def topology_check(spec, z_ideal_bound=120, f_pool=None):
 
     # quasi-compactness: the full basic-open cover has a finite subcover
     cover = []
-    remaining = {_prime_key(p) for p in primes}
+    remaining = set(primes)
     for f in f_pool:
         if not remaining:
             break
@@ -350,62 +289,12 @@ def topology_check(spec, z_ideal_bound=120, f_pool=None):
     # observational report (no equivalence asserted): whether the primes
     # are all cl-closed, and whether every proper cl-closed ideal in the
     # pool sits under some prime
-    primes_closed = all(_is_cl_closed(spec, p) for p in primes)
-    under = True
-    for a in pool:
-        if not _is_cl_closed(spec, a) or _is_whole(spec, a):
-            continue
-        if not any(_contained_in_prime(spec, a, p) for p in primes):
-            under = False
-            break
+    primes_closed = all(clp == p for p, clp in zip(primes,
+                                                   spec.prime_closures))
+    under = all(any(a <= p for p in primes) for a in pool
+                if not a.is_whole() and _closure_of(spec, a) == a)
     verdicts.append(Verdict(
         "closed-primes-report", True,
         details={"all-primes-cl-closed": primes_closed,
                  "closed-ideals-under-primes": under}))
     return verdicts
-
-
-def _is_cl_closed(spec, sub):
-    cl_val = _closure_of(spec, sub)
-    if isinstance(spec.ring, IntegerRing):
-        return cl_val == sub.d
-    return cl_val == sub.values
-
-
-def _is_whole(spec, sub):
-    if isinstance(spec.ring, IntegerRing):
-        return sub.d == 1
-    return len(sub.values) == spec.ring.cardinality()
-
-
-def _contained_in_prime(spec, sub, prime):
-    if isinstance(sub, PrincipalSubgroup):
-        if prime.d == 0:
-            return sub.d == 0
-        return sub.d % prime.d == 0
-    return sub.values <= prime.values
-
-
-def _zero_sub(spec):
-    if isinstance(spec.ring, IntegerRing):
-        return PrincipalSubgroup(0)
-    return FiniteSubgroup(spec.ring, {spec.ring.zero}, check=False)
-
-
-def _whole_sub(spec):
-    if isinstance(spec.ring, IntegerRing):
-        return PrincipalSubgroup(1)
-    return FiniteSubgroup(spec.ring, set(spec.ring.elements()), check=False)
-
-
-def _sub_contained(p, q):
-    """Strict containment P < Q between primes."""
-    if isinstance(p, PrincipalSubgroup):
-        if p.d == q.d:
-            return False
-        if q.d == 0:
-            return False
-        if p.d == 0:
-            return True
-        return p.d % q.d == 0
-    return p.values < q.values

@@ -143,6 +143,17 @@ class TestScenarios:
         assert code == 0
         assert "scenario-count: 0" in out
 
+    def test_closure_eval_that_is_a_plain_set(self, capsys, tmp_path):
+        suite = [{"name": "setshift-of-one", "ring": "Zn:12",
+                  "closure": "setshift:J=6", "operation": "closure-eval",
+                  "params": {"generators": "1"}, "expected": "{1,7}"}]
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps(suite))
+        code, out, err = run(capsys, "scenario", str(path))
+        assert code == 0
+        assert "[pass] setshift-of-one" in out
+        assert "Traceback" not in err
+
     def test_broken_scenario_is_isolated(self, capsys, tmp_path):
         suite = [
             {"name": "bad", "ring": "Nope", "operation": "spec",

@@ -12,6 +12,7 @@ from approxalg import (
     ProductRing,
     ResidueRing,
     SetShiftClosure,
+    UnionFixedClosure,
     Z,
     enumerate_subgroups,
     ideal_generated,
@@ -207,6 +208,26 @@ class TestQuotientRing:
         assert "multiplication-well-defined" in names
         assert q.ok()
 
+    def test_ideal_rep_rejected_with_the_expected_type_named(self):
+        with pytest.raises(PreconditionError, match="ApproxIdeal"):
+            quotient_ring(Z12, ideal_generated(Z12, [6]))
+
+
+class TestClosedness:
+    def test_closure_that_is_not_a_subgroup(self):
+        # cl((6)) = {0,5,6} is a plain set, not a subgroup, so (6) is not closed
+        cl = UnionFixedClosure(Z12, [5])
+        ideal = ApproxIdeal(subgroup_generated(Z12, [6]), cl)
+        assert not ideal.is_closed()
+
+    def test_closed_and_unclosed_ideals(self):
+        cl = shift(Z12, [4])
+        assert ApproxIdeal(subgroup_generated(Z12, [2]), cl).is_closed()
+        assert not ApproxIdeal(subgroup_generated(Z12, [6]), cl).is_closed()
+        clz = shift(Z, [30])
+        assert ApproxIdeal(PrincipalSubgroup(3), clz).is_closed()
+        assert not ApproxIdeal(PrincipalSubgroup(9), clz).is_closed()
+
 
 class TestFactorization:
     def test_instance_with_closed_prime(self):
@@ -225,6 +246,17 @@ class TestFactorization:
         c = ApproxIdeal(PrincipalSubgroup(1), cl)
         verdict = factorization_check(a, b, c)
         assert not verdict.hypotheses["C-proper"]
+        assert verdict.theorem_respected
+
+    def test_zero_factor_lies_inside_every_ideal(self):
+        # A = (5) = (0)(2) under shift:J=5; (0) is inside (5)
+        cl = shift(Z, [5])
+        a = ApproxIdeal(PrincipalSubgroup(5), cl)
+        b = ApproxIdeal(PrincipalSubgroup(0), cl)
+        c = ApproxIdeal(PrincipalSubgroup(2), cl)
+        verdict = factorization_check(a, b, c)
+        assert verdict.hypotheses_hold
+        assert verdict.conclusion_holds
         assert verdict.theorem_respected
 
     def test_exhaustive_scan_over_z12_triples(self):
