@@ -22,11 +22,17 @@ A = B = {2} in Z/12), while every use of the axiom in the verified theorems
 applies it to subgroups; augmenting by 0 restores exactly that reading.
 
 Exhaustive subset runs encode subsets of a finite ring as bitmasks inside
-numpy arrays and evaluate the closure once per subset.  The unary axioms
-are one sweep over that table; the pairwise axioms C2 and C4a are decided
-by exact reductions of the all-pairs domain (a superset meet for C2, and
-fiber-minimal subsets for C4a), proved in ``check_axioms_finite``.  Their
-counterexamples are the first violating pair in row-major mask order.
+numpy arrays and tabulate the closure over every subset.  A closure that
+declares a ``join`` (the span, shift, set-shift and union variants) is
+evaluated n + 1 times, on the empty set and on each singleton, and the
+table is filled by that join, one numpy pass per element
+(``FiniteDomain.closure_vector``); any other closure is evaluated once per
+subset.  The unary axioms are one sweep over that table; the pairwise
+axioms C2 and C4a are decided by exact reductions of the all-pairs domain
+(a superset meet for C2, and fiber-minimal subsets for C4a), proved in
+``check_axioms_finite``.  Their counterexamples are the first violating
+pair in row-major mask order; the C4a rows are walked in chunks that start
+at one row and double, so an early counterexample costs one small chunk.
 """
 
 from __future__ import annotations
@@ -99,10 +105,17 @@ def _is_integer_lattice(ring):
 
 
 class ClosureSpec:
-    """Base class: a declarative closure operator over one ring."""
+    """Base class: a declarative closure operator over one ring.
+
+    ``join`` names how cl(A | {x}) follows from cl(A) and cl({x}):
+    ``"sum"`` (their set-sum), ``"union"`` (their union), or None when no
+    such rule holds.  ``FiniteDomain.closure_vector`` builds its table from
+    it, so a subclass that changes ``eval_set`` restates ``join``.
+    """
 
     name = "?"
     set_valued = True
+    join = None
 
     def __init__(self, ring):
         self.ring = ring
@@ -133,6 +146,7 @@ class GeneratedIdealClosure(ClosureSpec):
     """cl(A) = <A>: the classical ideal generated by A."""
 
     name = "gen"
+    join = "sum"
 
     def eval_set(self, values):
         return ideal_closure_set(self.ring, values)
@@ -159,6 +173,7 @@ class IdealShiftClosure(ClosureSpec):
     """cl(A) = <A> + J; over integer lattices J is m*Z^k for a scalar m."""
 
     name = "shift"
+    join = "sum"
 
     def __init__(self, ring, shift_ideal=None, shift_modulus=None):
         super().__init__(ring)
@@ -206,6 +221,7 @@ class SetShiftClosure(ClosureSpec):
     """cl(A) = A + J elementwise; A is used as given, not spanned."""
 
     name = "setshift"
+    join = "union"
 
     def __init__(self, ring, shift_ideal=None, shift_modulus=None):
         super().__init__(ring)
@@ -394,6 +410,7 @@ class UnionFixedClosure(ClosureSpec):
     """Diagnostic operator cl(A) = A | F (idempotent but incompatible)."""
 
     name = "union-fixed"
+    join = "union"
 
     def __init__(self, ring, extra):
         super().__init__(ring)
@@ -585,11 +602,44 @@ class FiniteDomain:
         closed = self.setsum_vec(masks, negm) == masks
         return has_zero & closed
 
-    def closure_vector(self, clfun_set):
-        """cl as a mask -> mask table, evaluated once per subset."""
+    def closure_vector(self, cl):
+        """cl as a mask -> mask table.
+
+        A closure without a ``join`` is evaluated once per subset, which is
+        the definition of the table.  One with a join is evaluated n + 1
+        times: on the empty set and on each singleton {x_i}.  The masks
+        below 2^i are the subsets of {x_0, ..., x_(i-1)}, so block
+        [2^i, 2^(i+1)) is block [0, 2^i) with x_i added, and one numpy pass
+        over that block fills it:
+
+        * ``"sum"``: cl(A | {x}) = cl(A) + cl({x}).  For the span, <S> is
+          the least set holding S and 0 that is closed under +, - and
+          scalar multiples.  <A> + <x> is closed under all three (sums
+          regroup, -(a + b) = -a - b, r(a + b) = ra + rb) and holds A, x
+          and 0, since each summand holds 0; so <A | {x}> lies inside it.
+          Conversely <A | {x}> holds <A> and <x> and is closed under +, so
+          it holds their sum.  For a shift cl(S) = <S> + J with J a
+          subgroup, J + J = J, so (<A> + J) + (<x> + J) = <A | {x}> + J.
+          The module span and submodule shift are the same argument.
+        * ``"union"``: cl(A | {x}) = cl(A) | cl({x}).  Both A + J (taken
+          elementwise) and A | F are unions over the elements of A of a
+          set that depends on that element alone (a + J, or {a} | F), and
+          a union over A | {x} splits into the one over A and the one
+          over {x}.
+        """
         clv = np.zeros(self.nmasks, dtype=np.int32)
-        for m in range(self.nmasks):
-            clv[m] = self.mask_of(clfun_set(self.set_of(m)))
+        if cl.join is None:
+            for m in range(self.nmasks):
+                clv[m] = self.mask_of(cl.eval_set(self.set_of(m)))
+            return clv
+        clv[0] = self.mask_of(cl.eval_set(frozenset()))
+        for i, x in enumerate(self.elems):
+            single = np.int32(self.mask_of(cl.eval_set(frozenset((x,)))))
+            low, high = clv[:1 << i], clv[1 << i:2 << i]
+            if cl.join == "sum":
+                high[:] = self.setsum_vec(low, single)
+            else:
+                np.bitwise_or(low, single, out=high)
         return clv
 
     def pair_setsum_aug(self, a_masks, b_masks):
@@ -618,7 +668,9 @@ def _lowest_bit_elem(dom, mask):
 def check_axioms_finite(cl, dom, report):
     """All six verdicts over every subset of the domain (vectorized).
 
-    C1, C3, C4b and absorption are one sweep each over the closure table.
+    The closure table comes from ``FiniteDomain.closure_vector``: n + 1
+    evaluations of a closure that declares a join, 2^n otherwise.  C1, C3,
+    C4b and absorption are one sweep each over that table.
     Each pairwise axiom reports the first violating pair (A, B) in
     row-major mask order, the order of a sweep over all 4^n pairs; two
     exact reductions replace that sweep.
@@ -643,10 +695,13 @@ def check_axioms_finite(cl, dom, report):
     applies to B.  So both members of the first violation are minimal, it
     is the first violation among minimal pairs, and none exists among them
     when none exists at all.  When C2 fails the argument does not apply,
-    and the domain is every subset.  Rows are walked in chunks of about
-    PAIR_GRID pairs, stopping at the first chunk with a violation.
+    and the domain is every subset.  Rows are walked in order, in chunks
+    that start at one row and double up to about PAIR_GRID pairs, stopping
+    at the first chunk with a violation: a violation in an early row (the
+    union operators fail at the empty pair) costs one small chunk, not a
+    full grid.
     """
-    clv = dom.closure_vector(lambda s: cl.eval_set(s))
+    clv = dom.closure_vector(cl)
     masks = dom.masks
     midx = masks
 
@@ -745,8 +800,9 @@ def check_axioms_finite(cl, dom, report):
         pool = masks
     c4a_ce = None
     cl_pool = clv[pool]
-    rows = max(1, PAIR_GRID // len(pool))
-    for start in range(0, len(pool), rows):
+    max_rows = max(1, PAIR_GRID // len(pool))
+    start, rows = 0, 1
+    while start < len(pool):
         a_row = pool[start:start + rows]
         lhs = dom.setsum_vec(cl_pool[start:start + rows, None], cl_pool[None, :])
         rhs = clv[dom.pair_setsum_aug(a_row, pool)]
@@ -757,6 +813,8 @@ def check_axioms_finite(cl, dom, report):
                       "B": dom.sorted_set(pool[j]),
                       "witness": _lowest_bit_elem(dom, lhs[i, j] & ~rhs[i, j])}
             break
+        start += rows
+        rows = min(2 * rows, max_rows)
 
     report.record("C2", c2_ce is None, c2_ce)
     report.record("C4a", c4a_ce is None, c4a_ce)

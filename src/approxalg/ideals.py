@@ -234,7 +234,7 @@ def approx_product(a, b):
     """AB = cl(<ab : a in A, b in B>), the closure of the spanned products."""
     if a.ring != b.ring:
         raise DomainMismatchError("approximate ideals over different rings")
-    if a.cl.describe() != b.cl.describe():
+    if a.cl is not b.cl and a.cl.describe() != b.cl.describe():
         raise DomainMismatchError("approximate ideals carry different closures")
     span = ideal_classical_product(ideal_from_subgroup(a.base),
                                    ideal_from_subgroup(b.base))

@@ -172,7 +172,10 @@ def finite_module(scalar_ring, orders):
 
 
 class ModuleClosure:
+    """Base class of module closures; ``join`` is as on ``ClosureSpec``."""
+
     name = "?"
+    join = None
 
     def __init__(self, module):
         self.module = module
@@ -189,6 +192,7 @@ class ModuleClosure:
 
 class GeneratedSubmoduleClosure(ModuleClosure):
     name = "gen"
+    join = "sum"
 
     def eval_set(self, values):
         return self.module.span(values)
@@ -198,6 +202,7 @@ class SubmoduleShiftClosure(ModuleClosure):
     """cl(X) = span(X) + N0."""
 
     name = "shift"
+    join = "sum"
 
     def __init__(self, module, shift_values):
         super().__init__(module)
@@ -215,6 +220,7 @@ class ModuleSetShiftClosure(ModuleClosure):
     """cl(X) = X + N0 elementwise."""
 
     name = "setshift"
+    join = "union"
 
     def __init__(self, module, shift_values):
         super().__init__(module)
@@ -232,6 +238,7 @@ class ModuleUnionFixedClosure(ModuleClosure):
     """Diagnostic cl(X) = X | F."""
 
     name = "union-fixed"
+    join = "union"
 
     def __init__(self, module, extra):
         super().__init__(module)

@@ -17,6 +17,8 @@ TOOL_VERSION = "0.1.0"
 class Verdict:
     """Outcome of one named check: pass/fail plus an optional counterexample."""
 
+    __slots__ = ("name", "passed", "counterexample", "mode", "seed", "details")
+
     def __init__(self, name, passed, counterexample=None, mode=None, seed=None,
                  details=None):
         self.name = name
@@ -50,6 +52,7 @@ class AxiomReport:
     """
 
     AXIOMS = ("C1", "C2", "C3", "C4a", "C4b", "absorption")
+    __slots__ = ("mode", "seed", "count", "domain", "verdicts")
 
     def __init__(self, mode, seed=None, count=None, domain=None):
         self.mode = mode

@@ -152,12 +152,15 @@ def _closure_of(spec, defining):
     return ElementSet(spec.ring, materialize(spec.cl, defining))
 
 
+def _primes_over(spec, cli):
+    """The primes P of the spectrum with cli inside cl(P), in order."""
+    return [p for p, clp in zip(spec.primes, spec.prime_closures)
+            if cli <= clp]
+
+
 def v_set(spec, defining):
     """V(I) = {P in the spectrum : cl(I) inside cl(P)}."""
-    cli = _closure_of(spec, defining)
-    return ClosedSet(defining, [p for p, clp in zip(spec.primes,
-                                                    spec.prime_closures)
-                                if cli <= clp])
+    return ClosedSet(defining, _primes_over(spec, _closure_of(spec, defining)))
 
 
 def d_set(spec, f_value):
@@ -200,20 +203,30 @@ def topology_check(spec, z_ideal_bound=120, f_pool=None):
     pool = _ideal_pool(spec, z_ideal_bound)
     reps = [ideal_from_subgroup(a) for a in pool]
     approx = [ApproxIdeal(a, spec.cl, check=False) for a in pool]
-    v_pool = [set(v_set(spec, a)) for a in pool]
+    # V(I) depends on I only through cl(I), and the pair loop meets few
+    # distinct closures: look its members up by closure
+    v_by_closure = {}
+
+    def v_members(defining):
+        cli = _closure_of(spec, defining)
+        members = v_by_closure.get(cli)
+        if members is None:
+            members = v_by_closure[cli] = set(_primes_over(spec, cli))
+        return members
+
+    v_pool = [v_members(a) for a in pool]
 
     inter_ce = None
     union_ce = None
     for i, j in itertools.product(range(len(pool)), repeat=2):
         if inter_ce is None and \
-                set(v_set(spec, ideal_sum(reps[i], reps[j]))) != \
-                v_pool[i] & v_pool[j]:
+                v_members(ideal_sum(reps[i], reps[j])) != v_pool[i] & v_pool[j]:
             inter_ce = {"I": repr(pool[i]), "J": repr(pool[j])}
         if union_ce is None:
-            vprod = v_set(spec, approx_product(approx[i], approx[j]))
-            if set(vprod) != v_pool[i] | v_pool[j]:
+            prod = approx_product(approx[i], approx[j])
+            if v_members(prod) != v_pool[i] | v_pool[j]:
                 union_ce = {"I": repr(pool[i]), "J": repr(pool[j]),
-                            "V(IJ)": vprod.labels(spec.ring)}
+                            "V(IJ)": v_set(spec, prod).labels(spec.ring)}
         if inter_ce is not None and union_ce is not None:
             break
     # for small pools also sweep three-member families of the sum law
@@ -223,7 +236,7 @@ def topology_check(spec, z_ideal_bound=120, f_pool=None):
             summed = reps[fam[0]]
             for k in fam[1:]:
                 summed = ideal_sum(summed, reps[k])
-            if set(v_set(spec, summed)) != \
+            if v_members(summed) != \
                     v_pool[fam[0]] & v_pool[fam[1]] & v_pool[fam[2]]:
                 inter_ce = {"family": [repr(pool[k]) for k in fam]}
                 break

@@ -4,11 +4,15 @@ Both paths quantify the same axioms over the same domains, so for small
 rings their verdicts (and pass/fail pattern) have to match on passing and
 on deliberately broken operators alike.  The engine's reduced C2 and C4a
 domains are also held against a naive sweep over all subset pairs, which
-must give the same report, counterexamples included.
+must give the same report, counterexamples included, also when the C4a
+rows are walked in many small chunks.  A closure table built by a declared
+join must equal the table of one evaluation per subset, and must cost at
+most n + 1 evaluations.
 """
 
 import itertools
 
+import numpy as np
 import pytest
 
 from approxalg import (
@@ -18,6 +22,7 @@ from approxalg import (
     ResidueRing,
     SetShiftClosure,
     UnionFixedClosure,
+    Z,
     ideal_generated,
 )
 from approxalg import closures, modules
@@ -26,7 +31,9 @@ from approxalg.closures import (
     _check_axioms_sets,
     check_axioms,
     check_axioms_finite,
+    ring_domain,
 )
+from approxalg.grammar import parse_closure, parse_element, parse_ring
 from approxalg.localization import check_transfer_axioms, localize, mult_set
 from approxalg.reports import AxiomReport
 from approxalg.rings import sort_key
@@ -186,3 +193,189 @@ def test_reduced_pairwise_domains_match_all_pairs(run, monkeypatch):
     monkeypatch.setattr(closures, "check_axioms_finite", all_pairs_check)
     monkeypatch.setattr(modules, "check_axioms_finite", all_pairs_check)
     assert reduced == run().to_dict()
+
+
+class ImpliedElement(ClosureSpec):
+    """cl(A) = A | {0}, plus ``implied`` when A holds every element of
+    ``premise`` and does not hold ``unless``.  Without ``unless`` this is a
+    closure operator (one Horn rule) that fails C4a; with it, it is not
+    monotone."""
+
+    name = "implied-element"
+
+    def __init__(self, ring, premise, implied, unless=None):
+        super().__init__(ring)
+        self.premise = frozenset(premise)
+        self.implied = implied
+        self.unless = unless
+
+    def eval_set(self, values):
+        out = frozenset(values) | {self.ring.zero}
+        if self.premise <= out and self.unless not in out:
+            out |= {self.implied}
+        return out
+
+
+def chunk_cases():
+    """Union and non-monotone operators, which fail in the first row, and
+    passing closures, which walk every chunk, the last one cut short."""
+    z4 = ResidueRing(4)
+    z6 = ResidueRing(6)
+    z8 = ResidueRing(8)
+    klein = ProductRing([ResidueRing(2), ResidueRing(2)])
+    z3z3 = ProductRing([ResidueRing(3), ResidueRing(3)])
+    return [
+        UnionFixedClosure(z4, [2]),
+        UnionFixedClosure(z6, [1]),
+        UnionFixedClosure(z8, [2]),
+        UnionFixedClosure(klein, [(1, 1)]),
+        TopSwitch(z4, 2),
+        TopSwitch(z6, 3),
+        TopSwitch(z8, 4),
+        SmallSetsFill(z4),
+        SmallSetsFill(z6),
+        Doubling(z8),
+        Doubling(z3z3),
+        GeneratedIdealClosure(z6),
+        SetShiftClosure(klein, ideal_generated(klein, [(0, 1)])),
+    ]
+
+
+@pytest.mark.parametrize("cl", chunk_cases(),
+                         ids=lambda c: f"{c.ring}-{c.name}")
+def test_doubling_chunks_match_all_pairs(cl, monkeypatch):
+    monkeypatch.setattr(closures, "PAIR_GRID", 64)
+    reduced = check_axioms(cl, mode="exhaustive").to_dict()
+    monkeypatch.setattr(closures, "check_axioms_finite", all_pairs_check)
+    assert reduced == check_axioms(cl, mode="exhaustive").to_dict()
+
+
+@pytest.mark.parametrize("spec", ["Zn:4", "Zn:5", "prod:[Zn:2,Zn:2]"])
+def test_doubling_chunks_implied_elements(spec, monkeypatch):
+    """Every implied-element operator with a premise of one or two nonzero
+    elements.  Pools of 16 or fewer rows take chunks of 1, 2, 4, 4, ...
+    rows under PAIR_GRID = 64, and the first C4a violations of this family
+    lie in every chunk, the fourth and the last included, with C2 holding
+    or failing."""
+    monkeypatch.setattr(closures, "PAIR_GRID", 64)
+    ring = parse_ring(spec)
+    nonzero = [e for e in sorted(ring.elements(), key=sort_key)
+               if e != ring.zero]
+    operators = []
+    for k in (1, 2):
+        for premise in itertools.combinations(nonzero, k):
+            rest = [e for e in nonzero if e not in premise]
+            operators += [ImpliedElement(ring, premise, implied, unless)
+                          for implied, unless in
+                          itertools.product(rest, [None] + rest)]
+    reduced = [check_axioms(cl, mode="exhaustive").to_dict()
+               for cl in operators]
+    monkeypatch.setattr(closures, "check_axioms_finite", all_pairs_check)
+    for cl, report in zip(operators, reduced):
+        assert check_axioms(cl, mode="exhaustive").to_dict() == report, \
+            (cl.premise, cl.implied, cl.unless)
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+# ring spec -> (generators of J for shift:J= and setshift:J=, union-fixed
+# extras): every ideal (d) of Z/n for n <= 7, and for the 8-12 element rings
+# the parameters the exhaustive benchmark lists
+JOIN_RINGS = {f"Zn:{n}": ([str(d) for d in _divisors(n)], ["1"])
+              for n in range(2, 8)}
+JOIN_RINGS.update({
+    "Zn:8": (["2", "4", "6"], ["1", "3", "6"]),
+    "Zn:9": (["3", "6"], ["1", "4", "6"]),
+    "Zn:10": (["2"], ["1"]),
+    "Zn:11": ([], ["1"]),
+    "Zn:12": (["2"], ["1"]),
+    "prod:[Zn:2,Zn:4]": (["(0,1)", "(0,2)", "(1,0)", "(1,2)"],
+                         ["(0,1)", "(1,0)", "(1,3)"]),
+    "prod:[Zn:2,Zn:5]": (["(0,1)"], ["(0,1)"]),
+    "prod:[Zn:3,Zn:3]": (["(0,1)", "(1,0)", "(2,0)"],
+                         ["(0,1)", "(1,1)", "(2,2)"]),
+    "prod:[Zn:2,Zn:2,Zn:2]": (["(0,0,1)", "(0,1,1)", "(1,0,0)", "(1,1,0)"],
+                              ["(0,0,1)", "(1,1,0)", "(1,1,1)"]),
+    "GF:2/x^3+x+1": ([], ["1", "x", "x^2+x"]),
+    "GF:3/x^2+1": ([], ["1", "x", "2*x+1"]),
+})
+
+# module orders -> (generators of N0, union-fixed extras), scalars Z
+JOIN_MODULES = {
+    (8,): ([(4,), (2,)], [(1,), (4,)]),
+    (12,): ([(6,)], [(1,)]),
+    (2, 4): ([(0, 2), (1, 0), (1, 1)], [(0, 1), (1, 2)]),
+    (2, 2, 2): ([(0, 0, 1), (1, 1, 0)], [(1, 1, 1)]),
+    (3, 3): ([(0, 1), (1, 1)], [(1, 2)]),
+}
+
+
+def _ring_join_case(spec, kind, param):
+    ring = parse_ring(spec)
+    if kind == "gen":
+        cl = parse_closure(ring, "gen")
+    elif kind == "union":
+        cl = UnionFixedClosure(ring, [parse_element(ring, param)])
+    else:
+        cl = parse_closure(ring, f"{kind}:J={param}")
+    return cl, ring_domain(ring), lambda: check_axioms(cl, mode="exhaustive")
+
+
+def _module_join_case(orders, kind, param):
+    mod = modules.finite_module(Z, list(orders))
+    if kind == "gen":
+        cl = modules.GeneratedSubmoduleClosure(mod)
+    elif kind == "union":
+        cl = modules.ModuleUnionFixedClosure(mod, [param])
+    elif kind == "shift":
+        cl = modules.SubmoduleShiftClosure(mod, [param])
+    else:
+        cl = modules.ModuleSetShiftClosure(mod, [param])
+    return cl, modules.module_domain(mod), \
+        lambda: modules.check_cm_axioms(mod, cl, mode="exhaustive")
+
+
+def join_cases():
+    cases = []
+    for spec, (gens, extras) in JOIN_RINGS.items():
+        params = [("gen", None)] + [(k, g) for k in ("shift", "setshift")
+                                    for g in gens]
+        params += [("union", e) for e in extras]
+        cases += [pytest.param(_ring_join_case, spec, kind, param,
+                               id=f"{spec}-{kind}-{param}")
+                  for kind, param in params]
+    for orders, (gens, extras) in JOIN_MODULES.items():
+        params = [("gen", None)] + [(k, g) for k in ("shift", "setshift")
+                                    for g in gens]
+        params += [("union", e) for e in extras]
+        cases += [pytest.param(_module_join_case, orders, kind, param,
+                               id=f"module{list(orders)}-{kind}-{param}")
+                  for kind, param in params]
+    return cases
+
+
+@pytest.mark.parametrize("make, structure, kind, param", join_cases())
+def test_join_table_matches_per_subset_table(make, structure, kind, param):
+    cl, dom, _ = make(structure, kind, param)
+    assert cl.join in ("sum", "union")
+    per_subset = np.array([dom.mask_of(cl.eval_set(dom.set_of(m)))
+                           for m in range(dom.nmasks)], dtype=np.int32)
+    np.testing.assert_array_equal(dom.closure_vector(cl), per_subset)
+
+
+@pytest.mark.parametrize("make, structure, kind, param", join_cases())
+def test_declared_join_evaluates_n_plus_one_times(make, structure, kind, param,
+                                                  monkeypatch):
+    cl, dom, run = make(structure, kind, param)
+    calls = []
+    evaluate = cl.eval_set
+
+    def counted(values):
+        calls.append(values)
+        return evaluate(values)
+
+    monkeypatch.setattr(cl, "eval_set", counted)
+    run()
+    assert len(calls) <= dom.n + 1
