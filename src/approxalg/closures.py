@@ -75,8 +75,11 @@ DEFAULT_SAMPLE_COUNT = 2000
 DEFAULT_SEED = int.from_bytes(b"A1GEBRA", "big")
 
 POINT_GUARD = 4096
-# pairs per chunk of the exhaustive engine's C4a grid
+# pairs per chunk of the exhaustive engine's C4a grid, and cells per block
+# of the integer candidate sweep (ideals.z_prime_bruteforce_grid)
 PAIR_GRID = 1 << 20
+# the most cells the integer candidate sweep may be priced at
+Z_SWEEP_CELL_LIMIT = 1 << 26
 
 
 class IntPolyContext:

@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from . import closures
 from .closures import (
     GeneratedIdealClosure,
     IdealShiftClosure,
@@ -23,7 +24,7 @@ from .closures import (
     closure_preimage_compatible,
     materialize,
 )
-from .errors import DomainMismatchError, PreconditionError
+from .errors import DomainMismatchError, PreconditionError, ResourceLimitError
 from .reports import Verdict
 from .rings import (
     FiniteSubgroup,
@@ -203,31 +204,117 @@ def z_prime_bruteforce(cl, d, bound=None):
 
 
 def z_prime_bruteforce_grid(m, d_max, bound=None):
-    """Vectorized sweep: verdicts for all candidates (d), d = 0..d_max.
+    """Verdicts for all candidates (d), d = 0..d_max, by a bounded sweep.
 
     Same decision as ``z_prime_bruteforce`` for the modular closure with
-    modulus m, evaluated with numpy over the whole candidate range.
+    modulus m, over the box of rows d = 0..d_max and columns x = 1..bound.
+    Cell (d, x) violates when x is not in (d), y0 = g / gcd(x, g) with
+    g = gcd(d, m) is nonzero and at most bound, and y0 is not in (d); the
+    verdict of (d) is that no cell of its row violates, except that (1),
+    the whole ring, is never a candidate.
+
+    The rows are taken in chunks of at most ``closures.PAIR_GRID``.  In a
+    chunk the columns are walked in blocks that start at one column and
+    double, each capped at PAIR_GRID cells (live rows x width), and each is
+    evaluated only on the rows with no violation yet; a row leaves at the
+    block holding its first violating cell.  This is exact: a row's
+    verdict is the negated OR of its cells.  The blocks partition 1..bound,
+    so a row that never leaves has had every cell evaluated, all false;
+    a row leaves only once one of its cells is true, and then its OR is
+    true whatever the cells it skips hold.  Row 1 is not walked, since its
+    verdict is fixed without its cells.  So every verdict is the one the
+    dense box gives, and no more than PAIR_GRID cells are held at once.
+
+    The walk is priced before anything is allocated (``_z_sweep_cells``);
+    beyond ``closures.Z_SWEEP_CELL_LIMIT`` cells it raises
+    ResourceLimitError.
     """
     if bound is None:
         bound = max(2 * m, 16)
-    d = np.arange(d_max + 1, dtype=np.int64)
-    g = np.gcd(d, m)
-    x = np.arange(1, bound + 1, dtype=np.int64)
+    cells = _z_sweep_cells(m, d_max, bound)
+    if cells > closures.Z_SWEEP_CELL_LIMIT:
+        raise ResourceLimitError(
+            f"candidate sweep for m={m} over d <= {d_max}, x <= {bound} is "
+            f"priced at {cells} cells, beyond the limit of "
+            f"{closures.Z_SWEEP_CELL_LIMIT}")
+    grid = closures.PAIR_GRID
+    verdict = np.ones(d_max + 1, dtype=bool)
+    for lo in range(0, d_max + 1, grid):
+        d = np.arange(lo, min(lo + grid, d_max + 1), dtype=np.int64)
+        d = d[d != 1]
+        g = np.gcd(d, m)
+        x, width = 1, 1
+        while x <= bound and len(d):
+            width = min(width, bound - x + 1, max(1, grid // len(d)))
+            hit = _z_sweep_block(d, g, x, x + width, bound)
+            verdict[d[hit]] = False
+            d, g = d[~hit], g[~hit]
+            x += width
+            width *= 2
+    if d_max >= 1:
+        verdict[1] = False
+    return verdict
+
+
+def _z_sweep_block(d, g, x0, x1, bound):
+    """For each row d (with g = gcd(d, m)): whether a cell x in [x0, x1)
+    violates, by the cell formula of ``z_prime_bruteforce_grid``."""
     dd = d[:, None]
     gg = g[:, None]
-    xx = x[None, :]
+    xx = np.arange(x0, x1, dtype=np.int64)[None, :]
     d_safe = np.where(dd == 0, 1, dd)
     x_not_in_p = np.where(dd == 0, xx != 0, xx % d_safe != 0)
     y0 = gg // np.gcd(xx, np.where(gg == 0, 1, gg))
     y0_ok = (gg != 0) & (y0 <= bound)
     y_not_in_p = np.where(dd == 0, y0 != 0, y0 % d_safe != 0)
-    violation = (x_not_in_p & y0_ok & y_not_in_p).any(axis=1)
-    verdict = ~violation
-    # g == 0 (d = m = 0): cl(P) = (0), classically prime
-    verdict |= (g == 0)
-    if d_max >= 1:
-        verdict[1] = False  # d = 1 improper, never listed
-    return verdict
+    return (x_not_in_p & y0_ok & y_not_in_p).any(axis=1)
+
+
+def _z_sweep_cells(m, d_max, bound):
+    """An upper bound on the cells ``z_prime_bruteforce_grid`` evaluates.
+
+    Column x = 1 on every walked row, then on each row column 1 cannot rule
+    out, the further columns up to the block holding its first violation.
+    Block widths start at 1 and at most double, so no block is wider than
+    the columns before it, and a row with a violation at column c leaves by
+    column 2c - 1.  At x = 1, y0 = g, so column 1 rules out row d != 1
+    exactly when g = gcd(d, m) is nonzero, g <= bound and (d) does not
+    contain g.  It keeps every row when m = 0.  Otherwise it keeps:
+    d = 0 when m > bound; the divisors d >= 2 of m (there g = d); and the
+    rows with g > bound, each a multiple of its g, a divisor of m above
+    bound with at most d_max // g - 1 such multiples besides itself.  A
+    divisor d with least prime factor p < d violates at (d, p) when p and
+    d / p are at most bound, so it is priced at 2p - 1 columns; every
+    other kept row at all bound columns.  The divisors of m up to d_max
+    come from trial division up to min(d_max, isqrt(m)), once column 1
+    alone is within the limit.
+    """
+    if bound < 1:
+        return 0
+    rows = max(d_max, 1)  # every row but d = 1
+    if m == 0:
+        return rows * bound
+    if rows > closures.Z_SWEEP_CELL_LIMIT:
+        return rows
+    divisors = set()
+    for e in range(1, min(d_max, math.isqrt(m)) + 1):
+        if m % e == 0:
+            divisors.update(k for k in (e, m // e) if k <= d_max)
+    cells = rows + int(m > bound) * (bound - 1)
+    primes = []
+    for e in sorted(divisors - {1}):
+        p = next((q for q in primes if e % q == 0), None)
+        if p is None:
+            primes.append(e)
+            cols = bound
+        elif p <= bound and e // p <= bound:
+            cols = min(2 * p - 1, bound)
+        else:
+            cols = bound
+        cells += cols - 1
+        if e > bound:
+            cells += (d_max // e - 1) * (bound - 1)
+    return cells
 
 
 def approx_product(a, b):

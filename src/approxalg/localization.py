@@ -40,6 +40,7 @@ from .rings import (
     ideal_generated,
     is_additive_subgroup,
     is_prime,
+    prime_factors,
     sort_key,
     whole_subgroup,
 )
@@ -693,18 +694,7 @@ def radical(ring, cl, ideal):
 
 
 def _squarefree_kernel(n):
-    if n == 0:
-        return 0
-    n = abs(n)
-    out = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out *= p
-            while n % p == 0:
-                n //= p
-        p += 1
-    return out * n if n > 1 else out
+    return math.prod(prime_factors(n)) if n else 0
 
 
 def z_radical_bruteforce(cl, d, bound=200):

@@ -53,6 +53,23 @@ def is_prime(n):
     return True
 
 
+def prime_factors(n):
+    """The distinct primes dividing n != 0, ascending, by trial division up
+    to the square root of what is left of n."""
+    n = abs(n)
+    out = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1 if f == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # ring descriptors
 
@@ -601,12 +618,22 @@ class FiniteSubgroup(ElementSet):
         _same_ring(self, other)
         return FiniteSubgroup(self.ring, self.values & other.values, check=False)
 
+    def __add__(self, other):
+        """H + K = {h + k}: a subgroup, as the group is abelian."""
+        if not isinstance(other, FiniteSubgroup):
+            return NotImplemented
+        _same_ring(self, other)
+        add = self.ring.add
+        return FiniteSubgroup(
+            self.ring, {add(h, k) for h in self.values for k in other.values},
+            check=False)
+
 
 class PrincipalSubgroup:
     """d*Z inside the integers, d >= 0 the unique nonnegative generator.
 
     dZ lies inside eZ iff e divides d, so (0) lies inside every subgroup;
-    dZ & eZ is lcm(d, e)Z.
+    dZ & eZ is lcm(d, e)Z and dZ + eZ is gcd(d, e)Z.
     """
 
     __slots__ = ("d",)
@@ -634,6 +661,11 @@ class PrincipalSubgroup:
 
     def __and__(self, other):
         return PrincipalSubgroup(math.lcm(self.d, other.d))
+
+    def __add__(self, other):
+        if not isinstance(other, PrincipalSubgroup):
+            return NotImplemented
+        return PrincipalSubgroup(math.gcd(self.d, other.d))
 
     def __eq__(self, other):
         return isinstance(other, PrincipalSubgroup) and self.d == other.d

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 from approxalg.cli import main
 
@@ -111,6 +112,22 @@ class TestExitCodes:
                            "--closure", "gen", "--mode", "exhaustive")
         assert code == 3
         assert "resource limit" in err
+
+    def test_unpriceable_integer_sweep_is_exit_3(self, capsys):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "spec", "--ring", "Z",
+                                 "--closure", "shift:J=1000000007")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("resource limit:")
+        assert "priced at" in lines[0] and "Traceback" not in err
+        # refused before the (m + 1) x 2m box or any block of it exists
+        assert peak < 4 << 20
 
     def test_failed_verdict_is_exit_1(self, capsys, tmp_path):
         suite = [{"name": "wrong", "ring": "Z", "closure": "shift:J=12",

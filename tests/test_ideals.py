@@ -1,5 +1,6 @@
 import gc
 import itertools
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -11,6 +12,7 @@ from approxalg import (
     PreconditionError,
     ProductRing,
     ResidueRing,
+    ResourceLimitError,
     SetShiftClosure,
     UnionFixedClosure,
     Z,
@@ -18,6 +20,7 @@ from approxalg import (
     ideal_generated,
     subgroup_generated,
 )
+from approxalg import closures, ideals
 from approxalg.closures import _DOMAIN_CACHE, check_axioms
 from approxalg.homs import identity_hom, reduction_hom
 from approxalg.ideals import (
@@ -353,3 +356,161 @@ class TestHomTransfer:
         _, verdicts = image_transfer(f, i, cl_src, cl_dst)
         pullback = [v for v in verdicts if v.name == "pullback-identity"]
         assert pullback and pullback[0].passed
+
+
+# ---------------------------------------------------------------------------
+# the early-exit candidate sweep against the dense box
+
+# the moduli of the integer-spectrum benchmark workload
+BENCH_MODULI = [2, 3, 6, 9, 15, 24, 39, 61, 97, 153, 242, 383, 605, 956,
+                1511, 2387, 3000]
+
+
+def dense_grid(m, d_max, bound=None):
+    """The sweep's cell formula over the whole (d_max + 1) x bound box, every
+    cell evaluated; rows are taken 128 at a time only to bound memory."""
+    if bound is None:
+        bound = max(2 * m, 16)
+    xx = np.arange(1, bound + 1, dtype=np.int64)[None, :]
+    violation = np.zeros(d_max + 1, dtype=bool)
+    for lo in range(0, d_max + 1, 128):
+        d = np.arange(lo, min(lo + 128, d_max + 1), dtype=np.int64)
+        dd = d[:, None]
+        gg = np.gcd(d, m)[:, None]
+        d_safe = np.where(dd == 0, 1, dd)
+        x_not_in_p = np.where(dd == 0, xx != 0, xx % d_safe != 0)
+        y0 = gg // np.gcd(xx, np.where(gg == 0, 1, gg))
+        y0_ok = (gg != 0) & (y0 <= bound)
+        y_not_in_p = np.where(dd == 0, y0 != 0, y0 % d_safe != 0)
+        violation[lo:lo + len(d)] = \
+            (x_not_in_p & y0_ok & y_not_in_p).any(axis=1)
+    verdict = ~violation | (np.gcd(np.arange(d_max + 1), m) == 0)
+    if d_max >= 1:
+        verdict[1] = False
+    return verdict
+
+
+def record_blocks(monkeypatch):
+    """Log (rows, x0, x1, rows with a violation) for every block walked."""
+    log = []
+    block = ideals._z_sweep_block
+
+    def spy(d, g, x0, x1, bound):
+        hit = block(d, g, x0, x1, bound)
+        log.append((d.copy(), x0, x1, d[hit]))
+        return hit
+
+    monkeypatch.setattr(ideals, "_z_sweep_block", spy)
+    return log
+
+
+class TestCandidateSweep:
+    def test_small_moduli_every_window(self):
+        # rows do not depend on d_max, so one box of m + 3 rows serves the
+        # windows d_max = 0, 1, m // 2 (< m) and m + 3 (> m)
+        for m in range(0, 401):
+            want = dense_grid(m, m + 3)
+            for d_max in sorted({0, 1, m // 2, m + 3}):
+                assert np.array_equal(z_prime_bruteforce_grid(m, d_max),
+                                      want[:d_max + 1]), (m, d_max)
+
+    @pytest.mark.parametrize("bound", [0, 1, 2, 5, 17, 64])
+    def test_custom_bounds(self, bound):
+        for m in list(range(0, 61)) + [210, 360, 2310]:
+            for d_max in (0, 1, 40, 250):
+                assert np.array_equal(
+                    z_prime_bruteforce_grid(m, d_max, bound),
+                    dense_grid(m, d_max, bound)), (m, d_max, bound)
+
+    def test_benchmark_moduli_default_window(self):
+        for m in BENCH_MODULI:
+            d_max = max(1000, m)
+            assert np.array_equal(z_prime_bruteforce_grid(m, d_max),
+                                  dense_grid(m, d_max)), m
+
+    def test_highly_composite_modulus(self, monkeypatch):
+        # 720720 has 240 divisors; the rows up to 16 hold its six least
+        # primes and nine composite divisors, walked across the full 2m box
+        m = 720720
+        assert np.array_equal(z_prime_bruteforce_grid(m, 16),
+                              dense_grid(m, 16))
+        assert np.array_equal(z_prime_bruteforce_grid(m, 1500, 3000),
+                              dense_grid(m, 1500, 3000))
+        log = record_blocks(monkeypatch)
+        swept = z_prime_bruteforce_grid(m, m)
+        assert list(np.flatnonzero(swept)) == [2, 3, 5, 7, 11, 13]
+        assert max(len(d) * (x1 - x0) for d, x0, x1, _ in log) \
+            <= closures.PAIR_GRID
+
+    def test_blocks_hold_at_most_pair_grid_cells(self, monkeypatch):
+        monkeypatch.setattr(closures, "PAIR_GRID", 64)
+        log = record_blocks(monkeypatch)
+        for m in (0, 12, 360, 30030):
+            log.clear()
+            assert np.array_equal(z_prime_bruteforce_grid(m, 300),
+                                  dense_grid(m, 300)), m
+            assert log and all(len(d) * (x1 - x0) <= 64
+                               for d, x0, x1, _ in log), m
+
+    def test_violations_in_first_middle_and_last_partial_block(
+            self, monkeypatch):
+        monkeypatch.setattr(closures, "PAIR_GRID", 64)
+        log = record_blocks(monkeypatch)
+        m, d_max, bound = 30030, 200, 12
+        assert np.array_equal(z_prime_bruteforce_grid(m, d_max, bound),
+                              dense_grid(m, d_max, bound))
+        first = [hit for _, x0, _, hit in log if x0 == 1]
+        middle = [hit for _, x0, x1, hit in log if 1 < x0 and x1 <= bound]
+        assert any(len(hit) for hit in first)
+        assert any(len(hit) for hit in middle)
+        # a last block cut short by the box: narrower than twice the block
+        # before it, a width the cell cap would have allowed
+        assert any(len(hit) and x1 == bound + 1 and x1 - x0 < 2 * (p1 - p0)
+                   and len(d) * 2 * (p1 - p0) <= 64
+                   for (d, x0, x1, hit), (_, p0, p1, _) in zip(log[1:], log))
+        # each row is walked over consecutive blocks from column 1 and
+        # leaves at the block of its first violating cell, or at the end
+        walks = {}
+        for d, x0, x1, hit in log:
+            hit = set(hit.tolist())
+            for row in d.tolist():
+                walks.setdefault(row, []).append((x0, x1, row in hit))
+        want = dense_grid(m, d_max, bound)
+        for row, walk in walks.items():
+            assert walk[0][0] == 1, row
+            assert all(a[1] == b[0] for a, b in zip(walk, walk[1:])), row
+            assert not any(h for _, _, h in walk[:-1]), row
+            if want[row]:
+                assert walk[-1][1] == bound + 1 and not walk[-1][2], row
+            else:
+                assert walk[-1][2], row
+
+    def test_guard_prices_before_allocating(self):
+        m = 1_000_000_007
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="priced at"):
+                z_prime_bruteforce_grid(m, m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_estimate_bounds_the_cells_walked(self, monkeypatch):
+        log = record_blocks(monkeypatch)
+        cases = [(m, d_max, None) for m in (0, 2, 12, 97, 360, 3000)
+                 for d_max in (0, 1, 50, max(1000, m))] + \
+            [(30030, 200, 12), (720720, 1500, 3000), (100, 300, 7)]
+        for m, d_max, bound in cases:
+            log.clear()
+            z_prime_bruteforce_grid(m, d_max, bound)
+            walked = sum(len(d) * (x1 - x0) for d, x0, x1, _ in log)
+            full = max(2 * m, 16) if bound is None else bound
+            assert walked <= ideals._z_sweep_cells(m, d_max, full), \
+                (m, d_max, bound)
+
+    def test_guard_limit_is_one_constant(self, monkeypatch):
+        assert ideals._z_sweep_cells(3000, 3000, 6000) < 30_000
+        monkeypatch.setattr(closures, "Z_SWEEP_CELL_LIMIT", 10_000)
+        with pytest.raises(ResourceLimitError, match="limit of 10000"):
+            z_prime_bruteforce_grid(3000, 3000)

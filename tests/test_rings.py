@@ -20,7 +20,12 @@ from approxalg import (
     ideal_generated,
     ideal_sum,
 )
-from approxalg.rings import PrincipalSubgroup, is_additive_subgroup, sort_key
+from approxalg.rings import (
+    PrincipalSubgroup,
+    is_additive_subgroup,
+    prime_factors,
+    sort_key,
+)
 
 
 Z12 = ResidueRing(12)
@@ -33,6 +38,21 @@ FINITE_RINGS = [Z12, Z2Z2, GF32, FUN21, ResidueRing(5)]
 
 def num_divisors(n):
     return sum(1 for d in range(1, n + 1) if n % d == 0)
+
+
+class TestPrimeFactors:
+    # sympy is a test-only oracle
+    def test_against_factorint(self):
+        factorint = pytest.importorskip("sympy").factorint
+        for n in list(range(2, 5001)) + [100_003, 360_360, 720_720,
+                                         999_983 * 2, 2**31 - 1,
+                                         1_000_000_007, 10**12 + 39,
+                                         2**40, 3**20 * 7]:
+            assert prime_factors(n) == sorted(factorint(n)), n
+
+    def test_sign_and_one(self):
+        assert prime_factors(1) == []
+        assert prime_factors(-12) == [2, 3]
 
 
 class TestElemOps:

@@ -1,15 +1,26 @@
+import itertools
+
+import numpy as np
 import pytest
 
 from approxalg import (
+    FiniteSubgroup,
     GeneratedIdealClosure,
     IdealShiftClosure,
     PreconditionError,
     ProductRing,
     ResidueRing,
+    SetShiftClosure,
     Z,
     ideal_generated,
 )
-from approxalg.rings import PrincipalSubgroup, is_prime
+from approxalg import spectrum as spectrum_module
+from approxalg.rings import (
+    PrincipalSubgroup,
+    ideal_from_subgroup,
+    ideal_sum,
+    is_prime,
+)
 from approxalg.spectrum import (
     closure_of_point,
     d_set,
@@ -42,6 +53,36 @@ class TestSpectrum:
         expected = [f"({p})" for p in range(2, m + 1)
                     if is_prime(p) and m % p == 0]
         assert modular_spectrum(m).labels() == expected
+
+    def test_large_moduli_answer(self):
+        assert modular_spectrum(100_000).labels() == ["(2)", "(5)"]
+        assert modular_spectrum(720_720).labels() == \
+            ["(2)", "(3)", "(5)", "(7)", "(11)", "(13)"]
+
+    def test_sweep_covers_the_default_window(self, monkeypatch):
+        calls = []
+        sweep = spectrum_module.z_prime_bruteforce_grid
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(spectrum_module, "z_prime_bruteforce_grid", spy)
+        for m in (12, 997, 3000):
+            calls.clear()
+            modular_spectrum(m)
+            # the box is the sweep's default, 2m columns
+            assert calls == [((m, max(1000, m)), {})], m
+
+    def test_closed_form_and_sweep_must_agree(self, monkeypatch):
+        def wrong(m, d_max, bound=None):
+            swept = np.zeros(d_max + 1, dtype=bool)
+            swept[2] = True
+            return swept
+
+        monkeypatch.setattr(spectrum_module, "z_prime_bruteforce_grid", wrong)
+        with pytest.raises(AssertionError, match="disagree for m=30"):
+            modular_spectrum(30)
 
     def test_classical_z12(self):
         sp = spectrum(Z12, GeneratedIdealClosure(Z12))
@@ -118,6 +159,36 @@ class TestTopology:
         sp = spectrum(Z12, cl)
         for verdict in topology_check(sp):
             assert verdict.passed, (closure, verdict.to_dict())
+
+    def test_intersection_law_sums_subgroups(self, monkeypatch):
+        # the pool holds additive subgroups that are approximate ideals, not
+        # classical ones; the law is about their subgroup sum I + J, which on
+        # this ring differs from the ideal that I and J generate on 8 pairs
+        ring = ProductRing([ResidueRing(2), ResidueRing(4)])
+        cl = SetShiftClosure(ring, ideal_generated(ring, [(1, 0)]))
+        sp = spectrum(ring, cl)
+        pool = spectrum_module._ideal_pool(sp, 120)
+        assert len(pool) == 8
+        differ = [(a, b) for a, b in itertools.product(pool, repeat=2)
+                  if a + b != ideal_sum(ideal_from_subgroup(a),
+                                        ideal_from_subgroup(b)).canonical]
+        assert len(differ) == 8
+        summed = []
+        add = FiniteSubgroup.__add__
+
+        def spy(a, b):
+            summed.append((a, b))
+            return add(a, b)
+
+        monkeypatch.setattr(FiniteSubgroup, "__add__", spy)
+        byname = {v.name: v for v in topology_check(sp)}
+        law = byname["intersection-law"]
+        assert law.passed and law.mode == "8 ideals, all pairs and triples"
+        # every ordered pair, then each triple as (I + J) + K
+        pairs = list(itertools.product(pool, repeat=2))
+        assert summed[:64] == pairs
+        assert len(summed) == 64 + 2 * 56
+        assert all(pair in summed for pair in differ)
 
     def test_closed_primes_observation_reported(self):
         sp = spectrum(Z12, GeneratedIdealClosure(Z12))

@@ -1,6 +1,6 @@
 """The subgroup protocol held against explicit member sets.
 
-Every operation of the protocol (``<=``, ``<``, ``&``, ``==``,
+Every operation of the protocol (``<=``, ``<``, ``&``, ``+``, ``==``,
 ``is_whole``) is recomputed from the members themselves: for dZ, the
 multiples of d in a window [-N, N] with N at least every lcm that occurs
 (so inclusion and intersection inside the window are the true ones); for
@@ -66,6 +66,18 @@ class TestPrincipal:
             assert isinstance(meet, PrincipalSubgroup)
             assert window_members(meet) == self.MEMBERS[a] & self.MEMBERS[b]
 
+    def test_sum(self):
+        # dZ + eZ is generated by the least positive d*s + e*t; Bezout
+        # coefficients of d, e <= D_MAX lie within D_MAX in absolute value
+        coeffs = range(-D_MAX, D_MAX + 1)
+        for a, b in itertools.product(self.SUBS, repeat=2):
+            total = a + b
+            assert isinstance(total, PrincipalSubgroup)
+            least = min((v for s in coeffs for t in coeffs
+                         if (v := a.d * s + b.d * t) > 0), default=0)
+            assert total.d == least, (a, b)
+            assert a <= total and b <= total
+
     def test_zero_lies_inside_everything(self):
         zero = PrincipalSubgroup(0)
         assert all(zero <= sub for sub in self.SUBS)
@@ -92,6 +104,15 @@ class TestFinite:
             assert members(meet) == members(a) & members(b)
             assert meet in subs
 
+    def test_sum_is_the_subgroup_of_sums(self, ring):
+        subs = enumerate_subgroups(ring)
+        for a, b in itertools.product(subs, repeat=2):
+            total = a + b
+            assert isinstance(total, FiniteSubgroup)
+            assert members(total) == {ring.add(x, y) for x in members(a)
+                                      for y in members(b)}
+            assert total in subs
+
     def test_plain_sets_follow_the_same_protocol(self, ring):
         elems = sorted(ring.elements())
         sets = [ElementSet(ring, elems[i::k]) for k in (1, 2, 3)
@@ -110,6 +131,6 @@ class TestFinite:
 def test_operands_over_different_rings_are_refused():
     a = enumerate_subgroups(ResidueRing(12))[1]
     b = enumerate_subgroups(ResidueRing(6))[1]
-    for op in (lambda: a <= b, lambda: a < b, lambda: a & b):
+    for op in (lambda: a <= b, lambda: a < b, lambda: a & b, lambda: a + b):
         with pytest.raises(DomainMismatchError):
             op()
