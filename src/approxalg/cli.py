@@ -22,6 +22,7 @@ from .closures import (
 )
 from .errors import (
     ApproxAlgError,
+    ParseError,
     PreconditionError,
     ResourceLimitError,
 )
@@ -255,9 +256,31 @@ def cmd_radical(args, report):
     report.add_verdict(check_rad_eq_nil(ring, cl, z_bound=args.bound))
 
 
+_JSON_TYPES = {dict: "object", list: "list", str: "string", int: "integer"}
+
+
+def _field(doc, key, kind, default=None):
+    """doc[key], which must hold the JSON type ``kind``."""
+    value = doc.get(key, default) if type(doc) is dict else None
+    if type(value) is not kind:
+        raise PreconditionError(
+            f"the spec needs {key!r} to be a JSON {_JSON_TYPES[kind]}")
+    return value
+
+
+def _vectors(doc, key, default=None):
+    """doc[key] as module elements: a list of integer lists."""
+    rows = _field(doc, key, list, default)
+    if not all(type(v) is list and all(type(a) is int for a in v)
+               for v in rows):
+        raise PreconditionError(f"the spec needs {key!r} to be a list of "
+                                f"integer lists")
+    return [tuple(v) for v in rows]
+
+
 def _module_closure(mod, spec):
-    name = spec.get("name", "gen")
-    shift = [tuple(v) for v in spec.get("shift", [])]
+    name = _field(spec, "name", str, "gen")
+    shift = _vectors(spec, "shift", [])
     if name == "gen":
         return GeneratedSubmoduleClosure(mod)
     if name == "shift":
@@ -272,37 +295,46 @@ def cmd_modules(args, report):
         raise PreconditionError("give exactly one of --file or --spec")
     if args.file:
         with open(args.file, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            text = fh.read()
     else:
-        doc = json.loads(args.spec)
-    scal_text = doc["module"]["scalars"]
+        text = args.spec
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"malformed JSON: {exc.msg}", text, exc.pos) from None
+    module = _field(doc, "module", dict)
+    scal_text = _field(module, "scalars", str)
+    orders = _field(module, "orders", list)
+    if not all(type(n) is int for n in orders):
+        raise PreconditionError(
+            "the spec needs 'orders' to be a list of integers")
     scalars = Z if scal_text == "Z" else parse_ring(scal_text)
-    mod = finite_module(scalars, doc["module"]["orders"])
-    cl = _module_closure(mod, doc.get("closure", {}))
-    check = doc.get("check", "cm-axioms")
+    mod = finite_module(scalars, orders)
+    cl = _module_closure(mod, _field(doc, "closure", dict, {}))
+    check = _field(doc, "check", str, "cm-axioms")
     report.add_extra("module", mod.spec_string())
     report.add_extra("check", check)
     if check == "cm-axioms":
-        rep = check_cm_axioms(mod, cl, mode=doc.get("mode", "auto"))
+        rep = check_cm_axioms(mod, cl, mode=_field(doc, "mode", str, "auto"))
         for name in rep.AXIOMS:
             if name in rep.verdicts:
                 report.add_verdict(rep.verdicts[name])
     elif check == "quotient":
-        n_gens = [tuple(v) for v in doc["N"]]
+        n_gens = _vectors(doc, "N")
         q = module_quotient(mod, mod.subgroup_closure(n_gens), cl)
         report.add_extra("classes", q.class_count())
         for v in q.verdicts:
             report.add_verdict(v)
     elif check in ("iso1", "iso2", "iso3"):
         if check == "iso1":
-            hom = doc.get("hom", {})
+            hom = _field(doc, "hom", dict, {})
             if "scale" not in hom:
                 raise PreconditionError("iso1 needs a scaling hom")
-            f = scaling_hom(mod, cl, hom["scale"])
+            f = scaling_hom(mod, cl, _field(hom, "scale", int))
             res = iso_first(f)
         else:
-            n_gens = [tuple(v) for v in doc["N"]]
-            k_gens = [tuple(v) for v in doc["K"]]
+            n_gens = _vectors(doc, "N")
+            k_gens = _vectors(doc, "K")
             fn = iso_second if check == "iso2" else iso_third
             res = fn(mod, cl, n_gens, k_gens)
         report.add_extra("left-size", res.left_size)

@@ -61,10 +61,12 @@ from .rings import (
     PrincipalSubgroup,
     ProductRing,
     Z,
+    additive_closure,
     enumerate_subgroups,
     ideal_closure_set,
     is_additive_subgroup,
     sort_key,
+    subgroup_lattice,
 )
 
 EXHAUSTIVE_SUBSET_CAP = 1 << 16
@@ -198,9 +200,9 @@ class IdealShiftClosure(ClosureSpec):
         return f"shift:J={self.shift_modulus}"
 
     def eval_set(self, values):
-        span = ideal_closure_set(self.ring, values)
-        j = self.shift_ideal.canonical.values
-        return frozenset(self.ring.add(a, b) for a in span for b in j)
+        # <A> + J = <A | J>, as J is an ideal
+        return ideal_closure_set(
+            self.ring, frozenset(values) | self.shift_ideal.canonical.values)
 
     def z_principal_image(self, d):
         return math.gcd(d, self.shift_ideal.canonical.d)
@@ -492,7 +494,7 @@ def closure_eval(cl, a):
     gens = tuple(sorted(out, key=sort_key))
     if is_additive_subgroup(ring, out):
         sub = FiniteSubgroup(ring, out, check=False)
-        if all(ring.mul(r, v) in out for r in ring.elements() for v in out):
+        if ideal_closure_set(ring, out) == out:
             return IdealRep(ring, gens, sub)
         return sub
     return ElementSet(ring, out)
@@ -537,22 +539,22 @@ def materialize(cl, a):
 
 
 class FiniteDomain:
-    """Bitmask tables for subsets of a finite commutative structure.
+    """Bitmask tables for subsets of a finite ring or module.
 
-    ``elems`` is the canonical element list; subsets are int32 masks (so
-    mask arrays index other tables directly).  Scalars are the ring
-    elements themselves for ring closures, or the distinct action values
-    for module closures.
+    The element order, index and the add and scalar maps come from the
+    structure's ``rings.subgroup_lattice``.  Subsets are int32 masks (so mask
+    arrays index other tables directly).  Scalars are the ring elements
+    themselves for ring closures, or ``scalar_reps`` for module closures.
     """
 
-    def __init__(self, elems, add, neg, scalars, scalar_mul, zero):
-        self.elems = list(elems)
-        self.n = len(self.elems)
+    def __init__(self, lattice):
+        self.elems = lattice.elems
+        self.n = lattice.n
         if self.n > 16:
             raise ResourceLimitError(f"{self.n} elements exceed the mask width")
-        self.index = {v: i for i, v in enumerate(self.elems)}
+        self.index = lattice.index
         self.nmasks = 1 << self.n
-        self.zero_bit = np.int32(1 << self.index[zero])
+        self.zero_bit = np.int32(1 << lattice.zero)
         masks = np.arange(self.nmasks, dtype=np.int32)
         self.masks = masks
 
@@ -563,16 +565,15 @@ class FiniteDomain:
                 acc |= bitj << target
             return acc
 
-        self.shift_tables = []
-        for i, e in enumerate(self.elems):
-            perm = [self.index[add(x, e)] for x in self.elems]
-            self.shift_tables.append(transport(perm))
-        self.neg_table = transport([self.index[neg(x)] for x in self.elems])
-        self.scalars = list(scalars)
-        self.scale_tables = {}
-        for r in self.scalars:
-            perm = [self.index[scalar_mul(r, x)] for x in self.elems]
-            self.scale_tables[r] = transport(perm)
+        rows = [lattice.add_row(i) for i in range(self.n)]
+        self.shift_tables = [transport(row) for row in rows]
+        # -e_j is the e_i with e_j + e_i = 0.  No check reads this table;
+        # perfbench/spans.py counts it in the domain's table bytes.
+        self.neg_table = transport([row.index(lattice.zero) for row in rows])
+        self.scalars = lattice.scalars
+        self.scale_tables = {r: transport(lattice.act_row(r))
+                             for r in self.scalars}
+        self.subgroup_masks = lattice.subgroups()
 
     def mask_of(self, values):
         m = 0
@@ -596,14 +597,6 @@ class FiniteDomain:
             has = ((b_masks >> i) & 1) != 0
             out |= np.where(has, self.shift_tables[i][a_masks], 0)
         return out
-
-    def subgroup_mask_flags(self):
-        """Boolean vector: which masks are additive subgroups."""
-        masks = self.masks
-        has_zero = (masks & self.zero_bit) != 0
-        negm = self.neg_table[masks]
-        closed = self.setsum_vec(masks, negm) == masks
-        return has_zero & closed
 
     def closure_vector(self, cl):
         """cl as a mask -> mask table.
@@ -750,7 +743,8 @@ def check_axioms_finite(cl, dom, report):
         report.record("C4b", True)
 
     # absorption over additive subgroups: R*A subset of cl(A)
-    sg = dom.subgroup_mask_flags()
+    sg = np.zeros(dom.nmasks, dtype=bool)
+    sg[dom.subgroup_masks] = True
     ra = np.zeros(dom.nmasks, dtype=np.int32)
     for r in dom.scalars:
         ra |= dom.scale_tables[r][midx]
@@ -831,12 +825,10 @@ _DOMAIN_CACHE = weakref.WeakKeyDictionary()
 
 
 def ring_domain(ring):
+    """The cached bitmask tables of a finite ring or module."""
     dom = _DOMAIN_CACHE.get(ring)
     if dom is None:
-        elems = sorted(ring.elements(), key=sort_key)
-        dom = FiniteDomain(elems=elems, add=ring.add, neg=ring.neg,
-                           scalars=elems, scalar_mul=ring.mul, zero=ring.zero)
-        _DOMAIN_CACHE[ring] = dom
+        dom = _DOMAIN_CACHE[ring] = FiniteDomain(subgroup_lattice(ring))
     return dom
 
 
@@ -1210,16 +1202,8 @@ def _require_closure_rings(f, cl_src, cl_dst):
 
 
 def _z_image_of_principal(f, d):
-    """f(dZ) as an explicit subset of the finite codomain."""
-    n = f.dst.n
-    out = set()
-    x = 0
-    for _ in range(n + 1):
-        out.add(x % n)
-        x += d
-        if d == 0:
-            break
-    return frozenset(out)
+    """f(dZ) = <f(d)> as an explicit subset of the finite codomain."""
+    return additive_closure(f.dst, [f.apply(d)])
 
 
 def _z_preimage_member(cl_src, f, b_set, x):

@@ -227,10 +227,15 @@ def z_prime_bruteforce_grid(m, d_max, bound=None):
 
     The walk is priced before anything is allocated (``_z_sweep_cells``);
     beyond ``closures.Z_SWEEP_CELL_LIMIT`` cells it raises
-    ResourceLimitError.
+    ResourceLimitError.  It computes in int64, so an m, d_max or bound
+    beyond 2^63 - 1 raises PreconditionError before pricing.
     """
     if bound is None:
         bound = max(2 * m, 16)
+    if max(abs(m), d_max, bound) > np.iinfo(np.int64).max:
+        raise PreconditionError(
+            f"candidate sweep for m={m} over d <= {d_max}, x <= {bound} "
+            f"computes in int64: each must be at most 2^63 - 1")
     cells = _z_sweep_cells(m, d_max, bound)
     if cells > closures.Z_SWEEP_CELL_LIMIT:
         raise ResourceLimitError(

@@ -37,6 +37,7 @@ from .rings import (
     PrincipalSubgroup,
     TableRing,
     Z,
+    ideal_closure_set,
     ideal_generated,
     is_additive_subgroup,
     is_prime,
@@ -686,8 +687,7 @@ def radical(ring, cl, ideal):
     if not is_additive_subgroup(ring, members):
         raise PreconditionError(
             "radical is not an additive subgroup for this closure")
-    if not all(ring.mul(r, x) in members
-               for r in ring.elements() for x in members):
+    if ideal_closure_set(ring, members) != members:
         raise PreconditionError("radical is not an ideal for this closure")
     return IdealRep(ring, tuple(sorted(members, key=sort_key)),
                     FiniteSubgroup(ring, members, check=False))

@@ -16,14 +16,17 @@ import itertools
 import math
 import random
 
-from .closures import FiniteDomain, check_axioms_finite
+from .closures import check_axioms_finite, ring_domain
 from .errors import DomainMismatchError, PreconditionError, ResourceLimitError
 from .reports import AxiomReport, Verdict
 from .rings import (
     IntegerRing,
     ResidueRing,
-    close_under,
+    additive_closure,
+    ideal_closure_set,
+    is_additive_subgroup,
     sort_key,
+    subgroup_lattice,
 )
 
 CM_SUBSET_CAP = 1 << 16
@@ -34,6 +37,8 @@ SAMPLED_PAIR_SUBSETS = 80
 
 class FiniteModule:
     """Z/n1 x ... x Z/nk with the canonical action of Z or Z/n."""
+
+    is_finite = True
 
     def __init__(self, scalar_ring, orders):
         orders = tuple(orders)
@@ -107,45 +112,19 @@ class FiniteModule:
 
     def span(self, values):
         """The submodule generated by the given elements."""
-        def negs(x, _cur):
-            return (self.neg(x),)
-
-        def sums(x, cur):
-            return [self.add(x, y) for y in list(cur)]
-
-        def acts(x, _cur):
-            return [self.act(r, x) for r in self.scalar_reps]
-
-        seed = {self.canon(v) for v in values} | {self.zero}
-        return frozenset(close_under(seed, [negs, sums, acts]))
+        return ideal_closure_set(self, values)
 
     def subgroup_closure(self, values):
-        def negs(x, _cur):
-            return (self.neg(x),)
-
-        def sums(x, cur):
-            return [self.add(x, y) for y in list(cur)]
-
-        seed = {self.canon(v) for v in values} | {self.zero}
-        return frozenset(close_under(seed, [negs, sums]))
+        return additive_closure(self, values)
 
     def all_submodules(self, guard=64):
+        """Every submodule, by size and then by its elements: the subgroups
+        that are their own span."""
         if self.cardinality() > guard:
             raise ResourceLimitError(
                 f"|M| = {self.cardinality()} exceeds the guard {guard}")
-        seen = {frozenset({self.zero})}
-        frontier = [frozenset({self.zero})]
-        elems = list(self.elements())
-        while frontier:
-            h = frontier.pop()
-            for g in elems:
-                if g in h:
-                    continue
-                grown = self.span(h | {g})
-                if grown not in seen:
-                    seen.add(grown)
-                    frontier.append(grown)
-        return sorted(seen, key=lambda s: (len(s), sorted(map(sort_key, s))))
+        lat = subgroup_lattice(self)
+        return [lat.values(h) for h in lat.subgroups() if lat.span(h) == h]
 
     def spec_string(self):
         scal = self.scalar_ring.spec_string()
@@ -212,8 +191,8 @@ class SubmoduleShiftClosure(ModuleClosure):
         return f"shift:N0={sorted(self.shift, key=sort_key)}"
 
     def eval_set(self, values):
-        span = self.module.span(values)
-        return frozenset(self.module.add(a, b) for a in span for b in self.shift)
+        # span(X) + N0 = span(X | N0), as N0 is a submodule
+        return self.module.span(frozenset(values) | self.shift)
 
 
 class ModuleSetShiftClosure(ModuleClosure):
@@ -253,10 +232,7 @@ class CMAxiomReport(AxiomReport):
 
 
 def module_domain(mod):
-    elems = sorted(mod.elements(), key=sort_key)
-    return FiniteDomain(elems=elems, add=mod.add, neg=mod.neg,
-                        scalars=list(mod.scalar_reps), scalar_mul=mod.act,
-                        zero=mod.zero)
+    return ring_domain(mod)
 
 
 def check_cm_axioms(mod, cl, mode="auto", subset_cap=CM_SUBSET_CAP,
@@ -323,7 +299,7 @@ def _sampled_cm(mod, cl, seed, count):
                 if not lhs <= rhs:
                     c4b = {"A": sorted(a, key=sort_key), "r": r}
                     break
-        if absorb is None and _is_subgroup(mod, a):
+        if absorb is None and is_additive_subgroup(mod, a):
             for r in mod.scalar_reps:
                 if not frozenset(mod.act(r, x) for x in a) <= ca:
                     absorb = {"A": sorted(a, key=sort_key), "r": r}
@@ -351,22 +327,10 @@ def _sampled_cm(mod, cl, seed, count):
     return report
 
 
-def _is_subgroup(mod, values):
-    if mod.zero not in values:
-        return False
-    for x in values:
-        if mod.neg(x) not in values:
-            return False
-        for y in values:
-            if mod.add(x, y) not in values:
-                return False
-    return True
-
-
 def is_approx_submodule(mod, n_values, cl):
     """(verdict, counterexample): N a subgroup with R*N inside cl(N)."""
     n_values = frozenset(mod.canon(v) for v in n_values)
-    if not _is_subgroup(mod, n_values):
+    if not is_additive_subgroup(mod, n_values):
         raise PreconditionError("N is not an additive subgroup")
     clset = cl.eval_set(n_values)
     for r in mod.scalar_reps:
@@ -426,7 +390,7 @@ def module_quotient(mod, n_values, cl):
     n_values = frozenset(mod.canon(v) for v in n_values)
     clset = cl.eval_set(n_values)
     verdicts = []
-    sub_ok = _is_subgroup(mod, clset)
+    sub_ok = is_additive_subgroup(mod, clset)
     verdicts.append(Verdict("cl(N)-is-subgroup", sub_ok))
     if not sub_ok:
         raise PreconditionError("cl(N) is not a subgroup; classes undefined")

@@ -20,6 +20,9 @@ Additive subgroups are ``FiniteSubgroup`` (explicit sets, finite rings) or
 ``ElementSet``, answer one protocol: ``contains``, ``<=`` and ``<``
 (inclusion), ``&`` (intersection), ``==`` and ``hash``, ``is_whole()`` and
 ``repr``, so code above this module need not ask which kind it holds.
+One kernel, ``subgroup_lattice``, answers every subgroup, span and lattice
+question for finite rings, their quotient and localization models, and
+finite modules.
 Finitely generated ideals carry their generators plus a canonical subgroup
 form with decidable membership.
 """
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 
 from . import polynomials as poly
 from .errors import (
@@ -494,54 +498,170 @@ def enumerate_elements(ring):
 
 
 # ---------------------------------------------------------------------------
-# closure of sets under operations (worklist)
+# the subgroup lattice of a finite ring or module, in index space
 
 
-def close_under(seed, step_fns):
-    """Smallest superset of ``seed`` closed under each function in step_fns.
-
-    Every step function maps an element to an iterable of new candidates
-    (may consult the current set via closure over it).
-    """
-    out = set(seed)
-    frontier = list(out)
-    while frontier:
-        x = frontier.pop()
-        for fn in step_fns:
-            for y in fn(x, out):
-                if y not in out:
-                    out.add(y)
-                    frontier.append(y)
+def _bits(mask):
+    """Indices of the set bits of a mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
-def additive_closure(ring, values):
-    """Close a finite set under + and -, always including 0."""
-    def negs(x, _cur):
-        return (ring.neg(x),)
+def _mask(indices):
+    """The mask of distinct indices."""
+    return sum(1 << i for i in indices)
 
-    def sums(x, cur):
-        return [ring.add(x, y) for y in list(cur)]
 
-    return frozenset(close_under(set(values) | {ring.zero}, [negs, sums]))
+class _Lattice:
+    """A finite abelian group with a scalar action, in index space.
+
+    Elements are numbered in ``sort_key`` order and a subset is an int mask
+    of any width.  A ring acts on itself by ``mul``, a module (a structure
+    with ``scalar_reps``) by ``act``.  The rows "add e_i" and the orbits
+    R*e_i are built on first use, so a large ring pays only for the rows a
+    call touches.  The structure is held weakly: the lattice is cached
+    under it in a weak dictionary.
+    """
+
+    def __init__(self, struct):
+        self._struct = weakref.ref(struct)
+        self.elems = sorted(struct.elements(), key=sort_key)
+        self.index = {v: i for i, v in enumerate(self.elems)}
+        self.n = len(self.elems)
+        self.zero = self.index[struct.zero]
+        self._module = hasattr(struct, "scalar_reps")
+        self.scalars = list(struct.scalar_reps) if self._module else self.elems
+        self._rows = [None] * self.n
+        self._orbits = [None] * self.n
+
+    def _act(self):
+        struct = self._struct()
+        return struct.act if self._module else struct.mul
+
+    def mask(self, values):
+        """A non-element raises DomainMismatchError from ``canon``."""
+        canon, index = self._struct().canon, self.index
+        return _mask({index[canon(v)] for v in values})
+
+    def values(self, mask):
+        return frozenset(self.elems[j] for j in _bits(mask))
+
+    def add_row(self, i):
+        """The permutation "add e_i": j -> index of e_j + e_i."""
+        if self._rows[i] is None:
+            add, index, e = self._struct().add, self.index, self.elems[i]
+            self._rows[i] = [index[add(x, e)] for x in self.elems]
+        return self._rows[i]
+
+    def act_row(self, r):
+        """The map "act by r": j -> index of r * e_j."""
+        act = self._act()
+        return [self.index[act(r, x)] for x in self.elems]
+
+    def translate(self, mask, i):
+        """S + e_i."""
+        row = self.add_row(i)
+        return _mask(row[j] for j in _bits(mask))
+
+    def join(self, h, g):
+        """H + <g>, for a subgroup H and an element index g.
+
+        <g> = {kg : k >= 0} is a subgroup: g has some finite order t, so
+        -g = (t - 1)g.  H + <g> is the subgroup generated by H and g: a sum
+        of subgroups of an abelian group is one, and every subgroup holding
+        H and g holds each h + kg.  The cosets H + kg are equal or disjoint,
+        and H + kg = H iff kg is in H; so adding g to the last coset until
+        it meets H again visits every coset in H + <g>.
+        """
+        out = coset = h
+        while True:
+            coset = self.translate(coset, g)
+            if coset & h:
+                return out
+            out |= coset
+
+    def subgroup(self, mask):
+        """The subgroup generated by the mask: from H = {0}, H + <g> for
+        each g of the mask not yet in H."""
+        h = 1 << self.zero
+        rest = mask & ~h
+        while rest:
+            h = self.join(h, (rest & -rest).bit_length() - 1)
+            rest &= ~h
+        return h
+
+    def span(self, mask):
+        """The submodule (for a ring, the ideal) generated by S: the
+        subgroup generated by S | R*S.  It is closed under the action, as
+        r * sum k_i (r_i s_i) = sum k_i (r r_i) s_i and 1 is a scalar; and
+        every submodule holding S holds R*S, and so this subgroup."""
+        spread = mask
+        for i in _bits(mask):
+            if self._orbits[i] is None:
+                act, x = self._act(), self.elems[i]
+                self._orbits[i] = _mask({self.index[act(r, x)]
+                                         for r in self.scalars})
+            spread |= self._orbits[i]
+        return self.subgroup(spread)
+
+    def is_subgroup(self, mask):
+        """0 in S and S + S = S, tested as S + s = S for each s in S (S + s
+        has the size of S, so it lies in S iff it is S).  That makes S a
+        subgroup: -s = (t - 1)s is in S, for s of order t."""
+        return bool((mask >> self.zero) & 1) and all(
+            self.translate(mask, i) == mask for i in _bits(mask))
+
+    def subgroups(self):
+        """Every subgroup, as masks by size and then by their elements.
+
+        A worklist from {0} grows each subgroup H found to H + <g>, once
+        per coset g + H outside H (g + h gives the same H + <g>).  It
+        reaches every subgroup K: from {0}, H + <g> for any g in K outside
+        H is a larger subgroup inside K, until H is K.
+        """
+        seen = {1 << self.zero}
+        frontier = list(seen)
+        while frontier:
+            h = frontier.pop()
+            rest = ((1 << self.n) - 1) & ~h
+            while rest:
+                g = (rest & -rest).bit_length() - 1
+                rest &= ~self.translate(h, g)
+                grown = self.join(h, g)
+                if grown not in seen:
+                    seen.add(grown)
+                    frontier.append(grown)
+        return sorted(seen, key=lambda m: (m.bit_count(), _bits(m)))
+
+
+# Weakly keyed: a quotient or localization model is keyed by identity, and
+# a strong key would keep it alive for the life of the process.
+_LATTICES = weakref.WeakKeyDictionary()
+
+
+def subgroup_lattice(struct):
+    """The subgroup-lattice kernel of a finite ring or module, cached."""
+    lat = _LATTICES.get(struct)
+    if lat is None:
+        lat = _LATTICES[struct] = _Lattice(struct)
+    return lat
+
+
+def additive_closure(struct, values):
+    """The additive subgroup generated by ``values``, as a frozenset."""
+    lat = subgroup_lattice(struct)
+    return lat.values(lat.subgroup(lat.mask(values)))
 
 
 def ideal_closure_set(ring, gens):
-    """Close generators under +, -, and multiplication by every ring element."""
-    if not ring.is_finite:
-        raise NotEnumerableError("ideal_closure_set needs a finite ring")
-    all_elems = list(ring.elements())
-
-    def negs(x, _cur):
-        return (ring.neg(x),)
-
-    def sums(x, cur):
-        return [ring.add(x, y) for y in list(cur)]
-
-    def mults(x, _cur):
-        return [ring.mul(r, x) for r in all_elems]
-
-    return frozenset(close_under(set(gens) | {ring.zero}, [negs, sums, mults]))
+    """The ideal generated by ``gens`` in a finite ring (for a module, the
+    submodule), as a frozenset."""
+    lat = subgroup_lattice(ring)
+    return lat.values(lat.span(lat.mask(gens)))
 
 
 # ---------------------------------------------------------------------------
@@ -619,13 +739,12 @@ class FiniteSubgroup(ElementSet):
         return FiniteSubgroup(self.ring, self.values & other.values, check=False)
 
     def __add__(self, other):
-        """H + K = {h + k}: a subgroup, as the group is abelian."""
+        """H + K, the subgroup generated by H | K."""
         if not isinstance(other, FiniteSubgroup):
             return NotImplemented
         _same_ring(self, other)
-        add = self.ring.add
         return FiniteSubgroup(
-            self.ring, {add(h, k) for h in self.values for k in other.values},
+            self.ring, additive_closure(self.ring, self.values | other.values),
             check=False)
 
 
@@ -678,16 +797,12 @@ class PrincipalSubgroup:
 
 
 def is_additive_subgroup(ring, values):
-    """Exhaustive check: contains 0 and closed under addition and negation."""
-    if ring.zero not in values:
-        return False
-    for x in values:
-        if ring.neg(x) not in values:
-            return False
-        for y in values:
-            if ring.add(x, y) not in values:
-                return False
-    return True
+    """0 in S and S + S = S, over a finite ring or module.  Z and Z^k are
+    torsion-free, so their one finite subgroup is {0}."""
+    if not ring.is_finite:
+        return {ring.canon(v) for v in values} == {ring.zero}
+    lat = subgroup_lattice(ring)
+    return lat.is_subgroup(lat.mask(values))
 
 
 class IdealRep:
@@ -720,12 +835,7 @@ def ideal_generated(ring, gens):
     """The ideal generated by the values in ``gens`` (empty list: zero ideal)."""
     gens = [ring.canon(g) for g in gens]
     if isinstance(ring, IntegerRing):
-        d = 0
-        for g in gens:
-            d = math.gcd(d, g)
-        return IdealRep(ring, gens, PrincipalSubgroup(d))
-    if not ring.is_finite:
-        raise NotEnumerableError(f"ideal_generated unsupported over {ring}")
+        return IdealRep(ring, gens, PrincipalSubgroup(math.gcd(*gens)))
     canon = FiniteSubgroup(ring, ideal_closure_set(ring, gens), check=False)
     return IdealRep(ring, gens, canon)
 
@@ -765,12 +875,7 @@ def subgroup_generated(ring, gens):
     """Additive subgroup generated by the given values."""
     gens = [ring.canon(g) for g in gens]
     if isinstance(ring, IntegerRing):
-        d = 0
-        for g in gens:
-            d = math.gcd(d, g)
-        return PrincipalSubgroup(d)
-    if not ring.is_finite:
-        raise NotEnumerableError(f"subgroup_generated unsupported over {ring}")
+        return PrincipalSubgroup(math.gcd(*gens))
     return FiniteSubgroup(ring, additive_closure(ring, gens), check=False)
 
 
@@ -782,41 +887,22 @@ def whole_subgroup(ring):
 
 
 def enumerate_subgroups(ring, guard=SUBGROUP_ENUM_GUARD):
-    """All additive subgroups of a finite ring, each exactly once.
-
-    Grows subgroups one generator at a time from {0}; every result is
-    verified closed.  Rings larger than the guard raise loudly.
-    """
+    """All additive subgroups of a finite ring, each exactly once, by size
+    and then by their elements.  Rings larger than the guard raise loudly."""
     if not ring.is_finite:
         raise NotEnumerableError(f"{ring} is not enumerable")
     card = ring.cardinality()
     if card > guard:
         raise ResourceLimitError(
             f"|{ring}| = {card} exceeds the subgroup enumeration guard {guard}")
-    elems = list(ring.elements())
-    zero_only = frozenset({ring.zero})
-    seen = {zero_only}
-    frontier = [zero_only]
-    while frontier:
-        h = frontier.pop()
-        for g in elems:
-            if g in h:
-                continue
-            grown = additive_closure(ring, h | {g})
-            if grown not in seen:
-                seen.add(grown)
-                frontier.append(grown)
-    subs = [FiniteSubgroup(ring, s, check=True) for s in seen]
-    subs.sort(key=lambda s: (len(s), [sort_key(v) for v in s.sorted_values()]))
-    return subs
+    lat = subgroup_lattice(ring)
+    return [FiniteSubgroup(ring, lat.values(m), check=False)
+            for m in lat.subgroups()]
 
 
 def classical_ideals(ring, guard=SUBGROUP_ENUM_GUARD):
-    """All classical (multiplication-absorbing) ideals of a finite ring."""
-    elems = list(ring.elements())
-    out = []
-    for sub in enumerate_subgroups(ring, guard):
-        if all(ring.mul(r, x) in sub.values for r in elems for x in sub.values):
-            out.append(ideal_from_subgroup(sub))
-    return out
-
+    """All classical (multiplication-absorbing) ideals of a finite ring: the
+    subgroups that are their own span."""
+    return [ideal_from_subgroup(sub)
+            for sub in enumerate_subgroups(ring, guard)
+            if ideal_closure_set(ring, sub.values) == sub.values]

@@ -1,6 +1,8 @@
 import json
 import tracemalloc
 
+import pytest
+
 from approxalg.cli import main
 
 
@@ -128,6 +130,25 @@ class TestExitCodes:
         assert "priced at" in lines[0] and "Traceback" not in err
         # refused before the (m + 1) x 2m box or any block of it exists
         assert peak < 4 << 20
+
+    @pytest.mark.parametrize("spec, message", [
+        ('{"bad": 1', "malformed JSON: Expecting ',' delimiter at position 9: "
+                      "'{\"bad\": 1'"),
+        ("{}", "the spec needs 'module' to be a JSON object"),
+        ("[1]", "the spec needs 'module' to be a JSON object")])
+    def test_bad_module_spec_is_usage_error(self, capsys, spec, message):
+        code, _, err = run(capsys, "modules", "--spec", spec)
+        assert code == 2
+        assert err.splitlines() == [f"error: {message}"]
+
+    def test_malformed_module_file_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "mod.json"
+        path.write_text('{"module": {"scalars": "Z", "orders": [4]},\n')
+        code, _, err = run(capsys, "modules", "--file", str(path))
+        assert code == 2
+        lines = err.splitlines()
+        assert len(lines) == 1 and "malformed JSON" in lines[0]
+        assert "at position 44" in lines[0] and "Traceback" not in err
 
     def test_failed_verdict_is_exit_1(self, capsys, tmp_path):
         suite = [{"name": "wrong", "ring": "Z", "closure": "shift:J=12",

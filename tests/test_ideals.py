@@ -442,6 +442,15 @@ class TestCandidateSweep:
         assert max(len(d) * (x1 - x0) for d, x0, x1, _ in log) \
             <= closures.PAIR_GRID
 
+    @pytest.mark.parametrize("args", [(10**30, 100, 50), (2**63, 10, 10),
+                                      (12, 2**63, 10), (12, 10, 2**63),
+                                      (2**62, 10, None)])
+    def test_windows_beyond_int64_are_refused(self, args):
+        # the default bound 2m overflows for m = 2^62
+        with pytest.raises(PreconditionError, match=r"int64: each must be at "
+                                                    r"most 2\^63 - 1"):
+            z_prime_bruteforce_grid(*args)
+
     def test_blocks_hold_at_most_pair_grid_cells(self, monkeypatch):
         monkeypatch.setattr(closures, "PAIR_GRID", 64)
         log = record_blocks(monkeypatch)

@@ -1,6 +1,7 @@
 import pytest
+from lattice_oracle import generator_sets, naive_lattice, naive_span
 
-from approxalg import PreconditionError, ResidueRing, Z
+from approxalg import DomainMismatchError, PreconditionError, ResidueRing, Z
 from approxalg.modules import (
     SAMPLED_PAIR_SUBSETS,
     GeneratedSubmoduleClosure,
@@ -17,6 +18,7 @@ from approxalg.modules import (
     module_quotient,
     scaling_hom,
 )
+from approxalg.rings import sort_key
 
 M12 = finite_module(Z, [12])
 M8 = finite_module(Z, [8])
@@ -38,6 +40,24 @@ class TestModuleConstruction:
     def test_submodule_enumeration(self):
         assert len(M12.all_submodules()) == 6
         assert len(M22.all_submodules()) == 5
+
+    @pytest.mark.parametrize("orders", [[8], [12], [2, 4], [2, 2, 2], [3, 3]],
+                             ids=str)
+    def test_kernel_against_naive_fixpoint(self, orders):
+        mod = finite_module(Z, orders)
+        elems = sorted(mod.elements(), key=sort_key)
+        assert mod.all_submodules() == \
+            naive_lattice(mod, mod.scalar_reps, mod.act)
+        for gens in generator_sets(elems):
+            assert mod.span(gens) == \
+                naive_span(mod, gens, mod.scalar_reps, mod.act)
+            assert mod.subgroup_closure(gens) == naive_span(mod, gens)
+
+    def test_non_canonical_and_foreign_values(self):
+        assert M8.span([(9,)]) == M8.span([(1,)])
+        assert M8.subgroup_closure([(-2,)]) == M8.subgroup_closure([(6,)])
+        with pytest.raises(DomainMismatchError):
+            M22.span([(1,)])
 
 
 class TestCMAxioms:

@@ -1,6 +1,14 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lattice_oracle import (
+    generator_sets,
+    naive_is_subgroup,
+    naive_lattice,
+    naive_span,
+)
 
 from approxalg import (
     DomainMismatchError,
@@ -20,11 +28,18 @@ from approxalg import (
     ideal_generated,
     ideal_sum,
 )
+from approxalg.closures import GeneratedIdealClosure
+from approxalg.grammar import parse_ring
+from approxalg.ideals import ApproxIdeal, quotient_ring
+from approxalg.localization import localize, mult_set
 from approxalg.rings import (
     PrincipalSubgroup,
+    classical_ideals,
+    ideal_closure_set,
     is_additive_subgroup,
     prime_factors,
     sort_key,
+    subgroup_generated,
 )
 
 
@@ -171,9 +186,15 @@ class TestSubgroupEnumeration:
     def test_prime_order_has_two(self):
         assert len(enumerate_subgroups(ResidueRing(5))) == 2
 
-    @pytest.mark.parametrize("n", [2, 6, 12, 18, 30])
+    @pytest.mark.parametrize("n", range(2, 65))
     def test_cyclic_subgroup_count_is_divisor_count(self, n):
         assert len(enumerate_subgroups(ResidueRing(n))) == num_divisors(n)
+
+    @pytest.mark.parametrize("orders, count", [
+        ((2, 4, 8), 81), ((4, 4, 4), 129), ((2, 2, 2, 2, 2), 374)])
+    def test_product_subgroup_counts(self, orders, count):
+        ring = ProductRing([ResidueRing(n) for n in orders])
+        assert len(enumerate_subgroups(ring)) == count
 
     def test_every_result_is_closed(self):
         for sub in enumerate_subgroups(Z2Z2):
@@ -182,6 +203,75 @@ class TestSubgroupEnumeration:
     def test_guard_raises_loudly(self):
         with pytest.raises(ResourceLimitError):
             enumerate_subgroups(ResidueRing(100))
+
+
+def _products(limit, least=2):
+    """Factor lists (nondecreasing, at least two) with product <= limit."""
+    out = []
+    for n in range(least, limit // 2 + 1):
+        for rest in [[m] for m in range(n, limit // n + 1)] + \
+                _products(limit // n, n):
+            out.append([n] + rest)
+    return out
+
+
+def _small_rings():
+    """Every kind of grammar ring, each of at most 16 elements, plus a
+    quotient model and a localization model (both ``TableRing``)."""
+    specs = [f"Zn:{n}" for n in range(2, 17)]
+    specs += ["prod:[" + ",".join(f"Zn:{n}" for n in fs) + "]"
+              for fs in _products(16)]
+    specs += [f"GF:2/{m}" for m in ("x", "x+1", "x^2", "x^2+1", "x^2+x+1",
+                                    "x^3", "x^3+x+1", "x^4", "x^4+x+1")]
+    specs += ["GF:3/x^2", "GF:3/x^2+1", "GF:5/x", "GF:13/x",
+              "prod:[GF:2/x^2+x+1,Zn:2]", "prod:[GF:2/x^2,Zn:3]",
+              "Fun:p=2,n=1", "Fun:p=2,n=2"]
+    rings = [parse_ring(s) for s in specs]
+    gen = GeneratedIdealClosure(Z12)
+    rings.append(quotient_ring(
+        Z12, ApproxIdeal(subgroup_generated(Z12, [4]), gen)).model)
+    rings.append(localize(Z12, gen, mult_set(Z12, [2])).model)
+    return rings
+
+
+class TestLatticeKernel:
+    """The kernel against naive fixpoint closures on plain sets."""
+
+    @pytest.mark.parametrize("ring", _small_rings(), ids=str)
+    def test_against_naive_fixpoint(self, ring):
+        elems = sorted(ring.elements(), key=sort_key)
+        subgroups = naive_lattice(ring)
+        assert [s.values for s in enumerate_subgroups(ring)] == subgroups
+        ideals = naive_lattice(ring, elems, ring.mul)
+        assert [i.canonical.values for i in classical_ideals(ring)] == ideals
+        for gens in generator_sets(elems):
+            assert subgroup_generated(ring, gens).values == \
+                naive_span(ring, gens)
+            assert ideal_closure_set(ring, gens) == \
+                naive_span(ring, gens, elems, ring.mul)
+        rng = random.Random(len(elems))
+        candidates = [frozenset(rng.sample(elems, rng.randint(0, len(elems))))
+                      for _ in range(20)]
+        for sub in subgroups:
+            candidates += [sub, sub | {rng.choice(elems)},
+                           sub - {rng.choice(sorted(sub, key=sort_key))}]
+        for values in candidates:
+            assert is_additive_subgroup(ring, values) == \
+                naive_is_subgroup(ring, values), sorted(values, key=sort_key)
+
+    def test_non_canonical_values_go_through_canon(self):
+        assert subgroup_generated(Z12, [14]) == subgroup_generated(Z12, [2])
+        assert ideal_closure_set(Z12, [-3, 15]) == frozenset({0, 3, 6, 9})
+        assert is_additive_subgroup(Z12, [0, 6, 18])
+        assert ideal_closure_set(GF32, [(1, 0, 0, 0, 0, 0, 1)]) == \
+            ideal_closure_set(GF32, [(1,)])
+
+    def test_non_element_raises_domain_mismatch(self):
+        model = _small_rings()[-2]
+        with pytest.raises(DomainMismatchError):
+            is_additive_subgroup(model, [model.zero, 99])
+        with pytest.raises(DomainMismatchError):
+            ideal_closure_set(Z2Z2, [(1,)])
 
 
 class TestIdealArithmetic:
