@@ -11,6 +11,7 @@ from .errors import (
     ApproxAlgError,
     ClosureNotSetValuedError,
     DomainMismatchError,
+    InvariantError,
     NotEnumerableError,
     ParseError,
     PreconditionError,

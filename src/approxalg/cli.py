@@ -4,7 +4,7 @@ Subcommands: axioms, spec, vset, dset, is-prime, product, quotient,
 topology, localize, radical, modules, nullstellensatz, scenario.  Output is
 a structured report (``--format json`` or the default human table).  Exit
 status: 0 success, 1 a checked verdict failed, 2 usage or precondition
-error, 3 a resource guard tripped.
+error, 3 a resource guard tripped, 4 an internal invariant failed (a bug).
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .closures import (
 )
 from .errors import (
     ApproxAlgError,
+    InvariantError,
     ParseError,
     PreconditionError,
     ResourceLimitError,
@@ -259,6 +260,13 @@ def cmd_radical(args, report):
 _JSON_TYPES = {dict: "object", list: "list", str: "string", int: "integer"}
 
 
+def _load_json(text):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"malformed JSON: {exc.msg}", text, exc.pos) from None
+
+
 def _field(doc, key, kind, default=None):
     """doc[key], which must hold the JSON type ``kind``."""
     value = doc.get(key, default) if type(doc) is dict else None
@@ -298,10 +306,7 @@ def cmd_modules(args, report):
             text = fh.read()
     else:
         text = args.spec
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON: {exc.msg}", text, exc.pos) from None
+    doc = _load_json(text)
     module = _field(doc, "module", dict)
     scal_text = _field(module, "scalars", str)
     orders = _field(module, "orders", list)
@@ -368,37 +373,41 @@ def cmd_nullstellensatz(args, report):
 
 def _run_scenario(sc):
     """One scenario: returns (ok, got) comparing to the expected outcome."""
-    ring = parse_ring(sc["ring"])
-    op = sc["operation"]
-    params = sc.get("params", {})
-    cl = parse_closure(ring, sc["closure"]) if "closure" in sc else None
+    if type(sc) is not dict:
+        raise PreconditionError("a scenario must be a JSON object")
+    ring = parse_ring(_field(sc, "ring", str))
+    op = _field(sc, "operation", str)
+    params = _field(sc, "params", dict, {})
+    # element arithmetic is the only operation that needs no closure
+    cl = None if op in ("elem-add", "elem-sub") and "closure" not in sc \
+        else parse_closure(ring, _field(sc, "closure", str))
     if op == "member":
-        x = parse_element(ring, params["element"])
-        gens = parse_generators(ring, params["generators"])
+        x = parse_element(ring, _field(params, "element", str))
+        gens = parse_generators(ring, _field(params, "generators", str))
         got = closure_member(cl, x, gens)
     elif op == "elem-add":
-        a = parse_element(ring, params["a"])
-        b = parse_element(ring, params["b"])
+        a = parse_element(ring, _field(params, "a", str))
+        b = parse_element(ring, _field(params, "b", str))
         got = ring.format_element(ring.add(a, b))
     elif op == "elem-sub":
-        a = parse_element(ring, params["a"])
-        b = parse_element(ring, params["b"])
+        a = parse_element(ring, _field(params, "a", str))
+        b = parse_element(ring, _field(params, "b", str))
         got = ring.format_element(ring.sub(a, b))
     elif op == "is-prime":
-        gens = parse_generators(ring, params["generators"])
+        gens = parse_generators(ring, _field(params, "generators", str))
         got, _ = is_approx_prime(subgroup_generated(ring, gens), cl)
     elif op == "spec":
         got = spectrum(ring, cl).labels()
     elif op == "vset":
         sp = spectrum(ring, cl)
-        gens = parse_generators(ring, params["ideal"])
+        gens = parse_generators(ring, _field(params, "ideal", str))
         got = v_set(sp, ideal_generated(ring, gens)).labels(ring)
     elif op == "radical":
-        gens = parse_generators(ring, params["generators"])
+        gens = parse_generators(ring, _field(params, "generators", str))
         ideal = ApproxIdeal(subgroup_generated(ring, gens), cl, check=False)
         got = repr(radical(ring, cl, ideal))
     elif op == "closure-eval":
-        gens = parse_generators(ring, params["generators"])
+        gens = parse_generators(ring, _field(params, "generators", str))
         got = repr(closure_eval(cl, gens))
     else:
         raise PreconditionError(f"unknown scenario operation {op!r}")
@@ -414,12 +423,16 @@ def cmd_scenario(args, report):
     else:
         with open(args.path, encoding="utf-8") as fh:
             text = fh.read()
-    suite = json.loads(text)
+    suite = _load_json(text)
+    if type(suite) is not list:
+        raise PreconditionError("a scenario suite must be a JSON list")
     errors = 0
     for sc in suite:
-        name = sc.get("name", "?")
+        name = sc.get("name", "?") if type(sc) is dict else "?"
         try:
             ok, got = _run_scenario(sc)
+        except InvariantError:
+            raise
         except ApproxAlgError as exc:
             errors += 1
             report.add_verdict(Verdict(name, False,
@@ -459,6 +472,9 @@ def main(argv=None):
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except ApproxAlgError as exc:
         _emit(report, args)
         print(f"error: {exc}", file=sys.stderr)

@@ -33,6 +33,19 @@ axioms C2 and C4a are decided by exact reductions of the all-pairs domain
 ``check_axioms_finite``.  Their counterexamples are the first violating
 pair in row-major mask order; the C4a rows are walked in chunks that start
 at one row and double, so an early counterexample costs one small chunk.
+
+Every other finite domain is an explicit list of subsets: the subgroups,
+the classical ideals, seeded samples (plus every subgroup), all subsets
+for a membership-only closure, and sampled module checks.  The list engine
+(``_check_axioms_list``) turns each member into a bool row over the
+element order of ``rings.subgroup_lattice``, evaluates the closure once per
+distinct row, and decides each axiom with a few numpy calls over those
+rows: scalar multiples come from the kernel's action rows and set-sums
+from its "add e_i" rows.  C1, C3, C4b and absorption report the first
+member that violates (C4b and absorption with the first scalar for that
+member); C2 and C4a report the first violating pair in row-major list
+order, walked in doubling chunks and priced up front
+(``LIST_PAIR_CELL_LIMIT``).  It builds no table over all 2^n subsets.
 """
 
 from __future__ import annotations
@@ -82,6 +95,11 @@ POINT_GUARD = 4096
 PAIR_GRID = 1 << 20
 # the most cells the integer candidate sweep may be priced at
 Z_SWEEP_CELL_LIMIT = 1 << 26
+# cells per chunk of the list engine's walks (a chunk's largest arrays are
+# float32 and float64 over its cells), and the most cells (pairs times
+# elements) its pair walk may be priced at
+LIST_GRID = 1 << 18
+LIST_PAIR_CELL_LIMIT = 1 << 28
 
 
 class IntPolyContext:
@@ -842,69 +860,241 @@ def _eval_for_checks(cl):
         f"{cl.name} closure cannot be materialized for axiom checking")
 
 
-def _check_axioms_sets(cl, subsets, scalars, report):
-    """Pure-python check over an explicit list of subsets."""
-    ring = cl.ring
-    ev = _eval_for_checks(cl)
-    memo = {}
+# ---------------------------------------------------------------------------
+# the list engine: the axioms over an explicit list of subsets
 
-    def clo(s):
-        if s not in memo:
-            memo[s] = ev(s)
-        return memo[s]
 
-    def setsum(a, b):
-        return frozenset(ring.add(x, y) for x in a for y in b)
+class _IndexTables:
+    """The numpy form of a lattice's rows, n x n for a ring (n_s x n for a
+    module with n_s scalars): ``neg_add[i, k]`` is the index of
+    e_k - e_i, the inverse of the kernel's row "add e_i", and ``act[t, j]``
+    the index of r_t * e_j for the t-th scalar."""
 
-    zero = ring.zero
-    c1 = c2 = c3 = c4a = c4b = absorb = None
-    for a in subsets:
-        ca = clo(a)
-        if c1 is None and not a <= ca:
-            wit = sorted(a - ca, key=sort_key)[0]
-            c1 = {"A": sorted(a, key=sort_key), "witness": wit}
-        if c3 is None:
-            cca = clo(frozenset(ca))
-            if cca != ca:
-                c3 = {"A": sorted(a, key=sort_key),
-                      "clA": sorted(ca, key=sort_key),
-                      "cl_clA": sorted(cca, key=sort_key)}
+    def __init__(self, lat):
+        n = lat.n
+        add = np.array([lat.add_row(i) for i in range(n)], dtype=np.intp)
+        self.neg_add = np.empty((n, n), dtype=np.intp)
+        np.put_along_axis(self.neg_add, add,
+                          np.broadcast_to(np.arange(n), (n, n)), axis=1)
+        self.act = np.array([lat.act_row(r) for r in lat.scalars],
+                            dtype=np.intp).reshape(len(lat.scalars), n)
+
+
+_TABLES = weakref.WeakKeyDictionary()
+
+
+def _index_tables(lat):
+    tab = _TABLES.get(lat)
+    if tab is None:
+        tab = _TABLES[lat] = _IndexTables(lat)
+    return tab
+
+
+def _price_list(rows, n):
+    """Refuse a pair walk over ``rows`` listed subsets of n elements when
+    its rows^2 * n cells exceed LIST_PAIR_CELL_LIMIT, before any subset is
+    drawn or any closure evaluated."""
+    cells = rows * rows * n
+    if cells > LIST_PAIR_CELL_LIMIT:
+        raise ResourceLimitError(
+            f"{rows}^2 pairs of {n}-element subsets are priced at {cells} "
+            f"cells, above the list engine's limit {LIST_PAIR_CELL_LIMIT}")
+
+
+def _row_keys(rows):
+    """One sortable key per row of a 2-D bool array: the row read as a
+    binary number (one BLAS product, exact in float64) for at most 53
+    elements, else its packed bytes."""
+    n = rows.shape[1]
+    if n <= 53:
+        return (rows @ 2.0 ** np.arange(n)).astype(np.int64)
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    width = -(-packed.shape[1] // 8) * 8
+    words = np.zeros((len(rows), width), dtype=np.uint8)
+    words[:, :packed.shape[1]] = packed
+    return words.view(np.dtype((np.void, width))).ravel()
+
+
+class _ClosureRows:
+    """cl on bool rows over the lattice's element order, evaluated through
+    ``_eval_for_checks`` once per distinct row.  Known rows are a sorted key
+    array with the table row of each, so a batch is looked up by one
+    ``searchsorted`` and only its new rows reach Python."""
+
+    def __init__(self, cl, lat):
+        self.ev = _eval_for_checks(cl)
+        self.lat = lat
+        self.keys = self.slots = None
+        self.table = np.zeros((16, lat.n), dtype=bool)
+
+    def __call__(self, rows):
+        flat = rows.reshape(-1, self.lat.n)
+        keys, inverse = np.unique(_row_keys(flat), return_inverse=True)
+        inverse = inverse.ravel()
+        if self.keys is None:
+            self.keys, self.slots = keys[:0], np.zeros(0, dtype=np.intp)
+        pos = np.searchsorted(self.keys, keys)
+        hit = pos < len(self.keys)
+        hit[hit] = self.keys[pos[hit]] == keys[hit]
+        slots = np.empty(len(keys), dtype=np.intp)
+        slots[hit] = self.slots[pos[hit]]
+        new = np.flatnonzero(~hit)
+        if len(new):
+            # a representative row of each key: rows with one key are equal
+            rep = np.empty(len(keys), dtype=np.intp)
+            rep[inverse] = np.arange(len(flat))
+            slots[new] = len(self.keys) + np.arange(len(new))
+            for slot, f in zip(slots[new], rep[new]):
+                self._store(slot, flat[f])
+            merged = np.concatenate([self.keys, keys[new]])
+            order = np.argsort(merged, kind="stable")
+            self.keys = merged[order]
+            self.slots = np.concatenate([self.slots, slots[new]])[order]
+        return self.table[slots[inverse]].reshape(rows.shape)
+
+    def _store(self, slot, row):
+        lat = self.lat
+        if slot == len(self.table):
+            self.table = np.concatenate([self.table, np.zeros_like(self.table)])
+        out = self.ev(frozenset(lat.elems[j] for j in np.flatnonzero(row)))
+        self.table[slot, [lat.index[v] for v in out]] = True
+
+
+def _subset_rows(lat, subsets):
+    """The subsets of canonical values as bool rows over ``lat``'s order."""
+    rows = np.zeros((len(subsets), lat.n), dtype=bool)
+    rows[[k for k, s in enumerate(subsets) for _ in s],
+         [lat.index[v] for s in subsets for v in s]] = True
+    return rows
+
+
+def _chunks(total, row_cells):
+    """Row ranges [lo, hi) over ``total`` rows: one row, then doubling, up to
+    LIST_GRID cells a chunk."""
+    cap = max(1, LIST_GRID // max(1, row_cells))
+    lo, rows = 0, 1
+    while lo < total:
+        yield lo, min(total, lo + rows)
+        lo += rows
+        rows = min(2 * rows, cap)
+
+
+def _spread(x, tab):
+    """[a, j, k]: whether e_k is in x_a + e_j."""
+    return x[:, tab.neg_add].astype(np.float32)
+
+
+def _pair_sums(x, yf, tab):
+    """[j, i, k]: whether e_k is in the set-sum x_i + y_j, for y given as
+    float32 rows."""
+    r, n = x.shape
+    q = _spread(x, tab).transpose(1, 0, 2).reshape(n, r * n)
+    return (yf @ q > 0).reshape(len(yf), r, n)
+
+
+def _self_sums(x, tab):
+    """[a, k]: whether e_k is in x_a + x_a."""
+    sums = x.astype(np.float32)[:, None, :] @ _spread(x, tab)
+    return sums[:, 0, :] > 0
+
+
+def _acted(x, tab):
+    """[a, t, k]: whether e_k is in r_t * x_a."""
+    r, n = x.shape
+    ns = len(tab.act)
+    out = np.zeros(r * ns * n, dtype=bool)
+    a, j = np.nonzero(x)
+    out[((a[:, None] * ns + np.arange(ns)) * n + tab.act[:, j].T).ravel()] = True
+    return out.reshape(r, ns, n)
+
+
+def _check_axioms_list(cl, struct, subsets, report, paired=None):
+    """The six verdicts over an explicit list of subsets of ``struct``.
+
+    Each subset is a bool row over the element order of
+    ``rings.subgroup_lattice(struct)``, which is ``sort_key`` order, so the
+    least element of a difference is its first set column.  C1, C3, C4b and
+    absorption report the first list member that violates, C4b and
+    absorption with the first scalar of the lattice for that member;
+    absorption is tested on the members that are additive subgroups
+    (0 in A and A + A inside A).  C2 and C4a report the first violating
+    pair (A_i, A_j) in row-major list order over the first ``paired``
+    members (all of them by default); equal members are separate rows.
+    Pair rows are walked in chunks that start at one row and double up to
+    LIST_GRID cells, and the walk is priced first (``_price_list``).
+    """
+    lat = subgroup_lattice(struct)
+    n, elems, scalars = lat.n, lat.elems, lat.scalars
+    npair = len(subsets) if paired is None else min(paired, len(subsets))
+    _price_list(npair, n)
+    tab = _index_tables(lat)
+    clo = _ClosureRows(cl, lat)
+    a = _subset_rows(lat, subsets)
+    c = clo(a)
+
+    def listed(row):
+        return [elems[j] for j in np.flatnonzero(row)]
+
+    def least(row):
+        return elems[int(np.argmax(row))]
+
+    bad = a & ~c
+    pos = _first_violation(bad.any(1))
+    c1 = None if pos is None else {"A": listed(a[pos[0]]),
+                                   "witness": least(bad[pos[0]])}
+    cc = clo(c)
+    pos = _first_violation((cc != c).any(1))
+    c3 = None if pos is None else {"A": listed(a[pos[0]]),
+                                   "clA": listed(c[pos[0]]),
+                                   "cl_clA": listed(cc[pos[0]])}
+
+    c4b = absorb = None
+    for lo, hi in _chunks(len(a), (len(scalars) + n) * n):
+        x, cx = a[lo:hi], c[lo:hi]
+        rx = _acted(x, tab)
         if c4b is None:
-            for r in scalars:
-                lhs = frozenset(ring.mul(r, x) for x in ca)
-                rhs = clo(frozenset(ring.mul(r, x) for x in a))
-                if not lhs <= rhs:
-                    wit = sorted(lhs - rhs, key=sort_key)[0]
-                    c4b = {"A": sorted(a, key=sort_key), "r": r, "witness": wit}
-                    break
-        if absorb is None and a and is_additive_subgroup(ring, a):
-            for r in scalars:
-                prods = frozenset(ring.mul(r, x) for x in a)
-                if not prods <= ca:
-                    wit = sorted(prods - ca, key=sort_key)[0]
-                    absorb = {"A": sorted(a, key=sort_key), "r": r,
-                              "witness": wit}
-                    break
-    for a in subsets:
+            bad = _acted(cx, tab) & ~clo(rx)
+            pos = _first_violation(bad.any(2))
+            if pos is not None:
+                i, t = pos
+                c4b = {"A": listed(x[i]), "r": scalars[t],
+                       "witness": least(bad[i, t])}
+        if absorb is None:
+            sub = x[:, lat.zero] & ~(_self_sums(x, tab) & ~x).any(1)
+            bad = sub[:, None, None] & rx & ~cx[:, None, :]
+            pos = _first_violation(bad.any(2))
+            if pos is not None:
+                i, t = pos
+                absorb = {"A": listed(x[i]), "r": scalars[t],
+                          "witness": least(bad[i, t])}
+        if c4b is not None and absorb is not None:
+            break
+
+    x, cx = a[:npair], c[:npair]
+    aug = x.copy()
+    aug[:, lat.zero] = True
+    xf, cxf, augf = (v.astype(np.float32) for v in (x, cx, aug))
+    x_out, cx_out = ((~v).T.astype(np.float32) for v in (x, cx))
+    c2 = c4a = None
+    for lo, hi in _chunks(npair, (npair + n) * n):
+        if c2 is None:
+            # A_i inside A_j, and cl(A_i) not inside cl(A_j)
+            viol = (xf[lo:hi] @ x_out == 0) & (cxf[lo:hi] @ cx_out > 0)
+            pos = _first_violation(viol)
+            if pos is not None:
+                i, j = lo + pos[0], pos[1]
+                c2 = {"A": listed(x[i]), "B": listed(x[j]),
+                      "witness": least(cx[i] & ~cx[j])}
+        if c4a is None:
+            bad = _pair_sums(cx[lo:hi], cxf, tab) \
+                & ~clo(_pair_sums(aug[lo:hi], augf, tab))
+            pos = _first_violation(bad.any(2).T)
+            if pos is not None:
+                i, j = pos
+                c4a = {"A": listed(x[lo + i]), "B": listed(x[j]),
+                       "witness": least(bad[j, i])}
         if c2 is not None and c4a is not None:
             break
-        ca = clo(a)
-        for b in subsets:
-            if c2 is None and a <= b and not ca <= clo(b):
-                wit = sorted(ca - clo(b), key=sort_key)[0]
-                c2 = {"A": sorted(a, key=sort_key),
-                      "B": sorted(b, key=sort_key), "witness": wit}
-            if c4a is None:
-                aa = a | {zero}
-                bb = b | {zero}
-                lhs = setsum(ca, clo(b))
-                rhs = clo(setsum(aa, bb))
-                if not lhs <= rhs:
-                    wit = sorted(lhs - rhs, key=sort_key)[0]
-                    c4a = {"A": sorted(a, key=sort_key),
-                           "B": sorted(b, key=sort_key), "witness": wit}
-            if c2 is not None and c4a is not None:
-                break
 
     report.record("C1", c1 is None, c1)
     report.record("C2", c2 is None, c2)
@@ -981,6 +1171,18 @@ def check_axioms(cl, mode="auto", seed=DEFAULT_SEED, count=DEFAULT_SAMPLE_COUNT,
     ideal lattice), ``sampled`` (seeded random subsets), ``bounded``
     (principal subgroups of Z up to gen_bound).  ``auto`` picks exhaustive
     when feasible, otherwise subgroups for finite rings and bounded for Z.
+
+    Set-valued exhaustive runs use the bitmask tables.  The subgroups,
+    ideals and sampled modes, and exhaustive runs of membership-only
+    closures, go through the list engine over the stated list, in its
+    order: subgroups and ideals by size and then by elements, a sample as
+    drawn and then every subgroup.  A unary axiom reports the first member
+    that violates it (for C4b and absorption, with the first scalar in
+    ``sort_key`` order); C2 and C4a report the first violating pair (A, B)
+    in row-major list order; a witness is the least element of the
+    difference.  A walk over more than LIST_PAIR_CELL_LIMIT cells (list
+    length squared times the ring size) raises ResourceLimitError before
+    any subset is drawn.
     """
     ring = cl.ring
     if isinstance(ring, IntPolyContext):
@@ -1010,8 +1212,8 @@ def check_axioms(cl, mode="auto", seed=DEFAULT_SEED, count=DEFAULT_SAMPLE_COUNT,
         if cl.set_valued:
             dom = ring_domain(ring)
             return check_axioms_finite(cl, dom, report)
-        # membership-only closures go through the plain set loops, which
-        # are quadratic in the subset count
+        # membership-only closures have no table: the list engine walks
+        # every pair of the 2^card subsets
         if card > 12:
             raise ResourceLimitError(
                 f"exhaustive mode for a membership-only closure needs at "
@@ -1021,34 +1223,34 @@ def check_axioms(cl, mode="auto", seed=DEFAULT_SEED, count=DEFAULT_SAMPLE_COUNT,
         import itertools
         for r_ in range(len(elems) + 1):
             subsets.extend(frozenset(c) for c in itertools.combinations(elems, r_))
-        return _check_axioms_sets(cl, subsets, elems, report)
+        return _check_axioms_list(cl, ring, subsets, report)
 
     if mode == "subgroups":
         subs = [s.values for s in enumerate_subgroups(ring, guard)]
         report = AxiomReport(mode="subgroups",
                              domain=f"{len(subs)} additive subgroups of {ring}")
-        return _check_axioms_sets(cl, subs, sorted(ring.elements(), key=sort_key),
-                                  report)
+        return _check_axioms_list(cl, ring, subs, report)
 
     if mode == "ideals":
         from .rings import classical_ideals
         ideals = [i.canonical.values for i in classical_ideals(ring, guard)]
         report = AxiomReport(mode="ideals",
                              domain=f"{len(ideals)} classical ideals of {ring}")
-        return _check_axioms_sets(cl, ideals, sorted(ring.elements(), key=sort_key),
-                                  report)
+        return _check_axioms_list(cl, ring, ideals, report)
 
     if mode == "sampled":
+        subs = [s.values for s in enumerate_subgroups(ring, guard)]
+        _price_list(count + len(subs), card)
         rng = random.Random(seed)
         elems = sorted(ring.elements(), key=sort_key)
         subsets = []
         for _ in range(count):
             size = rng.randint(0, len(elems))
             subsets.append(frozenset(rng.sample(elems, size)))
-        subsets.extend(s.values for s in enumerate_subgroups(ring, guard))
+        subsets.extend(subs)
         report = AxiomReport(mode="sampled", seed=seed, count=count,
                              domain=f"{len(subsets)} sampled subsets of {ring}")
-        return _check_axioms_sets(cl, subsets, elems, report)
+        return _check_axioms_list(cl, ring, subsets, report)
 
     raise PreconditionError(f"unknown axiom-check mode {mode!r}")
 
@@ -1149,15 +1351,30 @@ def closure_image_compatible(f, cl_src, cl_dst, subset_cap=1 << 12,
                                    mode="bounded")
         return Verdict("image-compatible", True, mode="bounded")
 
+    # every subset as a bool row; cl on all subsets of a small source is
+    # the exhaustive engine's table, from n + 1 evaluations under a join
     subsets, domain = _subsets_for(f.src, subset_cap, guard)
-    for a in subsets:
-        lhs = f.image_values(materialize(cl_src, a))
-        rhs = materialize(cl_dst, f.image_values(a))
-        if not lhs <= rhs:
-            wit = sorted(lhs - rhs, key=sort_key)[0]
-            return Verdict("image-compatible", False,
-                           {"A": sorted(a, key=sort_key), "witness": wit},
-                           mode=domain)
+    src, dst = subgroup_lattice(f.src), subgroup_lattice(f.dst)
+    rows = _subset_rows(src, subsets)
+    if cl_src.join is not None and len(subsets) == (1 << src.n) - 1 \
+            and src.n <= 16:
+        clv = ring_domain(f.src).closure_vector(cl_src)
+        masks = clv[rows @ (1 << np.arange(src.n))]
+        cl_rows = (masks[:, None] >> np.arange(src.n)) & 1 != 0
+    else:
+        cl_rows = _ClosureRows(cl_src, src)(rows)
+    onehot = np.zeros((src.n, dst.n), dtype=np.float32)
+    onehot[np.arange(src.n),
+           [dst.index[f.dst.canon(f.apply(x))] for x in src.elems]] = 1
+    lhs = cl_rows @ onehot > 0
+    bad = lhs & ~_ClosureRows(cl_dst, dst)(rows @ onehot > 0)
+    pos = _first_violation(bad.any(1))
+    if pos is not None:
+        i = pos[0]
+        return Verdict("image-compatible", False,
+                       {"A": sorted(subsets[i], key=sort_key),
+                        "witness": dst.elems[int(np.argmax(bad[i]))]},
+                       mode=domain)
     return Verdict("image-compatible", True, mode=domain)
 
 

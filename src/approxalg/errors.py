@@ -34,6 +34,13 @@ class ClosureNotSetValuedError(ApproxAlgError):
     """The closure variant only supports membership queries, not evaluation."""
 
 
+class InvariantError(ApproxAlgError, AssertionError):
+    """An internal invariant failed: two routes to one answer disagree, or
+    a construction the code relies on does not hold.  This is a bug in the
+    package, not misuse; it subclasses AssertionError so that callers and
+    tests expecting an assertion keep working."""
+
+
 class ParseError(ApproxAlgError):
     """A ring/closure/element spec string failed to parse."""
 

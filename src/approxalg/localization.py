@@ -18,12 +18,15 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .closures import (
     ClosureSpec,
+    _chunks,
     check_axioms,
     materialize,
 )
-from .errors import PreconditionError, ResourceLimitError
+from .errors import InvariantError, PreconditionError, ResourceLimitError
 from .ideals import (
     ApproxIdeal,
     _z_shift_modulus,
@@ -142,39 +145,28 @@ class TransferredClosure(ClosureSpec):
     def __init__(self, localized):
         super().__init__(localized.model)
         self.loc = localized
-        self._pullback_cache = {}
 
     def describe(self):
         return f"transferred({self.loc.base_cl.describe()})"
 
-    def _pullback_closure(self, a_values, s):
-        key = (a_values, s)
-        hit = self._pullback_cache.get(key)
-        if hit is not None:
-            return hit
-        loc = self.loc
-        out = loc._pullback_closure(a_values, s)
-        self._pullback_cache[key] = out
-        return out
-
-    def _pair_condition(self, a, s, a_values):
-        """Whether the representative (a, s) lands in cl_S(A)."""
-        loc = self.loc
-        d = self._pullback_closure(a_values, s)
-        return loc._exists_u_multiplying_into(a, d)
-
     def eval_set(self, values):
+        """The classes with a representative (a, s) such that u * a lies in
+        cl({x : x/s in A}) for some u in S: one pullback closure per
+        denominator s, and the classes it admits from ``_pair_masks``."""
         values = frozenset(values)
         loc = self.loc
+        hits = misses = 0
+        for s in loc.denominators:
+            hit, miss = loc._pair_masks(s, loc._pullback_closure(values, s))
+            hits |= hit
+            misses |= miss
         out = set()
-        for cls_value in loc.model.elements():
-            conds = [self._pair_condition(a, s, values)
-                     for (a, s) in loc.class_pairs(cls_value)]
-            if any(conds):
+        for i, cls_value in enumerate(loc.model.elements()):
+            if hits >> i & 1:
                 out.add(cls_value)
-            if not (all(conds) or not any(conds)):
-                loc.rep_independence_failures.append(
-                    {"A": sorted(values, key=sort_key), "class": cls_value})
+                if misses >> i & 1:
+                    loc.rep_independence_failures.append(
+                        {"A": sorted(values, key=sort_key), "class": cls_value})
         return frozenset(out)
 
     def member(self, x, values):
@@ -190,6 +182,7 @@ class LocalizedRing:
         self.mult = mult
         self.verdicts = []
         self.rep_independence_failures = []
+        self._masks = {}
         if isinstance(base, IntegerRing):
             self._build_z()
         elif base.is_finite:
@@ -216,7 +209,7 @@ class LocalizedRing:
         m0 = self.m0
         for s in sat_m:
             if math.gcd(s, m0) != 1:
-                raise AssertionError(
+                raise InvariantError(
                     "saturation residue not invertible modulo the class modulus")
         if m0 == 1:
             elems = [0]
@@ -229,13 +222,12 @@ class LocalizedRing:
             mul=lambda a, b: (a * b) % m0 if m0 > 1 else 0,
             zero=0, one=1 % m0)
         self.sat_residues_mod_m0 = sorted({s % m0 for s in sat_m}) if m0 > 1 else [0]
+        # class c has the representative (c s, s) for each residue s of S
+        self.denominators = self.sat_residues_mod_m0 if m0 > 1 else [1]
+        self._class_members = {c: tuple(((c * s) % m0 if m0 > 1 else 0, s)
+                                        for s in self.denominators)
+                               for c in elems}
         self._verify_z_relation()
-
-    def _z_related(self, a, s, b, t):
-        """(a,s) ~ (b,t): some u in S with u(at - bs) in mZ."""
-        m = self.modulus
-        return any((u * (a * t - b * s)) % m == 0
-                   for u in self.sat_residues_mod_m)
 
     def to_class_z(self, a, s):
         m0 = self.m0
@@ -244,41 +236,67 @@ class LocalizedRing:
         return (a * pow(s % m0, -1, m0)) % m0
 
     def _verify_z_relation(self, span=None):
-        """The relation is a congruence matching the class map, on a box."""
-        m = self.modulus
+        """The relation is a congruence matching the class map, on a box.
+
+        Both sweeps are numpy grids over the pairs, taken mod m (the
+        relation) and mod m0 (the class map), the first in doubling row
+        chunks; each reports its first violating pair in row-major order."""
+        m, m0 = self.modulus, self.m0
         if span is None:
             span = m
         s_lifts = self._sat_lifts()
         pairs = [(a, s) for a in range(-span, span + 1) for s in s_lifts]
+        a_m = np.array([a % m for a, _ in pairs], dtype=np.int64)
+        s_m = np.array([s % m for _, s in pairs], dtype=np.int64)
+        cls = np.array([self.to_class_z(a, s) for a, s in pairs],
+                       dtype=np.int64)
+
         ce = None
-        for (a, s) in pairs:
-            for (b, t) in pairs:
-                rel = self._z_related(a, s, b, t)
-                same = self.to_class_z(a, s) == self.to_class_z(b, t)
-                if rel != same:
-                    ce = {"pair1": (a, s), "pair2": (b, t), "related": rel}
-                    break
-            if ce:
+        for lo, hi in _chunks(len(pairs), len(pairs)):
+            # (a, s) ~ (b, t): u (a t - b s) = 0 mod m for some u in S
+            cross = (a_m[lo:hi, None] * s_m - s_m[lo:hi, None] * a_m) % m
+            rel = np.zeros(cross.shape, dtype=bool)
+            for u in self.sat_residues_mod_m:
+                rel |= (u * cross) % m == 0
+            hits = np.argwhere(rel != (cls[lo:hi, None] == cls))
+            if len(hits):
+                i, j = hits[0]
+                ce = {"pair1": pairs[lo + i], "pair2": pairs[j],
+                      "related": bool(rel[i, j])}
                 break
         self.verdicts.append(Verdict(
             "equivalence-matches-class-map", ce is None, ce,
             mode=f"pairs with |a| <= {span}, {len(s_lifts)} denominators"))
-        small = [p for p in pairs if abs(p[0]) <= 12]
+
+        # the class of (a t + b s, s t) and of (a b, s t), by the class
+        # formula x * y^-1 mod m0 of ``to_class_z``, against the model's
+        # add and mul of the two classes, through their tables
+        small = [k for k, p in enumerate(pairs) if abs(p[0]) <= 12]
+        a0 = np.array([pairs[k][0] % m0 for k in small], dtype=np.int64)
+        s0 = np.array([pairs[k][1] % m0 for k in small], dtype=np.int64)
+        c0 = cls[small]
+        model = self.model
+        vals, c_idx = np.unique(c0, return_inverse=True)
+        add_tab, mul_tab = (np.array([[op(int(x), int(y)) for y in vals]
+                                      for x in vals], dtype=np.int64)
+                            for op in (model.add, model.mul))
+        den = (s0[:, None] * s0) % m0
+        den_vals, den_idx = np.unique(den, return_inverse=True)
+        inverse = np.array([pow(int(y), -1, m0) for y in den_vals],
+                           dtype=np.int64)
+        denom = inverse[den_idx].reshape(den.shape)
+        lhs_add = ((a0[:, None] * s0 + s0[:, None] * a0) % m0 * denom) % m0
+        lhs_mul = ((a0[:, None] * a0) % m0 * denom) % m0
+        grid = (c_idx[:, None], c_idx)
+        bad_add = lhs_add != add_tab[grid]
+        bad_mul = lhs_mul != mul_tab[grid]
+        hits = np.argwhere(bad_add | bad_mul)
         add_ce = None
-        for (a, s) in small:
-            for (b, t) in small:
-                lhs = self.to_class_z(a * t + b * s, s * t)
-                rhs = self.model.add(self.to_class_z(a, s), self.to_class_z(b, t))
-                if lhs != rhs:
-                    add_ce = {"pair1": (a, s), "pair2": (b, t)}
-                    break
-                lhs = self.to_class_z(a * b, s * t)
-                rhs = self.model.mul(self.to_class_z(a, s), self.to_class_z(b, t))
-                if lhs != rhs:
-                    add_ce = {"pair1": (a, s), "pair2": (b, t), "op": "mul"}
-                    break
-            if add_ce:
-                break
+        if len(hits):
+            i, j = hits[0]
+            add_ce = {"pair1": pairs[small[i]], "pair2": pairs[small[j]]}
+            if not bad_add[i, j]:
+                add_ce["op"] = "mul"
         self.verdicts.append(Verdict("operations-well-defined", add_ce is None,
                                      add_ce, mode="bounded pair sample"))
 
@@ -355,6 +373,7 @@ class LocalizedRing:
         self._pair_class = {p: rep for rep, mem in self._class_members.items()
                             for p in mem}
         self.sat = sat
+        self.denominators = sat
         self.cl0 = cl0
 
         one = self._pair_class[(ring.one, ring.one)]
@@ -401,16 +420,6 @@ class LocalizedRing:
     def class_pairs(self, cls_value):
         """All representative pairs of one class (finite base), or the
         denominator-indexed representatives over the integers."""
-        if isinstance(self.base, IntegerRing):
-            m0 = self.m0
-            out = []
-            for s in self.sat_residues_mod_m0 if m0 > 1 else [1]:
-                if m0 > 1:
-                    a = (cls_value * s) % m0
-                else:
-                    a = 0
-                out.append((a, s))
-            return out
         return self._class_members[cls_value]
 
     def iota(self, x):
@@ -442,6 +451,25 @@ class LocalizedRing:
             return any((u * a) % g == 0 if g else (u * a) == 0
                        for u in self.sat_residues_mod_m)
         return any(self.base.mul(u, a) in pullback_cl for u in self.sat)
+
+    def _pair_masks(self, s, pullback_cl):
+        """Two masks over the classes, by their position in the model: the
+        classes with a representative (a, s) that lands in the pullback
+        closure (u * a in it for some u in S), and those with one that
+        does not.  Cached by (s, pullback): s ranges over the denominators
+        and the pullback over the closed sets of the base."""
+        masks = self._masks.get((s, pullback_cl))
+        if masks is None:
+            hit = miss = 0
+            for i, cls_value in enumerate(self.model.elements()):
+                for a, t in self.class_pairs(cls_value):
+                    if t == s:
+                        if self._exists_u_multiplying_into(a, pullback_cl):
+                            hit |= 1 << i
+                        else:
+                            miss |= 1 << i
+            masks = self._masks[(s, pullback_cl)] = (hit, miss)
+        return masks
 
     def class_count(self):
         return self.model.cardinality()

@@ -14,7 +14,7 @@ import random
 
 from . import polynomials as poly
 from .closures import POINT_GUARD, closure_member, materialize
-from .errors import PreconditionError, ResourceLimitError
+from .errors import InvariantError, PreconditionError, ResourceLimitError
 from .ideals import is_approx_prime
 from .reports import Verdict
 from .rings import (
@@ -40,7 +40,7 @@ class Variety:
         by_generators = self._zeros(ideal.generators)
         by_members = self._zeros(ideal.canonical.values)
         if by_generators != by_members:
-            raise AssertionError(
+            raise InvariantError(
                 "generator zeros disagree with member zeros; the ideal "
                 "representation is inconsistent")
         self.points = by_generators
@@ -86,7 +86,7 @@ def vanishing_ideal(ring, points):
                    FiniteSubgroup(ring, members, check=False))
     regen = ideal_generated(ring, gens)
     if frozenset(regen.canonical.values) != members:
-        raise AssertionError("vanishing set is not an ideal")
+        raise InvariantError("vanishing set is not an ideal")
     return out
 
 
@@ -125,7 +125,7 @@ def rad_phi(ring, ideal, cl):
     members = {g for g in ring.elements()
                if _power_hits_closure(ring, g, member_fn)}
     if not is_additive_subgroup(ring, members):
-        raise AssertionError("radical is not a subgroup for this closure")
+        raise InvariantError("radical is not a subgroup for this closure")
     return IdealRep(ring, tuple(sorted(members, key=sort_key)),
                     FiniteSubgroup(ring, members, check=False))
 

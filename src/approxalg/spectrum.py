@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .closures import materialize
-from .errors import PreconditionError
+from .errors import InvariantError, PreconditionError
 from .ideals import (
     ApproxIdeal,
     _z_shift_modulus,
@@ -122,7 +122,7 @@ def spectrum(ring, cl, guard=64, z_bound=None):
         brute = [PrincipalSubgroup(int(d)) for d in np.flatnonzero(swept)]
         closed = [PrincipalSubgroup(p) for p in prime_factors(m)]
         if closed != brute:
-            raise AssertionError(
+            raise InvariantError(
                 f"closed form and bounded sweep disagree for m={m}: "
                 f"{[p.d for p in closed]} vs {[p.d for p in brute]}")
         return SpectrumReport(ring, cl, closed,

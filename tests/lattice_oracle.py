@@ -3,7 +3,11 @@
 no cosets: each step adds every sum, negative and scalar multiple of what
 is there until nothing new appears."""
 
-from approxalg.rings import sort_key
+from approxalg.closures import GeneratedIdealClosure
+from approxalg.grammar import parse_ring
+from approxalg.ideals import ApproxIdeal, quotient_ring
+from approxalg.localization import localize, mult_set
+from approxalg.rings import ResidueRing, sort_key, subgroup_generated
 
 
 def naive_span(struct, seed, scalars=(), act=None):
@@ -48,3 +52,33 @@ def naive_is_subgroup(struct, values):
 def generator_sets(elems):
     """Each singleton and each pair of neighbours in the element order."""
     return [[x] for x in elems] + [list(p) for p in zip(elems, elems[1:])]
+
+
+def _products(limit, least=2):
+    """Factor lists (nondecreasing, at least two) with product <= limit."""
+    out = []
+    for n in range(least, limit // 2 + 1):
+        for rest in [[m] for m in range(n, limit // n + 1)] + \
+                _products(limit // n, n):
+            out.append([n] + rest)
+    return out
+
+
+def small_rings():
+    """Every kind of grammar ring, each of at most 16 elements, plus a
+    quotient model and a localization model (both ``TableRing``)."""
+    specs = [f"Zn:{n}" for n in range(2, 17)]
+    specs += ["prod:[" + ",".join(f"Zn:{n}" for n in fs) + "]"
+              for fs in _products(16)]
+    specs += [f"GF:2/{m}" for m in ("x", "x+1", "x^2", "x^2+1", "x^2+x+1",
+                                    "x^3", "x^3+x+1", "x^4", "x^4+x+1")]
+    specs += ["GF:3/x^2", "GF:3/x^2+1", "GF:5/x", "GF:13/x",
+              "prod:[GF:2/x^2+x+1,Zn:2]", "prod:[GF:2/x^2,Zn:3]",
+              "Fun:p=2,n=1", "Fun:p=2,n=2"]
+    rings = [parse_ring(s) for s in specs]
+    z12 = ResidueRing(12)
+    gen = GeneratedIdealClosure(z12)
+    rings.append(quotient_ring(
+        z12, ApproxIdeal(subgroup_generated(z12, [4]), gen)).model)
+    rings.append(localize(z12, gen, mult_set(z12, [2])).model)
+    return rings

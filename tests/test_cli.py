@@ -1,8 +1,10 @@
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
+from approxalg import spectrum as spectrum_module
 from approxalg.cli import main
 
 
@@ -149,6 +151,61 @@ class TestExitCodes:
         lines = err.splitlines()
         assert len(lines) == 1 and "malformed JSON" in lines[0]
         assert "at position 44" in lines[0] and "Traceback" not in err
+
+    def test_truncated_scenario_file_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "suite.json"
+        path.write_text('[{"name": "x", "ring": "Z"')
+        code, out, err = run(capsys, "scenario", str(path))
+        assert code == 2
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: malformed JSON")
+        assert "at position 26" in lines[0] and "Traceback" not in err
+
+    def test_scenario_suite_must_be_a_list(self, capsys, tmp_path):
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps({"name": "x", "ring": "Z"}))
+        code, _, err = run(capsys, "scenario", str(path))
+        assert code == 2
+        assert err.splitlines() == ["error: a scenario suite must be a JSON list"]
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"name": "x", "operation": "spec", "closure": "gen"},
+         "the spec needs 'ring' to be a JSON string"),
+        ({"name": "x", "ring": "Zn:6", "closure": "gen"},
+         "the spec needs 'operation' to be a JSON string"),
+        ({"name": "x", "ring": "Zn:6", "closure": "gen",
+          "operation": "member"},
+         "the spec needs 'element' to be a JSON string"),
+        ({"name": "x", "ring": "Zn:6", "operation": "member",
+          "params": {"element": "1", "generators": "2"}},
+         "the spec needs 'closure' to be a JSON string"),
+        ({"name": "x", "ring": "Zn:6", "closure": "gen",
+          "operation": "member", "params": ["1"]},
+         "the spec needs 'params' to be a JSON object"),
+        (1, "a scenario must be a JSON object")])
+    def test_malformed_scenario_entry_is_usage_error(self, capsys, tmp_path,
+                                                     entry, message):
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps([entry]))
+        code, out, err = run(capsys, "scenario", str(path))
+        assert code == 2
+        assert err.splitlines() == ["error: 1 scenario(s) failed to run"]
+        assert message in out
+
+    def test_internal_invariant_is_exit_4(self, capsys, monkeypatch):
+        def wrong(m, d_max, bound=None):
+            swept = np.zeros(d_max + 1, dtype=bool)
+            swept[2] = True
+            return swept
+
+        monkeypatch.setattr(spectrum_module, "z_prime_bruteforce_grid", wrong)
+        code, out, err = run(capsys, "spec", "--ring", "Z",
+                             "--closure", "shift:J=30")
+        assert code == 4
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("internal error:")
+        assert "disagree for m=30" in lines[0]
 
     def test_failed_verdict_is_exit_1(self, capsys, tmp_path):
         suite = [{"name": "wrong", "ring": "Z", "closure": "shift:J=12",

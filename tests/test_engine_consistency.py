@@ -14,6 +14,13 @@ import itertools
 
 import numpy as np
 import pytest
+from axiom_oracle import (
+    Doubling,
+    ImpliedElement,
+    SmallSetsFill,
+    TopSwitch,
+    check_axioms_sets,
+)
 
 from approxalg import (
     GeneratedIdealClosure,
@@ -27,8 +34,6 @@ from approxalg import (
 )
 from approxalg import closures, modules
 from approxalg.closures import (
-    ClosureSpec,
-    _check_axioms_sets,
     check_axioms,
     check_axioms_finite,
     ring_domain,
@@ -46,7 +51,7 @@ def pure_python_report(cl):
     for r in range(len(elems) + 1):
         subsets.extend(frozenset(c) for c in itertools.combinations(elems, r))
     report = AxiomReport(mode="exhaustive")
-    return _check_axioms_sets(cl, subsets, elems, report)
+    return check_axioms_sets(cl, subsets, elems, report)
 
 
 def closures_under_test():
@@ -73,43 +78,6 @@ def test_vectorized_and_loop_checkers_agree(cl):
     for axiom in AxiomReport.AXIOMS:
         assert fast.verdicts[axiom].passed == slow.verdicts[axiom].passed, \
             (axiom, fast.verdicts[axiom].to_dict(), slow.verdicts[axiom].to_dict())
-
-
-class TopSwitch(ClosureSpec):
-    """Extensive, not monotone: cl(A) = A | {extra} unless A holds the
-    largest element, so every C2 violation involves that element."""
-
-    name = "top-switch"
-
-    def __init__(self, ring, extra):
-        super().__init__(ring)
-        self.extra = extra
-        self.top = max(ring.elements(), key=sort_key)
-
-    def eval_set(self, values):
-        values = frozenset(values)
-        return values if self.top in values else values | {self.extra}
-
-
-class SmallSetsFill(ClosureSpec):
-    """Extensive, not monotone: cl(A) is the whole ring when |A| <= 1.  On
-    Z/6 the first C4a violation, (empty set, {1}), has a right member that
-    shares its closure with a proper subset."""
-
-    name = "small-sets-fill"
-
-    def eval_set(self, values):
-        values = frozenset(values)
-        return frozenset(self.ring.elements()) if len(values) <= 1 else values
-
-
-class Doubling(ClosureSpec):
-    """Monotone, not additive: cl(A) = A | {a + a : a in A}."""
-
-    name = "doubling"
-
-    def eval_set(self, values):
-        return frozenset(values) | {self.ring.add(a, a) for a in values}
 
 
 def all_pairs_check(cl, dom, report):
@@ -193,27 +161,6 @@ def test_reduced_pairwise_domains_match_all_pairs(run, monkeypatch):
     monkeypatch.setattr(closures, "check_axioms_finite", all_pairs_check)
     monkeypatch.setattr(modules, "check_axioms_finite", all_pairs_check)
     assert reduced == run().to_dict()
-
-
-class ImpliedElement(ClosureSpec):
-    """cl(A) = A | {0}, plus ``implied`` when A holds every element of
-    ``premise`` and does not hold ``unless``.  Without ``unless`` this is a
-    closure operator (one Horn rule) that fails C4a; with it, it is not
-    monotone."""
-
-    name = "implied-element"
-
-    def __init__(self, ring, premise, implied, unless=None):
-        super().__init__(ring)
-        self.premise = frozenset(premise)
-        self.implied = implied
-        self.unless = unless
-
-    def eval_set(self, values):
-        out = frozenset(values) | {self.ring.zero}
-        if self.premise <= out and self.unless not in out:
-            out |= {self.implied}
-        return out
 
 
 def chunk_cases():

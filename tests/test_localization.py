@@ -9,6 +9,7 @@ from approxalg import (
     ideal_generated,
     subgroup_generated,
 )
+from approxalg import closures
 from approxalg.closures import _DOMAIN_CACHE
 from approxalg.ideals import ApproxIdeal
 from approxalg.localization import (
@@ -206,3 +207,74 @@ class TestRadicals:
                     break
                 x = ring.mul(x, g)
         assert frozenset(rad.canonical.values) == frozenset(direct)
+
+
+def _z_relation_loop(loc):
+    """The two verdicts of ``_verify_z_relation`` by plain pair loops."""
+    m = loc.modulus
+    s_lifts = loc._sat_lifts()
+    pairs = [(a, s) for a in range(-m, m + 1) for s in s_lifts]
+
+    def related(a, s, b, t):
+        return any((u * (a * t - b * s)) % m == 0
+                   for u in loc.sat_residues_mod_m)
+
+    ce = None
+    for (a, s) in pairs:
+        for (b, t) in pairs:
+            rel = related(a, s, b, t)
+            if rel != (loc.to_class_z(a, s) == loc.to_class_z(b, t)):
+                ce = {"pair1": (a, s), "pair2": (b, t), "related": rel}
+                break
+        if ce:
+            break
+    add_ce = None
+    small = [p for p in pairs if abs(p[0]) <= 12]
+    for (a, s) in small:
+        for (b, t) in small:
+            lhs = loc.to_class_z(a * t + b * s, s * t)
+            if lhs != loc.model.add(loc.to_class_z(a, s), loc.to_class_z(b, t)):
+                add_ce = {"pair1": (a, s), "pair2": (b, t)}
+                break
+            lhs = loc.to_class_z(a * b, s * t)
+            if lhs != loc.model.mul(loc.to_class_z(a, s), loc.to_class_z(b, t)):
+                add_ce = {"pair1": (a, s), "pair2": (b, t), "op": "mul"}
+                break
+        if add_ce:
+            break
+    return [ce, add_ce]
+
+
+@pytest.mark.parametrize("m, s", [(12, 2), (18, 2), (20, 5), (30, 2),
+                                  (9, 3), (14, 7), (15, 2), (1, 2)])
+@pytest.mark.parametrize("fault", [None, "class", "add", "mul"])
+@pytest.mark.parametrize("grid", [closures.LIST_GRID, 64])
+def test_z_relation_grids_match_pair_loops(m, s, fault, grid, monkeypatch):
+    """The numpy sweeps of the integer relation against plain loops, on
+    the true class map and model and on deliberately broken ones, whose
+    first violations the two must locate alike, in doubling row chunks
+    or in chunks of one row."""
+    monkeypatch.setattr(closures, "LIST_GRID", grid)
+    loc = localize(Z, shift(Z, [m]), mult_set(Z, [s]))
+    true_class, m0 = loc.to_class_z, loc.m0
+    if fault == "class":
+        monkeypatch.setattr(loc, "to_class_z", lambda a, t: (
+            true_class(a, t) + (a == 5 and t > 1)) % max(m0, 2))
+    elif fault is not None:
+        op = getattr(loc.model, fault)
+        monkeypatch.setattr(loc.model, fault, lambda x, y: (
+            op(x, y) + (x == y == 1 % m0)) % m0)
+    loc.verdicts.clear()
+    loc._verify_z_relation()
+    got = [v.counterexample for v in loc.verdicts]
+    want = _z_relation_loop(loc)
+    if fault == "class":
+        # the grid takes the class of a sum by the class formula, which a
+        # broken map no longer follows: both see the fault, at other pairs
+        assert got[0] == want[0]
+        if m0 > 2:
+            assert got[0] is not None
+            assert got[1] is not None and want[1] is not None
+    else:
+        assert got == want
+        assert fault is None or m0 == 1 or got[1] is not None

@@ -8,6 +8,7 @@ from lattice_oracle import (
     naive_is_subgroup,
     naive_lattice,
     naive_span,
+    small_rings,
 )
 
 from approxalg import (
@@ -28,10 +29,6 @@ from approxalg import (
     ideal_generated,
     ideal_sum,
 )
-from approxalg.closures import GeneratedIdealClosure
-from approxalg.grammar import parse_ring
-from approxalg.ideals import ApproxIdeal, quotient_ring
-from approxalg.localization import localize, mult_set
 from approxalg.rings import (
     PrincipalSubgroup,
     classical_ideals,
@@ -205,39 +202,10 @@ class TestSubgroupEnumeration:
             enumerate_subgroups(ResidueRing(100))
 
 
-def _products(limit, least=2):
-    """Factor lists (nondecreasing, at least two) with product <= limit."""
-    out = []
-    for n in range(least, limit // 2 + 1):
-        for rest in [[m] for m in range(n, limit // n + 1)] + \
-                _products(limit // n, n):
-            out.append([n] + rest)
-    return out
-
-
-def _small_rings():
-    """Every kind of grammar ring, each of at most 16 elements, plus a
-    quotient model and a localization model (both ``TableRing``)."""
-    specs = [f"Zn:{n}" for n in range(2, 17)]
-    specs += ["prod:[" + ",".join(f"Zn:{n}" for n in fs) + "]"
-              for fs in _products(16)]
-    specs += [f"GF:2/{m}" for m in ("x", "x+1", "x^2", "x^2+1", "x^2+x+1",
-                                    "x^3", "x^3+x+1", "x^4", "x^4+x+1")]
-    specs += ["GF:3/x^2", "GF:3/x^2+1", "GF:5/x", "GF:13/x",
-              "prod:[GF:2/x^2+x+1,Zn:2]", "prod:[GF:2/x^2,Zn:3]",
-              "Fun:p=2,n=1", "Fun:p=2,n=2"]
-    rings = [parse_ring(s) for s in specs]
-    gen = GeneratedIdealClosure(Z12)
-    rings.append(quotient_ring(
-        Z12, ApproxIdeal(subgroup_generated(Z12, [4]), gen)).model)
-    rings.append(localize(Z12, gen, mult_set(Z12, [2])).model)
-    return rings
-
-
 class TestLatticeKernel:
     """The kernel against naive fixpoint closures on plain sets."""
 
-    @pytest.mark.parametrize("ring", _small_rings(), ids=str)
+    @pytest.mark.parametrize("ring", small_rings(), ids=str)
     def test_against_naive_fixpoint(self, ring):
         elems = sorted(ring.elements(), key=sort_key)
         subgroups = naive_lattice(ring)
@@ -267,7 +235,7 @@ class TestLatticeKernel:
             ideal_closure_set(GF32, [(1,)])
 
     def test_non_element_raises_domain_mismatch(self):
-        model = _small_rings()[-2]
+        model = small_rings()[-2]
         with pytest.raises(DomainMismatchError):
             is_additive_subgroup(model, [model.zero, 99])
         with pytest.raises(DomainMismatchError):
