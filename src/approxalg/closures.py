@@ -192,11 +192,10 @@ class GeneratedIdealClosure(ClosureSpec):
         return ring.canon(x) in self.eval_set(frozenset(values))
 
 
-class IdealShiftClosure(ClosureSpec):
-    """cl(A) = <A> + J; over integer lattices J is m*Z^k for a scalar m."""
-
-    name = "shift"
-    join = "sum"
+class _ShiftClosure(ClosureSpec):
+    """The part ``shift`` and ``setshift`` share: the shift J, an ideal of
+    the ring or, over integer lattices, m*Z^k for a scalar modulus m; on a
+    subgroup dZ of the integers either closure is gcd(d, m)Z."""
 
     def __init__(self, ring, shift_ideal=None, shift_modulus=None):
         super().__init__(ring)
@@ -214,19 +213,26 @@ class IdealShiftClosure(ClosureSpec):
 
     def describe(self):
         if self.shift_ideal is not None:
-            return f"shift:J={self.shift_ideal!r}"
-        return f"shift:J={self.shift_modulus}"
-
-    def eval_set(self, values):
-        # <A> + J = <A | J>, as J is an ideal
-        return ideal_closure_set(
-            self.ring, frozenset(values) | self.shift_ideal.canonical.values)
+            return f"{self.name}:J={self.shift_ideal!r}"
+        return f"{self.name}:J={self.shift_modulus}"
 
     def z_principal_image(self, d):
         return math.gcd(d, self.shift_ideal.canonical.d)
 
     def z_principal_image_vec(self, d_array):
         return np.gcd(np.asarray(d_array), self.shift_ideal.canonical.d)
+
+
+class IdealShiftClosure(_ShiftClosure):
+    """cl(A) = <A> + J; over integer lattices J is m*Z^k for a scalar m."""
+
+    name = "shift"
+    join = "sum"
+
+    def eval_set(self, values):
+        # <A> + J = <A | J>, as J is an ideal
+        return ideal_closure_set(
+            self.ring, frozenset(values) | self.shift_ideal.canonical.values)
 
     def member(self, x, values):
         ring = self.ring
@@ -240,41 +246,15 @@ class IdealShiftClosure(ClosureSpec):
         return ring.canon(x) in self.eval_set(frozenset(values))
 
 
-class SetShiftClosure(ClosureSpec):
+class SetShiftClosure(_ShiftClosure):
     """cl(A) = A + J elementwise; A is used as given, not spanned."""
 
     name = "setshift"
     join = "union"
 
-    def __init__(self, ring, shift_ideal=None, shift_modulus=None):
-        super().__init__(ring)
-        if _is_integer_lattice(ring):
-            if shift_modulus is None or shift_modulus < 1:
-                raise PreconditionError(
-                    "integer lattices take a scalar shift modulus m >= 1")
-            self.shift_modulus = shift_modulus
-            self.shift_ideal = None
-        else:
-            if shift_ideal is None or shift_ideal.ring != ring:
-                raise DomainMismatchError("shift ideal must live in the same ring")
-            self.shift_ideal = shift_ideal
-            self.shift_modulus = None
-
-    def describe(self):
-        if self.shift_ideal is not None:
-            return f"setshift:J={self.shift_ideal!r}"
-        return f"setshift:J={self.shift_modulus}"
-
     def eval_set(self, values):
         j = self.shift_ideal.canonical.values
         return frozenset(self.ring.add(a, b) for a in values for b in j)
-
-    def z_principal_image(self, d):
-        # on a subgroup dZ the elementwise sum dZ + mZ is gcd(d, m)Z
-        return math.gcd(d, self.shift_ideal.canonical.d)
-
-    def z_principal_image_vec(self, d_array):
-        return np.gcd(np.asarray(d_array), self.shift_ideal.canonical.d)
 
     def member(self, x, values, values_are_subgroup=False):
         ring = self.ring
@@ -866,15 +846,15 @@ def _eval_for_checks(cl):
 
 class _IndexTables:
     """The numpy form of a lattice's rows, n x n for a ring (n_s x n for a
-    module with n_s scalars): ``neg_add[i, k]`` is the index of
-    e_k - e_i, the inverse of the kernel's row "add e_i", and ``act[t, j]``
-    the index of r_t * e_j for the t-th scalar."""
+    module with n_s scalars): ``add[i, j]`` is the index of e_j + e_i (the
+    kernel's row "add e_i"), ``neg_add[i, k]`` that of e_k - e_i, and
+    ``act[t, j]`` that of r_t * e_j for the t-th scalar (a ring's e_t)."""
 
     def __init__(self, lat):
         n = lat.n
-        add = np.array([lat.add_row(i) for i in range(n)], dtype=np.intp)
+        self.add = np.array([lat.add_row(i) for i in range(n)], dtype=np.intp)
         self.neg_add = np.empty((n, n), dtype=np.intp)
-        np.put_along_axis(self.neg_add, add,
+        np.put_along_axis(self.neg_add, self.add,
                           np.broadcast_to(np.arange(n), (n, n)), axis=1)
         self.act = np.array([lat.act_row(r) for r in lat.scalars],
                             dtype=np.intp).reshape(len(lat.scalars), n)
@@ -888,6 +868,21 @@ def _index_tables(lat):
     if tab is None:
         tab = _TABLES[lat] = _IndexTables(lat)
     return tab
+
+
+def _first_label_break(labels, table, rows):
+    """The first x of ``rows`` and column c, in row-major order, with
+    labels[T[x, c]] != labels[T[labels[x], c]] (an operation that depends
+    on the class representative), or None; ``labels`` maps each index to
+    its representative's, and ``table(x)`` gives the rows T[x] for an index
+    array x, taken in chunks of LIST_GRID cells, so T is never held whole."""
+    rows = np.asarray(rows, dtype=np.intp)
+    for lo, hi in _chunks(len(rows), table(rows[:1]).shape[1]):
+        x = rows[lo:hi]
+        pos = _first_violation(labels[table(x)] != labels[table(labels[x])])
+        if pos is not None:
+            return int(x[pos[0]]), pos[1]
+    return None
 
 
 def _price_list(rows, n):
@@ -1363,19 +1358,29 @@ def closure_image_compatible(f, cl_src, cl_dst, subset_cap=1 << 12,
         cl_rows = (masks[:, None] >> np.arange(src.n)) & 1 != 0
     else:
         cl_rows = _ClosureRows(cl_src, src)(rows)
-    onehot = np.zeros((src.n, dst.n), dtype=np.float32)
-    onehot[np.arange(src.n),
-           [dst.index[f.dst.canon(f.apply(x))] for x in src.elems]] = 1
-    lhs = cl_rows @ onehot > 0
-    bad = lhs & ~_ClosureRows(cl_dst, dst)(rows @ onehot > 0)
-    pos = _first_violation(bad.any(1))
-    if pos is not None:
-        i = pos[0]
+    bad = _first_image_violation(
+        dst, [f.dst.canon(f.apply(x)) for x in src.elems], rows, cl_rows,
+        cl_dst)
+    if bad is not None:
         return Verdict("image-compatible", False,
-                       {"A": sorted(subsets[i], key=sort_key),
-                        "witness": dst.elems[int(np.argmax(bad[i]))]},
-                       mode=domain)
+                       {"A": sorted(subsets[bad[0]], key=sort_key),
+                        "witness": bad[1]}, mode=domain)
     return Verdict("image-compatible", True, mode=domain)
+
+
+def _first_image_violation(dst, image, rows, cl_rows, cl_dst):
+    """The position of the first A with f(cl(A)) outside cl'(f(A)), and the
+    least element of the difference, or None: A and cl(A) are bool rows
+    over the source lattice, ``image`` is f along it, ``dst`` the target's
+    lattice, and cl' is evaluated once per distinct row of f(A)."""
+    onehot = np.zeros((len(image), dst.n), dtype=np.float32)
+    onehot[np.arange(len(image)), [dst.index[y] for y in image]] = 1
+    bad = (cl_rows @ onehot > 0) & \
+        ~_ClosureRows(cl_dst, dst)(rows @ onehot > 0)
+    pos = _first_violation(bad.any(1))
+    if pos is None:
+        return None
+    return pos[0], dst.elems[int(np.argmax(bad[pos[0]]))]
 
 
 def closure_preimage_compatible(f, cl_src, cl_dst, subset_cap=1 << 12,

@@ -39,6 +39,7 @@ from .rings import (
     is_prime,
     sort_key,
     subgroup_generated,
+    subgroup_lattice,
 )
 
 
@@ -399,10 +400,10 @@ def quotient_ring(ring, ideal):
         raise PreconditionError(
             "cl(I) is not an additive subgroup; classes do not partition")
 
-    elems = sorted(ring.elements(), key=sort_key)
+    lat = subgroup_lattice(ring)
     rep_of = {}
     classes = []
-    for x in elems:
+    for x in lat.elems:
         if x in rep_of:
             continue
         members = frozenset(ring.add(x, j) for j in clset)
@@ -412,18 +413,19 @@ def quotient_ring(ring, ideal):
 
     # representative independence: vary one slot at a time; the relation is
     # transitive (cl(I) is a subgroup), so one-slot checks suffice
-    add_ce = mul_ce = None
-    for rep, members in classes:
-        for x in members:
-            for y in elems:
-                if add_ce is None and \
-                        rep_of[ring.add(x, y)] != rep_of[ring.add(rep, y)]:
-                    add_ce = {"x": x, "x2": rep, "y": y}
-                if mul_ce is None and \
-                        rep_of[ring.mul(x, y)] != rep_of[ring.mul(rep, y)]:
-                    mul_ce = {"x": x, "x2": rep, "y": y}
-            if add_ce is not None and mul_ce is not None:
-                break
+    tab = closures._index_tables(lat)
+    labels = np.array([lat.index[rep_of[x]] for x in lat.elems])
+    rows = [lat.index[x] for _, members in classes for x in members]
+
+    def first_break(table):
+        hit = closures._first_label_break(labels, table, rows)
+        if hit is None:
+            return None
+        x = lat.elems[hit[0]]
+        return {"x": x, "x2": rep_of[x], "y": lat.elems[hit[1]]}
+
+    add_ce = first_break(tab.add.__getitem__)
+    mul_ce = first_break(tab.act.__getitem__)
     verdicts.append(Verdict("addition-well-defined", add_ce is None, add_ce))
     verdicts.append(Verdict("multiplication-well-defined", mul_ce is None,
                             mul_ce))

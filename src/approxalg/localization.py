@@ -2,11 +2,12 @@
 
 Pairs (a, s) are identified when some u in S puts u(at - bs) inside cl(0).
 The transferred closure of a subset A of classes admits a/s exactly when
-some u in S drags u*a into cl_R of the denominator-s pullback of A; the
-pullback sets are cached per (A, s) and representative independence is
-checked, not assumed.
+some u in S drags u*a into cl_R of the denominator-s pullback of A;
+representative independence is checked, not assumed.
 
-Finite base rings enumerate pairs directly.  For the integers with the
+Finite base rings decide the relation on the index tables of the base's
+subgroup lattice, and the operations by the representative test quotient
+rings use (``closures._first_label_break``).  For the integers with the
 modular closure, multiplying by elements of S can only absorb the prime
 factors of m shared with S, so the classes collapse onto Z/m0 where m0 is
 the generator of {z : exists u in S with uz = 0 mod m}; everything is then
@@ -23,6 +24,9 @@ import numpy as np
 from .closures import (
     ClosureSpec,
     _chunks,
+    _first_label_break,
+    _first_violation,
+    _index_tables,
     check_axioms,
     materialize,
 )
@@ -40,12 +44,14 @@ from .rings import (
     PrincipalSubgroup,
     TableRing,
     Z,
+    enumerate_subgroups,
     ideal_closure_set,
     ideal_generated,
     is_additive_subgroup,
     is_prime,
     prime_factors,
     sort_key,
+    subgroup_lattice,
     whole_subgroup,
 )
 from .spectrum import spectrum
@@ -151,23 +157,10 @@ class TransferredClosure(ClosureSpec):
 
     def eval_set(self, values):
         """The classes with a representative (a, s) such that u * a lies in
-        cl({x : x/s in A}) for some u in S: one pullback closure per
-        denominator s, and the classes it admits from ``_pair_masks``."""
-        values = frozenset(values)
-        loc = self.loc
-        hits = misses = 0
-        for s in loc.denominators:
-            hit, miss = loc._pair_masks(s, loc._pullback_closure(values, s))
-            hits |= hit
-            misses |= miss
-        out = set()
-        for i, cls_value in enumerate(loc.model.elements()):
-            if hits >> i & 1:
-                out.add(cls_value)
-                if misses >> i & 1:
-                    loc.rep_independence_failures.append(
-                        {"A": sorted(values, key=sort_key), "class": cls_value})
-        return frozenset(out)
+        cl({x : x/s in A}) for some u in S (``LocalizedRing._class_masks``)."""
+        hits, _ = self.loc._class_masks(frozenset(values))
+        return frozenset(c for i, c in enumerate(self.loc.model.elements())
+                         if hits >> i & 1)
 
     def member(self, x, values):
         return self.loc.model.canon(x) in self.eval_set(frozenset(values))
@@ -181,7 +174,6 @@ class LocalizedRing:
         self.base_cl = base_cl
         self.mult = mult
         self.verdicts = []
-        self.rep_independence_failures = []
         self._masks = {}
         if isinstance(base, IntegerRing):
             self._build_z()
@@ -318,102 +310,91 @@ class LocalizedRing:
     # -- finite base -------------------------------------------------------
 
     def _build_finite(self):
+        """(a, s) ~ (b, t) iff u (a t - b s) lies in cl(0) for some u in S,
+        as one bool grid over the pairs in ``sort_key`` order.  A class is a
+        connected component of its upper triangle, labelled by its least
+        pair; the grid must agree with the classes."""
         ring = self.base
+        lat = subgroup_lattice(ring)
         sat = sorted(self.mult.saturation, key=sort_key)
         cl0 = materialize(self.base_cl, {ring.zero})
-        pairs = [(a, s) for a in sorted(ring.elements(), key=sort_key)
-                 for s in sat]
+        pairs = [(a, s) for a in lat.elems for s in sat]
         if len(pairs) > 4096:
             raise ResourceLimitError(f"{len(pairs)} pairs exceed the guard")
+        tab = _index_tables(lat)
+        mul, n_pairs, ns = tab.act, len(pairs), len(sat)
+        s_idx = np.array([lat.index[s] for s in sat], dtype=np.intp)
+        slot = np.full(lat.n, -1, dtype=np.intp)
+        slot[s_idx] = np.arange(ns)
+        num, den = np.repeat(np.arange(lat.n), ns), np.tile(s_idx, lat.n)
+        # absorbed[z]: u z lies in cl(0) for some u in S
+        absorbed = np.isin(mul[s_idx], [lat.index[v] for v in cl0]).any(0)
 
-        def related(p, q):
-            (a, s), (b, t) = p, q
-            diff = ring.sub(ring.mul(a, t), ring.mul(b, s))
-            return any(ring.mul(u, diff) in cl0 for u in sat)
+        grid = np.empty((n_pairs, n_pairs), dtype=bool)
+        for lo, hi in _chunks(n_pairs, n_pairs):
+            at = mul[num[lo:hi, None], den]
+            bs = mul[num, den[lo:hi, None]]
+            grid[lo:hi] = absorbed[tab.neg_add[bs, at]]
 
-        parent = {p: p for p in pairs}
+        # merge the component of i with those of the later pairs the grid
+        # links to it; a component's label stays its least pair
+        labels = np.arange(n_pairs)
+        for i in range(n_pairs):
+            linked = labels[i + 1 + np.flatnonzero(grid[i, i + 1:])]
+            if (linked != labels[i]).any():
+                merged = np.append(linked, labels[i])
+                labels[np.isin(labels, merged)] = merged.min()
 
-        def find(p):
-            while parent[p] != p:
-                parent[p] = parent[parent[p]]
-                p = parent[p]
-            return p
-
-        def union(p, q):
-            rp, rq = find(p), find(q)
-            if rp != rq:
-                lo, hi = sorted([rp, rq], key=lambda t_: (sort_key(t_[0]),
-                                                          sort_key(t_[1])))
-                parent[hi] = lo
-
-        for i, p in enumerate(pairs):
-            for q in pairs[i + 1:]:
-                if related(p, q):
-                    union(p, q)
-
-        # the relation as tested must agree with its union-find closure
         eq_ce = None
-        for p in pairs:
-            for q in pairs:
-                if (find(p) == find(q)) != related(p, q):
-                    eq_ce = {"pair1": p, "pair2": q,
-                             "related": related(p, q)}
-                    break
-            if eq_ce:
+        for lo, hi in _chunks(n_pairs, n_pairs):
+            pos = _first_violation(
+                grid[lo:hi] != (labels[lo:hi, None] == labels))
+            if pos is not None:
+                i, j = lo + pos[0], pos[1]
+                eq_ce = {"pair1": pairs[i], "pair2": pairs[j],
+                         "related": bool(grid[i, j])}
                 break
         self.verdicts.append(Verdict("equivalence-relation", eq_ce is None,
                                      eq_ce, mode="all pairs"))
 
-        classes = {}
-        for p in pairs:
-            classes.setdefault(find(p), []).append(p)
-        reps = sorted(classes, key=lambda t_: (sort_key(t_[0]), sort_key(t_[1])))
+        self._pair_class = {p: pairs[k] for p, k in zip(pairs, labels.tolist())}
+        members = {}
+        for p, rep in self._pair_class.items():
+            members.setdefault(rep, []).append(p)
+        self._class_members = {rep: tuple(m) for rep, m in members.items()}
         self.pairs = pairs
-        self._class_members = {rep: tuple(classes[rep]) for rep in reps}
-        self._pair_class = {p: rep for rep, mem in self._class_members.items()
-                            for p in mem}
-        self.sat = sat
-        self.denominators = sat
-        self.cl0 = cl0
+        self.sat = self.denominators = sat
 
-        one = self._pair_class[(ring.one, ring.one)]
-        zero = self._pair_class[(ring.zero, ring.one)]
+        reps = np.flatnonzero(labels == np.arange(n_pairs))
 
-        def add(x, y):
-            (a, s), (b, t) = x, y
-            return self._pair_class[(ring.add(ring.mul(a, t), ring.mul(b, s)),
-                                     ring.mul(s, t))]
+        def ops(x):
+            """For pairs x = (a, s) and each representative y = (b, t), the
+            pairs of x + y and x * y side by side: (a t + b s, s t), (a b, s t)."""
+            a, s = num[x, None], den[x, None]
+            st = slot[mul[s, den[reps]]]
+            return np.stack([tab.add[mul[num[reps], s], mul[a, den[reps]]],
+                             mul[a, num[reps]]], axis=2).reshape(len(x), -1) \
+                * ns + np.repeat(st, 2, axis=1)
 
-        def neg(x):
-            (a, s) = x
-            return self._pair_class[(ring.neg(a), s)]
-
-        def mul(x, y):
-            (a, s), (b, t) = x, y
-            return self._pair_class[(ring.mul(a, b), ring.mul(s, t))]
-
-        self.model = TableRing(
-            f"S^-1({ring.spec_string()})", reps, add, neg, mul, zero, one,
-            fmt=lambda v: f"{ring.format_element(v[0])}/{ring.format_element(v[1])}")
-
+        hit = _first_label_break(labels, ops, np.argsort(labels, kind="stable"))
         wd_ce = None
-        for rep, members in self._class_members.items():
-            for p in members:
-                for other in reps:
-                    if add(p, other) != add(rep, other):
-                        wd_ce = {"pair": p, "rep": rep, "other": other,
-                                 "op": "add"}
-                        break
-                    if mul(p, other) != mul(rep, other):
-                        wd_ce = {"pair": p, "rep": rep, "other": other,
-                                 "op": "mul"}
-                        break
-                if wd_ce:
-                    break
-            if wd_ce:
-                break
+        if hit is not None:
+            p, (c, op) = pairs[hit[0]], divmod(hit[1], 2)
+            wd_ce = {"pair": p, "rep": self._pair_class[p],
+                     "other": pairs[reps[c]], "op": ("add", "mul")[op]}
         self.verdicts.append(Verdict("operations-well-defined", wd_ce is None,
                                      wd_ce, mode="all representative pairs"))
+
+        pc = self._pair_class
+        self.model = TableRing(
+            f"S^-1({ring.spec_string()})", [pairs[k] for k in reps],
+            lambda x, y: pc[(ring.add(ring.mul(x[0], y[1]),
+                                      ring.mul(y[0], x[1])),
+                             ring.mul(x[1], y[1]))],
+            lambda x: pc[(ring.neg(x[0]), x[1])],
+            lambda x, y: pc[(ring.mul(x[0], y[0]), ring.mul(x[1], y[1]))],
+            pc[(ring.zero, ring.one)], pc[(ring.one, ring.one)],
+            fmt=lambda v: f"{ring.format_element(v[0])}/{ring.format_element(v[1])}")
 
     # -- shared interface ---------------------------------------------------
 
@@ -451,6 +432,17 @@ class LocalizedRing:
             return any((u * a) % g == 0 if g else (u * a) == 0
                        for u in self.sat_residues_mod_m)
         return any(self.base.mul(u, a) in pullback_cl for u in self.sat)
+
+    def _class_masks(self, values):
+        """``_pair_masks`` joined over the denominators s, each with the
+        pullback closure of A at s: a class in both masks has
+        representatives on both sides."""
+        hits = misses = 0
+        for s in self.denominators:
+            hit, miss = self._pair_masks(s, self._pullback_closure(values, s))
+            hits |= hit
+            misses |= miss
+        return hits, misses
 
     def _pair_masks(self, s, pullback_cl):
         """Two masks over the classes, by their position in the model: the
@@ -501,21 +493,23 @@ def check_transfer_axioms(loc, mode="auto", **kwargs):
 
 def check_rep_independence(loc, subset_limit=512):
     """Evaluate the transferred closure on a family of class subsets and
-    report whether any class mixed verdicts across its representatives."""
-    loc.rep_independence_failures.clear()
+    report the first subset under which a class mixes verdicts across its
+    representatives, with the first such class in the model's order."""
     model = loc.model
     elems = sorted(model.elements(), key=sort_key)
-    from .rings import enumerate_subgroups
     families = [s.values for s in enumerate_subgroups(model)]
     singles = [frozenset([e]) for e in elems]
-    tested = families + singles
-    if len(tested) > subset_limit:
-        tested = tested[:subset_limit]
+    tested = (families + singles)[:subset_limit]
+    classes = list(model.elements())
+    bad = None
     for a in tested:
-        loc.transferred.eval_set(a)
-    bad = list(loc.rep_independence_failures)
-    return Verdict("representative-independence", not bad,
-                   bad[0] if bad else None,
+        hits, misses = loc._class_masks(a)
+        mixed = hits & misses
+        if mixed:
+            bad = {"A": sorted(a, key=sort_key),
+                   "class": classes[(mixed & -mixed).bit_length() - 1]}
+            break
+    return Verdict("representative-independence", bad is None, bad,
                    mode=f"{len(tested)} class subsets")
 
 
@@ -533,7 +527,6 @@ def check_iota_functorial(loc, z_gen_bound=120):
             if not lhs <= rhs:
                 image_ce = {"X": f"({d})"}
                 break
-        from .rings import enumerate_subgroups
         for sub in enumerate_subgroups(loc.model):
             b = sub.values
             clb = trans.eval_set(b)
@@ -551,7 +544,6 @@ def check_iota_functorial(loc, z_gen_bound=120):
                 break
         mode = f"(d) for d <= {z_gen_bound}; subgroup subsets of classes"
     else:
-        from .rings import enumerate_subgroups
         for sub in enumerate_subgroups(loc.base):
             x = sub.values
             clx = materialize(loc.base_cl, x)

@@ -523,12 +523,13 @@ class _Lattice:
     of any width.  A ring acts on itself by ``mul``, a module (a structure
     with ``scalar_reps``) by ``act``.  The rows "add e_i" and the orbits
     R*e_i are built on first use, so a large ring pays only for the rows a
-    call touches.  The structure is held weakly: the lattice is cached
-    under it in a weak dictionary.
+    call touches.  Structures are held weakly: the lattice is cached under
+    the first in a weak dictionary, serves every equal one asked for, and
+    keeps working for its callers when the first dies.
     """
 
     def __init__(self, struct):
-        self._struct = weakref.ref(struct)
+        self._refs = [weakref.ref(struct)]
         self.elems = sorted(struct.elements(), key=sort_key)
         self.index = {v: i for i, v in enumerate(self.elems)}
         self.n = len(self.elems)
@@ -537,6 +538,10 @@ class _Lattice:
         self.scalars = list(struct.scalar_reps) if self._module else self.elems
         self._rows = [None] * self.n
         self._orbits = [None] * self.n
+
+    def _struct(self):
+        """A live structure among those the lattice has served."""
+        return next(s for s in (ref() for ref in self._refs) if s is not None)
 
     def _act(self):
         struct = self._struct()
@@ -648,6 +653,9 @@ def subgroup_lattice(struct):
     lat = _LATTICES.get(struct)
     if lat is None:
         lat = _LATTICES[struct] = _Lattice(struct)
+    elif all(ref() is not struct for ref in lat._refs):
+        lat._refs = [r for r in lat._refs if r() is not None] + \
+            [weakref.ref(struct)]
     return lat
 
 

@@ -4,7 +4,7 @@ closures and a pair loop, with no index space: ``check_axioms_sets`` over
 an explicit list of subsets and scalars, and ``sampled_cm`` for a module
 closure over seeded random subsets plus the submodules, with C2 and C4a on
 pairs of the first ``SAMPLED_PAIR_SUBSETS``; and the image-compatibility
-loop over a list of subsets.  Also operators that break the axioms at
+loops, over a list of subsets and over a module hom's pool.  Also operators that break the axioms at
 chosen places, whose first failures the checkers must locate."""
 
 import random
@@ -200,6 +200,25 @@ def image_compatible_loop(f, cl_src, cl_dst, subsets, domain):
                            {"A": sorted(a, key=sort_key), "witness": wit},
                            mode=domain)
     return Verdict("image-compatible", True, mode=domain)
+
+
+def module_image_compatible_loop(f, sample=200, seed=0):
+    """``ModuleHom.image_compatible`` as a loop over its pool: the
+    submodules, then seeded random subsets; the first X with f(cl(X))
+    outside cl'(f(X))."""
+    pools = [frozenset(s) for s in f.src.all_submodules()]
+    rng = random.Random(seed)
+    elems = sorted(f.src.elements(), key=sort_key)
+    pools += [frozenset(rng.sample(elems, rng.randint(0, len(elems))))
+              for _ in range(sample)]
+    for x_set in pools:
+        lhs = {f.mapping[v] for v in f.cl_src.eval_set(x_set)}
+        rhs = f.cl_dst.eval_set(frozenset(f.mapping[v] for v in x_set))
+        if not lhs <= rhs:
+            return Verdict("hom-image-compatible", False,
+                           {"X": sorted(x_set, key=sort_key)})
+    return Verdict("hom-image-compatible", True,
+                   mode=f"{len(pools)} subsets")
 
 
 class ImpliedElement(ClosureSpec):

@@ -20,6 +20,7 @@ from axiom_oracle import (
     TopSwitch,
     check_axioms_sets,
     image_compatible_loop,
+    module_image_compatible_loop,
     sampled_cm,
 )
 from hypothesis import given, settings
@@ -31,6 +32,7 @@ from approxalg import (
     GeneratedIdealClosure,
     IdealShiftClosure,
     PointwiseClosure,
+    PreconditionError,
     ResidueRing,
     ResourceLimitError,
     SamplingClosure,
@@ -212,6 +214,29 @@ def test_image_compatibility_matches_loop():
         assert got.to_dict() == want.to_dict(), (f, cl_src, cl_dst)
         failed += not got.passed
     assert failed >= 20
+
+
+def test_module_image_compatibility_matches_loop():
+    """Scaling maps between the four module closures, including target
+    closures that make the map compatible only on some subsets."""
+    failed = 0
+    for orders, shift, extra in [([8], (4,), (1,)), ([12], (6,), (1,)),
+                                 ([2, 4], (0, 2), (1, 2))]:
+        mod = modules.finite_module(Z, orders)
+        cls = module_closures(mod, shift, extra)
+        for k in (0, 1, 2, 3):
+            for cl_src in cls:
+                for cl_dst in cls:
+                    try:
+                        f = modules.scaling_hom(mod, cl_src, k, cl_dst)
+                    except PreconditionError:
+                        continue
+                    for seed in (0, 3):
+                        got = f.image_compatible(sample=60, seed=seed)
+                        want = module_image_compatible_loop(f, 60, seed)
+                        assert got.to_dict() == want.to_dict()
+                        failed += not got.passed
+    assert failed >= 10
 
 
 def _cm_view(inner):

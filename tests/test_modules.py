@@ -34,6 +34,16 @@ class TestModuleConstruction:
         mod = finite_module(ResidueRing(12), [4, 6])
         assert mod.cardinality() == 24
 
+    def test_residue_scalars_of_full_order(self):
+        """64 scalars on 64 elements: the laws follow from the divisibility
+        precondition and are not re-checked pair by pair, so the module
+        costs no more than its submodule lattice."""
+        mod = finite_module(ResidueRing(64), [64])
+        assert mod.all_submodules() == [
+            frozenset((k,) for k in range(0, 64, d))
+            for d in (64, 32, 16, 8, 4, 2, 1)]
+        assert mod.act(63, (5,)) == (59,)
+
     def test_span(self):
         assert M12.span([(4,)]) == frozenset({(0,), (4,), (8,)})
 
@@ -58,6 +68,41 @@ class TestModuleConstruction:
         assert M8.subgroup_closure([(-2,)]) == M8.subgroup_closure([(6,)])
         with pytest.raises(DomainMismatchError):
             M22.span([(1,)])
+
+
+def action_law_violation(mod):
+    """The first law of the action that fails, by name, or None:
+    r(x + y) = rx + ry, (r + s)x = rx + sx, (rs)x = r(sx) and 1x = x, over
+    every scalar representative and element."""
+    elems = list(mod.elements())
+    for r in mod.scalar_reps:
+        for x in elems:
+            for y in elems:
+                if mod.act(r, mod.add(x, y)) != \
+                        mod.add(mod.act(r, x), mod.act(r, y)):
+                    return "additive"
+    for r in mod.scalar_reps:
+        for s in mod.scalar_reps:
+            for x in elems:
+                if mod.act(r + s, x) != mod.add(mod.act(r, x), mod.act(s, x)):
+                    return "scalar-additive"
+                if mod.act(r * s, x) != mod.act(r, mod.act(s, x)):
+                    return "multiplicative"
+    for x in elems:
+        if mod.act(1, x) != x:
+            return "unit"
+    return None
+
+
+@pytest.mark.parametrize("scalars, orders", [
+    (Z, [12]), (Z, [8]), (Z, [2, 2]), (Z, [2, 4]), (Z, [2, 2, 2]),
+    (Z, [3, 3]), (Z, [6]), (Z, [9]), (Z, [16]), (Z, [24]),
+    (ResidueRing(12), [4, 6]),
+    (ResidueRing(8), [2, 4]), (ResidueRing(6), [6])], ids=str)
+def test_action_laws_hold(scalars, orders):
+    """The laws the constructor no longer re-checks, on the modules these
+    tests build (the 64-element one takes seconds here and is left out)."""
+    assert action_law_violation(finite_module(scalars, orders)) is None
 
 
 class TestCMAxioms:

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -37,6 +38,7 @@ from approxalg.rings import (
     prime_factors,
     sort_key,
     subgroup_generated,
+    subgroup_lattice,
 )
 
 
@@ -240,6 +242,19 @@ class TestLatticeKernel:
             is_additive_subgroup(model, [model.zero, 99])
         with pytest.raises(DomainMismatchError):
             ideal_closure_set(Z2Z2, [(1,)])
+
+    def test_lattice_outlives_the_first_equal_ring(self):
+        """Equal rings share one lattice; the one a caller holds keeps
+        building rows after the ring it was first built for is collected."""
+        first = ResidueRing(47)
+        subgroup_lattice(first)
+        ring = ResidueRing(47)
+        lat = subgroup_lattice(ring)
+        del first
+        gc.collect()
+        assert lat.add_row(3) == [(j + 3) % 47 for j in range(47)]
+        assert lat.act_row(2) == [2 * j % 47 for j in range(47)]
+        assert lat.mask([1, 48]) == 2
 
 
 class TestIdealArithmetic:
