@@ -400,21 +400,18 @@ def quotient_ring(ring, ideal):
         raise PreconditionError(
             "cl(I) is not an additive subgroup; classes do not partition")
 
+    # the classes are the cosets x + cl(I), listed as x + j for j in cl(I)
     lat = subgroup_lattice(ring)
-    rep_of = {}
-    classes = []
-    for x in lat.elems:
-        if x in rep_of:
-            continue
-        members = frozenset(ring.add(x, j) for j in clset)
-        for y in members:
-            rep_of[y] = x
-        classes.append((x, members))
+    tab = closures._index_tables(lat)
+    labels, cosets = closures._quotient_labels(
+        lat, lat.mask(clset), (1 << lat.n) - 1)
+    shift = [lat.index[j] for j in clset]
+    classes = [(lat.elems[i], frozenset(lat.elems[k] for k in tab.add[shift, i]))
+               for i, _ in cosets]
+    rep_of = dict(zip(lat.elems, (lat.elems[i] for i in labels)))
 
     # representative independence: vary one slot at a time; the relation is
     # transitive (cl(I) is a subgroup), so one-slot checks suffice
-    tab = closures._index_tables(lat)
-    labels = np.array([lat.index[rep_of[x]] for x in lat.elems])
     rows = [lat.index[x] for _, members in classes for x in members]
 
     def first_break(table):
@@ -522,7 +519,7 @@ def _carrier(value):
 # approximate prime rings
 
 
-def is_approx_prime_ring(ring, cl, z_bound=None):
+def is_approx_prime_ring(ring, cl):
     """Whether (0) is an approximate prime ideal of the ring."""
     if isinstance(ring, IntegerRing):
         m = _z_shift_modulus(cl)

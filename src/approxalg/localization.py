@@ -24,9 +24,14 @@ import numpy as np
 from .closures import (
     ClosureSpec,
     _chunks,
+    _ClosureRows,
+    _first_image_violation,
     _first_label_break,
+    _first_preimage_violation,
     _first_violation,
+    _index_map,
     _index_tables,
+    _subset_rows,
     check_axioms,
     materialize,
 )
@@ -57,6 +62,21 @@ from .rings import (
 from .spectrum import spectrum
 
 
+def _saturate(one, generators, mul, key=lambda y: y):
+    """The products of ``one`` by the generators, walked depth first: a
+    dict from each key reached to the first product found with it."""
+    seen = {key(one): one}
+    frontier = [one]
+    while frontier:
+        x = frontier.pop()
+        for g in generators:
+            y = mul(x, g)
+            if key(y) not in seen:
+                seen[key(y)] = y
+                frontier.append(y)
+    return seen
+
+
 class MultSet:
     """A multiplicative subset given by generators; 1 is always included."""
 
@@ -68,29 +88,13 @@ class MultSet:
                 raise PreconditionError("0 in S collapses the localization")
             self.saturation = None  # infinite; residues computed on demand
         else:
-            sat = {ring.one}
-            frontier = [ring.one]
-            while frontier:
-                x = frontier.pop()
-                for g in self.generators:
-                    y = ring.mul(x, g)
-                    if y not in sat:
-                        sat.add(y)
-                        frontier.append(y)
-            self.saturation = frozenset(sat)
+            self.saturation = frozenset(
+                _saturate(ring.one, self.generators, ring.mul))
 
     def residues(self, modulus):
         """Saturation residues modulo ``modulus`` (integers only)."""
-        sat = {1 % modulus}
-        frontier = [1 % modulus]
-        while frontier:
-            x = frontier.pop()
-            for g in self.generators:
-                y = (x * g) % modulus
-                if y not in sat:
-                    sat.add(y)
-                    frontier.append(y)
-        return sorted(sat)
+        return sorted(_saturate(1 % modulus, self.generators,
+                                lambda x, g: (x * g) % modulus))
 
     def contains_multiple_of(self, d):
         """Whether some element of S is divisible by d (integers only)."""
@@ -227,17 +231,15 @@ class LocalizedRing:
             return 0
         return (a * pow(s % m0, -1, m0)) % m0
 
-    def _verify_z_relation(self, span=None):
+    def _verify_z_relation(self):
         """The relation is a congruence matching the class map, on a box.
 
         Both sweeps are numpy grids over the pairs, taken mod m (the
         relation) and mod m0 (the class map), the first in doubling row
         chunks; each reports its first violating pair in row-major order."""
         m, m0 = self.modulus, self.m0
-        if span is None:
-            span = m
         s_lifts = self._sat_lifts()
-        pairs = [(a, s) for a in range(-span, span + 1) for s in s_lifts]
+        pairs = [(a, s) for a in range(-m, m + 1) for s in s_lifts]
         a_m = np.array([a % m for a, _ in pairs], dtype=np.int64)
         s_m = np.array([s % m for _, s in pairs], dtype=np.int64)
         cls = np.array([self.to_class_z(a, s) for a, s in pairs],
@@ -258,7 +260,7 @@ class LocalizedRing:
                 break
         self.verdicts.append(Verdict(
             "equivalence-matches-class-map", ce is None, ce,
-            mode=f"pairs with |a| <= {span}, {len(s_lifts)} denominators"))
+            mode=f"pairs with |a| <= {m}, {len(s_lifts)} denominators"))
 
         # the class of (a t + b s, s t) and of (a b, s t), by the class
         # formula x * y^-1 mod m0 of ``to_class_z``, against the model's
@@ -295,17 +297,8 @@ class LocalizedRing:
     def _sat_lifts(self):
         """Concrete elements of S, one per residue class mod m."""
         m = self.modulus
-        seen = {}
-        frontier = [1]
-        seen[1 % m] = 1
-        while frontier:
-            x = frontier.pop()
-            for g in self.mult.generators:
-                y = x * g
-                if y % m not in seen:
-                    seen[y % m] = y
-                    frontier.append(y)
-        return sorted(seen.values())
+        return sorted(_saturate(1, self.mult.generators, lambda x, g: x * g,
+                                key=lambda y: y % m).values())
 
     # -- finite base -------------------------------------------------------
 
@@ -529,39 +522,28 @@ def check_iota_functorial(loc, z_gen_bound=120):
                 break
         for sub in enumerate_subgroups(loc.model):
             b = sub.values
-            clb = trans.eval_set(b)
-            pre_lhs_res = {c for c in clb}
             # iota^{-1}(U) = {x : x mod m0 in U}; spanning those lifts
-            span = loc.m0
-            pre_b_res = sorted(b) if loc.m0 > 1 else [0]
-            for r in pre_b_res:
-                span = math.gcd(span, r)
-            g = loc.base_cl.z_principal_image(span)
-            ok = all((c % g == 0 if g else c == 0) for c in pre_lhs_res) \
-                if loc.m0 > 1 else True
-            if not ok:
+            g = loc.base_cl.z_principal_image(math.gcd(loc.m0, *b))
+            if loc.m0 > 1 and not all((c % g == 0 if g else c == 0)
+                                      for c in trans.eval_set(b)):
                 pre_ce = {"B": sorted(b)}
                 break
         mode = f"(d) for d <= {z_gen_bound}; subgroup subsets of classes"
     else:
-        for sub in enumerate_subgroups(loc.base):
-            x = sub.values
-            clx = materialize(loc.base_cl, x)
-            lhs = {loc.iota(v) for v in clx}
-            rhs = trans.eval_set(frozenset(loc.iota(v) for v in x))
-            if not lhs <= rhs:
-                image_ce = {"X": sorted(x, key=sort_key)}
-                break
-        for sub in enumerate_subgroups(loc.model):
-            b = sub.values
-            clb = trans.eval_set(b)
-            pre_lhs = {v for v in loc.base.elements() if loc.iota(v) in clb}
-            pre_b = frozenset(v for v in loc.base.elements()
-                              if loc.iota(v) in b)
-            rhs = materialize(loc.base_cl, pre_b)
-            if not pre_lhs <= rhs:
-                pre_ce = {"B": sorted(b, key=sort_key)}
-                break
+        # iota as an index array from the base's lattice to the model's
+        base, model = subgroup_lattice(loc.base), subgroup_lattice(loc.model)
+        img = _index_map(base, model, loc.iota)
+        xs = [sub.values for sub in enumerate_subgroups(loc.base)]
+        rows = _subset_rows(base, xs)
+        bad = _first_image_violation(
+            model, img, rows, _ClosureRows(loc.base_cl, base)(rows), trans)
+        if bad is not None:
+            image_ce = {"X": sorted(xs[bad[0]], key=sort_key)}
+        bs = [sub.values for sub in enumerate_subgroups(loc.model)]
+        bad = _first_preimage_violation(
+            base, model, img, _subset_rows(model, bs), loc.base_cl, trans)
+        if bad is not None:
+            pre_ce = {"B": sorted(bs[bad[0]], key=sort_key)}
         mode = "additive subgroups both sides"
     return [Verdict("iota-image-compatible", image_ce is None, image_ce,
                     mode=mode),
@@ -675,21 +657,19 @@ def check_ext_contr_bijection(loc, z_bound=None):
 # radicals
 
 
-def _power_orbit_members(ring, g, clset):
-    """Whether some positive power of g lies in the target set.
-
-    The power sequence of an element of a finite ring is eventually
-    periodic; the orbit is collected until it repeats, which keeps the
-    exponent bound honest per instance.
-    """
-    seen = []
-    x = g
-    while x not in seen:
-        seen.append(x)
+def _power_orbit_members(ring, clset):
+    """The g of a finite ring with some positive power in ``clset``.  A
+    power sequence in a finite ring is eventually periodic; each is walked
+    until it repeats, which keeps the exponent bound honest per instance."""
+    members = set()
+    for g in ring.elements():
+        seen, x = set(), g
+        while x not in seen and x not in clset:
+            seen.add(x)
+            x = ring.mul(x, g)
         if x in clset:
-            return True, len(seen)
-        x = ring.mul(x, g)
-    return False, len(seen)
+            members.add(g)
+    return members
 
 
 def radical(ring, cl, ideal):
@@ -698,12 +678,7 @@ def radical(ring, cl, ideal):
     if isinstance(ring, IntegerRing):
         g = cl.z_principal_image(base.d)
         return ideal_generated(Z, [_squarefree_kernel(g)])
-    clset = materialize(cl, base)
-    members = set()
-    for g in ring.elements():
-        hit, _ = _power_orbit_members(ring, g, clset)
-        if hit:
-            members.add(g)
+    members = _power_orbit_members(ring, materialize(cl, base))
     if not is_additive_subgroup(ring, members):
         raise PreconditionError(
             "radical is not an additive subgroup for this closure")

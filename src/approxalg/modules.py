@@ -5,9 +5,11 @@ A module is a finite product of cyclic groups with the canonical scalar
 action of Z or Z/n (compatibility is checked at construction).  Module
 closures mirror the ring ones: the generated submodule, a submodule shift
 of it, the elementwise shift, and the deliberately broken union variant
-for exercising the checkers.  Homomorphisms are finite map tables whose
-approximate additivity lands in the target closure, so genuinely
-non-additive maps are admitted when the closure is coarse.
+for exercising the checkers.  A homomorphism is a map table, compiled to an
+index array between the subgroup lattices, whose approximate additivity
+lands in the target closure (so a coarse closure admits non-additive maps).
+A quotient is a label array, each index to its class's least member, found
+coset by coset; the theorems compare label arrays on the index tables.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .reports import AxiomReport, Verdict
 from .rings import (
     IntegerRing,
     ResidueRing,
+    _bits,
     additive_closure,
     ideal_closure_set,
     is_additive_subgroup,
@@ -293,25 +296,29 @@ def is_approx_submodule(mod, n_values, cl):
 # quotients
 
 
+def _reps(labels):
+    """A quotient map's representatives: the indices that are their label."""
+    return np.flatnonzero(labels == np.arange(len(labels)))
+
+
 class QuotientModule:
-    """Classes of a carrier set under x ~ y iff x - y in cl(N)."""
+    """Classes of a carrier subgroup under x ~ y iff x - y in cl(N), a
+    subgroup H: the cosets x + (H meet carrier) on the module's lattice.
+    ``labels`` maps each carrier index to its class's least member, and
+    every other index to -1."""
 
     def __init__(self, mod, carrier, clset, verdicts):
+        lat = self.lat = subgroup_lattice(mod)
+        h, c = lat.mask(clset), lat.mask(carrier)
+        if not lat.is_subgroup(h):
+            raise PreconditionError("cl(N) is not a subgroup; classes undefined")
         self.mod = mod
-        self.carrier = sorted(carrier, key=sort_key)
+        self.carrier = [lat.elems[j] for j in _bits(c)]
         self.clset = clset
-        self.rep_of = {}
-        self.classes = []
-        for x in self.carrier:
-            if x in self.rep_of:
-                continue
-            members = sorted(
-                (y for y in self.carrier if mod.sub(x, y) in clset),
-                key=sort_key)
-            rep = members[0]
-            for y in members:
-                self.rep_of[y] = rep
-            self.classes.append((rep, frozenset(members)))
+        self.labels, cosets = closures._quotient_labels(lat, h & c, c)
+        self.classes = [(lat.elems[i], lat.values(coset)) for i, coset in cosets]
+        self.rep_of = {lat.elems[j]: lat.elems[i]
+                       for i, coset in cosets for j in _bits(coset)}
         self.verdicts = verdicts
 
     def class_count(self):
@@ -319,6 +326,11 @@ class QuotientModule:
 
     def reps(self):
         return [rep for rep, _ in self.classes]
+
+    def member_rows(self):
+        """The carrier's indices class by class, each in its member order."""
+        return np.array([self.lat.index[x] for _, members in self.classes
+                         for x in members], dtype=np.intp)
 
     def add(self, a, b):
         return self.rep_of[self.mod.add(a, b)]
@@ -336,20 +348,13 @@ def module_quotient(mod, n_values, cl):
     if not ok:
         raise PreconditionError(f"not an approximate submodule: {ce}")
     n_values = frozenset(mod.canon(v) for v in n_values)
-    clset = cl.eval_set(n_values)
-    verdicts = []
-    sub_ok = is_additive_subgroup(mod, clset)
-    verdicts.append(Verdict("cl(N)-is-subgroup", sub_ok))
-    if not sub_ok:
-        raise PreconditionError("cl(N) is not a subgroup; classes undefined")
-    q = QuotientModule(mod, mod.elements(), clset, verdicts)
-    lat = subgroup_lattice(mod)
+    verdicts = [Verdict("cl(N)-is-subgroup", True)]
+    q = QuotientModule(mod, mod.elements(), cl.eval_set(n_values), verdicts)
+    lat = q.lat
     tab = closures._index_tables(lat)
-    labels = np.array([lat.index[q.rep_of[x]] for x in lat.elems])
-    rows = [lat.index[x] for _, members in q.classes for x in members]
 
     def first_break(table, key, operands):
-        hit = closures._first_label_break(labels, table, rows)
+        hit = closures._first_label_break(q.labels, table, q.member_rows())
         if hit is None:
             return None
         x = lat.elems[hit[0]]
@@ -368,7 +373,8 @@ def module_quotient(mod, n_values, cl):
 
 class ModuleHom:
     """A map table between modules, approximately additive into the target
-    closure.  The defining conditions are checked at construction."""
+    closure.  The defining conditions are checked at construction, on the
+    table compiled to the index map ``img`` between the two lattices."""
 
     def __init__(self, src, dst, cl_src, cl_dst, mapping):
         self.src = src
@@ -379,28 +385,22 @@ class ModuleHom:
         missing = [x for x in src.elements() if x not in self.mapping]
         if missing:
             raise PreconditionError(f"map table missing {len(missing)} entries")
+        self.img = closures._index_map(subgroup_lattice(src),
+                                       subgroup_lattice(dst),
+                                       self.mapping.__getitem__)
         problem = self._approx_hom_violation()
         if problem is not None:
             raise PreconditionError(f"not an approximate homomorphism: {problem}")
 
     def _approx_hom_violation(self):
-        f = self.mapping
-        src, dst, cld = self.src, self.dst, self.cl_dst
-        memo = {}
-
-        def singleton_cl(v):
-            if v not in memo:
-                memo[v] = cld.eval_set(frozenset({v}))
-            return memo[v]
-
-        for x in src.elements():
-            for y in src.elements():
-                if f[src.add(x, y)] not in singleton_cl(dst.add(f[x], f[y])):
-                    return {"x": x, "y": y}
-            for r in src.scalar_reps:
-                if f[src.act(r, x)] not in singleton_cl(dst.act(r, f[x])):
-                    return {"x": x, "r": r}
-        return None
+        """The first (x, y) with f(x + y) outside cl'({f(x) + f(y)}) or (x, r)
+        with f(r x) outside cl'({r f(x)}), in ``_first_hom_break`` order."""
+        dst = subgroup_lattice(self.dst)
+        single = closures._ClosureRows(self.cl_dst, dst)(
+            np.eye(dst.n, dtype=bool))
+        hit = closures._first_hom_break(self.src, self.dst, self.img, single)
+        if hit is not None:
+            return {"x": hit[0], "y" if hit[1] == "+" else "r": hit[2]}
 
     def apply(self, x):
         return self.mapping[self.src.canon(x)]
@@ -415,8 +415,7 @@ class ModuleHom:
         """Im^q f: the classes f(x) + cl'(0) inside M'/cl'(0)."""
         cl0 = self.cl_dst.eval_set(frozenset({self.dst.zero}))
         q = QuotientModule(self.dst, self.dst.elements(), cl0, [])
-        return q, sorted({q.rep_of[self.mapping[x]]
-                          for x in self.src.elements()}, key=sort_key)
+        return q, [q.lat.elems[i] for i in np.unique(q.labels[self.img])]
 
     def image_c(self):
         """Im_c f = cl'(f(M)), the closure of the raw image set."""
@@ -433,8 +432,8 @@ class ModuleHom:
         src = subgroup_lattice(self.src)
         rows = closures._subset_rows(src, pools)
         bad = closures._first_image_violation(
-            subgroup_lattice(self.dst), [self.mapping[x] for x in src.elems],
-            rows, closures._ClosureRows(self.cl_src, src)(rows), self.cl_dst)
+            subgroup_lattice(self.dst), self.img, rows,
+            closures._ClosureRows(self.cl_src, src)(rows), self.cl_dst)
         if bad is not None:
             return Verdict("hom-image-compatible", False,
                            {"X": sorted(pools[bad[0]], key=sort_key)})
@@ -472,34 +471,45 @@ class IsoVerdict:
                 f"{self.right_size}>")
 
 
-def _check_map_is_module_iso(name, q_src_reps, q_dst_reps, mapping,
-                             add_src, add_dst, act_src, act_dst, scalars):
-    """Common verification: totality, injectivity, surjectivity, and the
-    descended additivity/action laws for a class-level map."""
-    verdicts = []
-    image = [mapping[x] for x in q_src_reps]
-    inj = len(set(image)) == len(image)
-    sur = set(image) == set(q_dst_reps)
-    verdicts.append(Verdict(f"{name}-injective", inj,
-                            None if inj else {"image-size": len(set(image))}))
-    verdicts.append(Verdict(f"{name}-surjective", sur,
-                            None if sur else {"missed": len(set(q_dst_reps)
-                                                            - set(image))}))
-    add_ce = None
-    act_ce = None
-    for x in q_src_reps:
-        for y in q_src_reps:
-            if add_ce is None and \
-                    mapping[add_src(x, y)] != add_dst(mapping[x], mapping[y]):
-                add_ce = {"x": x, "y": y}
-        for r in scalars:
-            if act_ce is None and \
-                    mapping[act_src(r, x)] != act_dst(r, mapping[x]):
-                act_ce = {"x": x, "r": r}
-    verdicts.append(Verdict(f"{name}-additive", add_ce is None, add_ce))
-    verdicts.append(Verdict(f"{name}-action-compatible", act_ce is None,
-                            act_ce))
-    return verdicts
+def _class_map(src_labels, dst_labels, idx):
+    """The class map that two quotient maps induce on the indices ``idx``
+    (phi[rep] is a target label), and the least source representative whose
+    class meets two target classes, or None."""
+    s, t = src_labels[idx], dst_labels[idx]
+    phi = np.full(len(src_labels), -1, dtype=np.intp)
+    phi[s] = t
+    split = s[phi[s] != t]
+    return phi, (int(split.min()) if len(split) else None)
+
+
+def _check_map_is_module_iso(name, src, dst, phi, targets):
+    """Injectivity, surjectivity onto ``targets`` and the descended laws of
+    the class map ``phi`` between quotient maps ``src`` and ``dst``, each a
+    lattice with its labels; the laws report their first counterexample over
+    pairs of source representatives and (representative, scalar)."""
+    (s, ls), (d, ld) = src, dst
+    reps = _reps(ls)
+    image = phi[reps]
+    hit, targets = set(image.tolist()), set(targets.tolist())
+    inj, sur = len(hit) == len(image), hit == targets
+    ts, td = closures._index_tables(s), closures._index_tables(d)
+    act = np.array([d.act_row(r) for r in s.scalars], dtype=np.intp)
+    add_hit = closures._first_cell_break(
+        lambda x: (phi[ls[ts.add[x][:, reps]]], ld[td.add[phi[x]][:, image]]),
+        reps)
+    act_hit = closures._first_cell_break(
+        lambda x: (phi[ls[ts.act[:, x].T]], ld[act[:, phi[x]].T]), reps)
+    add_ce = act_ce = None
+    if add_hit is not None:
+        add_ce = {"x": s.elems[add_hit[0]], "y": s.elems[reps[add_hit[1]]]}
+    if act_hit is not None:
+        act_ce = {"x": s.elems[act_hit[0]], "r": s.scalars[act_hit[1]]}
+    return [Verdict(f"{name}-injective", inj,
+                    None if inj else {"image-size": len(hit)}),
+            Verdict(f"{name}-surjective", sur,
+                    None if sur else {"missed": len(targets - hit)}),
+            Verdict(f"{name}-additive", add_ce is None, add_ce),
+            Verdict(f"{name}-action-compatible", act_ce is None, act_ce)]
 
 
 def iso_first(f):
@@ -515,23 +525,19 @@ def iso_first(f):
     kernel_verdict = Verdict("kernel-is-approx-submodule", ok, ce)
     q_src = module_quotient(f.src, ker, f.cl_src)
     q_dst, image_reps = f.image_q()
-    mapping = {rep: q_dst.rep_of[f.apply(rep)] for rep in q_src.reps()}
-
+    # the descended map, read at every source index: the target class of f(x)
+    phi = q_dst.labels[f.img]
+    rows = q_src.member_rows()
+    bad = rows[phi[rows] != phi[q_src.labels[rows]]]
     well_ce = None
-    for rep, members in q_src.classes:
-        for x in members:
-            if q_dst.rep_of[f.apply(x)] != mapping[rep]:
-                well_ce = {"x": x, "rep": rep}
-                break
-        if well_ce:
-            break
+    if len(bad):
+        well_ce = {"x": q_src.lat.elems[bad[0]],
+                   "rep": q_src.lat.elems[q_src.labels[bad[0]]]}
     verdicts = [kernel_verdict,
                 Verdict("descended-map-well-defined", well_ce is None, well_ce)]
     verdicts += _check_map_is_module_iso(
-        "iso1", q_src.reps(), image_reps, mapping,
-        q_src.add, lambda a, b: q_dst.rep_of[f.dst.add(a, b)],
-        q_src.act, lambda r, a: q_dst.rep_of[f.dst.act(r, a)],
-        f.src.scalar_reps)
+        "iso1", (q_src.lat, q_src.labels), (q_dst.lat, q_dst.labels), phi,
+        np.unique(phi))
     # the closed image is reported for comparison only: when it differs
     # from the raw image no relation between the two is asserted
     raw_image = {f.apply(x) for x in f.src.elements()}
@@ -563,10 +569,10 @@ def iso_second(mod, cl, n_values, k_values):
     left = QuotientModule(mod, nk, cl_k, [])
     # canonical identification with (N + cl(K))/cl(K)
     n_clk = mod.subgroup_closure(n_values | cl_k)
-    ident = QuotientModule(mod, n_clk, cl_k, [])
-    ident_map = {rep: ident.rep_of[rep] for rep in left.reps()}
-    ident_ok = (len(set(ident_map.values())) == len(ident_map)
-                and set(ident_map.values()) == set(ident.reps()))
+    ident = QuotientModule(mod, n_clk, cl_k, []).labels
+    image = ident[_reps(left.labels)].tolist()
+    ident_ok = len(set(image)) == len(image) and \
+        set(image) == set(_reps(ident).tolist())
     verdicts = [Verdict("canonical-identification-bijective", ident_ok)]
 
     # right side: classes of N under x ~ y iff x - y in cl(N meet cl(K))
@@ -574,19 +580,15 @@ def iso_second(mod, cl, n_values, k_values):
     cl_meet = cl.eval_set(meet)
     right = QuotientModule(mod, n_values, cl_meet, [])
 
-    mapping = {}
-    well_ce = None
-    for rep, members in right.classes:
-        targets = {left.rep_of[x] for x in members}
-        if len(targets) != 1:
-            well_ce = {"class-of": rep}
-            break
-        mapping[rep] = targets.pop()
+    lat = right.lat
+    phi, split = _class_map(right.labels, left.labels,
+                            np.flatnonzero(right.labels >= 0))
+    well_ce = None if split is None else {"class-of": lat.elems[split]}
     verdicts.append(Verdict("map-well-defined", well_ce is None, well_ce))
     if well_ce is None:
         verdicts += _check_map_is_module_iso(
-            "iso2", right.reps(), left.reps(), mapping,
-            right.add, left.add, right.act, left.act, mod.scalar_reps)
+            "iso2", (lat, right.labels), (lat, left.labels), phi,
+            _reps(left.labels))
     return IsoVerdict("second-iso", verdicts, right.class_count(),
                       left.class_count())
 
@@ -608,30 +610,19 @@ def iso_third(mod, cl, n_values, k_values):
     q_n = module_quotient(mod, n_values, cl)
     big = QuotientModule(mod, mod.elements(), cl_k, [])
 
-    # cl(K)/N inside M/N, then the classical quotient of M/N by it
-    clk_classes = frozenset(q_n.rep_of[x] for x in cl_k)
-    outer = {}
-    for rep in q_n.reps():
-        coset = frozenset(q_n.add(rep, c) for c in clk_classes)
-        outer[rep] = min(coset, key=sort_key)
-    outer_reps = sorted(set(outer.values()), key=sort_key)
-
-    mapping = {}
-    well_ce = None
-    for rep in outer_reps:
-        fiber = [r for r in q_n.reps() if outer[r] == rep]
-        targets = {big.rep_of[r] for r in fiber}
-        if len(targets) != 1:
-            well_ce = {"class-of": rep}
-            break
-        mapping[rep] = targets.pop()
+    # cl(K)/N inside M/N, then the classical quotient of M/N by it: each
+    # class of M/N goes to the least class of its coset, read at every index
+    lat, labels = q_n.lat, q_n.labels
+    reps = _reps(labels)
+    clk = np.unique(labels[[lat.index[x] for x in cl_k]])
+    outer = np.full(lat.n, -1, dtype=np.intp)
+    outer[reps] = labels[closures._index_tables(lat).add[reps][:, clk]].min(1)
+    outer = outer[labels]
+    phi, split = _class_map(outer, big.labels, reps)
+    well_ce = None if split is None else {"class-of": lat.elems[split]}
     verdicts = [Verdict("map-well-defined", well_ce is None, well_ce)]
     if well_ce is None:
         verdicts += _check_map_is_module_iso(
-            "iso3", outer_reps, big.reps(), mapping,
-            lambda a, b: outer[q_n.add(a, b)],
-            big.add,
-            lambda r, a: outer[q_n.act(r, a)],
-            big.act, mod.scalar_reps)
-    return IsoVerdict("third-iso", verdicts, len(outer_reps),
+            "iso3", (lat, outer), (lat, big.labels), phi, _reps(big.labels))
+    return IsoVerdict("third-iso", verdicts, len(_reps(outer)),
                       big.class_count())

@@ -9,13 +9,13 @@ radical identity rad(I) = I(V(I)) is then verified ideal by ideal.
 
 from __future__ import annotations
 
-import itertools
 import random
 
 from . import polynomials as poly
-from .closures import POINT_GUARD, closure_member, materialize
+from .closures import POINT_GUARD, _vanishing_functions, materialize
 from .errors import InvariantError, PreconditionError, ResourceLimitError
 from .ideals import is_approx_prime
+from .localization import _power_orbit_members
 from .reports import Verdict
 from .rings import (
     FiniteSubgroup,
@@ -73,14 +73,8 @@ def vanishing_ideal(ring, points):
     if not isinstance(ring, FunctionRing):
         raise PreconditionError("vanishing ideals need a function ring")
     pts = {tuple(p) for p in points}
-    idx = [i for i, a in enumerate(ring.points) if a in pts]
-    members = set()
-    free = [i for i in range(ring.npoints) if i not in idx]
-    for assign in itertools.product(range(ring.p), repeat=len(free)):
-        tab = [0] * ring.npoints
-        for pos, val in zip(free, assign):
-            tab[pos] = val
-        members.add(tuple(tab))
+    members = _vanishing_functions(
+        ring, [i for i, a in enumerate(ring.points) if a in pts])
     gens = sorted(members, key=sort_key)
     out = IdealRep(ring, tuple(gens),
                    FiniteSubgroup(ring, members, check=False))
@@ -101,29 +95,10 @@ def maximal_point_ideal(ring, a):
     return ideal_generated(ring, gens)
 
 
-def _power_hits_closure(ring, g, member_fn):
-    """Some positive power of g satisfies the membership predicate; the
-    power orbit is walked to its cycle, so the exponent bound is certified
-    per element rather than assumed."""
-    seen = []
-    x = g
-    while x not in seen:
-        seen.append(x)
-        if member_fn(x):
-            return True
-        x = ring.mul(x, g)
-    return False
-
-
 def rad_phi(ring, ideal, cl):
     """rad(I) = {g : some power of g lies in cl(I)}, as an ideal."""
-    gens = list(ideal.canonical.values)
-
-    def member_fn(x):
-        return closure_member(cl, x, gens)
-
-    members = {g for g in ring.elements()
-               if _power_hits_closure(ring, g, member_fn)}
+    members = _power_orbit_members(
+        ring, materialize(cl, ideal.canonical.values))
     if not is_additive_subgroup(ring, members):
         raise InvariantError("radical is not a subgroup for this closure")
     return IdealRep(ring, tuple(sorted(members, key=sort_key)),

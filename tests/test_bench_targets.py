@@ -57,3 +57,15 @@ def test_target_resolves(target):
 def test_every_hook_names_a_target():
     targets = {t for _, t, _ in spans.TARGETS}
     assert set(spans.HOOKS) <= targets
+
+
+def test_hooks_read_live_attributes():
+    """The tracer's hooks read attributes no target names: the table arrays
+    of a ``FiniteDomain`` and the size of ``closures._DOMAIN_CACHE``."""
+    from approxalg.closures import ring_domain
+    from approxalg.rings import ResidueRing
+
+    ring = ResidueRing(4)
+    dom = ring_domain(ring)
+    assert spans._table_bytes(dom) == 640
+    assert spans._domain_cache_size() >= 1

@@ -159,3 +159,37 @@ class TestToleranceBalancedRule:
         r = {(1,): 2}  # r(x) = 2x, |r(2)| = 4
         scaled = tol.scaled(r)
         assert scaled.taus == (Fraction(12),)
+
+
+@pytest.mark.parametrize("ring", [FR21, FR22, FunctionRing(3, 1)], ids=str)
+def test_rad_phi_matches_power_membership(ring):
+    """rad(I) from one evaluation of cl(I) equals the definition read
+    through ``closure_member``, power by power until the orbit repeats; and
+    the vanishing ideal of a point set is the pointwise closure of any
+    function with exactly those zeros."""
+    from approxalg.closures import closure_member
+    from approxalg.rings import sort_key
+    half = set(ring.points[:len(ring.points) // 2])
+    closures = [PointwiseClosure(ring),
+                SamplingClosure(ring, [half, set(ring.points) - half]),
+                SetShiftClosure(ring, ideal_generated(ring, [ring.variable(0)]))]
+    for cl in closures:
+        for ideal in all_function_ring_ideals(ring):
+            gens = list(ideal.canonical.values)
+            want = set()
+            for g in ring.elements():
+                seen, x = [], g
+                while x not in seen:
+                    seen.append(x)
+                    if closure_member(cl, x, gens):
+                        want.add(g)
+                        break
+                    x = ring.mul(x, g)
+            assert set(rad_phi(ring, ideal, cl).canonical.values) == want
+    for k in range(len(ring.points) + 1):
+        zeros = ring.points[:k]
+        f = tuple(0 if a in zeros else 1 for a in ring.points)
+        assert frozenset(vanishing_ideal(ring, zeros).canonical.values) == \
+            PointwiseClosure(ring).eval_set(frozenset({f}))
+        assert vanishing_ideal(ring, zeros).generators == tuple(sorted(
+            PointwiseClosure(ring).eval_set(frozenset({f})), key=sort_key))

@@ -30,6 +30,7 @@ from approxalg import (
     ideal_generated,
     ideal_sum,
 )
+from approxalg.modules import finite_module
 from approxalg.rings import (
     PrincipalSubgroup,
     classical_ideals,
@@ -194,6 +195,24 @@ class TestSubgroupEnumeration:
     def test_product_subgroup_counts(self, orders, count):
         ring = ProductRing([ResidueRing(n) for n in orders])
         assert len(enumerate_subgroups(ring)) == count
+
+    @pytest.mark.parametrize("p, k", [(2, k) for k in range(1, 7)]
+                             + [(3, k) for k in range(1, 5)]
+                             + [(5, 2), (5, 3), (7, 2)])
+    def test_elementary_abelian_counts_are_gaussian_binomial_sums(self, p, k):
+        """(Z/p)^k has sum_j [k choose j]_p subgroups: a j-dimensional
+        subspace has (p^k - 1)...(p^(k-j+1) - 1) ordered bases out of
+        (p^j - 1)...(p^j - p^(j-1)) per subspace, which reduces to the
+        Gaussian binomial.  2825 for (Z/2)^6."""
+        def gaussian(k, j):
+            num = den = 1
+            for i in range(j):
+                num *= p ** (k - i) - 1
+                den *= p ** (i + 1) - 1
+            return num // den
+        group = finite_module(Z, [p] * k)
+        assert len(subgroup_lattice(group).subgroups()) == \
+            sum(gaussian(k, j) for j in range(k + 1))
 
     def test_every_result_is_closed(self):
         for sub in enumerate_subgroups(Z2Z2):
