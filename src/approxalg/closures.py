@@ -185,10 +185,7 @@ class GeneratedIdealClosure(ClosureSpec):
     def member(self, x, values):
         ring = self.ring
         if isinstance(ring, IntegerRing):
-            g = 0
-            for v in values:
-                g = math.gcd(g, v)
-            return PrincipalSubgroup(g).contains(x)
+            return PrincipalSubgroup(math.gcd(0, *values)).contains(x)
         if _is_integer_lattice(ring):
             return _lattice_ideal_member(ring, x, values, shift=0)
         return ring.canon(x) in self.eval_set(frozenset(values))
@@ -239,9 +236,7 @@ class IdealShiftClosure(_ShiftClosure):
     def member(self, x, values):
         ring = self.ring
         if isinstance(ring, IntegerRing):
-            g = self.shift_ideal.canonical.d
-            for v in values:
-                g = math.gcd(g, v)
+            g = math.gcd(self.shift_ideal.canonical.d, *values)
             return PrincipalSubgroup(g).contains(x)
         if _is_integer_lattice(ring):
             return _lattice_ideal_member(ring, x, values, self.shift_modulus)
@@ -263,10 +258,7 @@ class SetShiftClosure(_ShiftClosure):
         if isinstance(ring, IntegerRing):
             m = self.shift_ideal.canonical.d
             if values_are_subgroup:
-                g = m
-                for v in values:
-                    g = math.gcd(g, v)
-                return PrincipalSubgroup(g).contains(x)
+                return PrincipalSubgroup(math.gcd(m, *values)).contains(x)
             return any(PrincipalSubgroup(m).contains(x - v) for v in values)
         if _is_integer_lattice(ring):
             m = self.shift_modulus
@@ -345,16 +337,11 @@ class SamplingClosure(ClosureSpec):
     def member(self, x, values):
         ring = self.ring
         x = ring.canon(x)
-        vanishing = [ring.points[i]
-                     for i in range(ring.npoints)
-                     if all(v[i] == 0 for v in values)]
-        vset = set(vanishing)
+        vset = {ring.points[i] for i in range(ring.npoints)
+                if all(v[i] == 0 for v in values)}
         pt_index = {p: i for i, p in enumerate(ring.points)}
-        for sigma in self.family:
-            for a in sigma & vset:
-                if x[pt_index[a]] != 0:
-                    return False
-        return True
+        return all(x[pt_index[a]] == 0
+                   for sigma in self.family for a in sigma & vset)
 
     # internal: materialized set for axiom checking
     def eval_set_internal(self, values):
@@ -395,17 +382,12 @@ class ToleranceClosure(ClosureSpec):
 
     def vanishing_points(self, gen_polys):
         """Configured points lying in V(<gens>), with their tolerances."""
-        out = []
-        for p, t in zip(self.points, self.taus):
-            if all(poly.m_eval(g, p) == 0 for g in gen_polys):
-                out.append((p, t))
-        return out
+        return [(p, t) for p, t in zip(self.points, self.taus)
+                if all(poly.m_eval(g, p) == 0 for g in gen_polys)]
 
     def member(self, f, gen_polys):
-        for p, t in self.vanishing_points(gen_polys):
-            if abs(poly.m_eval(f, p)) > t:
-                return False
-        return True
+        return all(abs(poly.m_eval(f, p)) <= t
+                   for p, t in self.vanishing_points(gen_polys))
 
     def scaled(self, r_poly):
         """The closure with tolerances scaled pointwise by |r(a)|."""
@@ -444,13 +426,8 @@ def _lattice_ideal_member(ring, x, values, shift):
     k = len(ring.factors)
     x = ring.canon(x)
     gens = [ring.canon(v) for v in values]
-    for j in range(k):
-        g = shift
-        for v in gens:
-            g = math.gcd(g, v[j])
-        if not PrincipalSubgroup(g).contains(x[j]):
-            return False
-    return True
+    return all(PrincipalSubgroup(math.gcd(shift, *(v[j] for v in gens)))
+               .contains(x[j]) for j in range(k))
 
 
 # ---------------------------------------------------------------------------
@@ -481,15 +458,11 @@ def closure_eval(cl, a):
         g = cl.z_principal_image(vals.d)
         return IdealRep(Z, (g,), PrincipalSubgroup(g))
     if isinstance(ring, IntegerRing):
-        gens = sorted(vals, key=sort_key)
         if isinstance(cl, SetShiftClosure):
             raise PreconditionError(
                 "setshift over Z evaluates on subgroups only; lists are "
                 "membership-only")
-        g = 0
-        for v in gens:
-            g = math.gcd(g, v)
-        g = cl.z_principal_image(g)
+        g = cl.z_principal_image(math.gcd(0, *vals))
         return IdealRep(Z, (g,), PrincipalSubgroup(g))
     if not ring.is_finite:
         raise PreconditionError(f"closure evaluation unsupported over {ring}")
@@ -650,10 +623,9 @@ class FiniteDomain:
 
 def _first_violation(viol):
     """Row-major first True position, or None."""
-    idx = np.argwhere(viol)
-    if idx.size == 0:
+    if not viol.any():
         return None
-    return tuple(int(x) for x in idx[0])
+    return tuple(int(x) for x in np.argwhere(viol)[0])
 
 
 def _lowest_bit_elem(dom, mask):
@@ -849,32 +821,6 @@ def _eval_for_checks(cl):
 # the list engine: the axioms over an explicit list of subsets
 
 
-class _IndexTables:
-    """The numpy form of a lattice's rows, n x n for a ring (n_s x n for a
-    module with n_s scalars): ``add[i, j]`` is the index of e_j + e_i (the
-    kernel's row "add e_i"), ``neg_add[i, k]`` that of e_k - e_i, and
-    ``act[t, j]`` that of r_t * e_j for the t-th scalar (a ring's e_t)."""
-
-    def __init__(self, lat):
-        n = lat.n
-        self.add = np.array([lat.add_row(i) for i in range(n)], dtype=np.intp)
-        self.neg_add = np.empty((n, n), dtype=np.intp)
-        np.put_along_axis(self.neg_add, self.add,
-                          np.broadcast_to(np.arange(n), (n, n)), axis=1)
-        self.act = np.array([lat.act_row(r) for r in lat.scalars],
-                            dtype=np.intp).reshape(len(lat.scalars), n)
-
-
-_TABLES = weakref.WeakKeyDictionary()
-
-
-def _index_tables(lat):
-    tab = _TABLES.get(lat)
-    if tab is None:
-        tab = _TABLES[lat] = _IndexTables(lat)
-    return tab
-
-
 def _first_cell_break(cells, rows, allowed=None):
     """The first (x, c) over ``rows`` and columns, row-major, where got !=
     want or, given a bool matrix ``allowed``, not allowed[want, got]; or
@@ -901,8 +847,29 @@ def _first_label_break(labels, table, rows):
 
 def _index_map(src, dst, fn):
     """fn as an index array between two lattices: entry i is the index in
-    ``dst`` of fn(e_i), e_i the i-th element of ``src``."""
+    ``dst`` of fn(e_i), e_i the i-th element of ``src``.  Subsets travel
+    along it as bool rows: f(A) by ``_image_rows``, f^-1(B) as ``B[img]``."""
     return np.array([dst.index[fn(x)] for x in src.elems], dtype=np.intp)
+
+
+def _hom_map(f):
+    """A finite hom's two lattices and its index map between them."""
+    src, dst = subgroup_lattice(f.src), subgroup_lattice(f.dst)
+    return src, dst, _index_map(src, dst, f.apply)
+
+
+def _image_rows(img, rows, n):
+    """f(A) for bool rows A over img's source, as rows over its n targets:
+    each set column c of a row sets column img[c]."""
+    out = np.zeros(rows.shape[:-1] + (n,), dtype=bool)
+    *at, cols = np.nonzero(rows)
+    out[(*at, img[cols])] = True
+    return out
+
+
+def _row_values(lat, row):
+    """The values of a bool row over ``lat``'s order."""
+    return frozenset([lat.elems[j] for j in np.flatnonzero(row).tolist()])
 
 
 def _quotient_labels(lat, h, carrier):
@@ -929,23 +896,22 @@ def _first_hom_break(src, dst, img, allowed=None):
     y.  A cell holds when equal to (or in ``allowed`` of) the operation on
     the images."""
     s, d = subgroup_lattice(src), subgroup_lattice(dst)
-    ts, td = _index_tables(s), _index_tables(d)
     order = np.array([s.index[x] for x in src.elements()], dtype=np.intp)
     if hasattr(src, "scalar_reps"):
-        scalars, act_s = s.scalars, ts.act
+        scalars, act_s = s.scalars, s.act_table()
         act_d = np.array([d.act_row(r) for r in scalars], dtype=np.intp)
         cols = np.arange(len(order) + len(scalars))
     else:
         # a ring acts on itself by each y, interleaved with the sums
         scalars = [s.elems[y] for y in order]
-        act_s, act_d = ts.act[order], td.act[img[order]]
+        act_s, act_d = s.act_table(order), d.act_table(img[order])
         cols = np.arange(2 * len(order)).reshape(2, -1).T.ravel()
     operands = [("+", s.elems[y]) for y in order] + [("*", r) for r in scalars]
 
     def cells(x):
-        got = np.concatenate([ts.add[x][:, order], act_s[:, x].T], axis=1)
-        want = np.concatenate([td.add[img[x]][:, img[order]],
-                               act_d[:, img[x]].T], axis=1)
+        got = np.hstack([s.add_table[x][:, order], act_s[:, x].T])
+        want = np.hstack([d.add_table[img[x]][:, img[order]],
+                          act_d[:, img[x]].T])
         return img[got[:, cols]], want[:, cols]
 
     hit = _first_cell_break(cells, order, allowed)
@@ -1018,8 +984,7 @@ class _ClosureRows:
         lat = self.lat
         if slot == len(self.table):
             self.table = np.concatenate([self.table, np.zeros_like(self.table)])
-        out = self.ev(frozenset([lat.elems[j]
-                                 for j in np.flatnonzero(row).tolist()]))
+        out = self.ev(_row_values(lat, row))
         self.table[slot][[lat.index[v] for v in out]] = True
 
 
@@ -1042,32 +1007,33 @@ def _chunks(total, row_cells):
         rows = min(2 * rows, cap)
 
 
-def _spread(x, tab):
+def _spread(x, lat):
     """[a, j, k]: whether e_k is in x_a + e_j."""
-    return x[:, tab.neg_add].astype(np.float32)
+    return x[:, lat.neg_add_table].astype(np.float32)
 
 
-def _pair_sums(x, yf, tab):
+def _pair_sums(x, yf, lat):
     """[j, i, k]: whether e_k is in the set-sum x_i + y_j, for y given as
     float32 rows."""
     r, n = x.shape
-    q = _spread(x, tab).transpose(1, 0, 2).reshape(n, r * n)
+    q = _spread(x, lat).transpose(1, 0, 2).reshape(n, r * n)
     return (yf @ q > 0).reshape(len(yf), r, n)
 
 
-def _self_sums(x, tab):
+def _self_sums(x, lat):
     """[a, k]: whether e_k is in x_a + x_a."""
-    sums = x.astype(np.float32)[:, None, :] @ _spread(x, tab)
+    sums = x.astype(np.float32)[:, None, :] @ _spread(x, lat)
     return sums[:, 0, :] > 0
 
 
-def _acted(x, tab):
+def _acted(x, lat):
     """[a, t, k]: whether e_k is in r_t * x_a."""
     r, n = x.shape
-    ns = len(tab.act)
+    act = lat.act_table()
+    ns = len(act)
     out = np.zeros(r * ns * n, dtype=bool)
     a, j = np.nonzero(x)
-    out[((a[:, None] * ns + np.arange(ns)) * n + tab.act[:, j].T).ravel()] = True
+    out[((a[:, None] * ns + np.arange(ns)) * n + act[:, j].T).ravel()] = True
     return out.reshape(r, ns, n)
 
 
@@ -1090,7 +1056,6 @@ def _check_axioms_list(cl, struct, subsets, report, paired=None):
     n, elems, scalars = lat.n, lat.elems, lat.scalars
     npair = len(subsets) if paired is None else min(paired, len(subsets))
     _price_list(npair, n)
-    tab = _index_tables(lat)
     clo = _ClosureRows(cl, lat)
     a = _subset_rows(lat, subsets)
     c = clo(a)
@@ -1114,16 +1079,16 @@ def _check_axioms_list(cl, struct, subsets, report, paired=None):
     c4b = absorb = None
     for lo, hi in _chunks(len(a), (len(scalars) + n) * n):
         x, cx = a[lo:hi], c[lo:hi]
-        rx = _acted(x, tab)
+        rx = _acted(x, lat)
         if c4b is None:
-            bad = _acted(cx, tab) & ~clo(rx)
+            bad = _acted(cx, lat) & ~clo(rx)
             pos = _first_violation(bad.any(2))
             if pos is not None:
                 i, t = pos
                 c4b = {"A": listed(x[i]), "r": scalars[t],
                        "witness": least(bad[i, t])}
         if absorb is None:
-            sub = x[:, lat.zero] & ~(_self_sums(x, tab) & ~x).any(1)
+            sub = x[:, lat.zero] & ~(_self_sums(x, lat) & ~x).any(1)
             bad = sub[:, None, None] & rx & ~cx[:, None, :]
             pos = _first_violation(bad.any(2))
             if pos is not None:
@@ -1149,8 +1114,8 @@ def _check_axioms_list(cl, struct, subsets, report, paired=None):
                 c2 = {"A": listed(x[i]), "B": listed(x[j]),
                       "witness": least(cx[i] & ~cx[j])}
         if c4a is None:
-            bad = _pair_sums(cx[lo:hi], cxf, tab) \
-                & ~clo(_pair_sums(aug[lo:hi], augf, tab))
+            bad = _pair_sums(cx[lo:hi], cxf, lat) \
+                & ~clo(_pair_sums(aug[lo:hi], augf, lat))
             pos = _first_violation(bad.any(2).T)
             if pos is not None:
                 i, j = pos
@@ -1403,7 +1368,7 @@ def closure_image_compatible(f, cl_src, cl_dst, subset_cap=1 << 12,
     # every subset as a bool row; cl on all subsets of a small source is
     # the exhaustive engine's table, from n + 1 evaluations under a join
     subsets, domain = _subsets_for(f.src, subset_cap, guard)
-    src, dst = subgroup_lattice(f.src), subgroup_lattice(f.dst)
+    src, dst, img = _hom_map(f)
     rows = _subset_rows(src, subsets)
     if cl_src.join is not None and len(subsets) == (1 << src.n) - 1 \
             and src.n <= 16:
@@ -1412,8 +1377,7 @@ def closure_image_compatible(f, cl_src, cl_dst, subset_cap=1 << 12,
         cl_rows = (masks[:, None] >> np.arange(src.n)) & 1 != 0
     else:
         cl_rows = _ClosureRows(cl_src, src)(rows)
-    bad = _first_image_violation(dst, _index_map(src, dst, f.apply), rows,
-                                 cl_rows, cl_dst)
+    bad = _first_image_violation(dst, img, rows, cl_rows, cl_dst)
     if bad is not None:
         return Verdict("image-compatible", False,
                        {"A": sorted(subsets[bad[0]], key=sort_key),
@@ -1421,15 +1385,35 @@ def closure_image_compatible(f, cl_src, cl_dst, subset_cap=1 << 12,
     return Verdict("image-compatible", True, mode=domain)
 
 
+def _first_unabsorbed(struct, values, clset):
+    """The first (r, x, r x), r a scalar and x in ``values`` in index order,
+    with r x outside ``clset``, read off the act table (for a ring, the rows
+    of ``values`` only, LIST_GRID cells at a time); or None."""
+    lat = subgroup_lattice(struct)
+    x_row, cl_row = _subset_rows(lat, [values, clset])
+    xs = np.flatnonzero(x_row)
+    if lat._module:
+        bad = ~cl_row[lat.act_table()[:, xs]]
+    else:
+        # a ring is commutative: r x is row x of its act table at column r
+        step = max(1, LIST_GRID // lat.n)
+        bad = np.concatenate([~cl_row[lat.act_table(xs[lo:lo + step])]
+                              for lo in range(0, len(xs), step)]).T
+    pos = _first_violation(bad)
+    if pos is None:
+        return None
+    r, x = pos
+    return (lat.scalars[r], lat.elems[xs[x]],
+            lat.elems[lat.act_table([r])[0, xs[x]]])
+
+
 def _first_image_violation(dst, img, rows, cl_rows, cl_dst):
     """The position of the first A with f(cl(A)) outside cl'(f(A)), and the
     least element of the difference, or None: A and cl(A) are bool rows
     over the source lattice, ``img`` is f from it to the target lattice
     ``dst``, and cl' is evaluated once per distinct row of f(A)."""
-    onehot = np.zeros((len(img), dst.n), dtype=np.float32)
-    onehot[np.arange(len(img)), img] = 1
-    bad = (cl_rows @ onehot > 0) & \
-        ~_ClosureRows(cl_dst, dst)(rows @ onehot > 0)
+    bad = _image_rows(img, cl_rows, dst.n) & \
+        ~_ClosureRows(cl_dst, dst)(_image_rows(img, rows, dst.n))
     pos = _first_violation(bad.any(1))
     if pos is None:
         return None
@@ -1466,10 +1450,9 @@ def closure_preimage_compatible(f, cl_src, cl_dst, subset_cap=1 << 12,
                 bad = k, wit[0]
                 break
     else:
-        src, dst = subgroup_lattice(f.src), subgroup_lattice(f.dst)
+        src, dst, img = _hom_map(f)
         bad = _first_preimage_violation(
-            src, dst, _index_map(src, dst, f.apply),
-            _subset_rows(dst, subsets), cl_src, cl_dst)
+            src, dst, img, _subset_rows(dst, subsets), cl_src, cl_dst)
     if bad is not None:
         return Verdict("preimage-compatible", False,
                        {"B": sorted(subsets[bad[0]], key=sort_key),

@@ -3,12 +3,13 @@
 A hom is either a verified finite map table, the canonical reduction
 Z -> Z/n (or Z/n -> Z/k for k | n), or an identity.  A table hom between
 finite rings is verified at construction: unital, then additive and
-multiplicative at every pair, on the two lattices' index tables.
+multiplicative at every pair, on the two lattices' index tables; kernels
+and surjectivity read the hom's index map (``closures._hom_map``).
 """
 
 from __future__ import annotations
 
-from .closures import _first_hom_break, _index_map
+from .closures import _first_hom_break, _hom_map, _index_map, _row_values
 from .errors import PreconditionError
 from .rings import (
     FiniteSubgroup,
@@ -36,16 +37,16 @@ class RingHom:
         if not self.dst.is_finite:
             raise PreconditionError("surjectivity test needs a finite codomain")
         if self.src.is_finite:
-            return self.image_values(self.src.elements()) == frozenset(
-                self.dst.elements())
+            _, dst, img = _hom_map(self)
+            return len(set(img.tolist())) == dst.n
         raise NotImplementedError
 
     def kernel(self):
         """Ker f as a subgroup representation of the source."""
         if self.src.is_finite:
-            ker = {v for v in self.src.elements()
-                   if self.apply(v) == self.dst.zero}
-            return FiniteSubgroup(self.src, ker, check=False)
+            src, dst, img = _hom_map(self)
+            return FiniteSubgroup(self.src, _row_values(src, img == dst.zero),
+                                  check=False)
         raise NotImplementedError
 
     def describe(self):
@@ -63,9 +64,8 @@ class IdentityHom(RingHom):
         return True
 
     def kernel(self):
-        if isinstance(self.src, IntegerRing):
-            return PrincipalSubgroup(0)
-        return super().kernel()
+        return PrincipalSubgroup(0) if isinstance(self.src, IntegerRing) \
+            else super().kernel()
 
 
 class ReductionHom(RingHom):
@@ -74,13 +74,11 @@ class ReductionHom(RingHom):
     def __init__(self, src, dst):
         if not isinstance(dst, ResidueRing):
             raise PreconditionError("reduction target must be a residue ring")
-        if isinstance(src, IntegerRing):
-            pass
-        elif isinstance(src, ResidueRing):
+        if isinstance(src, ResidueRing):
             if src.n % dst.n != 0:
                 raise PreconditionError(
                     f"no reduction Z/{src.n} -> Z/{dst.n}: {dst.n} does not divide {src.n}")
-        else:
+        elif not isinstance(src, IntegerRing):
             raise PreconditionError("reduction source must be Z or a residue ring")
         super().__init__(src, dst)
 
@@ -91,9 +89,8 @@ class ReductionHom(RingHom):
         return True
 
     def kernel(self):
-        if isinstance(self.src, IntegerRing):
-            return PrincipalSubgroup(self.dst.n)
-        return super().kernel()
+        return PrincipalSubgroup(self.dst.n) \
+            if isinstance(self.src, IntegerRing) else super().kernel()
 
 
 class TableHom(RingHom):

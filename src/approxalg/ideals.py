@@ -3,9 +3,11 @@
 An approximate ideal is an additive subgroup whose products with ring
 elements land in its closure (absorption into cl(I), not into I itself).
 Primality likewise tests products against the closure: xy in cl(P) forces
-x in P or y in P.  On finite rings everything is decided exhaustively; on
-the integers the modular closures admit closed forms which are cross-checked
-by bounded brute force.
+x in P or y in P.  On finite rings everything is decided exhaustively on
+the subgroup lattice's index tables (products from ``act_table``, subgroups
+carried along a hom as bool rows through its index map); on the integers
+the modular closures admit closed forms which are cross-checked by
+bounded brute force.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from .closures import (
     closure_preimage_compatible,
     materialize,
 )
+from .closures import _chunks, _first_unabsorbed, _first_violation, _hom_map
+from .closures import _image_rows, _row_values, _subset_rows
 from .errors import DomainMismatchError, PreconditionError, ResourceLimitError
 from .reports import Verdict
 from .rings import (
@@ -33,6 +37,7 @@ from .rings import (
     PrincipalSubgroup,
     ResidueRing,
     TableRing,
+    enumerate_subgroups,
     ideal_classical_product,
     ideal_from_subgroup,
     is_additive_subgroup,
@@ -103,14 +108,11 @@ def is_approx_ideal(s, cl):
     if not is_additive_subgroup(ring, values):
         return False, {"reason": "not-a-subgroup",
                        "S": sorted(values, key=sort_key)}
-    clset = materialize(cl, values)
-    for r in sorted(ring.elements(), key=sort_key):
-        for x in sorted(values, key=sort_key):
-            p = ring.mul(r, x)
-            if p not in clset:
-                return False, {"reason": "absorption", "r": r, "s": x,
-                               "witness": p}
-    return True, None
+    hit = _first_unabsorbed(ring, values, materialize(cl, values))
+    if hit is None:
+        return True, None
+    r, x, p = hit
+    return False, {"reason": "absorption", "r": r, "s": x, "witness": p}
 
 
 def is_approx_prime(p, cl, check_ideal=True):
@@ -134,10 +136,7 @@ def is_approx_prime(p, cl, check_ideal=True):
         g = math.gcd(d, m)
         if g == 1:
             return False, {"reason": "closure-is-whole-ring", "x": 1, "y": 1}
-        if m == 0:
-            ok = d == 0 or is_prime(d)
-        else:
-            ok = is_prime(d) and m % d == 0
+        ok = d == 0 or is_prime(d) if m == 0 else is_prime(d) and m % d == 0
         if ok:
             return True, None
         return False, _z_prime_counterexample(d, g)
@@ -150,15 +149,18 @@ def is_approx_prime(p, cl, check_ideal=True):
         # such P can never be approximately prime; witness (1, 1)
         return False, {"reason": "closure-is-whole-ring",
                        "x": ring.one, "y": ring.one}
-    elems = sorted(ring.elements(), key=sort_key)
-    for x in elems:
-        if x in values:
-            continue
-        for y in elems:
-            if y in values:
-                continue
-            if ring.mul(x, y) in clset:
-                return False, {"x": x, "y": y, "product": ring.mul(x, y)}
+    # x y for x, y outside P in index order, from the act rows of such x
+    lat = subgroup_lattice(ring)
+    p_row, cl_row = _subset_rows(lat, [values, clset])
+    out = np.flatnonzero(~p_row)
+    step = max(1, closures.LIST_GRID // lat.n)
+    for lo in range(0, len(out), step):
+        prods = lat.act_table(out[lo:lo + step])[:, out]
+        pos = _first_violation(cl_row[prods])
+        if pos is not None:
+            x, y = pos
+            return False, {"x": lat.elems[out[lo + x]], "y": lat.elems[out[y]],
+                           "product": lat.elems[prods[x, y]]}
     return True, None
 
 
@@ -402,11 +404,11 @@ def quotient_ring(ring, ideal):
 
     # the classes are the cosets x + cl(I), listed as x + j for j in cl(I)
     lat = subgroup_lattice(ring)
-    tab = closures._index_tables(lat)
     labels, cosets = closures._quotient_labels(
         lat, lat.mask(clset), (1 << lat.n) - 1)
     shift = [lat.index[j] for j in clset]
-    classes = [(lat.elems[i], frozenset(lat.elems[k] for k in tab.add[shift, i]))
+    classes = [(lat.elems[i],
+                frozenset(lat.elems[k] for k in lat.add_table[shift, i]))
                for i, _ in cosets]
     rep_of = dict(zip(lat.elems, (lat.elems[i] for i in labels)))
 
@@ -421,8 +423,8 @@ def quotient_ring(ring, ideal):
         x = lat.elems[hit[0]]
         return {"x": x, "x2": rep_of[x], "y": lat.elems[hit[1]]}
 
-    add_ce = first_break(tab.add.__getitem__)
-    mul_ce = first_break(tab.act.__getitem__)
+    add_ce = first_break(lat.add_table.__getitem__)
+    mul_ce = first_break(lat.act_table)
     verdicts.append(Verdict("addition-well-defined", add_ce is None, add_ce))
     verdicts.append(Verdict("multiplication-well-defined", mul_ce is None,
                             mul_ce))
@@ -554,27 +556,28 @@ def check_thm_ring_prime(ring, cl, z_bound=None):
             if not side2:
                 break
     else:
-        cl0 = materialize(cl, {ring.zero})
-        elems = sorted(ring.elements(), key=sort_key)
-        side2 = True
-        ce2 = None
-        for a in elems:
-            if a == ring.zero:
-                continue
-            for b in elems:
-                if b == ring.zero:
-                    continue
-                if all(ring.mul(ring.mul(a, r), b) in cl0 for r in elems):
-                    side2 = False
-                    ce2 = {"a": a, "b": b}
-                    break
-            if not side2:
-                break
+        ce2 = _zero_sandwich(ring, cl)
+        side2 = ce2 is None
     agree = side1 == side2
     return Verdict("prime-ring-characterization", agree,
                    None if agree else {"prime-ring": side1, "condition": side2,
                                        "ce1": ce1, "ce2": ce2},
                    details={"prime-ring": side1, "condition": side2})
+
+
+def _zero_sandwich(ring, cl):
+    """The first nonzero (a, b) in index order with aRb inside cl(0), or
+    None: each (a r) b read off the act table, rows a in chunks."""
+    lat = subgroup_lattice(ring)
+    act = lat.act_table()
+    (cl0,) = _subset_rows(lat, [materialize(cl, {ring.zero})])
+    nonzero = np.flatnonzero(np.arange(lat.n) != lat.zero)
+    for lo, hi in _chunks(len(nonzero), lat.n * len(nonzero)):
+        a = nonzero[lo:hi]
+        pos = _first_violation(cl0[act[act[a]][:, :, nonzero]].all(1))
+        if pos is not None:
+            return {"a": lat.elems[a[pos[0]]], "b": lat.elems[nonzero[pos[1]]]}
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -651,41 +654,44 @@ def _prime_or_false(base, cl):
 
 def _preimage_subgroup(f, base):
     if isinstance(f.src, IntegerRing):
-        n = f.dst.n
-        vals = base.values
-        g = n
-        for b in vals:
-            g = math.gcd(g, b)
-        return PrincipalSubgroup(g)
-    pre = {x for x in f.src.elements() if f.apply(x) in base.values}
-    return FiniteSubgroup(f.src, pre, check=False)
+        return PrincipalSubgroup(math.gcd(f.dst.n, *base.values))
+    src, dst, img = _hom_map(f)
+    (pre,) = _subset_rows(dst, [base.values])
+    return FiniteSubgroup(f.src, _row_values(src, pre[img]), check=False)
 
 
 def _image_subgroup(f, base):
     if isinstance(base, PrincipalSubgroup):
         return subgroup_generated(f.dst, [f.apply(base.d)])
-    img = {f.apply(x) for x in base.values}
-    return FiniteSubgroup(f.dst, img, check=True)
+    src, dst, img = _hom_map(f)
+    image = _image_rows(img, _subset_rows(src, [base.values])[0], dst.n)
+    return FiniteSubgroup(f.dst, _row_values(dst, image), check=True)
 
 
 def _pullback_identity_verdict(f, gen_bound=60):
-    """f^{-1}(f(A)) = A + Ker f over the tested subgroup domain."""
+    """f^{-1}(f(A)) = A + Ker f over the tested subgroup domain.  Over Z,
+    A = (d): the left side is the gcd of the x in [0, 2n] that f sends into
+    <f(d)>, the right (d) + (n).  On a finite ring both are bool rows, A +
+    Ker f the union of A's translates by the kernel."""
     if isinstance(f.src, IntegerRing):
         n = f.dst.n
+        window = range(2 * n + 1)
+        values = [f.apply(x) for x in window]
         for d in range(gen_bound + 1):
-            lhs = math.gcd(d, n)  # generator of the preimage of <d mod n>
-            rhs = math.gcd(d, n)  # (d) + (n)
-            if lhs != rhs:
+            target = closures._z_image_of_principal(f, d)
+            lhs = math.gcd(*(x for x, v in zip(window, values) if v in target))
+            if lhs != math.gcd(d, n):
                 return Verdict("pullback-identity", False, {"A": f"({d})"})
         return Verdict("pullback-identity", True,
                        mode=f"(d) for d <= {gen_bound}")
-    from .rings import enumerate_subgroups
-    for sub in enumerate_subgroups(f.src):
-        img = {f.apply(x) for x in sub.values}
-        lhs = {x for x in f.src.elements() if f.apply(x) in img}
-        ker = f.kernel().values
-        rhs = {f.src.add(a, k) for a in sub.values for k in ker}
-        if lhs != rhs:
-            return Verdict("pullback-identity", False,
-                           {"A": sorted(sub.values, key=sort_key)})
+    subs = enumerate_subgroups(f.src)
+    src, dst, img = _hom_map(f)
+    rows = _subset_rows(src, [sub.values for sub in subs])
+    lhs = _image_rows(img, rows, dst.n)[:, img]
+    (ker,) = _subset_rows(src, [f.kernel().values])
+    rhs = rows[:, src.neg_add_table[np.flatnonzero(ker)]].any(1)
+    pos = _first_violation((lhs != rhs).any(1))
+    if pos is not None:
+        return Verdict("pullback-identity", False,
+                       {"A": sorted(subs[pos[0]].values, key=sort_key)})
     return Verdict("pullback-identity", True, mode="all subgroups")

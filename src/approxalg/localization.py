@@ -7,8 +7,10 @@ representative independence is checked, not assumed.
 
 Finite base rings decide the relation on the index tables of the base's
 subgroup lattice, and the operations by the representative test quotient
-rings use (``closures._first_label_break``).  For the integers with the
-modular closure, multiplying by elements of S can only absorb the prime
+rings use (``closures._first_label_break``); a pair-label grid (the class
+of (a, s) at row a, column slot(s)) then serves the canonical map,
+extension, contraction and the transferred closure.  For the integers with
+the modular closure, multiplying by elements of S can only absorb the prime
 factors of m shared with S, so the classes collapse onto Z/m0 where m0 is
 the generator of {z : exists u in S with uz = 0 mod m}; everything is then
 decided by exact residue arithmetic (with u ranging over saturation
@@ -22,6 +24,7 @@ import math
 import numpy as np
 
 from .closures import (
+    LIST_GRID,
     ClosureSpec,
     _chunks,
     _ClosureRows,
@@ -29,8 +32,8 @@ from .closures import (
     _first_label_break,
     _first_preimage_violation,
     _first_violation,
-    _index_map,
-    _index_tables,
+    _image_rows,
+    _row_values,
     _subset_rows,
     check_axioms,
     materialize,
@@ -49,6 +52,7 @@ from .rings import (
     PrincipalSubgroup,
     TableRing,
     Z,
+    _mask,
     enumerate_subgroups,
     ideal_closure_set,
     ideal_generated,
@@ -198,19 +202,14 @@ class LocalizedRing:
         sat_m = self.mult.residues(m)
         self.sat_residues_mod_m = sat_m
         absorbed = {z for z in range(m) if any((u * z) % m == 0 for u in sat_m)}
-        g0 = m
-        for z in absorbed:
-            g0 = math.gcd(g0, z)
+        g0 = math.gcd(m, *absorbed)
         self.m0 = g0 if g0 > 0 else m
         m0 = self.m0
         for s in sat_m:
             if math.gcd(s, m0) != 1:
                 raise InvariantError(
                     "saturation residue not invertible modulo the class modulus")
-        if m0 == 1:
-            elems = [0]
-        else:
-            elems = list(range(m0))
+        elems = list(range(m0))
         self.model = TableRing(
             f"S^-1Z (classes mod {m0})", elems,
             add=lambda a, b: (a + b) % m0 if m0 > 1 else 0,
@@ -223,6 +222,9 @@ class LocalizedRing:
         self._class_members = {c: tuple(((c * s) % m0 if m0 > 1 else 0, s)
                                         for s in self.denominators)
                                for c in elems}
+        # the class of (a, s) is a s^-1 mod m0, for each residue a
+        inverse = [pow(s, -1, m0) if m0 > 1 else 0 for s in self.denominators]
+        self._pair_labels = np.arange(len(elems))[:, None] * inverse % m0
         self._verify_z_relation()
 
     def to_class_z(self, a, s):
@@ -314,8 +316,7 @@ class LocalizedRing:
         pairs = [(a, s) for a in lat.elems for s in sat]
         if len(pairs) > 4096:
             raise ResourceLimitError(f"{len(pairs)} pairs exceed the guard")
-        tab = _index_tables(lat)
-        mul, n_pairs, ns = tab.act, len(pairs), len(sat)
+        mul, n_pairs, ns = lat.act_table(), len(pairs), len(sat)
         s_idx = np.array([lat.index[s] for s in sat], dtype=np.intp)
         slot = np.full(lat.n, -1, dtype=np.intp)
         slot[s_idx] = np.arange(ns)
@@ -327,7 +328,7 @@ class LocalizedRing:
         for lo, hi in _chunks(n_pairs, n_pairs):
             at = mul[num[lo:hi, None], den]
             bs = mul[num, den[lo:hi, None]]
-            grid[lo:hi] = absorbed[tab.neg_add[bs, at]]
+            grid[lo:hi] = absorbed[lat.neg_add_table[bs, at]]
 
         # merge the component of i with those of the later pairs the grid
         # links to it; a component's label stays its least pair
@@ -359,13 +360,17 @@ class LocalizedRing:
         self.sat = self.denominators = sat
 
         reps = np.flatnonzero(labels == np.arange(n_pairs))
+        # pairs in index order are in sort_key order, as the model's elements
+        self._pair_labels = np.searchsorted(reps, labels).reshape(lat.n, ns)
+        self._sat_act = mul[s_idx]
 
         def ops(x):
             """For pairs x = (a, s) and each representative y = (b, t), the
             pairs of x + y and x * y side by side: (a t + b s, s t), (a b, s t)."""
             a, s = num[x, None], den[x, None]
             st = slot[mul[s, den[reps]]]
-            return np.stack([tab.add[mul[num[reps], s], mul[a, den[reps]]],
+            return np.stack([lat.add_table[mul[num[reps], s],
+                                           mul[a, den[reps]]],
                              mul[a, num[reps]]], axis=2).reshape(len(x), -1) \
                 * ns + np.repeat(st, 2, axis=1)
 
@@ -402,59 +407,48 @@ class LocalizedRing:
             return self.to_class_z(Z.canon(x), 1)
         return self._pair_class[(self.base.canon(x), self.base.one)]
 
-    def _pullback_closure(self, a_values, s):
-        """cl_R({x : x/s in A}) in membership-testable form."""
+    def _iota_map(self):
+        """iota as an index map (finite base): the grid's column at s = 1."""
+        return self._pair_labels[:, self.denominators.index(self.base.one)]
+
+    def _pullbacks(self, values):
+        """cl_R({x : x/s in A}) per denominator s: over Z (g), its residues
+        a s mod m0 for a in A; else a set, A's row through the grid at s."""
         if isinstance(self.base, IntegerRing):
             m0 = self.m0
             if m0 == 1:
-                return 1  # the pullback spans everything
-            residues = {(a * s) % m0 for a in a_values}
-            g = m0
-            for r in residues:
-                g = math.gcd(g, r)
-            if not residues:
-                g = 0
-            return self.base_cl.z_principal_image(g)
-        members = {x for x in self.base.elements()
-                   if self._pair_class[(x, s)] in a_values}
-        return materialize(self.base_cl, members)
-
-    def _exists_u_multiplying_into(self, a, pullback_cl):
-        if isinstance(self.base, IntegerRing):
-            g = pullback_cl
-            return any((u * a) % g == 0 if g else (u * a) == 0
-                       for u in self.sat_residues_mod_m)
-        return any(self.base.mul(u, a) in pullback_cl for u in self.sat)
+                return [1] * len(self.denominators)  # the pullback spans Z
+            return [self.base_cl.z_principal_image(
+                math.gcd(m0, *res) if res else 0) for res in (
+                    {(a * s) % m0 for a in values} for s in self.denominators)]
+        lat = subgroup_lattice(self.base)
+        (a_row,) = _subset_rows(subgroup_lattice(self.model), [values])
+        return [materialize(self.base_cl, _row_values(lat, p))
+                for p in a_row[self._pair_labels].T]
 
     def _class_masks(self, values):
-        """``_pair_masks`` joined over the denominators s, each with the
-        pullback closure of A at s: a class in both masks has
-        representatives on both sides."""
+        """Masks over the classes (model order) with a representative (a, s)
+        such that u * a lies in the pullback closure at s for some u in S,
+        and with one such that none does; cached by (s, pullback closure)."""
         hits = misses = 0
-        for s in self.denominators:
-            hit, miss = self._pair_masks(s, self._pullback_closure(values, s))
-            hits |= hit
-            misses |= miss
+        for t, pullback in enumerate(self._pullbacks(values)):
+            masks = self._masks.get((t, pullback))
+            if masks is None:
+                if isinstance(self.base, IntegerRing):
+                    prods = np.multiply.outer(self.sat_residues_mod_m,
+                                              np.arange(self.m0))
+                    ok = (prods % pullback == 0 if pullback else prods == 0)
+                else:
+                    (cl,) = _subset_rows(subgroup_lattice(self.base),
+                                         [pullback])
+                    ok = cl[self._sat_act]
+                col = self._pair_labels[:, t]
+                masks = self._masks[(t, pullback)] = tuple(
+                    _mask(set(col[side].tolist()))
+                    for side in (ok.any(0), ~ok.any(0)))
+            hits |= masks[0]
+            misses |= masks[1]
         return hits, misses
-
-    def _pair_masks(self, s, pullback_cl):
-        """Two masks over the classes, by their position in the model: the
-        classes with a representative (a, s) that lands in the pullback
-        closure (u * a in it for some u in S), and those with one that
-        does not.  Cached by (s, pullback): s ranges over the denominators
-        and the pullback over the closed sets of the base."""
-        masks = self._masks.get((s, pullback_cl))
-        if masks is None:
-            hit = miss = 0
-            for i, cls_value in enumerate(self.model.elements()):
-                for a, t in self.class_pairs(cls_value):
-                    if t == s:
-                        if self._exists_u_multiplying_into(a, pullback_cl):
-                            hit |= 1 << i
-                        else:
-                            miss |= 1 << i
-            masks = self._masks[(s, pullback_cl)] = (hit, miss)
-        return masks
 
     def class_count(self):
         return self.model.cardinality()
@@ -532,7 +526,7 @@ def check_iota_functorial(loc, z_gen_bound=120):
     else:
         # iota as an index array from the base's lattice to the model's
         base, model = subgroup_lattice(loc.base), subgroup_lattice(loc.model)
-        img = _index_map(base, model, loc.iota)
+        img = loc._iota_map()
         xs = [sub.values for sub in enumerate_subgroups(loc.base)]
         rows = _subset_rows(base, xs)
         bad = _first_image_violation(
@@ -569,8 +563,11 @@ def extend(loc, p_sub):
             step = math.gcd(p_sub.d, m0)
             values = frozenset(range(0, m0, step)) if step else frozenset({0})
     else:
-        values = frozenset(loc._pair_class[(a, s)] for a in p_sub.values
-                           for s in loc.sat)
+        # the classes of the pairs (a, s), a in P: rows of the grid
+        base, model = subgroup_lattice(loc.base), subgroup_lattice(loc.model)
+        (p_row,) = _subset_rows(base, [p_sub.values])
+        values = _row_values(model, _image_rows(
+            loc._pair_labels.ravel(), p_row.repeat(len(loc.sat)), model.n))
     sub = FiniteSubgroup(loc.model, values, check=False)
     proper = not sub.is_whole()
     ce = None if proper else {"P-meets-S": loc.mult.meets(p_sub)}
@@ -585,13 +582,12 @@ def contract(loc, q_sub):
     """q^c = iota^{-1}(q) back in the base ring, with a primeness verdict."""
     if isinstance(loc.base, IntegerRing):
         m0 = loc.m0
-        g = m0
-        for v in q_sub.values:
-            g = math.gcd(g, v)
-        out = PrincipalSubgroup(g if m0 > 1 else 1)
+        out = PrincipalSubgroup(math.gcd(m0, *q_sub.values) if m0 > 1 else 1)
     else:
-        vals = {x for x in loc.base.elements() if loc.iota(x) in q_sub.values}
-        out = FiniteSubgroup(loc.base, vals, check=False)
+        base, model = subgroup_lattice(loc.base), subgroup_lattice(loc.model)
+        (q_row,) = _subset_rows(model, [q_sub.values])
+        out = FiniteSubgroup(
+            loc.base, _row_values(base, q_row[loc._iota_map()]), check=False)
     q_prime, _ = is_approx_prime(q_sub, loc.transferred, check_ideal=False) \
         if not q_sub.is_whole() else (False, None)
     verdicts = []
@@ -659,17 +655,19 @@ def check_ext_contr_bijection(loc, z_bound=None):
 
 def _power_orbit_members(ring, clset):
     """The g of a finite ring with some positive power in ``clset``.  A
-    power sequence in a finite ring is eventually periodic; each is walked
-    until it repeats, which keeps the exponent bound honest per instance."""
-    members = set()
-    for g in ring.elements():
-        seen, x = set(), g
-        while x not in seen and x not in clset:
-            seen.add(x)
-            x = ring.mul(x, g)
-        if x in clset:
-            members.add(g)
-    return members
+    power sequence in a finite ring takes at most n values, all among its
+    first n powers; these are read off the lattice's ``act_table`` in
+    doubling blocks, g^(m + j) = g^m g^j, for LIST_GRID cells of g at once."""
+    lat = subgroup_lattice(ring)
+    (inside,) = _subset_rows(lat, [clset])
+    act, members = lat.act_table(), np.zeros(lat.n, dtype=bool)
+    step = max(1, LIST_GRID // lat.n)
+    for lo in range(0, lat.n, step):
+        powers = np.arange(lo, min(lat.n, lo + step))[:, None]
+        while powers.shape[1] < lat.n:
+            powers = np.hstack([powers, act[powers[:, -1:], powers]])
+        members[lo:lo + step] = inside[powers].any(1)
+    return set(_row_values(lat, members))
 
 
 def radical(ring, cl, ideal):

@@ -69,10 +69,7 @@ class FiniteModule:
             self.scalar_reps = list(range(scalar_ring.n))
         elif isinstance(scalar_ring, IntegerRing):
             # the action factors through Z/lcm(orders)
-            exp = 1
-            for n_i in orders:
-                exp = math.lcm(exp, n_i)
-            self.scalar_reps = list(range(exp))
+            self.scalar_reps = list(range(math.lcm(*orders)))
         else:
             raise PreconditionError("scalars must be Z or a residue ring")
         self.scalar_ring = scalar_ring
@@ -83,10 +80,7 @@ class FiniteModule:
         return itertools.product(*[range(n) for n in self.orders])
 
     def cardinality(self):
-        out = 1
-        for n in self.orders:
-            out *= n
-        return out
+        return math.prod(self.orders)
 
     def add(self, x, y):
         return tuple((a + b) % n for a, b, n in zip(x, y, self.orders))
@@ -283,13 +277,10 @@ def is_approx_submodule(mod, n_values, cl):
     n_values = frozenset(mod.canon(v) for v in n_values)
     if not is_additive_subgroup(mod, n_values):
         raise PreconditionError("N is not an additive subgroup")
-    clset = cl.eval_set(n_values)
-    for r in mod.scalar_reps:
-        for x in sorted(n_values, key=sort_key):
-            y = mod.act(r, x)
-            if y not in clset:
-                return False, {"r": r, "x": x, "witness": y}
-    return True, None
+    hit = closures._first_unabsorbed(mod, n_values, cl.eval_set(n_values))
+    if hit is None:
+        return True, None
+    return False, dict(zip(("r", "x", "witness"), hit))
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +342,6 @@ def module_quotient(mod, n_values, cl):
     verdicts = [Verdict("cl(N)-is-subgroup", True)]
     q = QuotientModule(mod, mod.elements(), cl.eval_set(n_values), verdicts)
     lat = q.lat
-    tab = closures._index_tables(lat)
 
     def first_break(table, key, operands):
         hit = closures._first_label_break(q.labels, table, q.member_rows())
@@ -360,8 +350,8 @@ def module_quotient(mod, n_values, cl):
         x = lat.elems[hit[0]]
         return {"x": x, "x2": q.rep_of[x], key: operands[hit[1]]}
 
-    add_ce = first_break(tab.add.__getitem__, "y", lat.elems)
-    act_ce = first_break(tab.act.T.__getitem__, "r", lat.scalars)
+    add_ce = first_break(lat.add_table.__getitem__, "y", lat.elems)
+    act_ce = first_break(lat.act_table().T.__getitem__, "r", lat.scalars)
     verdicts.append(Verdict("addition-well-defined", add_ce is None, add_ce))
     verdicts.append(Verdict("action-well-defined", act_ce is None, act_ce))
     return q
@@ -385,9 +375,7 @@ class ModuleHom:
         missing = [x for x in src.elements() if x not in self.mapping]
         if missing:
             raise PreconditionError(f"map table missing {len(missing)} entries")
-        self.img = closures._index_map(subgroup_lattice(src),
-                                       subgroup_lattice(dst),
-                                       self.mapping.__getitem__)
+        _, _, self.img = closures._hom_map(self)
         problem = self._approx_hom_violation()
         if problem is not None:
             raise PreconditionError(f"not an approximate homomorphism: {problem}")
@@ -406,10 +394,11 @@ class ModuleHom:
         return self.mapping[self.src.canon(x)]
 
     def kernel(self):
-        """Ker f = {x : f(x) in cl'(0)}."""
-        cl0 = self.cl_dst.eval_set(frozenset({self.dst.zero}))
-        return frozenset(x for x in self.src.elements()
-                         if self.mapping[x] in cl0)
+        """Ker f = {x : f(x) in cl'(0)}, the preimage of cl'(0)."""
+        cl0 = closures._subset_rows(subgroup_lattice(self.dst), [
+            self.cl_dst.eval_set(frozenset({self.dst.zero}))])
+        return closures._row_values(subgroup_lattice(self.src),
+                                    cl0[0][self.img])
 
     def image_q(self):
         """Im^q f: the classes f(x) + cl'(0) inside M'/cl'(0)."""
@@ -419,8 +408,9 @@ class ModuleHom:
 
     def image_c(self):
         """Im_c f = cl'(f(M)), the closure of the raw image set."""
-        return self.cl_dst.eval_set(
-            frozenset(self.mapping[x] for x in self.src.elements()))
+        dst = subgroup_lattice(self.dst)
+        return self.cl_dst.eval_set(closures._row_values(
+            dst, np.isin(np.arange(dst.n), self.img)))
 
     def image_compatible(self, sample=200, seed=0):
         """f(cl(X)) inside cl'(f(X)) over submodules plus sampled subsets."""
@@ -492,13 +482,13 @@ def _check_map_is_module_iso(name, src, dst, phi, targets):
     image = phi[reps]
     hit, targets = set(image.tolist()), set(targets.tolist())
     inj, sur = len(hit) == len(image), hit == targets
-    ts, td = closures._index_tables(s), closures._index_tables(d)
     act = np.array([d.act_row(r) for r in s.scalars], dtype=np.intp)
+    add_s, add_d, act_s = s.add_table, d.add_table, s.act_table()
     add_hit = closures._first_cell_break(
-        lambda x: (phi[ls[ts.add[x][:, reps]]], ld[td.add[phi[x]][:, image]]),
+        lambda x: (phi[ls[add_s[x][:, reps]]], ld[add_d[phi[x]][:, image]]),
         reps)
     act_hit = closures._first_cell_break(
-        lambda x: (phi[ls[ts.act[:, x].T]], ld[act[:, phi[x]].T]), reps)
+        lambda x: (phi[ls[act_s[:, x].T]], ld[act[:, phi[x]].T]), reps)
     add_ce = act_ce = None
     if add_hit is not None:
         add_ce = {"x": s.elems[add_hit[0]], "y": s.elems[reps[add_hit[1]]]}
@@ -540,7 +530,7 @@ def iso_first(f):
         np.unique(phi))
     # the closed image is reported for comparison only: when it differs
     # from the raw image no relation between the two is asserted
-    raw_image = {f.apply(x) for x in f.src.elements()}
+    raw_image = {q_dst.lat.elems[j] for j in f.img.tolist()}
     imc = f.image_c()
     verdicts.append(Verdict(
         "closed-image-report", True, details={
@@ -616,7 +606,7 @@ def iso_third(mod, cl, n_values, k_values):
     reps = _reps(labels)
     clk = np.unique(labels[[lat.index[x] for x in cl_k]])
     outer = np.full(lat.n, -1, dtype=np.intp)
-    outer[reps] = labels[closures._index_tables(lat).add[reps][:, clk]].min(1)
+    outer[reps] = labels[lat.add_table[reps][:, clk]].min(1)
     outer = outer[labels]
     phi, split = _class_map(outer, big.labels, reps)
     well_ce = None if split is None else {"class-of": lat.elems[split]}

@@ -47,9 +47,8 @@ class Variety:
 
     def _zeros(self, functions):
         ring = self.ring
-        idxs = [i for i in range(ring.npoints)
-                if all(f[i] == 0 for f in functions)]
-        return frozenset(ring.points[i] for i in idxs)
+        return frozenset(ring.points[i] for i in range(ring.npoints)
+                         if all(f[i] == 0 for f in functions))
 
     def sorted_points(self):
         return sorted(self.points)
@@ -87,12 +86,9 @@ def vanishing_ideal(ring, points):
 def maximal_point_ideal(ring, a):
     """The point ideal generated by x_i - a_i, canonicalized."""
     a = tuple(a)
-    gens = []
-    for i in range(ring.nvars):
-        xi = ring.variable(i)
-        const = ring.constant(a[i])
-        gens.append(ring.sub(xi, const))
-    return ideal_generated(ring, gens)
+    return ideal_generated(ring, [
+        ring.sub(ring.variable(i), ring.constant(a[i]))
+        for i in range(ring.nvars)])
 
 
 def rad_phi(ring, ideal, cl):
@@ -110,16 +106,22 @@ def all_function_ring_ideals(ring):
     return classical_ideals(ring)
 
 
+def _ideal_sides(cl, ideals):
+    """(I, rad(I), I(V(I))) for each ideal in turn, the last two as value
+    sets: the sides of both the separation hypothesis and the identity."""
+    ring = cl.ring
+    for ideal in ideals:
+        v = variety(ring, ideal)
+        yield (ideal, frozenset(rad_phi(ring, ideal, cl).canonical.values),
+               frozenset(vanishing_ideal(ring, v.points).canonical.values))
+
+
 def check_esep(cl, ideals):
     """Evaluation separation: f vanishing on V(I) lies in rad(I)."""
     ring = cl.ring
     ce = None
-    for ideal in ideals:
-        v = variety(ring, ideal)
-        rad = rad_phi(ring, ideal, cl)
-        vanishing = vanishing_ideal(ring, v.points)
-        missing = frozenset(vanishing.canonical.values) - \
-            frozenset(rad.canonical.values)
+    for ideal, rad, vanishing in _ideal_sides(cl, ideals):
+        missing = vanishing - rad
         if missing:
             ce = {"ideal": [ring.format_element(g) for g in ideal.generators],
                   "f": ring.format_element(sorted(missing, key=sort_key)[0])}
@@ -149,23 +151,18 @@ def check_pp(cl):
 
 
 def check_ans(cl, ideals):
-    """rad(I) = I(V(I)) for each ideal, after the two hypotheses hold."""
-    esep = check_esep(cl, ideals)
+    """rad(I) = I(V(I)) for each ideal, after the two hypotheses hold; each
+    ideal's sides are computed once, for both."""
+    ring, sides = cl.ring, list(_ideal_sides(cl, ideals))
+    esep = all(vanishing <= rad for _, rad, vanishing in sides)
     pp = check_pp(cl)
-    if not (esep.passed and pp.passed):
+    if not (esep and pp.passed):
         raise PreconditionError(
             "hypothesis not established: "
-            f"ESEP={esep.passed}, PP={pp.passed}")
-    ring = cl.ring
-    ce = None
-    for ideal in ideals:
-        v = variety(ring, ideal)
-        lhs = frozenset(rad_phi(ring, ideal, cl).canonical.values)
-        rhs = frozenset(vanishing_ideal(ring, v.points).canonical.values)
-        if lhs != rhs:
-            ce = {"ideal": [ring.format_element(g) for g in ideal.generators],
-                  "radical-size": len(lhs), "vanishing-size": len(rhs)}
-            break
+            f"ESEP={esep}, PP={pp.passed}")
+    ce = next(({"ideal": [ring.format_element(g) for g in ideal.generators],
+                "radical-size": len(lhs), "vanishing-size": len(rhs)}
+               for ideal, lhs, rhs in sides if lhs != rhs), None)
     return Verdict("radical-equals-vanishing-ideal", ce is None, ce,
                    mode=f"{len(ideals)} ideals")
 
@@ -218,12 +215,10 @@ def search_esep_without_pp(ring, closures=None):
     for cl in closures:
         if check_pp(cl).passed:
             continue
-        if not check_esep(cl, ideals).passed:
+        sides = list(_ideal_sides(cl, ideals))
+        if not all(vanishing <= rad for _, rad, vanishing in sides):
             continue
-        for ideal in ideals:
-            v = variety(ring, ideal)
-            lhs = frozenset(rad_phi(ring, ideal, cl).canonical.values)
-            rhs = frozenset(vanishing_ideal(ring, v.points).canonical.values)
+        for ideal, lhs, rhs in sides:
             if not lhs <= rhs:
                 findings.append({
                     "closure": cl.describe(),

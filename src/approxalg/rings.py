@@ -22,7 +22,9 @@ Additive subgroups are ``FiniteSubgroup`` (explicit sets, finite rings) or
 ``repr``, so code above this module need not ask which kind it holds.
 One kernel, ``subgroup_lattice``, answers every subgroup, span and lattice
 question for finite rings, their quotient and localization models, and
-finite modules.
+finite modules; code above this module reads finite sums and products off
+its index tables (``add_table``, ``act_table``), as the ideal, prime and
+transport tests do.
 Finitely generated ideals carry their generators plus a canonical subgroup
 form with decidable membership.
 """
@@ -32,6 +34,9 @@ from __future__ import annotations
 import itertools
 import math
 import weakref
+from functools import cached_property
+
+import numpy as np
 
 from . import polynomials as poly
 from .errors import (
@@ -523,9 +528,9 @@ class _Lattice:
     of any width.  A ring acts on itself by ``mul``, a module (a structure
     with ``scalar_reps``) by ``act``.  The rows "add e_i" and the orbits
     R*e_i are built on first use, so a large ring pays only for the rows a
-    call touches.  Structures are held weakly: the lattice is cached under
-    the first in a weak dictionary, serves every equal one asked for, and
-    keeps working for its callers when the first dies.
+    call touches, and the act table likewise.  Structures are held weakly:
+    the lattice is cached under the first in a weak dictionary, serves every
+    equal one asked for, and keeps working for its callers while one lives.
     """
 
     def __init__(self, struct):
@@ -540,8 +545,43 @@ class _Lattice:
         self._orbits = [None] * self.n
 
     def _struct(self):
-        """A live structure among those the lattice has served."""
-        return next(s for s in (ref() for ref in self._refs) if s is not None)
+        """A live structure among those the lattice has served (a strong
+        reference would pin the lattice's own key in the weak cache)."""
+        for struct in (ref() for ref in self._refs):
+            if struct is not None:
+                return struct
+        raise PreconditionError("every structure this subgroup lattice "
+                                "served has been collected")
+
+    @cached_property
+    def add_table(self):
+        """Row i is the permutation "add e_i": j -> index of e_j + e_i."""
+        return np.array([self.add_row(i) for i in range(self.n)],
+                        dtype=np.intp)
+
+    @cached_property
+    def neg_add_table(self):
+        """``neg_add_table[i, k]`` is the index of e_k - e_i: each row of
+        ``add_table`` is a permutation, and this row its inverse."""
+        return np.argsort(self.add_table, axis=1)
+
+    @cached_property
+    def _act_store(self):
+        """The act table and the set of its rows not built yet."""
+        return (np.empty((len(self.scalars), self.n), dtype=np.intp),
+                set(range(len(self.scalars))))
+
+    def act_table(self, rows=None):
+        """act[t, j], the index of r_t e_j for the t-th scalar (a ring's e_t),
+        for every t or the scalar indices ``rows``.  A row is built on first
+        use, so a call pays only for the products it reads."""
+        table, missing = self._act_store
+        if missing:
+            todo = missing if rows is None else missing.intersection(rows)
+            for t in todo:
+                table[t] = self.act_row(self.scalars[t])
+            missing -= todo
+        return table if rows is None else table[rows]
 
     def _act(self):
         struct = self._struct()
@@ -869,9 +909,10 @@ def ideal_classical_product(i, j):
         a = i.canonical.d
         b = j.canonical.d
         return ideal_generated(ring, [a * b])
-    prods = {ring.mul(a, b)
-             for a in i.canonical.values for b in j.canonical.values}
-    return ideal_generated(ring, sorted(prods, key=sort_key))
+    lat = subgroup_lattice(ring)
+    left, right = ([lat.index[v] for v in k.canonical.values] for k in (i, j))
+    prods = set(lat.act_table(left)[:, right].ravel().tolist())
+    return ideal_generated(ring, [lat.elems[k] for k in sorted(prods)])
 
 
 def _same_ring(i, j):

@@ -128,16 +128,9 @@ def spectrum(ring, cl, guard=64, z_bound=None):
         return SpectrumReport(ring, cl, closed,
                               method="closed-form+bounded-sweep", bound=bound)
 
-    primes = []
-    for sub in enumerate_subgroups(ring, guard):
-        if sub.is_whole():
-            continue
-        ok, _ = is_approx_ideal(sub, cl)
-        if not ok:
-            continue
-        prime, _ = is_approx_prime(sub, cl, check_ideal=False)
-        if prime:
-            primes.append(sub)
+    primes = [sub for sub in enumerate_subgroups(ring, guard)
+              if not sub.is_whole() and is_approx_ideal(sub, cl)[0]
+              and is_approx_prime(sub, cl, check_ideal=False)[0]]
     return SpectrumReport(ring, cl, primes, method="exhaustive", guard=guard)
 
 
@@ -183,12 +176,8 @@ def _ideal_pool(spec, z_ideal_bound):
     ring = spec.ring
     if isinstance(ring, IntegerRing):
         return [PrincipalSubgroup(d) for d in range(z_ideal_bound + 1)]
-    pool = []
-    for sub in enumerate_subgroups(ring, spec.guard or 64):
-        ok, _ = is_approx_ideal(sub, spec.cl)
-        if ok:
-            pool.append(sub)
-    return pool
+    return [sub for sub in enumerate_subgroups(ring, spec.guard or 64)
+            if is_approx_ideal(sub, spec.cl)[0]]
 
 
 def topology_check(spec, z_ideal_bound=120, f_pool=None):

@@ -39,6 +39,14 @@ class TestQueries:
         assert code == 0
         assert "prime: True" in out
 
+    def test_is_prime_on_a_large_ring(self, capsys):
+        """No price refuses a ring of 2048 elements: the prime test reads
+        the act rows of the elements outside P."""
+        code, out, _ = run(capsys, "is-prime", "--ring", "Zn:2048",
+                           "--closure", "gen", "--ideal", "2")
+        assert code == 0
+        assert "prime: True" in out
+
     def test_product(self, capsys):
         code, out, _ = run(capsys, "product", "--ring", "Z",
                            "--closure", "shift:J=12",

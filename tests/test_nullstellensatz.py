@@ -129,6 +129,33 @@ class TestANS:
             check_ans(whole, all_function_ring_ideals(FR22))
 
 
+@pytest.mark.parametrize("ring", [FR21, FR22], ids=str)
+def test_ans_verdicts_pinned(ring, monkeypatch):
+    """check_ans under pointwise and the two set shifts that
+    ``search_esep_without_pp`` tries: the verdict or the refusal, with one
+    variety per ideal."""
+    from approxalg import nullstellensatz
+    point = vanishing_ideal(ring, [ring.points[0]])
+    closures = [PointwiseClosure(ring),
+                SetShiftClosure(ring, ideal_generated(ring, [ring.one])),
+                SetShiftClosure(ring, ideal_generated(
+                    ring, list(point.generators)))]
+    ideals = all_function_ring_ideals(ring)
+    calls = []
+    monkeypatch.setattr(nullstellensatz, "variety",
+                        lambda *a: calls.append(a) or variety(*a))
+    got = check_ans(closures[0], ideals).to_dict()
+    assert got == {"axiom": "radical-equals-vanishing-ideal",
+                   "verdict": "pass", "counterexample": None,
+                   "mode": f"{len(ideals)} ideals", "seed": None,
+                   "details": None}
+    assert len(calls) == len(ideals)
+    for cl in closures[1:]:
+        with pytest.raises(PreconditionError, match=r"^hypothesis not "
+                           r"established: ESEP=True, PP=False$"):
+            check_ans(cl, ideals)
+
+
 class TestReverseInclusionSearch:
     def test_search_finds_esep_without_pp_failures(self):
         from approxalg.nullstellensatz import search_esep_without_pp

@@ -1,5 +1,6 @@
 import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from approxalg import (
     ideal_generated,
     ideal_sum,
 )
+from approxalg import rings
 from approxalg.modules import finite_module
 from approxalg.rings import (
     PrincipalSubgroup,
@@ -274,6 +276,49 @@ class TestLatticeKernel:
         assert lat.add_row(3) == [(j + 3) % 47 for j in range(47)]
         assert lat.act_row(2) == [2 * j % 47 for j in range(47)]
         assert lat.mask([1, 48]) == 2
+
+    def test_lattice_of_collected_structures_names_the_cause(self,
+                                                              monkeypatch):
+        """Once every structure a lattice served is collected it cannot
+        build rows; it says so instead of ending in StopIteration.  The
+        cache is emptied first, as another test may hold an equal module."""
+        monkeypatch.setattr(rings, "_LATTICES", weakref.WeakKeyDictionary())
+        with pytest.raises(PreconditionError, match="collected"):
+            subgroup_lattice(finite_module(Z, [2, 2])).subgroups()
+
+    def test_act_table_builds_the_rows_it_reads(self):
+        """A prime test on Z/2048 reads the act rows of the x outside P
+        only, the odd x for P = (2), and builds no sum table."""
+        from approxalg import GeneratedIdealClosure
+        from approxalg.ideals import is_approx_prime
+        ring = ResidueRing(2048)
+        lat = subgroup_lattice(ring)
+        assert is_approx_prime(subgroup_generated(ring, [2]),
+                               GeneratedIdealClosure(ring),
+                               check_ideal=False) == (True, None)
+        table, missing = lat._act_store
+        assert missing == set(range(0, 2048, 2))
+        assert table[1001].tolist() == [1001 * j % 2048 for j in range(2048)]
+        assert "add_table" not in vars(lat)
+
+    def test_index_tables_live_on_the_lattice(self, monkeypatch):
+        """Equal rings share one lattice and so one set of index tables,
+        which go with the lattice when the rings are collected."""
+        monkeypatch.setattr(rings, "_LATTICES", weakref.WeakKeyDictionary())
+        ring = ResidueRing(10)
+        lat = subgroup_lattice(ring)
+        act, add = lat.act_table(), lat.add_table
+        assert subgroup_lattice(ResidueRing(10)).act_table() is act
+        assert act[3].tolist() == [3 * j % 10 for j in range(10)]
+        assert lat.act_table([3, 7]).tolist() == [act[3].tolist(),
+                                                  act[7].tolist()]
+        assert add[3].tolist() == [(j + 3) % 10 for j in range(10)]
+        assert lat.neg_add_table[3].tolist() == [(k - 3) % 10
+                                                 for k in range(10)]
+        refs = [weakref.ref(act), weakref.ref(add)]
+        del ring, lat, act, add
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
 
 
 class TestIdealArithmetic:
