@@ -888,6 +888,86 @@ def _quotient_labels(lat, h, carrier):
     return labels, cosets
 
 
+class QuotientModule:
+    """Classes of a carrier subgroup of a ring or module under x ~ y iff
+    x - y in cl(N), a subgroup H: the cosets x + (H meet carrier) on the
+    structure's lattice.  ``labels`` maps each carrier index to its class's
+    least member, and every other index to -1.  The quotient is itself a
+    structure ``subgroup_lattice`` reads, whose elements are the
+    representatives; ``canon`` takes a carrier element to its class, and
+    ``add``, ``act`` (a module's) and ``mul`` (a ring's) work on them."""
+
+    def __init__(self, mod, carrier, clset, verdicts):
+        lat = self.lat = subgroup_lattice(mod)
+        h, c = lat.mask(clset), lat.mask(carrier)
+        if not lat.is_subgroup(h):
+            raise PreconditionError("cl(N) is not a subgroup; classes undefined")
+        self.mod = mod
+        self.carrier = [lat.elems[j] for j in _bits(c)]
+        self.clset = clset
+        self.labels, cosets = _quotient_labels(lat, h & c, c)
+        self.classes = [(lat.elems[i], lat.values(coset)) for i, coset in cosets]
+        self.rep_of = {lat.elems[j]: lat.elems[i]
+                       for i, coset in cosets for j in _bits(coset)}
+        self.verdicts = verdicts
+        self.zero = self.rep_of[mod.zero]
+        if hasattr(mod, "scalar_reps"):
+            self.scalar_reps = mod.scalar_reps
+
+    def class_count(self):
+        return len(self.classes)
+
+    def reps(self):
+        return [rep for rep, _ in self.classes]
+
+    def elements(self):
+        return self.reps()
+
+    def canon(self, x):
+        x = self.mod.canon(x)
+        if x not in self.rep_of:
+            raise DomainMismatchError(f"{x!r} is not in the carrier")
+        return self.rep_of[x]
+
+    def member_rows(self):
+        """The carrier's indices class by class, each in its member order."""
+        return np.array([self.lat.index[x] for _, members in self.classes
+                         for x in members], dtype=np.intp)
+
+    def add(self, a, b):
+        return self.rep_of[self.mod.add(a, b)]
+
+    def act(self, r, a):
+        return self.rep_of[self.mod.act(r, a)]
+
+    def mul(self, a, b):
+        return self.rep_of[self.mod.mul(a, b)]
+
+    def check_operations(self):
+        """Record whether addition and the action (a ring's product x y)
+        ignore the representative, varying one slot at a time (H is a
+        subgroup, so the relation is transitive): the first break of each
+        over ``member_rows`` names x, its representative x2 and y or r."""
+        lat, rows = self.lat, self.member_rows()
+        if hasattr(self.mod, "scalar_reps"):
+            act = ("action", "r", lat.act_table().T.__getitem__)
+        else:
+            act = ("multiplication", "y", lat.act_table)
+        for name, key, table, operands in [
+                ("addition", "y", lat.add_table.__getitem__, lat.elems),
+                (*act, lat.scalars)]:
+            hit = _first_label_break(self.labels, table, rows)
+            ce = None
+            if hit is not None:
+                x = lat.elems[hit[0]]
+                ce = {"x": x, "x2": self.rep_of[x], key: operands[hit[1]]}
+            self.verdicts.append(Verdict(f"{name}-well-defined", ce is None,
+                                         ce))
+
+    def ok(self):
+        return all(v.passed for v in self.verdicts)
+
+
 def _first_hom_break(src, dst, img, allowed=None):
     """The first cell where the index map ``img`` breaks the hom laws, as
     (x, "+" or "*", operand), or None.  Cells run over x in

@@ -20,6 +20,7 @@ from . import closures
 from .closures import (
     GeneratedIdealClosure,
     IdealShiftClosure,
+    QuotientModule,
     SetShiftClosure,
     closure_eval,
     closure_image_compatible,
@@ -394,77 +395,48 @@ def quotient_ring(ring, ideal):
         return QuotientRing(ring, ideal, None, model, modulus=g)
 
     clset = materialize(ideal.cl, ideal.base.values)
-    verdicts = []
-    sub_ok = is_additive_subgroup(ring, clset)
-    verdicts.append(Verdict("congruence-classes-partition", sub_ok,
-                            None if sub_ok else {"clI": sorted(clset, key=sort_key)}))
-    if not sub_ok:
+    if not is_additive_subgroup(ring, clset):
         raise PreconditionError(
             "cl(I) is not an additive subgroup; classes do not partition")
 
-    # the classes are the cosets x + cl(I), listed as x + j for j in cl(I)
-    lat = subgroup_lattice(ring)
-    labels, cosets = closures._quotient_labels(
-        lat, lat.mask(clset), (1 << lat.n) - 1)
-    shift = [lat.index[j] for j in clset]
-    classes = [(lat.elems[i],
-                frozenset(lat.elems[k] for k in lat.add_table[shift, i]))
-               for i, _ in cosets]
-    rep_of = dict(zip(lat.elems, (lat.elems[i] for i in labels)))
-
-    # representative independence: vary one slot at a time; the relation is
-    # transitive (cl(I) is a subgroup), so one-slot checks suffice
-    rows = [lat.index[x] for _, members in classes for x in members]
-
-    def first_break(table):
-        hit = closures._first_label_break(labels, table, rows)
-        if hit is None:
-            return None
-        x = lat.elems[hit[0]]
-        return {"x": x, "x2": rep_of[x], "y": lat.elems[hit[1]]}
-
-    add_ce = first_break(lat.add_table.__getitem__)
-    mul_ce = first_break(lat.act_table)
-    verdicts.append(Verdict("addition-well-defined", add_ce is None, add_ce))
-    verdicts.append(Verdict("multiplication-well-defined", mul_ce is None,
-                            mul_ce))
-
+    # the classes are the cosets x + cl(I), on the ring's lattice
+    q = QuotientModule(ring, ring.elements(), clset,
+                       [Verdict("congruence-classes-partition", True)])
+    q.check_operations()
     model = None
-    if add_ce is None and mul_ce is None:
-        reps = [rep for rep, _ in classes]
+    if q.ok():
         model = TableRing(
-            f"{ring.spec_string()}/cl(I)", reps,
-            add=lambda a, b: rep_of[ring.add(a, b)],
-            neg=lambda a: rep_of[ring.neg(a)],
-            mul=lambda a, b: rep_of[ring.mul(a, b)],
-            zero=rep_of[ring.zero], one=rep_of[ring.one],
+            f"{ring.spec_string()}/cl(I)", q.reps(), add=q.add,
+            neg=lambda a: q.rep_of[ring.neg(a)], mul=q.mul, zero=q.zero,
+            one=q.rep_of[ring.one],
             fmt=lambda v: f"[{ring.format_element(v)}]")
-        verdicts.append(Verdict("ring-axioms", _ring_axioms_hold(model)))
-    return QuotientRing(ring, ideal, classes, model, verdicts=verdicts)
+        q.verdicts.append(Verdict("ring-axioms", _ring_axioms_hold(model)))
+    return QuotientRing(ring, ideal, q.classes, model, verdicts=q.verdicts)
 
 
 def _ring_axioms_hold(ring):
-    """Exhaustive commutative-ring axioms over a small finite ring."""
-    elems = list(ring.elements())
-    z, o = ring.zero, ring.one
-    for a in elems:
-        if ring.add(a, z) != a or ring.mul(a, o) != a:
+    """The commutative-ring laws over a finite ring, on index tables of its
+    own operations (``add[a, b]`` is b + a, ``mul[a, b]`` is a b): unit,
+    inverse and commutative laws whole, then every triple [a, b, c] of
+    c + (b + a) = (c + b) + a, (a b) c = a (b c) and a c + a b = a (c + b)
+    in ``_chunks`` rows of a, so that no n^3 array is built."""
+    lat = subgroup_lattice(ring)
+    dtype = np.min_scalar_type(lat.n)
+    add, mul = lat.add_table.astype(dtype), lat.act_table().astype(dtype)
+    neg = np.array([lat.index[ring.neg(x)] for x in lat.elems], dtype=np.intp)
+    every = np.arange(lat.n)
+    z, o = lat.index[ring.zero], lat.index[ring.one]
+    if not ((add[z] == every).all() and (mul[:, o] == every).all()
+            and (add[neg, every] == z).all() and (add == add.T).all()
+            and (mul == mul.T).all()):
+        return False
+    for lo, hi in _chunks(lat.n, lat.n * lat.n):
+        ra, ma = add[lo:hi], mul[lo:hi]
+        if not ((add[ra] == np.take(ra, add, axis=1)).all()
+                and (mul[ma] == np.take(ma, mul, axis=1)).all()
+                and (add[ma[:, :, None], ma[:, None]]
+                     == np.take(ma, add, axis=1)).all()):
             return False
-        if ring.add(a, ring.neg(a)) != z:
-            return False
-        for b in elems:
-            if ring.add(a, b) != ring.add(b, a):
-                return False
-            if ring.mul(a, b) != ring.mul(b, a):
-                return False
-            for c in elems:
-                if ring.add(ring.add(a, b), c) != ring.add(a, ring.add(b, c)):
-                    return False
-                if ring.mul(ring.mul(a, b), c) != ring.mul(a, ring.mul(b, c)):
-                    return False
-                if ring.mul(a, ring.add(b, c)) != \
-                        ring.add(ring.mul(a, b), ring.mul(a, c)):
-                    return False
     return True
 
 

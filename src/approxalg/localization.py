@@ -25,6 +25,7 @@ import numpy as np
 
 from .closures import (
     LIST_GRID,
+    LIST_PAIR_CELL_LIMIT,
     ClosureSpec,
     _chunks,
     _ClosureRows,
@@ -57,7 +58,6 @@ from .rings import (
     ideal_closure_set,
     ideal_generated,
     is_additive_subgroup,
-    is_prime,
     prime_factors,
     sort_key,
     subgroup_lattice,
@@ -101,18 +101,12 @@ class MultSet:
                                 lambda x, g: (x * g) % modulus))
 
     def contains_multiple_of(self, d):
-        """Whether some element of S is divisible by d (integers only)."""
+        """Whether some element of S is divisible by d (integers only):
+        whether every prime of d divides some generator."""
         if d == 0:
             return False
-        if d == 1 or d == -1:
-            return True
-        d = abs(d)
-        for p in range(2, d + 1):
-            if not is_prime(p) or d % p:
-                continue
-            if not any(g % p == 0 for g in self.generators):
-                return False
-        return True
+        return all(any(g % p == 0 for g in self.generators)
+                   for p in prime_factors(abs(d)))
 
     def meets(self, sub):
         """Whether the subgroup holds an element of S."""
@@ -238,9 +232,15 @@ class LocalizedRing:
 
         Both sweeps are numpy grids over the pairs, taken mod m (the
         relation) and mod m0 (the class map), the first in doubling row
-        chunks; each reports its first violating pair in row-major order."""
+        chunks; each reports its first violating pair in row-major order.
+        Beyond LIST_PAIR_CELL_LIMIT pairs^2 cells the check is refused."""
         m, m0 = self.modulus, self.m0
         s_lifts = self._sat_lifts()
+        n_pairs = (2 * m + 1) * len(s_lifts)
+        if n_pairs ** 2 > LIST_PAIR_CELL_LIMIT:
+            raise ResourceLimitError(
+                f"the relation check's {n_pairs} pairs are priced at "
+                f"{n_pairs ** 2} cells, above the limit {LIST_PAIR_CELL_LIMIT}")
         pairs = [(a, s) for a in range(-m, m + 1) for s in s_lifts]
         a_m = np.array([a % m for a, _ in pairs], dtype=np.int64)
         s_m = np.array([s % m for _, s in pairs], dtype=np.int64)

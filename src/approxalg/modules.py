@@ -3,13 +3,14 @@ isomorphism theorems verified by explicit bijections.
 
 A module is a finite product of cyclic groups with the canonical scalar
 action of Z or Z/n (compatibility is checked at construction).  Module
-closures mirror the ring ones: the generated submodule, a submodule shift
-of it, the elementwise shift, and the deliberately broken union variant
-for exercising the checkers.  A homomorphism is a map table, compiled to an
-index array between the subgroup lattices, whose approximate additivity
-lands in the target closure (so a coarse closure admits non-additive maps).
-A quotient is a label array, each index to its class's least member, found
-coset by coset; the theorems compare label arrays on the index tables.
+closures are the ring closures on a module (``module`` is ``ring``): the
+generated submodule, a submodule shift of it, the elementwise shift, and
+the deliberately broken union variant for exercising the checkers.  A
+homomorphism is a map table, compiled to an index array between the
+subgroup lattices, whose approximate additivity lands in the target
+closure (so a coarse closure admits non-additive maps).  A quotient is the
+rings' ``closures.QuotientModule``, a label array, each index to its
+class's least member; the theorems compare label arrays on index tables.
 """
 
 from __future__ import annotations
@@ -21,7 +22,17 @@ import random
 import numpy as np
 
 from . import closures
-from .closures import _check_axioms_list, check_axioms_finite, ring_domain
+from .closures import (
+    ClosureSpec,
+    GeneratedIdealClosure,
+    IdealShiftClosure,
+    QuotientModule,
+    SetShiftClosure,
+    UnionFixedClosure,
+    _check_axioms_list,
+    check_axioms_finite,
+    ring_domain,
+)
 from .errors import (
     DomainMismatchError,
     PreconditionError,
@@ -31,9 +42,9 @@ from .reports import AxiomReport, Verdict
 from .rings import (
     IntegerRing,
     ResidueRing,
-    _bits,
     additive_closure,
     ideal_closure_set,
+    ideal_generated,
     is_additive_subgroup,
     sort_key,
     subgroup_lattice,
@@ -139,83 +150,50 @@ def finite_module(scalar_ring, orders):
 # module closures
 
 
-class ModuleClosure:
-    """Base class of module closures; ``set_valued`` and ``join`` are as on
-    ``ClosureSpec``."""
-
-    name = "?"
-    set_valued = True
-    join = None
+class ModuleClosure(ClosureSpec):
+    """A closure on a module: a ``ClosureSpec`` whose structure is the
+    module, so ``module`` is ``ring``."""
 
     def __init__(self, module):
-        self.module = module
+        super().__init__(module)
 
-    def eval_set(self, values):
-        raise NotImplementedError
-
-    def describe(self):
-        return self.name
+    @property
+    def module(self):
+        return self.ring
 
     def __repr__(self):
         return f"<module closure {self.describe()} on {self.module}>"
 
 
-class GeneratedSubmoduleClosure(ModuleClosure):
-    name = "gen"
-    join = "sum"
-
-    def eval_set(self, values):
-        return self.module.span(values)
+class GeneratedSubmoduleClosure(GeneratedIdealClosure, ModuleClosure):
+    """cl(X) = span(X)."""
 
 
-class SubmoduleShiftClosure(ModuleClosure):
-    """cl(X) = span(X) + N0."""
-
-    name = "shift"
-    join = "sum"
+class SubmoduleShiftClosure(IdealShiftClosure, ModuleClosure):
+    """cl(X) = span(X) + N0, with N0 = span(shift_values) as the shift."""
 
     def __init__(self, module, shift_values):
-        super().__init__(module)
-        self.shift = module.span(shift_values)
+        super().__init__(module, ideal_generated(module, shift_values))
 
     def describe(self):
-        return f"shift:N0={sorted(self.shift, key=sort_key)}"
-
-    def eval_set(self, values):
-        # span(X) + N0 = span(X | N0), as N0 is a submodule
-        return self.module.span(frozenset(values) | self.shift)
+        return f"shift:N0={self.shift_ideal.canonical.sorted_values()}"
 
 
-class ModuleSetShiftClosure(ModuleClosure):
-    """cl(X) = X + N0 elementwise."""
-
-    name = "setshift"
-    join = "union"
+class ModuleSetShiftClosure(SetShiftClosure, ModuleClosure):
+    """cl(X) = X + N0 elementwise, with N0 = span(shift_values)."""
 
     def __init__(self, module, shift_values):
-        super().__init__(module)
-        self.shift = module.span(shift_values)
+        super().__init__(module, ideal_generated(module, shift_values))
 
     def describe(self):
-        return f"setshift:N0={sorted(self.shift, key=sort_key)}"
-
-    def eval_set(self, values):
-        return frozenset(self.module.add(a, b)
-                         for a in values for b in self.shift)
+        return f"setshift:N0={self.shift_ideal.canonical.sorted_values()}"
 
 
-class ModuleUnionFixedClosure(ModuleClosure):
+class ModuleUnionFixedClosure(UnionFixedClosure, ModuleClosure):
     """Diagnostic cl(X) = X | F."""
 
-    name = "union-fixed"
-    join = "union"
-
-    def __init__(self, module, extra):
-        super().__init__(module)
-        self.extra = frozenset(module.canon(v) for v in extra)
-
-    def eval_set(self, values):
-        return frozenset(values) | self.extra
+    def describe(self):
+        return "union-fixed"
 
 
 class CMAxiomReport(AxiomReport):
@@ -292,68 +270,15 @@ def _reps(labels):
     return np.flatnonzero(labels == np.arange(len(labels)))
 
 
-class QuotientModule:
-    """Classes of a carrier subgroup under x ~ y iff x - y in cl(N), a
-    subgroup H: the cosets x + (H meet carrier) on the module's lattice.
-    ``labels`` maps each carrier index to its class's least member, and
-    every other index to -1."""
-
-    def __init__(self, mod, carrier, clset, verdicts):
-        lat = self.lat = subgroup_lattice(mod)
-        h, c = lat.mask(clset), lat.mask(carrier)
-        if not lat.is_subgroup(h):
-            raise PreconditionError("cl(N) is not a subgroup; classes undefined")
-        self.mod = mod
-        self.carrier = [lat.elems[j] for j in _bits(c)]
-        self.clset = clset
-        self.labels, cosets = closures._quotient_labels(lat, h & c, c)
-        self.classes = [(lat.elems[i], lat.values(coset)) for i, coset in cosets]
-        self.rep_of = {lat.elems[j]: lat.elems[i]
-                       for i, coset in cosets for j in _bits(coset)}
-        self.verdicts = verdicts
-
-    def class_count(self):
-        return len(self.classes)
-
-    def reps(self):
-        return [rep for rep, _ in self.classes]
-
-    def member_rows(self):
-        """The carrier's indices class by class, each in its member order."""
-        return np.array([self.lat.index[x] for _, members in self.classes
-                         for x in members], dtype=np.intp)
-
-    def add(self, a, b):
-        return self.rep_of[self.mod.add(a, b)]
-
-    def act(self, r, a):
-        return self.rep_of[self.mod.act(r, a)]
-
-    def ok(self):
-        return all(v.passed for v in self.verdicts)
-
-
 def module_quotient(mod, n_values, cl):
     """M / N with the congruence m ~ m' iff m - m' in cl(N)."""
     ok, ce = is_approx_submodule(mod, n_values, cl)
     if not ok:
         raise PreconditionError(f"not an approximate submodule: {ce}")
     n_values = frozenset(mod.canon(v) for v in n_values)
-    verdicts = [Verdict("cl(N)-is-subgroup", True)]
-    q = QuotientModule(mod, mod.elements(), cl.eval_set(n_values), verdicts)
-    lat = q.lat
-
-    def first_break(table, key, operands):
-        hit = closures._first_label_break(q.labels, table, q.member_rows())
-        if hit is None:
-            return None
-        x = lat.elems[hit[0]]
-        return {"x": x, "x2": q.rep_of[x], key: operands[hit[1]]}
-
-    add_ce = first_break(lat.add_table.__getitem__, "y", lat.elems)
-    act_ce = first_break(lat.act_table().T.__getitem__, "r", lat.scalars)
-    verdicts.append(Verdict("addition-well-defined", add_ce is None, add_ce))
-    verdicts.append(Verdict("action-well-defined", act_ce is None, act_ce))
+    q = QuotientModule(mod, mod.elements(), cl.eval_set(n_values),
+                       [Verdict("cl(N)-is-subgroup", True)])
+    q.check_operations()
     return q
 
 
@@ -600,19 +525,19 @@ def iso_third(mod, cl, n_values, k_values):
     q_n = module_quotient(mod, n_values, cl)
     big = QuotientModule(mod, mod.elements(), cl_k, [])
 
-    # cl(K)/N inside M/N, then the classical quotient of M/N by it: each
-    # class of M/N goes to the least class of its coset, read at every index
-    lat, labels = q_n.lat, q_n.labels
-    reps = _reps(labels)
-    clk = np.unique(labels[[lat.index[x] for x in cl_k]])
-    outer = np.full(lat.n, -1, dtype=np.intp)
-    outer[reps] = labels[lat.add_table[reps][:, clk]].min(1)
-    outer = outer[labels]
-    phi, split = _class_map(outer, big.labels, reps)
+    # cl(K)/N, the classes of cl(K) in M/N, and the quotient of M/N by it,
+    # built on M/N's own lattice from its own operations; each x of M goes
+    # to its class in M/N and on to that class's class
+    outer = QuotientModule(q_n, q_n.elements(),
+                           {q_n.rep_of[x] for x in cl_k}, [])
+    lat = q_n.lat
+    labels = np.array([lat.index[outer.rep_of[q_n.rep_of[x]]]
+                       for x in lat.elems], dtype=np.intp)
+    phi, split = _class_map(labels, big.labels, _reps(q_n.labels))
     well_ce = None if split is None else {"class-of": lat.elems[split]}
     verdicts = [Verdict("map-well-defined", well_ce is None, well_ce)]
     if well_ce is None:
         verdicts += _check_map_is_module_iso(
-            "iso3", (lat, outer), (lat, big.labels), phi, _reps(big.labels))
-    return IsoVerdict("third-iso", verdicts, len(_reps(outer)),
+            "iso3", (lat, labels), (lat, big.labels), phi, _reps(big.labels))
+    return IsoVerdict("third-iso", verdicts, outer.class_count(),
                       big.class_count())

@@ -15,7 +15,7 @@ from . import polynomials as poly
 from .closures import POINT_GUARD, _vanishing_functions, materialize
 from .errors import InvariantError, PreconditionError, ResourceLimitError
 from .ideals import is_approx_prime
-from .localization import _power_orbit_members
+from .localization import radical
 from .reports import Verdict
 from .rings import (
     FiniteSubgroup,
@@ -23,7 +23,6 @@ from .rings import (
     IdealRep,
     classical_ideals,
     ideal_generated,
-    is_additive_subgroup,
     sort_key,
 )
 
@@ -93,12 +92,7 @@ def maximal_point_ideal(ring, a):
 
 def rad_phi(ring, ideal, cl):
     """rad(I) = {g : some power of g lies in cl(I)}, as an ideal."""
-    members = _power_orbit_members(
-        ring, materialize(cl, ideal.canonical.values))
-    if not is_additive_subgroup(ring, members):
-        raise InvariantError("radical is not a subgroup for this closure")
-    return IdealRep(ring, tuple(sorted(members, key=sort_key)),
-                    FiniteSubgroup(ring, members, check=False))
+    return radical(ring, cl, ideal.canonical)
 
 
 def all_function_ring_ideals(ring):

@@ -7,7 +7,10 @@ finite loops of the canonical map's functoriality, the class loop of a
 quotient ring, and ``QuotientModule`` with the three isomorphism theorems
 built on it.  ``LoopModuleHom`` carries a hom's map table through the old
 ``kernel``, ``image_q``, ``image_c`` and (from before the list engine) the
-plain ``image_compatible`` loop."""
+plain ``image_compatible`` loop.  ``ModuleClosure`` and its four variants
+are the module closures as written before they became the ring closures
+applied to a module, and ``ring_axioms_hold`` the triple loop over a
+quotient model's laws."""
 
 import random
 
@@ -378,3 +381,111 @@ def iso_third(mod, cl, n_values, k_values):
             big.act, mod.scalar_reps)
     return IsoVerdict("third-iso", verdicts, len(outer_reps),
                       big.class_count())
+
+
+# ---------------------------------------------------------------------------
+# module closures and the ring laws, as loops
+
+
+class ModuleClosure:
+    """Base class of module closures; ``set_valued`` and ``join`` are as on
+    ``ClosureSpec``."""
+
+    name = "?"
+    set_valued = True
+    join = None
+
+    def __init__(self, module):
+        self.module = module
+
+    def eval_set(self, values):
+        raise NotImplementedError
+
+    def describe(self):
+        return self.name
+
+    def __repr__(self):
+        return f"<module closure {self.describe()} on {self.module}>"
+
+
+class GeneratedSubmoduleClosure(ModuleClosure):
+    name = "gen"
+    join = "sum"
+
+    def eval_set(self, values):
+        return self.module.span(values)
+
+
+class SubmoduleShiftClosure(ModuleClosure):
+    """cl(X) = span(X) + N0."""
+
+    name = "shift"
+    join = "sum"
+
+    def __init__(self, module, shift_values):
+        super().__init__(module)
+        self.shift = module.span(shift_values)
+
+    def describe(self):
+        return f"shift:N0={sorted(self.shift, key=sort_key)}"
+
+    def eval_set(self, values):
+        # span(X) + N0 = span(X | N0), as N0 is a submodule
+        return self.module.span(frozenset(values) | self.shift)
+
+
+class ModuleSetShiftClosure(ModuleClosure):
+    """cl(X) = X + N0 elementwise."""
+
+    name = "setshift"
+    join = "union"
+
+    def __init__(self, module, shift_values):
+        super().__init__(module)
+        self.shift = module.span(shift_values)
+
+    def describe(self):
+        return f"setshift:N0={sorted(self.shift, key=sort_key)}"
+
+    def eval_set(self, values):
+        return frozenset(self.module.add(a, b)
+                         for a in values for b in self.shift)
+
+
+class ModuleUnionFixedClosure(ModuleClosure):
+    """Diagnostic cl(X) = X | F."""
+
+    name = "union-fixed"
+    join = "union"
+
+    def __init__(self, module, extra):
+        super().__init__(module)
+        self.extra = frozenset(module.canon(v) for v in extra)
+
+    def eval_set(self, values):
+        return frozenset(values) | self.extra
+
+
+def ring_axioms_hold(ring):
+    """Exhaustive commutative-ring axioms over a small finite ring."""
+    elems = list(ring.elements())
+    z, o = ring.zero, ring.one
+    for a in elems:
+        if ring.add(a, z) != a or ring.mul(a, o) != a:
+            return False
+        if ring.add(a, ring.neg(a)) != z:
+            return False
+        for b in elems:
+            if ring.add(a, b) != ring.add(b, a):
+                return False
+            if ring.mul(a, b) != ring.mul(b, a):
+                return False
+            for c in elems:
+                if ring.add(ring.add(a, b), c) != ring.add(a, ring.add(b, c)):
+                    return False
+                if ring.mul(ring.mul(a, b), c) != ring.mul(a, ring.mul(b, c)):
+                    return False
+                if ring.mul(a, ring.add(b, c)) != \
+                        ring.add(ring.mul(a, b), ring.mul(a, c)):
+                    return False
+    return True

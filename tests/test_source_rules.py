@@ -22,3 +22,27 @@ def test_no_bare_assertion_error(path):
     lines = [n for n, line in enumerate(path.read_text().splitlines(), 1)
              if "raise AssertionError" in line]
     assert not lines, f"{path.name}: raise InvariantError instead, lines {lines}"
+
+
+def test_module_closures_inherit_their_semantics():
+    """No ``ModuleClosure`` subclass in the package defines ``eval_set`` or
+    ``member``: a module closure is a ring closure applied to a module, so
+    such a method would be a second copy of a ring closure's, and a tracer
+    that wraps the method on every closure class would wrap it twice."""
+    import importlib
+
+    for path in SOURCES:
+        if path.stem != "__init__":
+            importlib.import_module(f"approxalg.{path.stem}")
+    from approxalg.modules import ModuleClosure
+
+    seen, todo = [], [ModuleClosure]
+    while todo:
+        cls = todo.pop()
+        seen.append(cls)
+        todo.extend(cls.__subclasses__())
+    own = [f"{cls.__name__}.{name}" for cls in seen
+           if cls.__module__.startswith("approxalg")
+           for name in ("eval_set", "member") if name in vars(cls)]
+    assert len(seen) > 4
+    assert not own, f"module closures define their own {own}"
