@@ -76,10 +76,11 @@ from .rings import (
     ProductRing,
     Z,
     _bits,
+    _mask,
     additive_closure,
     enumerate_subgroups,
     ideal_closure_set,
-    is_additive_subgroup,
+    ideal_from_subgroup,
     sort_key,
     subgroup_lattice,
 )
@@ -157,8 +158,9 @@ class ClosureSpec:
         return np.array([self.z_principal_image(int(d)) for d in d_array])
 
     def member(self, x, values):
-        """x in cl(A) for A given as an iterable of canonical values."""
-        raise NotImplementedError
+        """x in cl(A) for A given as an iterable of canonical values; by
+        default, x in the set ``eval_set`` gives."""
+        return self.ring.canon(x) in self.eval_set(frozenset(values))
 
     def describe(self):
         return self.name
@@ -183,12 +185,9 @@ class GeneratedIdealClosure(ClosureSpec):
         return np.asarray(d_array)
 
     def member(self, x, values):
-        ring = self.ring
-        if isinstance(ring, IntegerRing):
-            return PrincipalSubgroup(math.gcd(0, *values)).contains(x)
-        if _is_integer_lattice(ring):
-            return _lattice_ideal_member(ring, x, values, shift=0)
-        return ring.canon(x) in self.eval_set(frozenset(values))
+        if _is_integer_lattice(self.ring):
+            return _lattice_ideal_member(self.ring, x, values, shift=0)
+        return super().member(x, values)
 
 
 class _ShiftClosure(ClosureSpec):
@@ -234,13 +233,10 @@ class IdealShiftClosure(_ShiftClosure):
             self.ring, frozenset(values) | self.shift_ideal.canonical.values)
 
     def member(self, x, values):
-        ring = self.ring
-        if isinstance(ring, IntegerRing):
-            g = math.gcd(self.shift_ideal.canonical.d, *values)
-            return PrincipalSubgroup(g).contains(x)
-        if _is_integer_lattice(ring):
-            return _lattice_ideal_member(ring, x, values, self.shift_modulus)
-        return ring.canon(x) in self.eval_set(frozenset(values))
+        if _is_integer_lattice(self.ring):
+            return _lattice_ideal_member(self.ring, x, values,
+                                         self.shift_modulus)
+        return super().member(x, values)
 
 
 class SetShiftClosure(_ShiftClosure):
@@ -264,7 +260,7 @@ class SetShiftClosure(_ShiftClosure):
             m = self.shift_modulus
             return any(all((xi - vi) % m == 0 for xi, vi in zip(x, v))
                        for v in values)
-        return ring.canon(x) in self.eval_set(frozenset(values))
+        return super().member(x, values)
 
 
 class PointwiseClosure(ClosureSpec):
@@ -437,12 +433,10 @@ def _lattice_ideal_member(ring, x, values, shift):
 def _input_values(ring, a):
     """Normalize a subset argument to a frozenset of canonical values."""
     if isinstance(a, IdealRep):
-        if isinstance(a.canonical, PrincipalSubgroup):
-            return a.canonical
-        return a.canonical.values
+        a = a.canonical
     if isinstance(a, PrincipalSubgroup):
         return a
-    if isinstance(a, (FiniteSubgroup, ElementSet)):
+    if isinstance(a, ElementSet):
         return a.values
     return frozenset(ring.canon(v) for v in a)
 
@@ -466,33 +460,34 @@ def closure_eval(cl, a):
         return IdealRep(Z, (g,), PrincipalSubgroup(g))
     if not ring.is_finite:
         raise PreconditionError(f"closure evaluation unsupported over {ring}")
-    out = cl.eval_set(frozenset(vals))
-    gens = tuple(sorted(out, key=sort_key))
-    if is_additive_subgroup(ring, out):
-        sub = FiniteSubgroup(ring, out, check=False)
-        if ideal_closure_set(ring, out) == out:
-            return IdealRep(ring, gens, sub)
-        return sub
-    return ElementSet(ring, out)
+    lat = subgroup_lattice(ring)
+    out = lat.mask(cl.eval_set(frozenset(vals)))
+    if not lat.is_subgroup(out):
+        return ElementSet.from_mask(ring, out)
+    sub = FiniteSubgroup.from_mask(ring, out)
+    return ideal_from_subgroup(sub) if lat.span(out) == out else sub
 
 
 def closure_member(cl, x, a):
-    """Decide x in cl(A); A may be a rep, generator list, or subgroup."""
+    """Decide x in cl(A); A may be a rep, generator list, or subgroup.  Over
+    Z a span closure (join "sum") decides a list by the subgroup it spans;
+    a set-shift keeps it unspanned."""
     ring = cl.ring
     if isinstance(ring, IntPolyContext):
         gens = a if isinstance(a, (list, tuple)) else [a]
         return cl.member(x, gens)
     vals = _input_values(ring, a)
+    if isinstance(ring, IntegerRing) and cl.join == "sum" and \
+            not isinstance(vals, PrincipalSubgroup):
+        vals = PrincipalSubgroup(math.gcd(0, *vals))
     if isinstance(vals, PrincipalSubgroup):
         if isinstance(cl, SetShiftClosure):
             return cl.member(x, [vals.d], values_are_subgroup=True)
         g = cl.z_principal_image(vals.d)
         return PrincipalSubgroup(g).contains(Z.canon(x))
-    if isinstance(ring, IntegerRing):
-        return cl.member(Z.canon(x), sorted(vals, key=sort_key))
-    if _is_integer_lattice(ring):
-        return cl.member(ring.canon(x), sorted(vals, key=sort_key))
-    return cl.member(ring.canon(x), frozenset(vals))
+    if ring.is_finite:
+        return cl.member(ring.canon(x), frozenset(vals))
+    return cl.member(ring.canon(x), sorted(vals, key=sort_key))
 
 
 def materialize(cl, a):
@@ -733,10 +728,11 @@ def check_axioms_finite(cl, dom, report):
         witness = _lowest_bit_elem(dom, bad)
         r_found, s_found = None, None
         aset = dom.set_of(masks[m])
-        # recover a concrete (r, s) pair for the witness
+        # recover a concrete (r, s) pair for the witness: r s, or r acting
+        act = subgroup_lattice(cl.ring)._act()
         for r in dom.scalars:
             for s in sorted(aset, key=sort_key):
-                if cl.ring.mul(r, s) == witness:
+                if act(r, s) == witness:
                     r_found, s_found = r, s
                     break
             if r_found is not None:
@@ -865,11 +861,6 @@ def _image_rows(img, rows, n):
     *at, cols = np.nonzero(rows)
     out[(*at, img[cols])] = True
     return out
-
-
-def _row_values(lat, row):
-    """The values of a bool row over ``lat``'s order."""
-    return frozenset([lat.elems[j] for j in np.flatnonzero(row).tolist()])
 
 
 def _quotient_labels(lat, h, carrier):
@@ -1009,6 +1000,21 @@ def _price_list(rows, n):
             f"cells, above the list engine's limit {LIST_PAIR_CELL_LIMIT}")
 
 
+def _combination_masks(n, least):
+    """Masks of the subsets of n elements with at least ``least`` members,
+    by size and then in ``itertools.combinations`` order."""
+    return [_mask(c) for r in range(least, n + 1)
+            for c in itertools.combinations(range(n), r)]
+
+
+def _sampled_masks(n, count, seed):
+    """``count`` seeded random subsets of n elements as masks: a size drawn
+    uniformly from 0..n, then that many distinct element indices."""
+    rng = random.Random(seed)
+    return [_mask(rng.sample(range(n), rng.randint(0, n)))
+            for _ in range(count)]
+
+
 def _row_keys(rows):
     """One sortable key per row of a 2-D bool array: the row read as a
     binary number (one BLAS product, exact in float64) for at most 53
@@ -1064,16 +1070,8 @@ class _ClosureRows:
         lat = self.lat
         if slot == len(self.table):
             self.table = np.concatenate([self.table, np.zeros_like(self.table)])
-        out = self.ev(_row_values(lat, row))
+        out = self.ev(lat.values(lat.row_mask(row)))
         self.table[slot][[lat.index[v] for v in out]] = True
-
-
-def _subset_rows(lat, subsets):
-    """The subsets of canonical values as bool rows over ``lat``'s order."""
-    rows = np.zeros((len(subsets), lat.n), dtype=bool)
-    rows[[k for k, s in enumerate(subsets) for _ in s],
-         [lat.index[v] for s in subsets for v in s]] = True
-    return rows
 
 
 def _chunks(total, row_cells):
@@ -1117,11 +1115,11 @@ def _acted(x, lat):
     return out.reshape(r, ns, n)
 
 
-def _check_axioms_list(cl, struct, subsets, report, paired=None):
+def _check_axioms_list(cl, struct, masks, report, paired=None):
     """The six verdicts over an explicit list of subsets of ``struct``.
 
-    Each subset is a bool row over the element order of
-    ``rings.subgroup_lattice(struct)``, which is ``sort_key`` order, so the
+    Each subset is a mask over ``rings.subgroup_lattice(struct)``, read as
+    a bool row over its element order, which is ``sort_key`` order, so the
     least element of a difference is its first set column.  C1, C3, C4b and
     absorption report the first list member that violates, C4b and
     absorption with the first scalar of the lattice for that member;
@@ -1134,10 +1132,10 @@ def _check_axioms_list(cl, struct, subsets, report, paired=None):
     """
     lat = subgroup_lattice(struct)
     n, elems, scalars = lat.n, lat.elems, lat.scalars
-    npair = len(subsets) if paired is None else min(paired, len(subsets))
+    npair = len(masks) if paired is None else min(paired, len(masks))
     _price_list(npair, n)
     clo = _ClosureRows(cl, lat)
-    a = _subset_rows(lat, subsets)
+    a = lat.rows(masks)
     c = clo(a)
 
     def listed(row):
@@ -1326,35 +1324,26 @@ def check_axioms(cl, mode="auto", seed=DEFAULT_SEED, count=DEFAULT_SAMPLE_COUNT,
             raise ResourceLimitError(
                 f"exhaustive mode for a membership-only closure needs at "
                 f"most 12 elements, got {card}; use subgroups/ideals/sampled")
-        elems = sorted(ring.elements(), key=sort_key)
-        subsets = []
-        for r_ in range(len(elems) + 1):
-            subsets.extend(frozenset(c) for c in itertools.combinations(elems, r_))
-        return _check_axioms_list(cl, ring, subsets, report)
+        return _check_axioms_list(cl, ring, _combination_masks(card, 0),
+                                  report)
 
     if mode == "subgroups":
-        subs = [s.values for s in enumerate_subgroups(ring, guard)]
+        subs = [s.mask for s in enumerate_subgroups(ring, guard)]
         report = AxiomReport(mode="subgroups",
                              domain=f"{len(subs)} additive subgroups of {ring}")
         return _check_axioms_list(cl, ring, subs, report)
 
     if mode == "ideals":
         from .rings import classical_ideals
-        ideals = [i.canonical.values for i in classical_ideals(ring, guard)]
+        ideals = [i.canonical.mask for i in classical_ideals(ring, guard)]
         report = AxiomReport(mode="ideals",
                              domain=f"{len(ideals)} classical ideals of {ring}")
         return _check_axioms_list(cl, ring, ideals, report)
 
     if mode == "sampled":
-        subs = [s.values for s in enumerate_subgroups(ring, guard)]
+        subs = [s.mask for s in enumerate_subgroups(ring, guard)]
         _price_list(count + len(subs), card)
-        rng = random.Random(seed)
-        elems = sorted(ring.elements(), key=sort_key)
-        subsets = []
-        for _ in range(count):
-            size = rng.randint(0, len(elems))
-            subsets.append(frozenset(rng.sample(elems, size)))
-        subsets.extend(subs)
+        subsets = _sampled_masks(card, count, seed) + subs
         report = AxiomReport(mode="sampled", seed=seed, count=count,
                              domain=f"{len(subsets)} sampled subsets of {ring}")
         return _check_axioms_list(cl, ring, subsets, report)
@@ -1365,11 +1354,14 @@ def check_axioms(cl, mode="auto", seed=DEFAULT_SEED, count=DEFAULT_SAMPLE_COUNT,
 def replay_counterexample(cl, axiom, ce):
     """Re-evaluate a recorded counterexample; True when it still violates.
 
-    Covers the finite-ring checkers; bounded integer reports carry their
-    principal-subgroup witnesses as display strings instead.
+    Covers the checkers of finite rings and modules, whose scalars act by
+    the ring's product or the module's action; bounded integer reports
+    carry their principal-subgroup witnesses as display strings instead.
     """
     ring = cl.ring
     ev = _eval_for_checks(cl)
+    lat = subgroup_lattice(ring)
+    act = lat._act()
 
     def as_set(key):
         return frozenset(ring.canon(v) for v in ce[key])
@@ -1394,13 +1386,13 @@ def replay_counterexample(cl, axiom, ce):
         return not lhs <= rhs
     if axiom == "C4b":
         a = as_set("A")
-        r = ring.canon(ce["r"])
-        lhs = frozenset(ring.mul(r, x) for x in ev(a))
-        rhs = ev(frozenset(ring.mul(r, x) for x in a))
+        r = ce["r"] if lat._module else ring.canon(ce["r"])
+        lhs = frozenset(act(r, x) for x in ev(a))
+        rhs = ev(frozenset(act(r, x) for x in a))
         return not lhs <= rhs
     if axiom == "absorption":
         a = as_set("A")
-        prods = frozenset(ring.mul(r, x) for r in ring.elements() for x in a)
+        prods = frozenset(act(r, x) for r in lat.scalars for x in a)
         return not prods <= ev(a)
     raise PreconditionError(f"unknown axiom {axiom!r}")
 
@@ -1410,16 +1402,14 @@ def replay_counterexample(cl, axiom, ce):
 
 
 def _subsets_for(ring, subset_cap, guard):
-    """Nonempty subsets: the degenerate empty corner separates set-shift
-    from span closures (cl of the empty set is empty versus {0}) and would
-    dominate every compatibility verdict, contrary to the worked models."""
-    elems = sorted(ring.elements(), key=sort_key)
-    if (1 << len(elems)) <= subset_cap:
-        out = []
-        for r in range(1, len(elems) + 1):
-            out.extend(frozenset(c) for c in itertools.combinations(elems, r))
-        return out, f"nonempty subsets of {ring}"
-    subs = [s.values for s in enumerate_subgroups(ring, guard)]
+    """Nonempty subsets, as masks: the degenerate empty corner separates
+    set-shift from span closures (cl of the empty set is empty versus {0})
+    and would dominate every compatibility verdict, contrary to the worked
+    models."""
+    n = ring.cardinality()
+    if (1 << n) <= subset_cap:
+        return _combination_masks(n, 1), f"nonempty subsets of {ring}"
+    subs = [s.mask for s in enumerate_subgroups(ring, guard)]
     return subs, f"additive subgroups of {ring}"
 
 
@@ -1449,29 +1439,28 @@ def closure_image_compatible(f, cl_src, cl_dst, subset_cap=1 << 12,
     # the exhaustive engine's table, from n + 1 evaluations under a join
     subsets, domain = _subsets_for(f.src, subset_cap, guard)
     src, dst, img = _hom_map(f)
-    rows = _subset_rows(src, subsets)
+    rows = src.rows(subsets)
     if cl_src.join is not None and len(subsets) == (1 << src.n) - 1 \
             and src.n <= 16:
         clv = ring_domain(f.src).closure_vector(cl_src)
-        masks = clv[rows @ (1 << np.arange(src.n))]
-        cl_rows = (masks[:, None] >> np.arange(src.n)) & 1 != 0
+        cl_rows = src.rows(clv[np.array(subsets, dtype=np.intp)].tolist())
     else:
         cl_rows = _ClosureRows(cl_src, src)(rows)
     bad = _first_image_violation(dst, img, rows, cl_rows, cl_dst)
     if bad is not None:
         return Verdict("image-compatible", False,
-                       {"A": sorted(subsets[bad[0]], key=sort_key),
+                       {"A": src.listed(subsets[bad[0]]),
                         "witness": bad[1]}, mode=domain)
     return Verdict("image-compatible", True, mode=domain)
 
 
-def _first_unabsorbed(struct, values, clset):
-    """The first (r, x, r x), r a scalar and x in ``values`` in index order,
-    with r x outside ``clset``, read off the act table (for a ring, the rows
-    of ``values`` only, LIST_GRID cells at a time); or None."""
+def _first_unabsorbed(struct, x_mask, cl_mask):
+    """The first (r, x, r x), r a scalar and x in the mask ``x_mask`` in
+    index order, with r x outside ``cl_mask``, read off the act table (for
+    a ring, the rows of x only, LIST_GRID cells at a time); or None."""
     lat = subgroup_lattice(struct)
-    x_row, cl_row = _subset_rows(lat, [values, clset])
-    xs = np.flatnonzero(x_row)
+    (cl_row,) = lat.rows([cl_mask])
+    xs = np.array(_bits(x_mask), dtype=np.intp)
     if lat._module:
         bad = ~cl_row[lat.act_table()[:, xs]]
     else:
@@ -1520,9 +1509,10 @@ def closure_preimage_compatible(f, cl_src, cl_dst, subset_cap=1 << 12,
     """Check f^{-1}(cl(B)) subset of cl(f^{-1}(B)) over codomain subsets B."""
     _require_closure_rings(f, cl_src, cl_dst)
     subsets, domain = _subsets_for(f.dst, subset_cap, guard)
+    dst = subgroup_lattice(f.dst)
     if isinstance(f.src, IntegerRing):
         n, bad = f.dst.n, None
-        for k, b in enumerate(subsets):
+        for k, b in enumerate(map(dst.values, subsets)):
             wit = sorted(u for u in materialize(cl_dst, b)
                          if not (_z_preimage_member(cl_src, f, b, u) and
                                  _z_preimage_member(cl_src, f, b, u + n)))
@@ -1532,10 +1522,10 @@ def closure_preimage_compatible(f, cl_src, cl_dst, subset_cap=1 << 12,
     else:
         src, dst, img = _hom_map(f)
         bad = _first_preimage_violation(
-            src, dst, img, _subset_rows(dst, subsets), cl_src, cl_dst)
+            src, dst, img, dst.rows(subsets), cl_src, cl_dst)
     if bad is not None:
         return Verdict("preimage-compatible", False,
-                       {"B": sorted(subsets[bad[0]], key=sort_key),
+                       {"B": dst.listed(subsets[bad[0]]),
                         "witness": bad[1]}, mode=domain)
     return Verdict("preimage-compatible", True, mode=domain)
 

@@ -9,7 +9,7 @@ and surjectivity read the hom's index map (``closures._hom_map``).
 
 from __future__ import annotations
 
-from .closures import _first_hom_break, _hom_map, _index_map, _row_values
+from .closures import _first_hom_break, _hom_map, _index_map
 from .errors import PreconditionError
 from .rings import (
     FiniteSubgroup,
@@ -45,8 +45,8 @@ class RingHom:
         """Ker f as a subgroup representation of the source."""
         if self.src.is_finite:
             src, dst, img = _hom_map(self)
-            return FiniteSubgroup(self.src, _row_values(src, img == dst.zero),
-                                  check=False)
+            return FiniteSubgroup.from_mask(self.src,
+                                            src.row_mask(img == dst.zero))
         raise NotImplementedError
 
     def describe(self):

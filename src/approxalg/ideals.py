@@ -28,22 +28,23 @@ from .closures import (
     materialize,
 )
 from .closures import _chunks, _first_unabsorbed, _first_violation, _hom_map
-from .closures import _image_rows, _row_values, _subset_rows
+from .closures import _image_rows
 from .errors import DomainMismatchError, PreconditionError, ResourceLimitError
 from .reports import Verdict
 from .rings import (
+    ElementSet,
     FiniteSubgroup,
     IdealRep,
     IntegerRing,
     PrincipalSubgroup,
     ResidueRing,
     TableRing,
+    _bits,
     enumerate_subgroups,
     ideal_classical_product,
     ideal_from_subgroup,
     is_additive_subgroup,
     is_prime,
-    sort_key,
     subgroup_generated,
     subgroup_lattice,
 )
@@ -104,12 +105,11 @@ def is_approx_ideal(s, cl):
         if PrincipalSubgroup(g).contains(d):
             return True, None
         return False, {"reason": "absorption", "r": 1, "s": d, "witness": d}
-    values = s.values if hasattr(s, "values") else frozenset(
-        ring.canon(v) for v in s)
-    if not is_additive_subgroup(ring, values):
-        return False, {"reason": "not-a-subgroup",
-                       "S": sorted(values, key=sort_key)}
-    hit = _first_unabsorbed(ring, values, materialize(cl, values))
+    s = s if isinstance(s, ElementSet) else ElementSet(ring, s)
+    lat = subgroup_lattice(ring)
+    if not lat.is_subgroup(s.mask):
+        return False, {"reason": "not-a-subgroup", "S": s.sorted_values()}
+    hit = _first_unabsorbed(ring, s.mask, lat.mask(materialize(cl, s)))
     if hit is None:
         return True, None
     r, x, p = hit
@@ -144,15 +144,14 @@ def is_approx_prime(p, cl, check_ideal=True):
 
     if p.is_whole():
         raise PreconditionError("improper: P is the whole ring")
-    values = p.values
-    clset = materialize(cl, values)
+    clset = materialize(cl, p)
     if len(clset) >= ring.cardinality():
         # such P can never be approximately prime; witness (1, 1)
         return False, {"reason": "closure-is-whole-ring",
                        "x": ring.one, "y": ring.one}
     # x y for x, y outside P in index order, from the act rows of such x
     lat = subgroup_lattice(ring)
-    p_row, cl_row = _subset_rows(lat, [values, clset])
+    p_row, cl_row = lat.rows([lat.mask(p), lat.mask(clset)])
     out = np.flatnonzero(~p_row)
     step = max(1, closures.LIST_GRID // lat.n)
     for lo in range(0, len(out), step):
@@ -394,7 +393,7 @@ def quotient_ring(ring, ideal):
             model = None  # Z itself; infinitely many classes
         return QuotientRing(ring, ideal, None, model, modulus=g)
 
-    clset = materialize(ideal.cl, ideal.base.values)
+    clset = materialize(ideal.cl, ideal.base)
     if not is_additive_subgroup(ring, clset):
         raise PreconditionError(
             "cl(I) is not an additive subgroup; classes do not partition")
@@ -542,7 +541,7 @@ def _zero_sandwich(ring, cl):
     None: each (a r) b read off the act table, rows a in chunks."""
     lat = subgroup_lattice(ring)
     act = lat.act_table()
-    (cl0,) = _subset_rows(lat, [materialize(cl, {ring.zero})])
+    (cl0,) = lat.rows([lat.mask(materialize(cl, {ring.zero}))])
     nonzero = np.flatnonzero(np.arange(lat.n) != lat.zero)
     for lo, hi in _chunks(len(nonzero), lat.n * len(nonzero)):
         a = nonzero[lo:hi]
@@ -628,16 +627,17 @@ def _preimage_subgroup(f, base):
     if isinstance(f.src, IntegerRing):
         return PrincipalSubgroup(math.gcd(f.dst.n, *base.values))
     src, dst, img = _hom_map(f)
-    (pre,) = _subset_rows(dst, [base.values])
-    return FiniteSubgroup(f.src, _row_values(src, pre[img]), check=False)
+    (pre,) = dst.rows([base.mask])
+    return FiniteSubgroup.from_mask(f.src, src.row_mask(pre[img]))
 
 
 def _image_subgroup(f, base):
     if isinstance(base, PrincipalSubgroup):
         return subgroup_generated(f.dst, [f.apply(base.d)])
     src, dst, img = _hom_map(f)
-    image = _image_rows(img, _subset_rows(src, [base.values])[0], dst.n)
-    return FiniteSubgroup(f.dst, _row_values(dst, image), check=True)
+    # f is additive, so the image of a subgroup is one
+    image = _image_rows(img, src.rows([base.mask])[0], dst.n)
+    return FiniteSubgroup.from_mask(f.dst, dst.row_mask(image))
 
 
 def _pullback_identity_verdict(f, gen_bound=60):
@@ -658,12 +658,11 @@ def _pullback_identity_verdict(f, gen_bound=60):
                        mode=f"(d) for d <= {gen_bound}")
     subs = enumerate_subgroups(f.src)
     src, dst, img = _hom_map(f)
-    rows = _subset_rows(src, [sub.values for sub in subs])
+    rows = src.rows([sub.mask for sub in subs])
     lhs = _image_rows(img, rows, dst.n)[:, img]
-    (ker,) = _subset_rows(src, [f.kernel().values])
-    rhs = rows[:, src.neg_add_table[np.flatnonzero(ker)]].any(1)
+    rhs = rows[:, src.neg_add_table[_bits(f.kernel().mask)]].any(1)
     pos = _first_violation((lhs != rhs).any(1))
     if pos is not None:
         return Verdict("pullback-identity", False,
-                       {"A": sorted(subs[pos[0]].values, key=sort_key)})
+                       {"A": subs[pos[0]].sorted_values()})
     return Verdict("pullback-identity", True, mode="all subgroups")

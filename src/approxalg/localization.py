@@ -34,8 +34,6 @@ from .closures import (
     _first_preimage_violation,
     _first_violation,
     _image_rows,
-    _row_values,
-    _subset_rows,
     check_axioms,
     materialize,
 )
@@ -48,16 +46,14 @@ from .ideals import (
 from .reports import Verdict
 from .rings import (
     FiniteSubgroup,
-    IdealRep,
     IntegerRing,
     PrincipalSubgroup,
     TableRing,
     Z,
     _mask,
     enumerate_subgroups,
-    ideal_closure_set,
+    ideal_from_subgroup,
     ideal_generated,
-    is_additive_subgroup,
     prime_factors,
     sort_key,
     subgroup_lattice,
@@ -94,6 +90,7 @@ class MultSet:
         else:
             self.saturation = frozenset(
                 _saturate(ring.one, self.generators, ring.mul))
+            self._sat_mask = subgroup_lattice(ring).mask(self.saturation)
 
     def residues(self, modulus):
         """Saturation residues modulo ``modulus`` (integers only)."""
@@ -112,7 +109,7 @@ class MultSet:
         """Whether the subgroup holds an element of S."""
         if isinstance(self.ring, IntegerRing):
             return self.contains_multiple_of(sub.d)
-        return any(v in self.saturation for v in sub.values)
+        return bool(sub.mask & self._sat_mask)
 
     def contains(self, x):
         """Membership test for an integer multiplicative set."""
@@ -152,7 +149,7 @@ class TransferredClosure(ClosureSpec):
 
     def __init__(self, localized):
         super().__init__(localized.model)
-        self.loc = localized
+        self.loc, self.lat = localized, subgroup_lattice(localized.model)
 
     def describe(self):
         return f"transferred({self.loc.base_cl.describe()})"
@@ -161,11 +158,7 @@ class TransferredClosure(ClosureSpec):
         """The classes with a representative (a, s) such that u * a lies in
         cl({x : x/s in A}) for some u in S (``LocalizedRing._class_masks``)."""
         hits, _ = self.loc._class_masks(frozenset(values))
-        return frozenset(c for i, c in enumerate(self.loc.model.elements())
-                         if hits >> i & 1)
-
-    def member(self, x, values):
-        return self.loc.model.canon(x) in self.eval_set(frozenset(values))
+        return self.lat.values(hits)
 
 
 class LocalizedRing:
@@ -195,8 +188,11 @@ class LocalizedRing:
         self.modulus = m
         sat_m = self.mult.residues(m)
         self.sat_residues_mod_m = sat_m
-        absorbed = {z for z in range(m) if any((u * z) % m == 0 for u in sat_m)}
-        g0 = math.gcd(m, *absorbed)
+        # absorbed[z]: u z = 0 mod m for some u in S, i.e. m / gcd(u, m) | z
+        self._absorbed = np.zeros(m, dtype=bool)
+        for d in {m // math.gcd(u, m) for u in sat_m}:
+            self._absorbed[::d] = True
+        g0 = math.gcd(m, *np.flatnonzero(self._absorbed).tolist())
         self.m0 = g0 if g0 > 0 else m
         m0 = self.m0
         for s in sat_m:
@@ -251,9 +247,7 @@ class LocalizedRing:
         for lo, hi in _chunks(len(pairs), len(pairs)):
             # (a, s) ~ (b, t): u (a t - b s) = 0 mod m for some u in S
             cross = (a_m[lo:hi, None] * s_m - s_m[lo:hi, None] * a_m) % m
-            rel = np.zeros(cross.shape, dtype=bool)
-            for u in self.sat_residues_mod_m:
-                rel |= (u * cross) % m == 0
+            rel = self._absorbed[cross]
             hits = np.argwhere(rel != (cls[lo:hi, None] == cls))
             if len(hits):
                 i, j = hits[0]
@@ -421,9 +415,9 @@ class LocalizedRing:
             return [self.base_cl.z_principal_image(
                 math.gcd(m0, *res) if res else 0) for res in (
                     {(a * s) % m0 for a in values} for s in self.denominators)]
-        lat = subgroup_lattice(self.base)
-        (a_row,) = _subset_rows(subgroup_lattice(self.model), [values])
-        return [materialize(self.base_cl, _row_values(lat, p))
+        lat, model = subgroup_lattice(self.base), subgroup_lattice(self.model)
+        (a_row,) = model.rows([model.mask(values)])
+        return [materialize(self.base_cl, lat.values(lat.row_mask(p)))
                 for p in a_row[self._pair_labels].T]
 
     def _class_masks(self, values):
@@ -439,8 +433,8 @@ class LocalizedRing:
                                               np.arange(self.m0))
                     ok = (prods % pullback == 0 if pullback else prods == 0)
                 else:
-                    (cl,) = _subset_rows(subgroup_lattice(self.base),
-                                         [pullback])
+                    lat = subgroup_lattice(self.base)
+                    (cl,) = lat.rows([lat.mask(pullback)])
                     ok = cl[self._sat_act]
                 col = self._pair_labels[:, t]
                 masks = self._masks[(t, pullback)] = tuple(
@@ -482,19 +476,16 @@ def check_rep_independence(loc, subset_limit=512):
     """Evaluate the transferred closure on a family of class subsets and
     report the first subset under which a class mixes verdicts across its
     representatives, with the first such class in the model's order."""
-    model = loc.model
-    elems = sorted(model.elements(), key=sort_key)
-    families = [s.values for s in enumerate_subgroups(model)]
-    singles = [frozenset([e]) for e in elems]
-    tested = (families + singles)[:subset_limit]
-    classes = list(model.elements())
+    lat = subgroup_lattice(loc.model)
+    tested = (enumerate_subgroups(loc.model) +
+              [frozenset([e]) for e in lat.elems])[:subset_limit]
     bad = None
     for a in tested:
         hits, misses = loc._class_masks(a)
         mixed = hits & misses
         if mixed:
             bad = {"A": sorted(a, key=sort_key),
-                   "class": classes[(mixed & -mixed).bit_length() - 1]}
+                   "class": lat.elems[(mixed & -mixed).bit_length() - 1]}
             break
     return Verdict("representative-independence", bad is None, bad,
                    mode=f"{len(tested)} class subsets")
@@ -527,17 +518,18 @@ def check_iota_functorial(loc, z_gen_bound=120):
         # iota as an index array from the base's lattice to the model's
         base, model = subgroup_lattice(loc.base), subgroup_lattice(loc.model)
         img = loc._iota_map()
-        xs = [sub.values for sub in enumerate_subgroups(loc.base)]
-        rows = _subset_rows(base, xs)
+        xs = enumerate_subgroups(loc.base)
+        rows = base.rows([sub.mask for sub in xs])
         bad = _first_image_violation(
             model, img, rows, _ClosureRows(loc.base_cl, base)(rows), trans)
         if bad is not None:
-            image_ce = {"X": sorted(xs[bad[0]], key=sort_key)}
-        bs = [sub.values for sub in enumerate_subgroups(loc.model)]
+            image_ce = {"X": xs[bad[0]].sorted_values()}
+        bs = enumerate_subgroups(loc.model)
         bad = _first_preimage_violation(
-            base, model, img, _subset_rows(model, bs), loc.base_cl, trans)
+            base, model, img, model.rows([sub.mask for sub in bs]),
+            loc.base_cl, trans)
         if bad is not None:
-            pre_ce = {"B": sorted(bs[bad[0]], key=sort_key)}
+            pre_ce = {"B": bs[bad[0]].sorted_values()}
         mode = "additive subgroups both sides"
     return [Verdict("iota-image-compatible", image_ce is None, image_ce,
                     mode=mode),
@@ -556,19 +548,15 @@ def extend(loc, p_sub):
     is reported (``proper`` False), not raised.
     """
     if isinstance(loc.base, IntegerRing):
-        m0 = loc.m0
-        if m0 == 1:
-            values = frozenset(loc.model.elements())
-        else:
-            step = math.gcd(p_sub.d, m0)
-            values = frozenset(range(0, m0, step)) if step else frozenset({0})
+        # the multiples of gcd(d, m0) among the classes 0, ..., m0 - 1
+        mask = _mask(range(0, loc.m0, math.gcd(p_sub.d, loc.m0)))
     else:
         # the classes of the pairs (a, s), a in P: rows of the grid
         base, model = subgroup_lattice(loc.base), subgroup_lattice(loc.model)
-        (p_row,) = _subset_rows(base, [p_sub.values])
-        values = _row_values(model, _image_rows(
+        (p_row,) = base.rows([p_sub.mask])
+        mask = model.row_mask(_image_rows(
             loc._pair_labels.ravel(), p_row.repeat(len(loc.sat)), model.n))
-    sub = FiniteSubgroup(loc.model, values, check=False)
+    sub = FiniteSubgroup.from_mask(loc.model, mask)
     proper = not sub.is_whole()
     ce = None if proper else {"P-meets-S": loc.mult.meets(p_sub)}
     verdicts = [Verdict("extension-proper", proper, ce)]
@@ -585,9 +573,9 @@ def contract(loc, q_sub):
         out = PrincipalSubgroup(math.gcd(m0, *q_sub.values) if m0 > 1 else 1)
     else:
         base, model = subgroup_lattice(loc.base), subgroup_lattice(loc.model)
-        (q_row,) = _subset_rows(model, [q_sub.values])
-        out = FiniteSubgroup(
-            loc.base, _row_values(base, q_row[loc._iota_map()]), check=False)
+        (q_row,) = model.rows([q_sub.mask])
+        out = FiniteSubgroup.from_mask(loc.base,
+                                       base.row_mask(q_row[loc._iota_map()]))
     q_prime, _ = is_approx_prime(q_sub, loc.transferred, check_ideal=False) \
         if not q_sub.is_whole() else (False, None)
     verdicts = []
@@ -654,12 +642,13 @@ def check_ext_contr_bijection(loc, z_bound=None):
 
 
 def _power_orbit_members(ring, clset):
-    """The g of a finite ring with some positive power in ``clset``.  A
+    """The g of a finite ring with some positive power in ``clset``, as a
+    mask over the ring's lattice.  A
     power sequence in a finite ring takes at most n values, all among its
     first n powers; these are read off the lattice's ``act_table`` in
     doubling blocks, g^(m + j) = g^m g^j, for LIST_GRID cells of g at once."""
     lat = subgroup_lattice(ring)
-    (inside,) = _subset_rows(lat, [clset])
+    (inside,) = lat.rows([lat.mask(clset)])
     act, members = lat.act_table(), np.zeros(lat.n, dtype=bool)
     step = max(1, LIST_GRID // lat.n)
     for lo in range(0, lat.n, step):
@@ -667,7 +656,7 @@ def _power_orbit_members(ring, clset):
         while powers.shape[1] < lat.n:
             powers = np.hstack([powers, act[powers[:, -1:], powers]])
         members[lo:lo + step] = inside[powers].any(1)
-    return set(_row_values(lat, members))
+    return lat.row_mask(members)
 
 
 def radical(ring, cl, ideal):
@@ -676,14 +665,14 @@ def radical(ring, cl, ideal):
     if isinstance(ring, IntegerRing):
         g = cl.z_principal_image(base.d)
         return ideal_generated(Z, [_squarefree_kernel(g)])
+    lat = subgroup_lattice(ring)
     members = _power_orbit_members(ring, materialize(cl, base))
-    if not is_additive_subgroup(ring, members):
+    if not lat.is_subgroup(members):
         raise PreconditionError(
             "radical is not an additive subgroup for this closure")
-    if ideal_closure_set(ring, members) != members:
+    if lat.span(members) != members:
         raise PreconditionError("radical is not an ideal for this closure")
-    return IdealRep(ring, tuple(sorted(members, key=sort_key)),
-                    FiniteSubgroup(ring, members, check=False))
+    return ideal_from_subgroup(FiniteSubgroup.from_mask(ring, members))
 
 
 def _squarefree_kernel(n):
@@ -745,6 +734,6 @@ def check_rad_eq_nil(ring, cl, z_bound=None):
     agree = rad.canonical == inter
     return Verdict("radical-equals-prime-intersection", agree,
                    None if agree else {
-                       "rad0": sorted(rad.canonical.values, key=sort_key),
-                       "intersection": sorted(inter.values, key=sort_key)},
-                   details={"size": len(inter.values)})
+                       "rad0": rad.canonical.sorted_values(),
+                       "intersection": inter.sorted_values()},
+                   details={"size": len(inter)})

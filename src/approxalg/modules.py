@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 
 import numpy as np
 
@@ -38,15 +37,16 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
+from .ideals import is_approx_ideal
 from .reports import AxiomReport, Verdict
 from .rings import (
+    ElementSet,
     IntegerRing,
     ResidueRing,
+    _mask,
     additive_closure,
     ideal_closure_set,
     ideal_generated,
-    is_additive_subgroup,
-    sort_key,
     subgroup_lattice,
 )
 
@@ -117,14 +117,18 @@ class FiniteModule:
     def subgroup_closure(self, values):
         return additive_closure(self, values)
 
-    def all_submodules(self, guard=64):
-        """Every submodule, by size and then by its elements: the subgroups
-        that are their own span."""
+    def submodule_masks(self, guard=64):
+        """Every submodule (a subgroup that is its own span) as a mask."""
         if self.cardinality() > guard:
             raise ResourceLimitError(
                 f"|M| = {self.cardinality()} exceeds the guard {guard}")
         lat = subgroup_lattice(self)
-        return [lat.values(h) for h in lat.subgroups() if lat.span(h) == h]
+        return [h for h in lat.subgroups() if lat.span(h) == h]
+
+    def all_submodules(self, guard=64):
+        """Every submodule as a set of values, by size and then by elements."""
+        return list(map(subgroup_lattice(self).values,
+                        self.submodule_masks(guard)))
 
     def spec_string(self):
         scal = self.scalar_ring.spec_string()
@@ -218,11 +222,8 @@ def check_cm_axioms(mod, cl, mode="auto", subset_cap=CM_SUBSET_CAP,
                             domain=f"all subsets of {mod}")
         check_axioms_finite(cl, module_domain(mod), inner)
     else:
-        rng = random.Random(seed)
-        elems = sorted(mod.elements(), key=sort_key)
-        subsets = [frozenset(rng.sample(elems, rng.randint(0, len(elems))))
-                   for _ in range(count)]
-        subsets.extend(mod.all_submodules())
+        subsets = closures._sampled_masks(card, count, seed) + \
+            mod.submodule_masks()
         paired = min(len(subsets), SAMPLED_PAIR_SUBSETS)
         inner = AxiomReport(
             mode="sampled", seed=seed, count=count,
@@ -252,13 +253,10 @@ def check_cm_axioms(mod, cl, mode="auto", subset_cap=CM_SUBSET_CAP,
 
 def is_approx_submodule(mod, n_values, cl):
     """(verdict, counterexample): N a subgroup with R*N inside cl(N)."""
-    n_values = frozenset(mod.canon(v) for v in n_values)
-    if not is_additive_subgroup(mod, n_values):
+    ok, ce = is_approx_ideal(ElementSet(mod, n_values), cl)
+    if not ok and ce["reason"] == "not-a-subgroup":
         raise PreconditionError("N is not an additive subgroup")
-    hit = closures._first_unabsorbed(mod, n_values, cl.eval_set(n_values))
-    if hit is None:
-        return True, None
-    return False, dict(zip(("r", "x", "witness"), hit))
+    return ok, ce and {"r": ce["r"], "x": ce["s"], "witness": ce["witness"]}
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +318,10 @@ class ModuleHom:
 
     def kernel(self):
         """Ker f = {x : f(x) in cl'(0)}, the preimage of cl'(0)."""
-        cl0 = closures._subset_rows(subgroup_lattice(self.dst), [
-            self.cl_dst.eval_set(frozenset({self.dst.zero}))])
-        return closures._row_values(subgroup_lattice(self.src),
-                                    cl0[0][self.img])
+        src, dst = subgroup_lattice(self.src), subgroup_lattice(self.dst)
+        (cl0,) = dst.rows([dst.mask(
+            self.cl_dst.eval_set(frozenset({self.dst.zero})))])
+        return src.values(src.row_mask(cl0[self.img]))
 
     def image_q(self):
         """Im^q f: the classes f(x) + cl'(0) inside M'/cl'(0)."""
@@ -334,24 +332,20 @@ class ModuleHom:
     def image_c(self):
         """Im_c f = cl'(f(M)), the closure of the raw image set."""
         dst = subgroup_lattice(self.dst)
-        return self.cl_dst.eval_set(closures._row_values(
-            dst, np.isin(np.arange(dst.n), self.img)))
+        return self.cl_dst.eval_set(dst.values(_mask(set(self.img.tolist()))))
 
     def image_compatible(self, sample=200, seed=0):
         """f(cl(X)) inside cl'(f(X)) over submodules plus sampled subsets."""
-        pools = [frozenset(s) for s in self.src.all_submodules()]
-        rng = random.Random(seed)
-        elems = sorted(self.src.elements(), key=sort_key)
-        pools += [frozenset(rng.sample(elems, rng.randint(0, len(elems))))
-                  for _ in range(sample)]
         src = subgroup_lattice(self.src)
-        rows = closures._subset_rows(src, pools)
+        pools = self.src.submodule_masks() + \
+            closures._sampled_masks(src.n, sample, seed)
+        rows = src.rows(pools)
         bad = closures._first_image_violation(
             subgroup_lattice(self.dst), self.img, rows,
             closures._ClosureRows(self.cl_src, src)(rows), self.cl_dst)
         if bad is not None:
             return Verdict("hom-image-compatible", False,
-                           {"X": sorted(pools[bad[0]], key=sort_key)})
+                           {"X": src.listed(pools[bad[0]])})
         return Verdict("hom-image-compatible", True,
                        mode=f"{len(pools)} subsets")
 

@@ -20,10 +20,9 @@ from .reports import Verdict
 from .rings import (
     FiniteSubgroup,
     FunctionRing,
-    IdealRep,
     classical_ideals,
+    ideal_from_subgroup,
     ideal_generated,
-    sort_key,
 )
 
 
@@ -73,11 +72,9 @@ def vanishing_ideal(ring, points):
     pts = {tuple(p) for p in points}
     members = _vanishing_functions(
         ring, [i for i, a in enumerate(ring.points) if a in pts])
-    gens = sorted(members, key=sort_key)
-    out = IdealRep(ring, tuple(gens),
-                   FiniteSubgroup(ring, members, check=False))
-    regen = ideal_generated(ring, gens)
-    if frozenset(regen.canonical.values) != members:
+    sub = FiniteSubgroup(ring, members, check=False)
+    out = ideal_from_subgroup(sub)
+    if ideal_generated(ring, out.generators).canonical != sub:
         raise InvariantError("vanishing set is not an ideal")
     return out
 
@@ -101,13 +98,13 @@ def all_function_ring_ideals(ring):
 
 
 def _ideal_sides(cl, ideals):
-    """(I, rad(I), I(V(I))) for each ideal in turn, the last two as value
-    sets: the sides of both the separation hypothesis and the identity."""
+    """(I, rad(I), I(V(I))) for each ideal in turn, the last two as
+    subgroups: the sides of both the separation hypothesis and the identity."""
     ring = cl.ring
     for ideal in ideals:
         v = variety(ring, ideal)
-        yield (ideal, frozenset(rad_phi(ring, ideal, cl).canonical.values),
-               frozenset(vanishing_ideal(ring, v.points).canonical.values))
+        yield (ideal, rad_phi(ring, ideal, cl).canonical,
+               vanishing_ideal(ring, v.points).canonical)
 
 
 def check_esep(cl, ideals):
@@ -115,10 +112,10 @@ def check_esep(cl, ideals):
     ring = cl.ring
     ce = None
     for ideal, rad, vanishing in _ideal_sides(cl, ideals):
-        missing = vanishing - rad
-        if missing:
+        if not vanishing <= rad:
+            f = next(f for f in vanishing if not rad.contains(f))
             ce = {"ideal": [ring.format_element(g) for g in ideal.generators],
-                  "f": ring.format_element(sorted(missing, key=sort_key)[0])}
+                  "f": ring.format_element(f)}
             break
     return Verdict("evaluation-separation", ce is None, ce,
                    mode=f"{len(ideals)} ideals")
@@ -129,13 +126,10 @@ def check_pp(cl):
     ring = cl.ring
     ce = None
     for a in ring.points:
-        m_a = maximal_point_ideal(ring, a)
-        base = frozenset(m_a.canonical.values)
-        clset = materialize(cl, base)
-        if clset != base:
+        sub = maximal_point_ideal(ring, a).canonical
+        if materialize(cl, sub) != sub.values:
             ce = {"point": a, "issue": "not-closed"}
             break
-        sub = FiniteSubgroup(ring, base, check=False)
         prime, pce = is_approx_prime(sub, cl, check_ideal=False)
         if not prime:
             ce = {"point": a, "issue": "not-prime", "witness": pce}

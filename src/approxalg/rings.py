@@ -15,16 +15,17 @@ structural equality of values is element equality.  The supported rings:
 * ``TableRing`` -- an explicit finite ring given by element list and
   operation tables; used internally for quotients and localizations.
 
-Additive subgroups are ``FiniteSubgroup`` (explicit sets, finite rings) or
+Additive subgroups are ``FiniteSubgroup`` (finite rings and modules) or
 ``PrincipalSubgroup(d)`` (d*Z inside the integers).  Both, and the plain
 ``ElementSet``, answer one protocol: ``contains``, ``<=`` and ``<``
 (inclusion), ``&`` (intersection), ``==`` and ``hash``, ``is_whole()`` and
 ``repr``, so code above this module need not ask which kind it holds.
 One kernel, ``subgroup_lattice``, answers every subgroup, span and lattice
 question for finite rings, their quotient and localization models, and
-finite modules; code above this module reads finite sums and products off
-its index tables (``add_table``, ``act_table``), as the ideal, prime and
-transport tests do.
+finite modules, where a subset is an int mask over the element order; code
+above this module reads a subset's ``mask`` (or its bool row, ``rows``) and
+finite sums and products off the index tables (``add_table``,
+``act_table``), as the ideal, prime and transport tests do.
 Finitely generated ideals carry their generators plus a canonical subgroup
 form with decidable membership.
 """
@@ -588,12 +589,35 @@ class _Lattice:
         return struct.act if self._module else struct.mul
 
     def mask(self, values):
-        """A non-element raises DomainMismatchError from ``canon``."""
+        """An ``ElementSet``'s own mask, or one read off values, where a
+        non-element raises DomainMismatchError from ``canon``."""
+        if isinstance(values, ElementSet) and values.lat is self:
+            return values.mask
         canon, index = self._struct().canon, self.index
         return _mask({index[canon(v)] for v in values})
 
     def values(self, mask):
-        return frozenset(self.elems[j] for j in _bits(mask))
+        return frozenset(self.listed(mask))
+
+    def listed(self, mask):
+        """The elements of a mask, in ``sort_key`` order: bit by bit when it
+        is sparse, else by one pass over its binary digits."""
+        if mask.bit_count() * 8 < mask.bit_length():
+            return [self.elems[j] for j in _bits(mask)]
+        return [e for e, bit in zip(self.elems, bin(mask)[:1:-1]) if bit == "1"]
+
+    def rows(self, masks):
+        """Masks as the rows of a bool array over the element order."""
+        width = (self.n + 7) // 8
+        packed = np.frombuffer(b"".join(m.to_bytes(width, "little")
+                                        for m in masks), dtype=np.uint8)
+        return np.unpackbits(packed.reshape(-1, width), axis=1,
+                             bitorder="little")[:, :self.n].astype(bool)
+
+    def row_mask(self, row):
+        """The mask of one bool row over the element order."""
+        return int.from_bytes(np.packbits(row, bitorder="little").tobytes(),
+                              "little")
 
     def add_row(self, i):
         """The permutation "add e_i": j -> index of e_j + e_i."""
@@ -724,45 +748,60 @@ def sort_key(value):
 
 
 class ElementSet:
-    """A plain finite subset of a finite ring (no structure assumed)."""
+    """A plain subset of a finite ring or module: an int ``mask`` over its
+    ``subgroup_lattice``, with ``values`` read off it on first use."""
 
     def __init__(self, ring, values):
-        self.ring = ring
-        self.values = frozenset(ring.canon(v) for v in values)
+        self.ring, self.lat = ring, subgroup_lattice(ring)
+        self.mask = self.lat.mask(values)
+
+    @classmethod
+    def from_mask(cls, ring, mask):
+        """The subset of ``ring`` with this mask, taken as given."""
+        out = cls.__new__(cls)
+        out.ring, out.lat, out.mask = ring, subgroup_lattice(ring), mask
+        return out
+
+    @cached_property
+    def values(self):
+        return self.lat.values(self.mask)
+
+    def __reduce__(self):
+        return type(self).from_mask, (self.ring, self.mask)
 
     def contains(self, v):
-        return self.ring.canon(v) in self.values
+        return bool(self.mask >> self.lat.index[self.ring.canon(v)] & 1)
 
     def is_whole(self):
-        return len(self.values) == self.ring.cardinality()
+        return self.mask == (1 << self.lat.n) - 1
 
     def __le__(self, other):
         _same_ring(self, other)
-        return self.values <= other.values
+        return not self.mask & ~other.mask
 
     def __lt__(self, other):
-        _same_ring(self, other)
-        return self.values < other.values
+        return self <= other and self.mask != other.mask
 
     def __and__(self, other):
         _same_ring(self, other)
-        return ElementSet(self.ring, self.values & other.values)
+        cls = type(self) if type(other) is type(self) else ElementSet
+        return cls.from_mask(self.ring, self.mask & other.mask)
 
     def sorted_values(self):
-        return sorted(self.values, key=sort_key)
+        return self.lat.listed(self.mask)
 
     def __len__(self):
-        return len(self.values)
+        return self.mask.bit_count()
 
     def __iter__(self):
         return iter(self.sorted_values())
 
     def __eq__(self, other):
-        return (isinstance(other, ElementSet) and self.ring == other.ring
-                and self.values == other.values)
+        return (isinstance(other, ElementSet) and self.mask == other.mask
+                and (self.ring is other.ring or self.ring == other.ring))
 
     def __hash__(self):
-        return hash((self.ring, self.values))
+        return hash(self.mask)
 
     def __repr__(self):
         inner = ",".join(self.ring.format_element(v) for v in self.sorted_values())
@@ -770,30 +809,23 @@ class ElementSet:
 
 
 class FiniteSubgroup(ElementSet):
-    """An explicit additive subgroup of a finite ring; closedness is checked."""
+    """An additive subgroup of a finite ring or module; closedness is checked."""
 
     def __init__(self, ring, values, check=True):
         super().__init__(ring, values)
-        if check and not is_additive_subgroup(ring, self.values):
+        if check and not self.lat.is_subgroup(self.mask):
             raise PreconditionError(f"{self!r} is not an additive subgroup")
 
     def elements(self):
         return self.sorted_values()
-
-    def __and__(self, other):
-        if not isinstance(other, FiniteSubgroup):
-            return super().__and__(other)
-        _same_ring(self, other)
-        return FiniteSubgroup(self.ring, self.values & other.values, check=False)
 
     def __add__(self, other):
         """H + K, the subgroup generated by H | K."""
         if not isinstance(other, FiniteSubgroup):
             return NotImplemented
         _same_ring(self, other)
-        return FiniteSubgroup(
-            self.ring, additive_closure(self.ring, self.values | other.values),
-            check=False)
+        return FiniteSubgroup.from_mask(
+            self.ring, self.lat.subgroup(self.mask | other.mask))
 
 
 class PrincipalSubgroup:
@@ -884,8 +916,9 @@ def ideal_generated(ring, gens):
     gens = [ring.canon(g) for g in gens]
     if isinstance(ring, IntegerRing):
         return IdealRep(ring, gens, PrincipalSubgroup(math.gcd(*gens)))
-    canon = FiniteSubgroup(ring, ideal_closure_set(ring, gens), check=False)
-    return IdealRep(ring, gens, canon)
+    lat = subgroup_lattice(ring)
+    return IdealRep(ring, gens,
+                    FiniteSubgroup.from_mask(ring, lat.span(lat.mask(gens))))
 
 
 def ideal_from_subgroup(sub):
@@ -906,13 +939,12 @@ def ideal_classical_product(i, j):
     _same_ring(i, j)
     ring = i.ring
     if isinstance(ring, IntegerRing):
-        a = i.canonical.d
-        b = j.canonical.d
-        return ideal_generated(ring, [a * b])
+        return ideal_generated(ring, [i.canonical.d * j.canonical.d])
     lat = subgroup_lattice(ring)
-    left, right = ([lat.index[v] for v in k.canonical.values] for k in (i, j))
-    prods = set(lat.act_table(left)[:, right].ravel().tolist())
-    return ideal_generated(ring, [lat.elems[k] for k in sorted(prods)])
+    left, right = (_bits(k.canonical.mask) for k in (i, j))
+    prods = sorted(set(lat.act_table(left)[:, right].ravel().tolist()))
+    return IdealRep(ring, [lat.elems[k] for k in prods],
+                    FiniteSubgroup.from_mask(ring, lat.span(_mask(prods))))
 
 
 def _same_ring(i, j):
@@ -925,14 +957,15 @@ def subgroup_generated(ring, gens):
     gens = [ring.canon(g) for g in gens]
     if isinstance(ring, IntegerRing):
         return PrincipalSubgroup(math.gcd(*gens))
-    return FiniteSubgroup(ring, additive_closure(ring, gens), check=False)
+    lat = subgroup_lattice(ring)
+    return FiniteSubgroup.from_mask(ring, lat.subgroup(lat.mask(gens)))
 
 
 def whole_subgroup(ring):
     """The ring itself as an additive subgroup."""
     if isinstance(ring, IntegerRing):
         return PrincipalSubgroup(1)
-    return FiniteSubgroup(ring, enumerate_elements(ring), check=False)
+    return FiniteSubgroup.from_mask(ring, (1 << subgroup_lattice(ring).n) - 1)
 
 
 def enumerate_subgroups(ring, guard=SUBGROUP_ENUM_GUARD):
@@ -945,13 +978,13 @@ def enumerate_subgroups(ring, guard=SUBGROUP_ENUM_GUARD):
         raise ResourceLimitError(
             f"|{ring}| = {card} exceeds the subgroup enumeration guard {guard}")
     lat = subgroup_lattice(ring)
-    return [FiniteSubgroup(ring, lat.values(m), check=False)
-            for m in lat.subgroups()]
+    return [FiniteSubgroup.from_mask(ring, m) for m in lat.subgroups()]
 
 
 def classical_ideals(ring, guard=SUBGROUP_ENUM_GUARD):
     """All classical (multiplication-absorbing) ideals of a finite ring: the
     subgroups that are their own span."""
+    lat = subgroup_lattice(ring)
     return [ideal_from_subgroup(sub)
             for sub in enumerate_subgroups(ring, guard)
-            if ideal_closure_set(ring, sub.values) == sub.values]
+            if lat.span(sub.mask) == sub.mask]

@@ -19,6 +19,7 @@ from .closures import materialize
 from .errors import InvariantError, PreconditionError
 from .ideals import (
     ApproxIdeal,
+    _carrier,
     _z_shift_modulus,
     approx_product,
     is_approx_ideal,
@@ -28,7 +29,6 @@ from .ideals import (
 from .reports import Verdict
 from .rings import (
     ElementSet,
-    IdealRep,
     IntegerRing,
     PrincipalSubgroup,
     enumerate_subgroups,
@@ -137,8 +137,7 @@ def spectrum(ring, cl, guard=64, z_bound=None):
 def _closure_of(spec, defining):
     """cl(I) as a subgroup or set, for I an ideal, a subgroup, or a list of
     generators (over Z the subgroup they span, elsewhere the set itself)."""
-    if isinstance(defining, IdealRep):
-        defining = defining.canonical
+    defining = _carrier(defining)
     if isinstance(spec.ring, IntegerRing):
         d = defining.d if isinstance(defining, PrincipalSubgroup) \
             else math.gcd(*defining)
@@ -193,15 +192,15 @@ def topology_check(spec, z_ideal_bound=120, f_pool=None):
     verdicts = []
     pool = _ideal_pool(spec, z_ideal_bound)
     approx = [ApproxIdeal(a, spec.cl, check=False) for a in pool]
-    # V(I) depends on I only through cl(I), and the pair loop meets few
-    # distinct closures: look its members up by closure
-    v_by_closure = {}
+    # the pair loop meets few distinct I: cache V(I) by I's mask (or dZ)
+    v_by_subgroup = {}
 
     def v_members(defining):
-        cli = _closure_of(spec, defining)
-        members = v_by_closure.get(cli)
+        defining = _carrier(defining)
+        members = v_by_subgroup.get(defining)
         if members is None:
-            members = v_by_closure[cli] = set(_primes_over(spec, cli))
+            members = v_by_subgroup[defining] = set(
+                _primes_over(spec, _closure_of(spec, defining)))
         return members
 
     v_pool = [v_members(a) for a in pool]

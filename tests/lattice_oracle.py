@@ -1,13 +1,23 @@
 """Naive fixpoint closures: the reference the subgroup-lattice kernel
 (``rings.subgroup_lattice``) is tested against.  Plain sets, no index space,
 no cosets: each step adds every sum, negative and scalar multiple of what
-is there until nothing new appears."""
+is there until nothing new appears.  Also ``ElementSet`` and
+``FiniteSubgroup`` as they were when they held frozensets of values, the
+reference for the mask-based classes."""
 
 from approxalg.closures import GeneratedIdealClosure
+from approxalg.errors import PreconditionError
 from approxalg.grammar import parse_ring
 from approxalg.ideals import ApproxIdeal, quotient_ring
 from approxalg.localization import localize, mult_set
-from approxalg.rings import ResidueRing, sort_key, subgroup_generated
+from approxalg.rings import (
+    ResidueRing,
+    _same_ring,
+    additive_closure,
+    is_additive_subgroup,
+    sort_key,
+    subgroup_generated,
+)
 
 
 def naive_span(struct, seed, scalars=(), act=None):
@@ -82,3 +92,76 @@ def small_rings():
         z12, ApproxIdeal(subgroup_generated(z12, [4]), gen)).model)
     rings.append(localize(z12, gen, mult_set(z12, [2])).model)
     return rings
+
+
+class ElementSet:
+    """A plain finite subset of a finite ring (no structure assumed)."""
+
+    def __init__(self, ring, values):
+        self.ring = ring
+        self.values = frozenset(ring.canon(v) for v in values)
+
+    def contains(self, v):
+        return self.ring.canon(v) in self.values
+
+    def is_whole(self):
+        return len(self.values) == self.ring.cardinality()
+
+    def __le__(self, other):
+        _same_ring(self, other)
+        return self.values <= other.values
+
+    def __lt__(self, other):
+        _same_ring(self, other)
+        return self.values < other.values
+
+    def __and__(self, other):
+        _same_ring(self, other)
+        return ElementSet(self.ring, self.values & other.values)
+
+    def sorted_values(self):
+        return sorted(self.values, key=sort_key)
+
+    def __len__(self):
+        return len(self.values)
+
+    def __iter__(self):
+        return iter(self.sorted_values())
+
+    def __eq__(self, other):
+        return (isinstance(other, ElementSet) and self.ring == other.ring
+                and self.values == other.values)
+
+    def __hash__(self):
+        return hash((self.ring, self.values))
+
+    def __repr__(self):
+        inner = ",".join(self.ring.format_element(v) for v in self.sorted_values())
+        return "{" + inner + "}"
+
+
+class FiniteSubgroup(ElementSet):
+    """An explicit additive subgroup of a finite ring; closedness is checked."""
+
+    def __init__(self, ring, values, check=True):
+        super().__init__(ring, values)
+        if check and not is_additive_subgroup(ring, self.values):
+            raise PreconditionError(f"{self!r} is not an additive subgroup")
+
+    def elements(self):
+        return self.sorted_values()
+
+    def __and__(self, other):
+        if not isinstance(other, FiniteSubgroup):
+            return super().__and__(other)
+        _same_ring(self, other)
+        return FiniteSubgroup(self.ring, self.values & other.values, check=False)
+
+    def __add__(self, other):
+        """H + K, the subgroup generated by H | K."""
+        if not isinstance(other, FiniteSubgroup):
+            return NotImplemented
+        _same_ring(self, other)
+        return FiniteSubgroup(
+            self.ring, additive_closure(self.ring, self.values | other.values),
+            check=False)

@@ -8,9 +8,14 @@ well-definedness.  ``quotient_breaks_loop`` and ``module_breaks_loop`` are
 the nested well-definedness loops of ``ideals.quotient_ring`` and
 ``modules.module_quotient``, run on the classes those functions built.
 ``rep_independence_loop`` decides representative independence of the
-transferred closure from its definition, one representative at a time."""
+transferred closure from its definition, one representative at a time.
+``z_relation_loop`` is the relation check of a localization of Z as it was
+before it read the absorbed residues: one grid comparison per residue of
+S."""
 
-from approxalg.closures import materialize
+import numpy as np
+
+from approxalg.closures import _chunks, materialize
 from approxalg.errors import ResourceLimitError
 from approxalg.reports import Verdict
 from approxalg.rings import TableRing, sort_key
@@ -188,3 +193,29 @@ def rep_independence_loop(loc, tested):
             if len(admitted) == 2:
                 return {"A": sorted(a_set, key=sort_key), "class": cls}
     return None
+
+
+def z_relation_loop(loc):
+    """The "equivalence-matches-class-map" verdict of a localization of Z:
+    (a, s) ~ (b, t) iff u (a t - b s) = 0 mod m for some residue u of S,
+    one comparison of the whole chunk per u, against the class map."""
+    m = loc.modulus
+    s_lifts = loc._sat_lifts()
+    pairs = [(a, s) for a in range(-m, m + 1) for s in s_lifts]
+    a_m = np.array([a % m for a, _ in pairs], dtype=np.int64)
+    s_m = np.array([s % m for _, s in pairs], dtype=np.int64)
+    cls = np.array([loc.to_class_z(a, s) for a, s in pairs], dtype=np.int64)
+    ce = None
+    for lo, hi in _chunks(len(pairs), len(pairs)):
+        cross = (a_m[lo:hi, None] * s_m - s_m[lo:hi, None] * a_m) % m
+        rel = np.zeros(cross.shape, dtype=bool)
+        for u in loc.sat_residues_mod_m:
+            rel |= (u * cross) % m == 0
+        hits = np.argwhere(rel != (cls[lo:hi, None] == cls))
+        if len(hits):
+            i, j = hits[0]
+            ce = {"pair1": pairs[lo + i], "pair2": pairs[j],
+                  "related": bool(rel[i, j])}
+            break
+    return Verdict("equivalence-matches-class-map", ce is None, ce,
+                   mode=f"pairs with |a| <= {m}, {len(s_lifts)} denominators")

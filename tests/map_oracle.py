@@ -18,7 +18,12 @@ from approxalg.closures import _subsets_for, materialize
 from approxalg.errors import PreconditionError
 from approxalg.modules import IsoVerdict, is_approx_submodule
 from approxalg.reports import Verdict
-from approxalg.rings import IntegerRing, is_additive_subgroup, sort_key
+from approxalg.rings import (
+    IntegerRing,
+    is_additive_subgroup,
+    sort_key,
+    subgroup_lattice,
+)
 
 
 def verify_hom_table(src, dst, mapping):
@@ -59,9 +64,9 @@ def approx_hom_violation(src, dst, cl_dst, mapping):
 def closure_preimage_compatible(f, cl_src, cl_dst, subset_cap=1 << 12,
                                 guard=64):
     """The finite branch: f^{-1}(cl(B)) inside cl(f^{-1}(B)) for each B."""
-    subsets, domain = _subsets_for(f.dst, subset_cap, guard)
+    masks, domain = _subsets_for(f.dst, subset_cap, guard)
     src_elems = sorted(f.src.elements(), key=sort_key)
-    for b in subsets:
+    for b in map(subgroup_lattice(f.dst).values, masks):
         target = materialize(cl_dst, b)
         pre_t = frozenset(x for x in src_elems if f.apply(x) in target)
         pre_b = frozenset(x for x in src_elems if f.apply(x) in b)

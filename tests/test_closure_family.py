@@ -237,3 +237,52 @@ def test_contains_multiple_of_matches_the_prime_loop():
         assert got == [loop(s, d) for d in range(-300, 301)]
         seen.update(got)
     assert seen == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# replaying module counterexamples
+
+
+@pytest.mark.parametrize("orders, shift", FAMILIES, ids=str)
+def test_module_counterexamples_replay(orders, shift):
+    """Every failing verdict ``check_axioms`` reports for a module closure
+    replays: the scalars and their action come from the module's lattice,
+    so a scalar r is not read as a module element."""
+    mod = modules.finite_module(Z, orders)
+    failed = 0
+    for twin, _ in twin_pairs(mod, shift):
+        for v in closures.check_axioms(twin).failed():
+            assert closures.replay_counterexample(twin, v.name,
+                                                  v.counterexample), v
+            failed += 1
+    assert failed > 0
+
+
+def test_module_c4b_counterexample_replays():
+    """The union-fixed closure of Z/2 x Z/4 fixing (1, 1) fails C4b at a
+    scalar that is no module element."""
+    mod = modules.finite_module(Z, [2, 4])
+    cl = modules.ModuleUnionFixedClosure(mod, [(1, 1)])
+    ce = closures.check_axioms(cl).verdicts["C4b"].counterexample
+    assert ce is not None and not isinstance(ce["r"], tuple)
+    assert closures.replay_counterexample(cl, "C4b", ce)
+
+
+class ZeroOnly(modules.ModuleClosure):
+    """cl(X) = {0}: every nonzero subgroup escapes it, so absorption fails."""
+
+    name = "zero-only"
+
+    def eval_set(self, values):
+        return frozenset({self.module.zero})
+
+
+@pytest.mark.parametrize("orders", [[4], [2, 4]], ids=str)
+def test_module_absorption_counterexample(orders):
+    """The exhaustive engine names the (r, s) of an absorption failure by
+    the module's action, and the counterexample replays."""
+    mod = modules.finite_module(Z, orders)
+    cl = ZeroOnly(mod)
+    ce = closures.check_axioms(cl).verdicts["absorption"].counterexample
+    assert mod.act(ce["r"], ce["s"]) == ce["witness"] != mod.zero
+    assert closures.replay_counterexample(cl, "absorption", ce)

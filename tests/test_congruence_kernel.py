@@ -12,9 +12,10 @@ from localization_oracle import (
     module_breaks_loop,
     quotient_breaks_loop,
     rep_independence_loop,
+    z_relation_loop,
 )
 
-from approxalg import modules
+from approxalg import localization, modules
 from approxalg.closures import (
     GeneratedIdealClosure,
     IdealShiftClosure,
@@ -260,3 +261,43 @@ def test_first_label_break_matches_loop():
                 == want
             if trial == 0:
                 assert want is None
+
+
+# ---------------------------------------------------------------------------
+# the relation check of a localization of Z
+
+
+def z_localizations(moduli):
+    for m in moduli:
+        for g in (2, 3, 5, 6):
+            shift = IdealShiftClosure(Z, ideal_generated(Z, [m]))
+            yield localize(Z, shift, mult_set(Z, [g]))
+
+
+def assert_relation_matches_loop(loc):
+    m = loc.modulus
+    assert loc._absorbed.tolist() == [
+        any((u * z) % m == 0 for u in loc.sat_residues_mod_m)
+        for z in range(m)]
+    assert loc.verdicts[0].to_dict() == z_relation_loop(loc).to_dict()
+
+
+def test_z_relation_matches_the_residue_loop():
+    """The absorbed-residue lookup against one grid comparison per residue
+    of S.  The loop walks every pair of a passing check, 136 s over all
+    m <= 60, so passing checks are compared for m <= 30."""
+    for loc in z_localizations(range(1, 31)):
+        assert_relation_matches_loop(loc)
+
+
+def test_z_relation_counterexamples_match_the_residue_loop(monkeypatch):
+    """A class map that ignores the denominator breaks the check wherever
+    some s in S is not 1 mod m0: the first counterexample is the loop's,
+    for every m <= 60."""
+    monkeypatch.setattr(localization.LocalizedRing, "to_class_z",
+                        lambda self, a, s: a % self.m0 if self.m0 > 1 else 0)
+    failed = 0
+    for loc in z_localizations(range(1, 61)):
+        assert_relation_matches_loop(loc)
+        failed += not loc.verdicts[0].passed
+    assert failed > 150

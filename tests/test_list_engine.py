@@ -45,12 +45,14 @@ from approxalg import closures, homs, modules
 from approxalg.closures import check_axioms, closure_image_compatible
 from approxalg.grammar import parse_ring
 from approxalg.localization import check_transfer_axioms, localize, mult_set
-from approxalg.rings import enumerate_subgroups, sort_key
+from approxalg.rings import enumerate_subgroups, sort_key, subgroup_lattice
 
 
-def _oracle(cl, struct, subsets, report, paired=None):
+def _oracle(cl, struct, masks, report, paired=None):
+    """The oracle on the list the engine is given, read as value sets."""
     assert paired is None
     scalars = sorted(struct.elements(), key=sort_key)
+    subsets = [subgroup_lattice(struct).values(m) for m in masks]
     return check_axioms_sets(cl, subsets, scalars, report)
 
 
@@ -209,7 +211,8 @@ def test_image_compatibility_matches_loop():
     failed = 0
     for f, cl_src, cl_dst in _image_cases():
         got = closure_image_compatible(f, cl_src, cl_dst)
-        subsets, domain = closures._subsets_for(f.src, 1 << 12, 64)
+        masks, domain = closures._subsets_for(f.src, 1 << 12, 64)
+        subsets = list(map(subgroup_lattice(f.src).values, masks))
         want = image_compatible_loop(f, cl_src, cl_dst, subsets, domain)
         assert got.to_dict() == want.to_dict(), (f, cl_src, cl_dst)
         failed += not got.passed
