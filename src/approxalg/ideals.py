@@ -90,11 +90,6 @@ class ApproxIdeal:
         return f"ApproxIdeal({self.base!r})"
 
 
-def approx_ideal(ring, gens, cl, check=True):
-    """ApproxIdeal generated (as a subgroup) by the given elements."""
-    return ApproxIdeal(subgroup_generated(ring, gens), cl, check=check)
-
-
 def is_approx_ideal(s, cl):
     """(verdict, counterexample): s a subgroup with R*s inside cl(s)."""
     ring = cl.ring
@@ -105,11 +100,11 @@ def is_approx_ideal(s, cl):
         if PrincipalSubgroup(g).contains(d):
             return True, None
         return False, {"reason": "absorption", "r": 1, "s": d, "witness": d}
-    s = s if isinstance(s, ElementSet) else ElementSet(ring, s)
     lat = subgroup_lattice(ring)
-    if not lat.is_subgroup(s.mask):
-        return False, {"reason": "not-a-subgroup", "S": s.sorted_values()}
-    hit = _first_unabsorbed(ring, s.mask, lat.mask(materialize(cl, s)))
+    mask = lat.mask(s)
+    if not lat.is_subgroup(mask):
+        return False, {"reason": "not-a-subgroup", "S": lat.listed(mask)}
+    hit = _first_unabsorbed(ring, mask, lat.mask(materialize(cl, s)))
     if hit is None:
         return True, None
     r, x, p = hit
@@ -627,7 +622,7 @@ def _preimage_subgroup(f, base):
     if isinstance(f.src, IntegerRing):
         return PrincipalSubgroup(math.gcd(f.dst.n, *base.values))
     src, dst, img = _hom_map(f)
-    (pre,) = dst.rows([base.mask])
+    (pre,) = dst.rows([dst.mask(base)])
     return FiniteSubgroup.from_mask(f.src, src.row_mask(pre[img]))
 
 
@@ -635,9 +630,10 @@ def _image_subgroup(f, base):
     if isinstance(base, PrincipalSubgroup):
         return subgroup_generated(f.dst, [f.apply(base.d)])
     src, dst, img = _hom_map(f)
-    # f is additive, so the image of a subgroup is one
-    image = _image_rows(img, src.rows([base.mask])[0], dst.n)
-    return FiniteSubgroup.from_mask(f.dst, dst.row_mask(image))
+    image = _image_rows(img, src.rows([src.mask(base)])[0], dst.n)
+    # checked: an unchecked ApproxIdeal may hold a plain set
+    return FiniteSubgroup(f.dst, ElementSet.from_mask(f.dst,
+                                                      dst.row_mask(image)))
 
 
 def _pullback_identity_verdict(f, gen_bound=60):

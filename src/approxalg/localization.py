@@ -45,6 +45,7 @@ from .ideals import (
 )
 from .reports import Verdict
 from .rings import (
+    ElementSet,
     FiniteSubgroup,
     IntegerRing,
     PrincipalSubgroup,
@@ -90,7 +91,7 @@ class MultSet:
         else:
             self.saturation = frozenset(
                 _saturate(ring.one, self.generators, ring.mul))
-            self._sat_mask = subgroup_lattice(ring).mask(self.saturation)
+            self._sat = ElementSet(ring, self.saturation)
 
     def residues(self, modulus):
         """Saturation residues modulo ``modulus`` (integers only)."""
@@ -109,7 +110,7 @@ class MultSet:
         """Whether the subgroup holds an element of S."""
         if isinstance(self.ring, IntegerRing):
             return self.contains_multiple_of(sub.d)
-        return bool(sub.mask & self._sat_mask)
+        return len(self._sat & sub) > 0
 
     def contains(self, x):
         """Membership test for an integer multiplicative set."""
@@ -149,7 +150,7 @@ class TransferredClosure(ClosureSpec):
 
     def __init__(self, localized):
         super().__init__(localized.model)
-        self.loc, self.lat = localized, subgroup_lattice(localized.model)
+        self.loc = localized
 
     def describe(self):
         return f"transferred({self.loc.base_cl.describe()})"
@@ -158,7 +159,7 @@ class TransferredClosure(ClosureSpec):
         """The classes with a representative (a, s) such that u * a lies in
         cl({x : x/s in A}) for some u in S (``LocalizedRing._class_masks``)."""
         hits, _ = self.loc._class_masks(frozenset(values))
-        return self.lat.values(hits)
+        return subgroup_lattice(self.ring).values(hits)
 
 
 class LocalizedRing:
@@ -553,7 +554,7 @@ def extend(loc, p_sub):
     else:
         # the classes of the pairs (a, s), a in P: rows of the grid
         base, model = subgroup_lattice(loc.base), subgroup_lattice(loc.model)
-        (p_row,) = base.rows([p_sub.mask])
+        (p_row,) = base.rows([base.mask(p_sub)])
         mask = model.row_mask(_image_rows(
             loc._pair_labels.ravel(), p_row.repeat(len(loc.sat)), model.n))
     sub = FiniteSubgroup.from_mask(loc.model, mask)
@@ -573,7 +574,7 @@ def contract(loc, q_sub):
         out = PrincipalSubgroup(math.gcd(m0, *q_sub.values) if m0 > 1 else 1)
     else:
         base, model = subgroup_lattice(loc.base), subgroup_lattice(loc.model)
-        (q_row,) = model.rows([q_sub.mask])
+        (q_row,) = model.rows([model.mask(q_sub)])
         out = FiniteSubgroup.from_mask(loc.base,
                                        base.row_mask(q_row[loc._iota_map()]))
     q_prime, _ = is_approx_prime(q_sub, loc.transferred, check_ideal=False) \

@@ -534,6 +534,8 @@ class _Lattice:
     equal one asked for, and keeps working for its callers while one lives.
     """
 
+    _DIGITS = bytes.maketrans(b"01", b"\0\1")  # binary digits as 0/1 bytes
+
     def __init__(self, struct):
         self._refs = [weakref.ref(struct)]
         self.elems = sorted(struct.elements(), key=sort_key)
@@ -600,19 +602,21 @@ class _Lattice:
         return frozenset(self.listed(mask))
 
     def listed(self, mask):
-        """The elements of a mask, in ``sort_key`` order: bit by bit when it
-        is sparse, else by one pass over its binary digits."""
-        if mask.bit_count() * 8 < mask.bit_length():
-            return [self.elems[j] for j in _bits(mask)]
-        return [e for e, bit in zip(self.elems, bin(mask)[:1:-1]) if bit == "1"]
+        """The elements of a mask, in ``sort_key`` order: its binary digits,
+        lowest first, as 0/1 bytes selecting from the element list."""
+        return list(itertools.compress(
+            self.elems, bin(mask)[:1:-1].encode().translate(self._DIGITS)))
 
     def rows(self, masks):
         """Masks as the rows of a bool array over the element order."""
         width = (self.n + 7) // 8
         packed = np.frombuffer(b"".join(m.to_bytes(width, "little")
                                         for m in masks), dtype=np.uint8)
-        return np.unpackbits(packed.reshape(-1, width), axis=1,
-                             bitorder="little")[:, :self.n].astype(bool)
+        rows = np.unpackbits(packed.reshape(-1, width), axis=1,
+                             bitorder="little").astype(bool)
+        if rows[:, self.n:].any():
+            raise DomainMismatchError("a mask has bits beyond the elements")
+        return rows[:, :self.n]
 
     def row_mask(self, row):
         """The mask of one bool row over the element order."""

@@ -18,6 +18,12 @@ import pytest
 from lattice_oracle import small_rings
 
 from approxalg import modules
+from approxalg.closures import GeneratedIdealClosure
+from approxalg.errors import DomainMismatchError, PreconditionError
+from approxalg.grammar import parse_ring
+from approxalg.homs import identity_hom
+from approxalg.ideals import _image_subgroup, _preimage_subgroup, is_approx_ideal
+from approxalg.localization import contract, extend, localize, mult_set
 from approxalg.rings import (
     ElementSet,
     FiniteSubgroup,
@@ -25,6 +31,7 @@ from approxalg.rings import (
     Z,
     enumerate_subgroups,
     sort_key,
+    subgroup_lattice,
 )
 
 STRUCTURES = small_rings() + [modules.finite_module(Z, [2, 4]),
@@ -87,3 +94,30 @@ def test_structures_cover_the_named_shapes():
     names = {repr(s) for s in STRUCTURES}
     assert {"mod:Z:[2x4]", "mod:Z:[2x2x2]", "Zn:16"} <= names
     assert all(s.cardinality() <= 16 for s in STRUCTURES)
+
+
+def test_a_subset_of_another_ring_is_refused():
+    """A kernel reads a subset's mask only on the lattice it was made on;
+    on another ring of the same size the subset is re-encoded through that
+    ring's ``canon``, which refuses a foreign element.  Read as raw bits,
+    {0, 3} in Z/6 would be {(0,0), (1,0)} in Z/2 x Z/3, an ideal."""
+    z6, prod = parse_ring("Zn:6"), parse_ring("prod:[Zn:2,Zn:3]")
+    sub = FiniteSubgroup(z6, [0, 3])
+    gen, f = GeneratedIdealClosure(prod), identity_hom(prod)
+    loc = localize(prod, gen, mult_set(prod, [(1, 1)]))
+    for call in [lambda: is_approx_ideal(sub, gen),
+                 lambda: _image_subgroup(f, sub),
+                 lambda: _preimage_subgroup(f, sub),
+                 lambda: extend(loc, sub), lambda: contract(loc, sub),
+                 lambda: loc.mult.meets(sub),
+                 lambda: subgroup_lattice(z6).rows([1 << 6])]:
+        with pytest.raises(DomainMismatchError):
+            call()
+
+
+def test_the_image_of_a_non_subgroup_is_checked():
+    """An image is a ``FiniteSubgroup`` only when it is closed: the image
+    of the plain set {1} under the identity is refused."""
+    z6 = parse_ring("Zn:6")
+    with pytest.raises(PreconditionError, match="not an additive subgroup"):
+        _image_subgroup(identity_hom(z6), ElementSet(z6, [1]))
