@@ -21,13 +21,14 @@ span-based operators the raw set-sum of 0-free sets falsifies C4a (e.g.
 A = B = {2} in Z/12), while every use of the axiom in the verified theorems
 applies it to subgroups; augmenting by 0 restores exactly that reading.
 
-Exhaustive subset runs encode subsets of a finite ring as bitmasks inside
-numpy arrays and tabulate the closure over every subset.  A closure that
-declares a ``join`` (the span, shift, set-shift and union variants) is
-evaluated n + 1 times, on the empty set and on each singleton, and the
-table is filled by that join, one numpy pass per element
-(``FiniteDomain.closure_vector``); any other closure is evaluated once per
-subset.  The unary axioms are one sweep over that table; the pairwise
+On a finite ring or module a closure is one map, ``eval_mask``, from the
+mask of A over ``rings.subgroup_lattice`` to that of cl(A).  Exhaustive
+runs hold those masks in numpy arrays and tabulate it over every subset.
+A closure that declares a ``join`` (the span, shift, set-shift and union
+variants) is evaluated n + 1 times, on the empty set and on each
+singleton, and the table is filled by that join, one numpy pass per
+element (``FiniteDomain.closure_vector``); any other closure is evaluated
+once per subset.  The unary axioms are one sweep over that table; the pairwise
 axioms C2 and C4a are decided by exact reductions of the all-pairs domain
 (a superset meet for C2, and fiber-minimal subsets for C4a), proved in
 ``check_axioms_finite``.  Their counterexamples are the first violating
@@ -38,7 +39,7 @@ Every other finite domain is an explicit list of subsets: the subgroups,
 the classical ideals, seeded samples (plus every subgroup), all subsets
 for a membership-only closure, and sampled module checks.  The list engine
 (``_check_axioms_list``) turns each member into a bool row over the
-element order of ``rings.subgroup_lattice``, evaluates the closure once per
+element order of ``rings.subgroup_lattice``, calls ``eval_mask`` once per
 distinct row, and decides each axiom with a few numpy calls over those
 rows: scalar multiples come from the kernel's action rows and set-sums
 from its "add e_i" rows.  C1, C3, C4b and absorption report the first
@@ -62,6 +63,7 @@ from . import polynomials as poly
 from .errors import (
     ClosureNotSetValuedError,
     DomainMismatchError,
+    NotEnumerableError,
     PreconditionError,
     ResourceLimitError,
 )
@@ -79,7 +81,6 @@ from .rings import (
     _mask,
     additive_closure,
     enumerate_subgroups,
-    ideal_closure_set,
     ideal_from_subgroup,
     sort_key,
     subgroup_lattice,
@@ -113,6 +114,9 @@ class IntPolyContext:
     def __init__(self, nvars):
         self.nvars = nvars
 
+    def elements(self):
+        raise NotEnumerableError(f"{self} is not enumerable")
+
     def spec_string(self):
         return f"ZPoly:n={self.nvars}"
 
@@ -133,10 +137,15 @@ def _is_integer_lattice(ring):
 class ClosureSpec:
     """Base class: a declarative closure operator over one ring.
 
+    On a finite ring or module the closure is ``eval_mask``, from the mask
+    of A over ``rings.subgroup_lattice`` to the mask of cl(A).  A subclass
+    defines it or ``eval_set`` (canonical values to a frozenset), and the
+    base derives the other; defining neither raises PreconditionError.
+
     ``join`` names how cl(A | {x}) follows from cl(A) and cl({x}):
     ``"sum"`` (their set-sum), ``"union"`` (their union), or None when no
     such rule holds.  ``FiniteDomain.closure_vector`` builds its table from
-    it, so a subclass that changes ``eval_set`` restates ``join``.
+    it, so a subclass that changes ``eval_mask`` restates ``join``.
     """
 
     name = "?"
@@ -146,9 +155,24 @@ class ClosureSpec:
     def __init__(self, ring):
         self.ring = ring
 
-    # finite rings: frozenset -> frozenset
+    def eval_mask(self, mask):
+        """The mask of cl(A), for A the mask ``mask`` of a finite ring."""
+        if type(self).eval_set is ClosureSpec.eval_set:
+            raise PreconditionError(
+                f"{self.name} closure has no set evaluation here")
+        lat = subgroup_lattice(self.ring)
+        values = self.eval_set(lat.values(mask))
+        return lat.mask(values)
+
     def eval_set(self, values):
-        raise PreconditionError(f"{self.name} closure has no set evaluation here")
+        """cl(A) as a frozenset, for A a set of canonical values of a
+        finite ring; membership-only closures refuse it."""
+        if not self.set_valued or \
+                type(self).eval_mask is ClosureSpec.eval_mask:
+            raise PreconditionError(
+                f"{self.name} closure has no set evaluation here")
+        lat = subgroup_lattice(self.ring)
+        return lat.values(self.eval_mask(lat.mask(values)))
 
     # integers: generator of cl(dZ)
     def z_principal_image(self, d):
@@ -159,8 +183,10 @@ class ClosureSpec:
 
     def member(self, x, values):
         """x in cl(A) for A given as an iterable of canonical values; by
-        default, x in the set ``eval_set`` gives."""
-        return self.ring.canon(x) in self.eval_set(frozenset(values))
+        default, the bit of x in ``eval_mask``."""
+        lat = subgroup_lattice(self.ring)
+        return bool(self.eval_mask(lat.mask(values))
+                    >> lat.index[self.ring.canon(x)] & 1)
 
     def describe(self):
         return self.name
@@ -175,8 +201,8 @@ class GeneratedIdealClosure(ClosureSpec):
     name = "gen"
     join = "sum"
 
-    def eval_set(self, values):
-        return ideal_closure_set(self.ring, values)
+    def eval_mask(self, mask):
+        return subgroup_lattice(self.ring).span(mask)
 
     def z_principal_image(self, d):
         return d
@@ -227,10 +253,10 @@ class IdealShiftClosure(_ShiftClosure):
     name = "shift"
     join = "sum"
 
-    def eval_set(self, values):
+    def eval_mask(self, mask):
         # <A> + J = <A | J>, as J is an ideal
-        return ideal_closure_set(
-            self.ring, frozenset(values) | self.shift_ideal.canonical.values)
+        return subgroup_lattice(self.ring).span(
+            mask | self.shift_ideal.canonical.mask)
 
     def member(self, x, values):
         if _is_integer_lattice(self.ring):
@@ -245,9 +271,9 @@ class SetShiftClosure(_ShiftClosure):
     name = "setshift"
     join = "union"
 
-    def eval_set(self, values):
-        j = self.shift_ideal.canonical.values
-        return frozenset(self.ring.add(a, b) for a in values for b in j)
+    def eval_mask(self, mask):
+        return subgroup_lattice(self.ring).setsum(
+            mask, self.shift_ideal.canonical.mask)
 
     def member(self, x, values, values_are_subgroup=False):
         ring = self.ring
@@ -339,10 +365,12 @@ class SamplingClosure(ClosureSpec):
         return all(x[pt_index[a]] == 0
                    for sigma in self.family for a in sigma & vset)
 
-    # internal: materialized set for axiom checking
-    def eval_set_internal(self, values):
-        return frozenset(v for v in self.ring.elements()
-                         if self.member(v, values))
+    def eval_mask(self, mask):
+        """cl(A) by membership, for the checkers; ``eval_set`` is refused."""
+        lat = subgroup_lattice(self.ring)
+        values = lat.listed(mask)
+        return _mask(i for i, v in enumerate(lat.elems)
+                     if self.member(v, values))
 
 
 class ToleranceClosure(ClosureSpec):
@@ -405,12 +433,8 @@ class UnionFixedClosure(ClosureSpec):
     def describe(self):
         return f"union-fixed:{sorted(self.extra, key=sort_key)}"
 
-    def eval_set(self, values):
-        return frozenset(values) | self.extra
-
-    def member(self, x, values):
-        x = self.ring.canon(x)
-        return x in self.extra or x in {self.ring.canon(v) for v in values}
+    def eval_mask(self, mask):
+        return mask | subgroup_lattice(self.ring).mask(self.extra)
 
 
 def _lattice_ideal_member(ring, x, values, shift):
@@ -431,13 +455,12 @@ def _lattice_ideal_member(ring, x, values, shift):
 
 
 def _input_values(ring, a):
-    """Normalize a subset argument to a frozenset of canonical values."""
+    """Normalize a subset argument: a subgroup of Z or a subset of a finite
+    ring as it is, anything else to a frozenset of canonical values."""
     if isinstance(a, IdealRep):
         a = a.canonical
-    if isinstance(a, PrincipalSubgroup):
+    if isinstance(a, (PrincipalSubgroup, ElementSet)):
         return a
-    if isinstance(a, ElementSet):
-        return a.values
     return frozenset(ring.canon(v) for v in a)
 
 
@@ -461,7 +484,7 @@ def closure_eval(cl, a):
     if not ring.is_finite:
         raise PreconditionError(f"closure evaluation unsupported over {ring}")
     lat = subgroup_lattice(ring)
-    out = lat.mask(cl.eval_set(frozenset(vals)))
+    out = cl.eval_mask(lat.mask(vals))
     if not lat.is_subgroup(out):
         return ElementSet.from_mask(ring, out)
     sub = FiniteSubgroup.from_mask(ring, out)
@@ -491,18 +514,15 @@ def closure_member(cl, x, a):
 
 
 def materialize(cl, a):
-    """The closure as an explicit set, for finite rings.
-
-    Set-valued variants evaluate directly; sampling materializes through
-    membership.  Tolerance closures have no finite carrier and raise.
+    """The closure as an explicit set, for finite rings: ``eval_mask`` read
+    as values, which sampling closures give through membership.  Tolerance
+    closures have no finite carrier and raise.
     """
     ring = cl.ring
     if isinstance(ring, IntPolyContext):
         raise ClosureNotSetValuedError("tolerance closures have no finite carrier")
-    vals = frozenset(_input_values(ring, a))
-    if cl.set_valued:
-        return cl.eval_set(vals)
-    return cl.eval_set_internal(vals)
+    lat = subgroup_lattice(ring)
+    return lat.values(cl.eval_mask(lat.mask(_input_values(ring, a))))
 
 
 # ---------------------------------------------------------------------------
@@ -512,18 +532,17 @@ def materialize(cl, a):
 class FiniteDomain:
     """Bitmask tables for subsets of a finite ring or module.
 
-    The element order, index and the add and scalar maps come from the
-    structure's ``rings.subgroup_lattice``.  Subsets are int32 masks (so mask
-    arrays index other tables directly).  Scalars are the ring elements
+    The subsets are the masks of the structure's ``rings.subgroup_lattice``
+    (``lat``), held as int32 (so mask arrays index other tables directly),
+    and the add and scalar maps come from it.  Scalars are the ring elements
     themselves for ring closures, or ``scalar_reps`` for module closures.
     """
 
     def __init__(self, lattice):
-        self.elems = lattice.elems
+        self.lat = lattice
         self.n = lattice.n
         if self.n > 16:
             raise ResourceLimitError(f"{self.n} elements exceed the mask width")
-        self.index = lattice.index
         self.nmasks = 1 << self.n
         self.zero_bit = np.int32(1 << lattice.zero)
         masks = np.arange(self.nmasks, dtype=np.int32)
@@ -545,19 +564,6 @@ class FiniteDomain:
         self.scale_tables = {r: transport(lattice.act_row(r))
                              for r in self.scalars}
         self.subgroup_masks = lattice.subgroups()
-
-    def mask_of(self, values):
-        m = 0
-        for v in values:
-            m |= 1 << self.index[v]
-        return m
-
-    def set_of(self, mask):
-        return frozenset(self.elems[i] for i in range(self.n)
-                         if (int(mask) >> i) & 1)
-
-    def sorted_set(self, mask):
-        return sorted(self.set_of(mask), key=sort_key)
 
     def setsum_vec(self, a_masks, b_masks):
         """Elementwise set-sum of two equally shaped mask arrays."""
@@ -594,14 +600,13 @@ class FiniteDomain:
           a union over A | {x} splits into the one over A and the one
           over {x}.
         """
-        clv = np.zeros(self.nmasks, dtype=np.int32)
         if cl.join is None:
-            for m in range(self.nmasks):
-                clv[m] = self.mask_of(cl.eval_set(self.set_of(m)))
-            return clv
-        clv[0] = self.mask_of(cl.eval_set(frozenset()))
-        for i, x in enumerate(self.elems):
-            single = np.int32(self.mask_of(cl.eval_set(frozenset((x,)))))
+            return np.array([cl.eval_mask(m) for m in range(self.nmasks)],
+                            dtype=np.int32)
+        clv = np.zeros(self.nmasks, dtype=np.int32)
+        clv[0] = cl.eval_mask(0)
+        for i in range(self.n):
+            single = np.int32(cl.eval_mask(1 << i))
             low, high = clv[:1 << i], clv[1 << i:2 << i]
             if cl.join == "sum":
                 high[:] = self.setsum_vec(low, single)
@@ -621,14 +626,6 @@ def _first_violation(viol):
     if not viol.any():
         return None
     return tuple(int(x) for x in np.argwhere(viol)[0])
-
-
-def _lowest_bit_elem(dom, mask):
-    mask = int(mask)
-    for i in range(dom.n):
-        if (mask >> i) & 1:
-            return dom.elems[i]
-    return None
 
 
 def check_axioms_finite(cl, dom, report):
@@ -670,6 +667,12 @@ def check_axioms_finite(cl, dom, report):
     clv = dom.closure_vector(cl)
     masks = dom.masks
     midx = masks
+    lat = dom.lat
+    listed = lat.listed
+
+    def least(mask):
+        mask = int(mask)
+        return lat.elems[(mask & -mask).bit_length() - 1]
 
     # C1: A subset of cl(A)
     viol = (masks & ~clv) != 0
@@ -679,8 +682,7 @@ def check_axioms_finite(cl, dom, report):
     else:
         (m,) = pos
         report.record("C1", False, {
-            "A": dom.sorted_set(m),
-            "witness": _lowest_bit_elem(dom, masks[m] & ~clv[m])})
+            "A": listed(m), "witness": least(masks[m] & ~clv[m])})
 
     # C3: cl(cl(A)) == cl(A)
     viol = clv[clv] != clv
@@ -690,9 +692,8 @@ def check_axioms_finite(cl, dom, report):
     else:
         (m,) = pos
         report.record("C3", False, {
-            "A": dom.sorted_set(m),
-            "clA": dom.sorted_set(clv[m]),
-            "cl_clA": dom.sorted_set(clv[int(clv[m])])})
+            "A": listed(m), "clA": listed(clv[m]),
+            "cl_clA": listed(clv[clv[m]])})
 
     # C4b: r * cl(A) subset of cl(rA), for every scalar r
     c4b_done = False
@@ -705,8 +706,7 @@ def check_axioms_finite(cl, dom, report):
         if pos is not None:
             (m,) = pos
             report.record("C4b", False, {
-                "A": dom.sorted_set(m), "r": r,
-                "witness": _lowest_bit_elem(dom, lhs[m] & ~rhs[m])})
+                "A": listed(m), "r": r, "witness": least(lhs[m] & ~rhs[m])})
             c4b_done = True
             break
     if not c4b_done:
@@ -724,22 +724,19 @@ def check_axioms_finite(cl, dom, report):
         report.record("absorption", True)
     else:
         (m,) = pos
-        bad = ra[m] & ~clv[m]
-        witness = _lowest_bit_elem(dom, bad)
+        witness = least(ra[m] & ~clv[m])
         r_found, s_found = None, None
-        aset = dom.set_of(masks[m])
         # recover a concrete (r, s) pair for the witness: r s, or r acting
-        act = subgroup_lattice(cl.ring)._act()
+        act = lat._act()
         for r in dom.scalars:
-            for s in sorted(aset, key=sort_key):
+            for s in listed(m):
                 if act(r, s) == witness:
                     r_found, s_found = r, s
                     break
             if r_found is not None:
                 break
         report.record("absorption", False, {
-            "A": dom.sorted_set(m), "r": r_found, "s": s_found,
-            "witness": witness})
+            "A": listed(m), "r": r_found, "s": s_found, "witness": witness})
 
     # C2: cl(A) inside cl(B) for every B containing A.  meet[A] is the AND
     # of cl(B) over all supersets B of A, one pass per element bit.
@@ -753,8 +750,8 @@ def check_axioms_finite(cl, dom, report):
         (a,) = pos
         sup = masks[(masks & a) == a]
         (j,) = _first_violation((clv[a] & ~clv[sup]) != 0)
-        c2_ce = {"A": dom.sorted_set(a), "B": dom.sorted_set(sup[j]),
-                 "witness": _lowest_bit_elem(dom, clv[a] & ~clv[sup[j]])}
+        c2_ce = {"A": listed(a), "B": listed(sup[j]),
+                 "witness": least(clv[a] & ~clv[sup[j]])}
 
     # C4a: cl(A) + cl(B) inside cl((A | 0) + (B | 0)), over the fiber-minimal
     # subsets when C2 holds and over all subsets when it fails.
@@ -777,9 +774,8 @@ def check_axioms_finite(cl, dom, report):
         pos = _first_violation((lhs & ~rhs) != 0)
         if pos is not None:
             i, j = pos
-            c4a_ce = {"A": dom.sorted_set(a_row[i]),
-                      "B": dom.sorted_set(pool[j]),
-                      "witness": _lowest_bit_elem(dom, lhs[i, j] & ~rhs[i, j])}
+            c4a_ce = {"A": listed(a_row[i]), "B": listed(pool[j]),
+                      "witness": least(lhs[i, j] & ~rhs[i, j])}
             break
         start += rows
         rows = min(2 * rows, max_rows)
@@ -801,16 +797,6 @@ def ring_domain(ring):
     if dom is None:
         dom = _DOMAIN_CACHE[ring] = FiniteDomain(subgroup_lattice(ring))
     return dom
-
-
-def _eval_for_checks(cl):
-    """Set evaluator used by checkers (materializes sampling closures)."""
-    if cl.set_valued:
-        return cl.eval_set
-    if isinstance(cl, SamplingClosure):
-        return cl.eval_set_internal
-    raise PreconditionError(
-        f"{cl.name} closure cannot be materialized for axiom checking")
 
 
 # ---------------------------------------------------------------------------
@@ -895,7 +881,6 @@ class QuotientModule:
             raise PreconditionError("cl(N) is not a subgroup; classes undefined")
         self.mod = mod
         self.carrier = [lat.elems[j] for j in _bits(c)]
-        self.clset = clset
         self.labels, cosets = _quotient_labels(lat, h & c, c)
         self.classes = [(lat.elems[i], lat.values(coset)) for i, coset in cosets]
         self.rep_of = {lat.elems[j]: lat.elems[i]
@@ -1031,12 +1016,12 @@ def _row_keys(rows):
 
 class _ClosureRows:
     """cl on bool rows over the lattice's element order, evaluated through
-    ``_eval_for_checks`` once per distinct row.  Known rows are a sorted key
-    array with the table row of each, so a batch is looked up by one
+    ``eval_mask`` once per distinct row.  Known rows are a sorted key array
+    with the table row of each, so a batch is looked up by one
     ``searchsorted`` and only its new rows reach Python."""
 
     def __init__(self, cl, lat):
-        self.ev = _eval_for_checks(cl)
+        self.cl = cl
         self.lat = lat
         self.keys = self.slots = None
         self.table = np.zeros((16, lat.n), dtype=bool)
@@ -1070,8 +1055,7 @@ class _ClosureRows:
         lat = self.lat
         if slot == len(self.table):
             self.table = np.concatenate([self.table, np.zeros_like(self.table)])
-        out = self.ev(lat.values(lat.row_mask(row)))
-        self.table[slot][[lat.index[v] for v in out]] = True
+        self.table[slot][_bits(self.cl.eval_mask(lat.row_mask(row)))] = True
 
 
 def _chunks(total, row_cells):
@@ -1359,42 +1343,34 @@ def replay_counterexample(cl, axiom, ce):
     carry their principal-subgroup witnesses as display strings instead.
     """
     ring = cl.ring
-    ev = _eval_for_checks(cl)
     lat = subgroup_lattice(ring)
-    act = lat._act()
+    ev, zero = cl.eval_mask, 1 << lat.zero
+    if axiom not in AxiomReport.AXIOMS:
+        raise PreconditionError(f"unknown axiom {axiom!r}")
+    a = lat.mask(ce["A"])
 
-    def as_set(key):
-        return frozenset(ring.canon(v) for v in ce[key])
-
-    def setsum(a, b):
-        return frozenset(ring.add(x, y) for x in a for y in b)
+    def acted(r, mask):
+        row = lat.act_row(r)
+        return _mask({row[j] for j in _bits(mask)})
 
     if axiom == "C1":
-        a = as_set("A")
-        return not a <= ev(a)
+        return bool(a & ~ev(a))
     if axiom == "C2":
-        a, b = as_set("A"), as_set("B")
-        return a <= b and not ev(a) <= ev(b)
+        b = lat.mask(ce["B"])
+        return not a & ~b and bool(ev(a) & ~ev(b))
     if axiom == "C3":
-        a = as_set("A")
-        return ev(frozenset(ev(a))) != ev(a)
+        return ev(ev(a)) != ev(a)
     if axiom == "C4a":
-        a, b = as_set("A"), as_set("B")
-        zero = ring.zero
-        lhs = setsum(ev(a), ev(b))
-        rhs = ev(setsum(a | {zero}, b | {zero}))
-        return not lhs <= rhs
+        b = lat.mask(ce["B"])
+        rhs = ev(lat.setsum(a | zero, b | zero))
+        return bool(lat.setsum(ev(a), ev(b)) & ~rhs)
     if axiom == "C4b":
-        a = as_set("A")
         r = ce["r"] if lat._module else ring.canon(ce["r"])
-        lhs = frozenset(act(r, x) for x in ev(a))
-        rhs = ev(frozenset(act(r, x) for x in a))
-        return not lhs <= rhs
-    if axiom == "absorption":
-        a = as_set("A")
-        prods = frozenset(act(r, x) for r in lat.scalars for x in a)
-        return not prods <= ev(a)
-    raise PreconditionError(f"unknown axiom {axiom!r}")
+        return bool(acted(r, ev(a)) & ~ev(acted(r, a)))
+    prods = 0
+    for r in lat.scalars:
+        prods |= acted(r, a)
+    return bool(prods & ~ev(a))
 
 
 # ---------------------------------------------------------------------------
@@ -1512,10 +1488,11 @@ def closure_preimage_compatible(f, cl_src, cl_dst, subset_cap=1 << 12,
     dst = subgroup_lattice(f.dst)
     if isinstance(f.src, IntegerRing):
         n, bad = f.dst.n, None
-        for k, b in enumerate(map(dst.values, subsets)):
-            wit = sorted(u for u in materialize(cl_dst, b)
-                         if not (_z_preimage_member(cl_src, f, b, u) and
-                                 _z_preimage_member(cl_src, f, b, u + n)))
+        for k, m in enumerate(subsets):
+            b = dst.values(m)
+            wit = [u for u in dst.listed(cl_dst.eval_mask(m))
+                   if not (_z_preimage_member(cl_src, f, b, u) and
+                           _z_preimage_member(cl_src, f, b, u + n))]
             if wit:
                 bad = k, wit[0]
                 break

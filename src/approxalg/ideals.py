@@ -25,7 +25,6 @@ from .closures import (
     closure_eval,
     closure_image_compatible,
     closure_preimage_compatible,
-    materialize,
 )
 from .closures import _chunks, _first_unabsorbed, _first_violation, _hom_map
 from .closures import _image_rows
@@ -43,10 +42,10 @@ from .rings import (
     enumerate_subgroups,
     ideal_classical_product,
     ideal_from_subgroup,
-    is_additive_subgroup,
     is_prime,
     subgroup_generated,
     subgroup_lattice,
+    whole_subgroup,
 )
 
 
@@ -104,7 +103,7 @@ def is_approx_ideal(s, cl):
     mask = lat.mask(s)
     if not lat.is_subgroup(mask):
         return False, {"reason": "not-a-subgroup", "S": lat.listed(mask)}
-    hit = _first_unabsorbed(ring, mask, lat.mask(materialize(cl, s)))
+    hit = _first_unabsorbed(ring, mask, cl.eval_mask(mask))
     if hit is None:
         return True, None
     r, x, p = hit
@@ -139,14 +138,15 @@ def is_approx_prime(p, cl, check_ideal=True):
 
     if p.is_whole():
         raise PreconditionError("improper: P is the whole ring")
-    clset = materialize(cl, p)
-    if len(clset) >= ring.cardinality():
+    lat = subgroup_lattice(ring)
+    p_mask = lat.mask(p)
+    cl_mask = cl.eval_mask(p_mask)
+    if cl_mask.bit_count() >= lat.n:
         # such P can never be approximately prime; witness (1, 1)
         return False, {"reason": "closure-is-whole-ring",
                        "x": ring.one, "y": ring.one}
     # x y for x, y outside P in index order, from the act rows of such x
-    lat = subgroup_lattice(ring)
-    p_row, cl_row = lat.rows([lat.mask(p), lat.mask(clset)])
+    p_row, cl_row = lat.rows([p_mask, cl_mask])
     out = np.flatnonzero(~p_row)
     step = max(1, closures.LIST_GRID // lat.n)
     for lo in range(0, len(out), step):
@@ -388,13 +388,13 @@ def quotient_ring(ring, ideal):
             model = None  # Z itself; infinitely many classes
         return QuotientRing(ring, ideal, None, model, modulus=g)
 
-    clset = materialize(ideal.cl, ideal.base)
-    if not is_additive_subgroup(ring, clset):
+    clset = _carrier(ideal.closure)
+    if not isinstance(clset, FiniteSubgroup):
         raise PreconditionError(
             "cl(I) is not an additive subgroup; classes do not partition")
 
     # the classes are the cosets x + cl(I), on the ring's lattice
-    q = QuotientModule(ring, ring.elements(), clset,
+    q = QuotientModule(ring, whole_subgroup(ring), clset,
                        [Verdict("congruence-classes-partition", True)])
     q.check_operations()
     model = None
@@ -536,7 +536,7 @@ def _zero_sandwich(ring, cl):
     None: each (a r) b read off the act table, rows a in chunks."""
     lat = subgroup_lattice(ring)
     act = lat.act_table()
-    (cl0,) = lat.rows([lat.mask(materialize(cl, {ring.zero}))])
+    (cl0,) = lat.rows([cl.eval_mask(1 << lat.zero)])
     nonzero = np.flatnonzero(np.arange(lat.n) != lat.zero)
     for lo, hi in _chunks(len(nonzero), lat.n * len(nonzero)):
         a = nonzero[lo:hi]

@@ -35,7 +35,6 @@ from .closures import (
     _first_violation,
     _image_rows,
     check_axioms,
-    materialize,
 )
 from .errors import InvariantError, PreconditionError, ResourceLimitError
 from .ideals import (
@@ -155,11 +154,10 @@ class TransferredClosure(ClosureSpec):
     def describe(self):
         return f"transferred({self.loc.base_cl.describe()})"
 
-    def eval_set(self, values):
+    def eval_mask(self, mask):
         """The classes with a representative (a, s) such that u * a lies in
         cl({x : x/s in A}) for some u in S (``LocalizedRing._class_masks``)."""
-        hits, _ = self.loc._class_masks(frozenset(values))
-        return subgroup_lattice(self.ring).values(hits)
+        return self.loc._class_masks(mask)[0]
 
 
 class LocalizedRing:
@@ -307,7 +305,7 @@ class LocalizedRing:
         ring = self.base
         lat = subgroup_lattice(ring)
         sat = sorted(self.mult.saturation, key=sort_key)
-        cl0 = materialize(self.base_cl, {ring.zero})
+        (cl0,) = lat.rows([self.base_cl.eval_mask(1 << lat.zero)])
         pairs = [(a, s) for a in lat.elems for s in sat]
         if len(pairs) > 4096:
             raise ResourceLimitError(f"{len(pairs)} pairs exceed the guard")
@@ -317,7 +315,7 @@ class LocalizedRing:
         slot[s_idx] = np.arange(ns)
         num, den = np.repeat(np.arange(lat.n), ns), np.tile(s_idx, lat.n)
         # absorbed[z]: u z lies in cl(0) for some u in S
-        absorbed = np.isin(mul[s_idx], [lat.index[v] for v in cl0]).any(0)
+        absorbed = cl0[mul[s_idx]].any(0)
 
         grid = np.empty((n_pairs, n_pairs), dtype=bool)
         for lo, hi in _chunks(n_pairs, n_pairs):
@@ -406,27 +404,30 @@ class LocalizedRing:
         """iota as an index map (finite base): the grid's column at s = 1."""
         return self._pair_labels[:, self.denominators.index(self.base.one)]
 
-    def _pullbacks(self, values):
-        """cl_R({x : x/s in A}) per denominator s: over Z (g), its residues
-        a s mod m0 for a in A; else a set, A's row through the grid at s."""
+    def _pullbacks(self, mask):
+        """cl_R({x : x/s in A}) per denominator s, for A a mask of the
+        model: over Z (g), its residues a s mod m0 for a in A; else a mask,
+        A's row through the grid at s."""
+        model = subgroup_lattice(self.model)
         if isinstance(self.base, IntegerRing):
             m0 = self.m0
             if m0 == 1:
                 return [1] * len(self.denominators)  # the pullback spans Z
+            values = model.listed(mask)
             return [self.base_cl.z_principal_image(
                 math.gcd(m0, *res) if res else 0) for res in (
                     {(a * s) % m0 for a in values} for s in self.denominators)]
-        lat, model = subgroup_lattice(self.base), subgroup_lattice(self.model)
-        (a_row,) = model.rows([model.mask(values)])
-        return [materialize(self.base_cl, lat.values(lat.row_mask(p)))
+        lat = subgroup_lattice(self.base)
+        (a_row,) = model.rows([mask])
+        return [self.base_cl.eval_mask(lat.row_mask(p))
                 for p in a_row[self._pair_labels].T]
 
-    def _class_masks(self, values):
+    def _class_masks(self, mask):
         """Masks over the classes (model order) with a representative (a, s)
         such that u * a lies in the pullback closure at s for some u in S,
         and with one such that none does; cached by (s, pullback closure)."""
         hits = misses = 0
-        for t, pullback in enumerate(self._pullbacks(values)):
+        for t, pullback in enumerate(self._pullbacks(mask)):
             masks = self._masks.get((t, pullback))
             if masks is None:
                 if isinstance(self.base, IntegerRing):
@@ -434,8 +435,7 @@ class LocalizedRing:
                                               np.arange(self.m0))
                     ok = (prods % pullback == 0 if pullback else prods == 0)
                 else:
-                    lat = subgroup_lattice(self.base)
-                    (cl,) = lat.rows([lat.mask(pullback)])
+                    (cl,) = subgroup_lattice(self.base).rows([pullback])
                     ok = cl[self._sat_act]
                 col = self._pair_labels[:, t]
                 masks = self._masks[(t, pullback)] = tuple(
@@ -478,14 +478,14 @@ def check_rep_independence(loc, subset_limit=512):
     report the first subset under which a class mixes verdicts across its
     representatives, with the first such class in the model's order."""
     lat = subgroup_lattice(loc.model)
-    tested = (enumerate_subgroups(loc.model) +
-              [frozenset([e]) for e in lat.elems])[:subset_limit]
+    tested = ([sub.mask for sub in enumerate_subgroups(loc.model)] +
+              [1 << i for i in range(lat.n)])[:subset_limit]
     bad = None
     for a in tested:
         hits, misses = loc._class_masks(a)
         mixed = hits & misses
         if mixed:
-            bad = {"A": sorted(a, key=sort_key),
+            bad = {"A": lat.listed(a),
                    "class": lat.elems[(mixed & -mixed).bit_length() - 1]}
             break
     return Verdict("representative-independence", bad is None, bad,
@@ -498,21 +498,22 @@ def check_iota_functorial(loc, z_gen_bound=120):
     pre_ce = None
     trans = loc.transferred
     if isinstance(loc.base, IntegerRing):
+        model = subgroup_lattice(loc.model)
         for d in range(z_gen_bound + 1):
             g = loc.base_cl.z_principal_image(d)
-            lhs = {loc.iota(g * k) for k in range(loc.m0 + 1)}
-            rhs = trans.eval_set(frozenset(
-                loc.iota(d * k) for k in range(loc.m0 + 1)))
-            if not lhs <= rhs:
+            lhs, a = (model.mask({loc.iota(e * k) for k in range(loc.m0 + 1)})
+                      for e in (g, d))
+            if lhs & ~trans.eval_mask(a):
                 image_ce = {"X": f"({d})"}
                 break
         for sub in enumerate_subgroups(loc.model):
-            b = sub.values
+            b = sub.sorted_values()
             # iota^{-1}(U) = {x : x mod m0 in U}; spanning those lifts
             g = loc.base_cl.z_principal_image(math.gcd(loc.m0, *b))
-            if loc.m0 > 1 and not all((c % g == 0 if g else c == 0)
-                                      for c in trans.eval_set(b)):
-                pre_ce = {"B": sorted(b)}
+            if loc.m0 > 1 and not all(
+                    (c % g == 0 if g else c == 0)
+                    for c in model.listed(trans.eval_mask(sub.mask))):
+                pre_ce = {"B": b}
                 break
         mode = f"(d) for d <= {z_gen_bound}; subgroup subsets of classes"
     else:
@@ -642,14 +643,14 @@ def check_ext_contr_bijection(loc, z_bound=None):
 # radicals
 
 
-def _power_orbit_members(ring, clset):
-    """The g of a finite ring with some positive power in ``clset``, as a
-    mask over the ring's lattice.  A
-    power sequence in a finite ring takes at most n values, all among its
-    first n powers; these are read off the lattice's ``act_table`` in
-    doubling blocks, g^(m + j) = g^m g^j, for LIST_GRID cells of g at once."""
+def _power_orbit_members(ring, cl_mask):
+    """The g of a finite ring with some positive power in the mask
+    ``cl_mask``, as a mask over the ring's lattice.  A power sequence in a
+    finite ring takes at most n values, all among its first n powers; these
+    are read off the lattice's ``act_table`` in doubling blocks,
+    g^(m + j) = g^m g^j, for LIST_GRID cells of g at once."""
     lat = subgroup_lattice(ring)
-    (inside,) = lat.rows([lat.mask(clset)])
+    (inside,) = lat.rows([cl_mask])
     act, members = lat.act_table(), np.zeros(lat.n, dtype=bool)
     step = max(1, LIST_GRID // lat.n)
     for lo in range(0, lat.n, step):
@@ -667,7 +668,7 @@ def radical(ring, cl, ideal):
         g = cl.z_principal_image(base.d)
         return ideal_generated(Z, [_squarefree_kernel(g)])
     lat = subgroup_lattice(ring)
-    members = _power_orbit_members(ring, materialize(cl, base))
+    members = _power_orbit_members(ring, cl.eval_mask(lat.mask(base)))
     if not lat.is_subgroup(members):
         raise PreconditionError(
             "radical is not an additive subgroup for this closure")

@@ -48,6 +48,7 @@ from .rings import (
     ideal_closure_set,
     ideal_generated,
     subgroup_lattice,
+    whole_subgroup,
 )
 
 CM_SUBSET_CAP = 1 << 16
@@ -139,8 +140,8 @@ class FiniteModule:
         return self.spec_string()
 
     def __eq__(self, other):
-        return isinstance(other, FiniteModule) and \
-            self.spec_string() == other.spec_string()
+        return self is other or (isinstance(other, FiniteModule) and
+                                 self.spec_string() == other.spec_string())
 
     def __hash__(self):
         return hash(self.spec_string())
@@ -273,8 +274,9 @@ def module_quotient(mod, n_values, cl):
     ok, ce = is_approx_submodule(mod, n_values, cl)
     if not ok:
         raise PreconditionError(f"not an approximate submodule: {ce}")
-    n_values = frozenset(mod.canon(v) for v in n_values)
-    q = QuotientModule(mod, mod.elements(), cl.eval_set(n_values),
+    cl_n = ElementSet.from_mask(
+        mod, cl.eval_mask(subgroup_lattice(mod).mask(n_values)))
+    q = QuotientModule(mod, whole_subgroup(mod), cl_n,
                        [Verdict("cl(N)-is-subgroup", True)])
     q.check_operations()
     return q
@@ -319,20 +321,20 @@ class ModuleHom:
     def kernel(self):
         """Ker f = {x : f(x) in cl'(0)}, the preimage of cl'(0)."""
         src, dst = subgroup_lattice(self.src), subgroup_lattice(self.dst)
-        (cl0,) = dst.rows([dst.mask(
-            self.cl_dst.eval_set(frozenset({self.dst.zero})))])
+        (cl0,) = dst.rows([self.cl_dst.eval_mask(1 << dst.zero)])
         return src.values(src.row_mask(cl0[self.img]))
 
     def image_q(self):
         """Im^q f: the classes f(x) + cl'(0) inside M'/cl'(0)."""
-        cl0 = self.cl_dst.eval_set(frozenset({self.dst.zero}))
-        q = QuotientModule(self.dst, self.dst.elements(), cl0, [])
+        cl0 = self.cl_dst.eval_mask(1 << subgroup_lattice(self.dst).zero)
+        q = QuotientModule(self.dst, whole_subgroup(self.dst),
+                           ElementSet.from_mask(self.dst, cl0), [])
         return q, [q.lat.elems[i] for i in np.unique(q.labels[self.img])]
 
     def image_c(self):
         """Im_c f = cl'(f(M)), the closure of the raw image set."""
         dst = subgroup_lattice(self.dst)
-        return self.cl_dst.eval_set(dst.values(_mask(set(self.img.tolist()))))
+        return dst.values(self.cl_dst.eval_mask(_mask(set(self.img.tolist()))))
 
     def image_compatible(self, sample=200, seed=0):
         """f(cl(X)) inside cl'(f(X)) over submodules plus sampled subsets."""
@@ -465,31 +467,31 @@ def iso_second(mod, cl, n_values, k_values):
     The canonical identification of (N+K)/K with (N+cl(K))/cl(K) is also
     realized and verified rather than assumed.
     """
-    n_values = mod.span(n_values)
-    k_values = mod.span(k_values)
-    for name, vals in (("N", n_values), ("K", k_values)):
-        ok, ce = is_approx_submodule(mod, vals, cl)
+    lat = subgroup_lattice(mod)
+
+    def sub(mask):
+        return ElementSet.from_mask(mod, mask)
+
+    n, k = (lat.span(lat.mask(v)) for v in (n_values, k_values))
+    for name, mask in (("N", n), ("K", k)):
+        ok, ce = is_approx_submodule(mod, sub(mask), cl)
         if not ok:
             raise PreconditionError(f"hypothesis failed: {name}: {ce}")
-    cl_k = cl.eval_set(k_values)
-    nk = mod.subgroup_closure(n_values | k_values)
+    cl_k = sub(cl.eval_mask(k))
 
     # left side: classes of N+K under x ~ y iff x - y in cl(K)
-    left = QuotientModule(mod, nk, cl_k, [])
+    left = QuotientModule(mod, sub(lat.subgroup(n | k)), cl_k, [])
     # canonical identification with (N + cl(K))/cl(K)
-    n_clk = mod.subgroup_closure(n_values | cl_k)
-    ident = QuotientModule(mod, n_clk, cl_k, []).labels
+    ident = QuotientModule(mod, sub(lat.subgroup(n | cl_k.mask)), cl_k,
+                           []).labels
     image = ident[_reps(left.labels)].tolist()
     ident_ok = len(set(image)) == len(image) and \
         set(image) == set(_reps(ident).tolist())
     verdicts = [Verdict("canonical-identification-bijective", ident_ok)]
 
     # right side: classes of N under x ~ y iff x - y in cl(N meet cl(K))
-    meet = n_values & cl_k
-    cl_meet = cl.eval_set(meet)
-    right = QuotientModule(mod, n_values, cl_meet, [])
+    right = QuotientModule(mod, sub(n), sub(cl.eval_mask(n & cl_k.mask)), [])
 
-    lat = right.lat
     phi, split = _class_map(right.labels, left.labels,
                             np.flatnonzero(right.labels >= 0))
     well_ce = None if split is None else {"class-of": lat.elems[split]}
@@ -504,27 +506,27 @@ def iso_second(mod, cl, n_values, k_values):
 
 def iso_third(mod, cl, n_values, k_values):
     """(M/N)/(cl(K)/N) matches M/cl(K) when N sits inside K."""
-    n_values = mod.span(n_values)
-    k_values = mod.span(k_values)
-    if not n_values <= k_values:
+    lat = subgroup_lattice(mod)
+    n, k = (lat.span(lat.mask(v)) for v in (n_values, k_values))
+    if n & ~k:
         raise PreconditionError("hypothesis failed: N must sit inside K")
-    ok, ce = is_approx_submodule(mod, n_values, cl)
+    n_sub = ElementSet.from_mask(mod, n)
+    ok, ce = is_approx_submodule(mod, n_sub, cl)
     if not ok:
         raise PreconditionError(f"hypothesis failed: N: {ce}")
-    cl_n = cl.eval_set(n_values)
-    cl_k = cl.eval_set(k_values)
-    if not cl_n <= cl_k:
+    cl_k = cl.eval_mask(k)
+    if cl.eval_mask(n) & ~cl_k:
         raise PreconditionError("cl(N) must sit inside cl(K)")
 
-    q_n = module_quotient(mod, n_values, cl)
-    big = QuotientModule(mod, mod.elements(), cl_k, [])
+    q_n = module_quotient(mod, n_sub, cl)
+    big = QuotientModule(mod, whole_subgroup(mod),
+                         ElementSet.from_mask(mod, cl_k), [])
 
     # cl(K)/N, the classes of cl(K) in M/N, and the quotient of M/N by it,
     # built on M/N's own lattice from its own operations; each x of M goes
     # to its class in M/N and on to that class's class
     outer = QuotientModule(q_n, q_n.elements(),
-                           {q_n.rep_of[x] for x in cl_k}, [])
-    lat = q_n.lat
+                           {q_n.rep_of[x] for x in lat.listed(cl_k)}, [])
     labels = np.array([lat.index[outer.rep_of[q_n.rep_of[x]]]
                        for x in lat.elems], dtype=np.intp)
     phi, split = _class_map(labels, big.labels, _reps(q_n.labels))

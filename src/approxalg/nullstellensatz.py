@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 
 from . import polynomials as poly
-from .closures import POINT_GUARD, _vanishing_functions, materialize
+from .closures import POINT_GUARD, _vanishing_functions
 from .errors import InvariantError, PreconditionError, ResourceLimitError
 from .ideals import is_approx_prime
 from .localization import radical
@@ -127,7 +127,7 @@ def check_pp(cl):
     ce = None
     for a in ring.points:
         sub = maximal_point_ideal(ring, a).canonical
-        if materialize(cl, sub) != sub.values:
+        if cl.eval_mask(sub.mask) != sub.mask:
             ce = {"point": a, "issue": "not-closed"}
             break
         prime, pce = is_approx_prime(sub, cl, check_ideal=False)

@@ -125,7 +125,8 @@ class Ring:
         return self.spec_string()
 
     def __eq__(self, other):
-        return isinstance(other, Ring) and self.spec_string() == other.spec_string()
+        return self is other or (isinstance(other, Ring) and
+                                 self.spec_string() == other.spec_string())
 
     def __hash__(self):
         return hash(self.spec_string())
@@ -210,6 +211,7 @@ class ProductRing(Ring):
         self.factors = factors
         self.zero = tuple(f.zero for f in factors)
         self.one = tuple(f.one for f in factors)
+        self._spec = f"prod:[{','.join(f.spec_string() for f in factors)}]"
 
     def cardinality(self):
         if not self.is_finite:
@@ -239,8 +241,7 @@ class ProductRing(Ring):
         return itertools.product(*[list(f.elements()) for f in self.factors])
 
     def spec_string(self):
-        inner = ",".join(f.spec_string() for f in self.factors)
-        return f"prod:[{inner}]"
+        return self._spec
 
     def format_element(self, v):
         return "(" + ",".join(f.format_element(x)
@@ -265,6 +266,7 @@ class PolyQuotient(Ring):
         self.deg = len(modulus) - 1
         self.zero = ()
         self.one = (1,)
+        self._spec = f"GF:{p}/{poly.uni_to_str(modulus)}"
 
     def cardinality(self):
         return self.p ** self.deg
@@ -289,7 +291,7 @@ class PolyQuotient(Ring):
             yield poly.uni_trim(coeffs)
 
     def spec_string(self):
-        return f"GF:{self.p}/{poly.uni_to_str(self.modulus)}"
+        return self._spec
 
     def format_element(self, v):
         return poly.uni_to_str(v)
@@ -592,8 +594,13 @@ class _Lattice:
 
     def mask(self, values):
         """An ``ElementSet``'s own mask, or one read off values, where a
-        non-element raises DomainMismatchError from ``canon``."""
-        if isinstance(values, ElementSet) and values.lat is self:
+        non-element raises DomainMismatchError from ``canon``.  A set of an
+        equal structure numbers its elements in the same ``sort_key``
+        order; one of another structure raises DomainMismatchError."""
+        if isinstance(values, ElementSet):
+            if values.lat is not self and values.ring != self._struct():
+                raise DomainMismatchError(f"{values!r} is not a subset of "
+                                          f"{self._struct()}")
             return values.mask
         canon, index = self._struct().canon, self.index
         return _mask({index[canon(v)] for v in values})
@@ -639,6 +646,17 @@ class _Lattice:
         """S + e_i."""
         row = self.add_row(i)
         return _mask(row[j] for j in _bits(mask))
+
+    def setsum(self, a, b):
+        """A + B elementwise: the union of the translates of the larger set
+        by each element of the smaller (the group is abelian)."""
+        if a.bit_count() < b.bit_count():
+            a, b = b, a
+        bits, out = _bits(a), 0
+        for j in _bits(b):
+            row = self.add_row(j)
+            out |= _mask(row[i] for i in bits)
+        return out
 
     def join(self, h, g):
         """H + <g>, for a subgroup H and an element index g.

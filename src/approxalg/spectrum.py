@@ -15,7 +15,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .closures import materialize
 from .errors import InvariantError, PreconditionError
 from .ideals import (
     ApproxIdeal,
@@ -36,6 +35,7 @@ from .rings import (
     prime_factors,
     sort_key,
     subgroup_generated,
+    subgroup_lattice,
     whole_subgroup,
 )
 
@@ -142,7 +142,9 @@ def _closure_of(spec, defining):
         d = defining.d if isinstance(defining, PrincipalSubgroup) \
             else math.gcd(*defining)
         return PrincipalSubgroup(spec.cl.z_principal_image(d))
-    return ElementSet(spec.ring, materialize(spec.cl, defining))
+    lat = subgroup_lattice(spec.ring)
+    return ElementSet.from_mask(spec.ring,
+                                spec.cl.eval_mask(lat.mask(defining)))
 
 
 def _primes_over(spec, cli):

@@ -9,7 +9,7 @@ chosen places, whose first failures the checkers must locate."""
 
 import random
 
-from approxalg.closures import ClosureSpec, _eval_for_checks, materialize
+from approxalg.closures import ClosureSpec, materialize
 from approxalg.modules import SAMPLED_PAIR_SUBSETS, ModuleClosure
 from approxalg.reports import AxiomReport, Verdict
 from approxalg.rings import is_additive_subgroup, sort_key
@@ -18,12 +18,11 @@ from approxalg.rings import is_additive_subgroup, sort_key
 def check_axioms_sets(cl, subsets, scalars, report):
     """Pure-python check over an explicit list of subsets."""
     ring = cl.ring
-    ev = _eval_for_checks(cl)
     memo = {}
 
     def clo(s):
         if s not in memo:
-            memo[s] = ev(s)
+            memo[s] = materialize(cl, s)
         return memo[s]
 
     def setsum(a, b):

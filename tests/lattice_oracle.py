@@ -3,7 +3,8 @@
 no cosets: each step adds every sum, negative and scalar multiple of what
 is there until nothing new appears.  Also ``ElementSet`` and
 ``FiniteSubgroup`` as they were when they held frozensets of values, the
-reference for the mask-based classes."""
+reference for the mask-based classes, and the frozenset evaluations of the
+package closures from before ``eval_mask``, the reference for it."""
 
 from approxalg.closures import GeneratedIdealClosure
 from approxalg.errors import PreconditionError
@@ -14,6 +15,7 @@ from approxalg.rings import (
     ResidueRing,
     _same_ring,
     additive_closure,
+    ideal_closure_set,
     is_additive_subgroup,
     sort_key,
     subgroup_generated,
@@ -165,3 +167,38 @@ class FiniteSubgroup(ElementSet):
         return FiniteSubgroup(
             self.ring, additive_closure(self.ring, self.values | other.values),
             check=False)
+
+
+# The set evaluations of the package closures, as their classes defined
+# them before ``eval_mask``: each a function of the closure (``self``) and
+# a set of canonical values, keyed by the closure's name.
+
+
+def gen_eval_set(self, values):
+    return ideal_closure_set(self.ring, values)
+
+
+def shift_eval_set(self, values):
+    # <A> + J = <A | J>, as J is an ideal
+    return ideal_closure_set(
+        self.ring, frozenset(values) | self.shift_ideal.canonical.values)
+
+
+def setshift_eval_set(self, values):
+    j = self.shift_ideal.canonical.values
+    return frozenset(self.ring.add(a, b) for a in values for b in j)
+
+
+def union_fixed_eval_set(self, values):
+    return frozenset(values) | self.extra
+
+
+def sample_eval_set_internal(self, values):
+    return frozenset(v for v in self.ring.elements()
+                     if self.member(v, values))
+
+
+SET_EVALUATIONS = {"gen": gen_eval_set, "shift": shift_eval_set,
+                   "setshift": setshift_eval_set,
+                   "union-fixed": union_fixed_eval_set,
+                   "sample": sample_eval_set_internal}

@@ -86,7 +86,7 @@ def all_pairs_check(cl, dom, report):
     first violation of each."""
     check_axioms_finite(cl, dom, report)
     struct = cl.module if isinstance(cl, modules.ModuleClosure) else cl.ring
-    elems = dom.elems
+    elems = dom.lat.elems
     n = len(elems)
     index = {v: i for i, v in enumerate(elems)}
 
@@ -307,7 +307,8 @@ def join_cases():
 def test_join_table_matches_per_subset_table(make, structure, kind, param):
     cl, dom, _ = make(structure, kind, param)
     assert cl.join in ("sum", "union")
-    per_subset = np.array([dom.mask_of(cl.eval_set(dom.set_of(m)))
+    lat = dom.lat
+    per_subset = np.array([lat.mask(cl.eval_set(lat.values(m)))
                            for m in range(dom.nmasks)], dtype=np.int32)
     np.testing.assert_array_equal(dom.closure_vector(cl), per_subset)
 
@@ -317,12 +318,12 @@ def test_declared_join_evaluates_n_plus_one_times(make, structure, kind, param,
                                                   monkeypatch):
     cl, dom, run = make(structure, kind, param)
     calls = []
-    evaluate = cl.eval_set
+    evaluate = cl.eval_mask
 
-    def counted(values):
-        calls.append(values)
-        return evaluate(values)
+    def counted(mask):
+        calls.append(mask)
+        return evaluate(mask)
 
-    monkeypatch.setattr(cl, "eval_set", counted)
+    monkeypatch.setattr(cl, "eval_mask", counted)
     run()
     assert len(calls) <= dom.n + 1

@@ -25,10 +25,11 @@ def test_no_bare_assertion_error(path):
 
 
 def test_module_closures_inherit_their_semantics():
-    """No ``ModuleClosure`` subclass in the package defines ``eval_set`` or
-    ``member``: a module closure is a ring closure applied to a module, so
-    such a method would be a second copy of a ring closure's, and a tracer
-    that wraps the method on every closure class would wrap it twice."""
+    """No ``ModuleClosure`` subclass in the package defines ``eval_mask``,
+    ``eval_set`` or ``member``: a module closure is a ring closure applied
+    to a module, so such a method would be a second copy of a ring
+    closure's, and a tracer that wraps the method on every closure class
+    would wrap it twice."""
     import importlib
 
     for path in SOURCES:
@@ -43,6 +44,20 @@ def test_module_closures_inherit_their_semantics():
         todo.extend(cls.__subclasses__())
     own = [f"{cls.__name__}.{name}" for cls in seen
            if cls.__module__.startswith("approxalg")
-           for name in ("eval_set", "member") if name in vars(cls)]
+           for name in ("eval_mask", "eval_set", "member")
+           if name in vars(cls)]
     assert len(seen) > 4
     assert not own, f"module closures define their own {own}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_finite_kernels_evaluate_closures_on_masks(path):
+    """Only ``closures.py`` calls ``eval_set`` or ``materialize``, the
+    frozenset views of a closure: every other module evaluates a closure
+    by ``eval_mask`` on lattice masks, with no decoding to values and
+    re-encoding through ``canon`` around it."""
+    if path.name == "closures.py":
+        return
+    lines = [n for n, line in enumerate(path.read_text().splitlines(), 1)
+             if ".eval_set(" in line or "materialize(" in line]
+    assert not lines, f"{path.name}: call eval_mask instead, lines {lines}"

@@ -27,6 +27,7 @@ from approxalg.localization import contract, extend, localize, mult_set
 from approxalg.rings import (
     ElementSet,
     FiniteSubgroup,
+    ResidueRing,
     TableRing,
     Z,
     enumerate_subgroups,
@@ -97,10 +98,9 @@ def test_structures_cover_the_named_shapes():
 
 
 def test_a_subset_of_another_ring_is_refused():
-    """A kernel reads a subset's mask only on the lattice it was made on;
-    on another ring of the same size the subset is re-encoded through that
-    ring's ``canon``, which refuses a foreign element.  Read as raw bits,
-    {0, 3} in Z/6 would be {(0,0), (1,0)} in Z/2 x Z/3, an ideal."""
+    """A kernel reads a subset's mask only on the lattice of its ring or
+    of an equal one, and refuses a subset of another ring.  Read as raw
+    bits, {0, 3} in Z/6 would be {(0,0), (1,0)} in Z/2 x Z/3, an ideal."""
     z6, prod = parse_ring("Zn:6"), parse_ring("prod:[Zn:2,Zn:3]")
     sub = FiniteSubgroup(z6, [0, 3])
     gen, f = GeneratedIdealClosure(prod), identity_hom(prod)
@@ -113,6 +113,17 @@ def test_a_subset_of_another_ring_is_refused():
                  lambda: subgroup_lattice(z6).rows([1 << 6])]:
         with pytest.raises(DomainMismatchError):
             call()
+
+
+def test_a_subset_the_other_canon_accepts_is_refused():
+    """``ResidueRing.canon`` reduces any int, so re-encoding {0, 2} of Z/4
+    through Z/6 would read it as {0, 2} of Z/6, not a subgroup.  A subset
+    of an equal ring keeps its mask."""
+    sub = FiniteSubgroup(parse_ring("Zn:4"), [0, 2])
+    with pytest.raises(DomainMismatchError):
+        is_approx_ideal(sub, GeneratedIdealClosure(parse_ring("Zn:6")))
+    assert is_approx_ideal(sub, GeneratedIdealClosure(ResidueRing(4))) == \
+        (True, None)
 
 
 def test_the_image_of_a_non_subgroup_is_checked():
