@@ -4,7 +4,9 @@ Subcommands: axioms, spec, vset, dset, is-prime, product, quotient,
 topology, localize, radical, modules, nullstellensatz, scenario.  Output is
 a structured report (``--format json`` or the default human table).  Exit
 status: 0 success, 1 a checked verdict failed, 2 usage or precondition
-error, 3 a resource guard tripped, 4 an internal invariant failed (a bug).
+error, 3 a resource limit tripped, 4 an internal invariant failed (a bug).
+Limits are measured prices, not options: ``rings.SUBGROUP_WORK_LIMIT``
+(elements translated) and ``spectrum.TOPOLOGY_CELL_LIMIT`` (pair cells).
 """
 
 from __future__ import annotations
@@ -77,8 +79,6 @@ def build_parser():
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--bound", type=int, default=None,
                        help="bound for integer enumerations")
-        p.add_argument("--guard", type=int, default=64,
-                       help="subgroup enumeration guard")
         p.add_argument("--mode",
                        choices=["auto", "exhaustive", "subgroups", "ideals",
                                 "sampled"],
@@ -149,8 +149,7 @@ def cmd_axioms(args, report):
     kwargs = {}
     if args.bound is not None:
         kwargs["gen_bound"] = args.bound
-    rep = check_axioms(cl, mode=args.mode, seed=args.seed,
-                       guard=args.guard, **kwargs)
+    rep = check_axioms(cl, mode=args.mode, seed=args.seed, **kwargs)
     for name in rep.AXIOMS:
         if name in rep.verdicts:
             report.add_verdict(rep.verdicts[name])
@@ -162,7 +161,7 @@ def cmd_axioms(args, report):
 def cmd_spec(args, report):
     ring = parse_ring(args.ring)
     cl = parse_closure(ring, args.closure)
-    sp = spectrum(ring, cl, guard=args.guard, z_bound=args.bound)
+    sp = spectrum(ring, cl, z_bound=args.bound)
     report.add_extra("primes", sp.labels())
     report.add_extra("method", sp.method)
 
@@ -170,7 +169,7 @@ def cmd_spec(args, report):
 def cmd_vset(args, report):
     ring = parse_ring(args.ring)
     cl = parse_closure(ring, args.closure)
-    sp = spectrum(ring, cl, guard=args.guard, z_bound=args.bound)
+    sp = spectrum(ring, cl, z_bound=args.bound)
     gens = parse_generators(ring, args.ideal)
     closed = v_set(sp, ideal_generated(ring, gens))
     report.add_extra("vset", closed.labels(ring))
@@ -179,7 +178,7 @@ def cmd_vset(args, report):
 def cmd_dset(args, report):
     ring = parse_ring(args.ring)
     cl = parse_closure(ring, args.closure)
-    sp = spectrum(ring, cl, guard=args.guard, z_bound=args.bound)
+    sp = spectrum(ring, cl, z_bound=args.bound)
     f = parse_element(ring, args.ideal)
     opens = d_set(sp, f)
     report.add_extra("dset", [repr(p) for p in opens])
@@ -220,7 +219,7 @@ def cmd_quotient(args, report):
 def cmd_topology(args, report):
     ring = parse_ring(args.ring)
     cl = parse_closure(ring, args.closure)
-    sp = spectrum(ring, cl, guard=args.guard, z_bound=args.bound)
+    sp = spectrum(ring, cl, z_bound=args.bound)
     report.add_extra("primes", sp.labels())
     for v in topology_check(sp, z_ideal_bound=args.bound or 120):
         report.add_verdict(v)

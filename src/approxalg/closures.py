@@ -307,8 +307,10 @@ class PointwiseClosure(ClosureSpec):
         idxs = range(ring.npoints)
         return tuple(i for i in idxs if all(v[i] == 0 for v in values))
 
-    def eval_set(self, values):
-        return _vanishing_functions(self.ring, self._vanishing_points(values))
+    def eval_mask(self, mask):
+        lat = subgroup_lattice(self.ring)
+        zeros = self._vanishing_points(lat.listed(mask))
+        return lat.mask(_vanishing_functions(self.ring, zeros))
 
     def member(self, x, values):
         x = self.ring.canon(x)
@@ -328,8 +330,11 @@ def _vanishing_functions(ring, zeros):
     return frozenset(out)
 
 
-class SamplingClosure(ClosureSpec):
-    """Membership-only: vanishing on V(A) within each covering sample set."""
+class SamplingClosure(PointwiseClosure):
+    """Membership-only: vanishing on V(A) within each covering sample set.
+    As the family covers the grid, that is vanishing on V(A), the pointwise
+    closure; ``set_valued`` is False, so ``eval_set`` and ``closure_eval``
+    still refuse it."""
 
     name = "sample"
     set_valued = False
@@ -355,22 +360,6 @@ class SamplingClosure(ClosureSpec):
     def describe(self):
         sets = sorted(sorted(s) for s in self.family)
         return f"sample:{sets}"
-
-    def member(self, x, values):
-        ring = self.ring
-        x = ring.canon(x)
-        vset = {ring.points[i] for i in range(ring.npoints)
-                if all(v[i] == 0 for v in values)}
-        pt_index = {p: i for i, p in enumerate(ring.points)}
-        return all(x[pt_index[a]] == 0
-                   for sigma in self.family for a in sigma & vset)
-
-    def eval_mask(self, mask):
-        """cl(A) by membership, for the checkers; ``eval_set`` is refused."""
-        lat = subgroup_lattice(self.ring)
-        values = lat.listed(mask)
-        return _mask(i for i, v in enumerate(lat.elems)
-                     if self.member(v, values))
 
 
 class ToleranceClosure(ClosureSpec):
@@ -1252,12 +1241,13 @@ def _check_axioms_z(cl, report, gen_bound, mult_bound):
 
 
 def check_axioms(cl, mode="auto", seed=DEFAULT_SEED, count=DEFAULT_SAMPLE_COUNT,
-                 subset_cap=EXHAUSTIVE_SUBSET_CAP, gen_bound=DEFAULT_Z_GEN_BOUND,
-                 mult_bound=DEFAULT_Z_MULT_BOUND, guard=64):
+                 gen_bound=DEFAULT_Z_GEN_BOUND,
+                 mult_bound=DEFAULT_Z_MULT_BOUND):
     """Verify C1-C4a, C4b, and subgroup absorption for a closure operator.
 
-    Modes: ``exhaustive`` (all subsets of a finite ring, within the subset
-    cap), ``subgroups`` (all additive subgroups), ``ideals`` (the classical
+    Modes: ``exhaustive`` (all subsets of a finite ring, at most
+    EXHAUSTIVE_SUBSET_CAP), ``subgroups`` (all additive subgroups, as
+    priced by ``rings.enumerate_subgroups``), ``ideals`` (the classical
     ideal lattice), ``sampled`` (seeded random subsets), ``bounded``
     (principal subgroups of Z up to gen_bound).  ``auto`` picks exhaustive
     when feasible, otherwise subgroups for finite rings and bounded for Z.
@@ -1290,14 +1280,14 @@ def check_axioms(cl, mode="auto", seed=DEFAULT_SEED, count=DEFAULT_SAMPLE_COUNT,
 
     card = ring.cardinality()
     if mode == "auto":
-        feasible = (1 << card) <= subset_cap if cl.set_valued \
+        feasible = (1 << card) <= EXHAUSTIVE_SUBSET_CAP if cl.set_valued \
             else card <= 12
         mode = "exhaustive" if feasible else "subgroups"
 
     if mode == "exhaustive":
-        if (1 << card) > subset_cap:
-            raise ResourceLimitError(
-                f"2^{card} subsets exceed the exhaustive cap {subset_cap}")
+        if (1 << card) > EXHAUSTIVE_SUBSET_CAP:
+            raise ResourceLimitError(f"2^{card} subsets exceed the exhaustive "
+                                     f"cap {EXHAUSTIVE_SUBSET_CAP}")
         report = AxiomReport(mode="exhaustive", domain=f"all subsets of {ring}")
         if cl.set_valued:
             dom = ring_domain(ring)
@@ -1312,20 +1302,20 @@ def check_axioms(cl, mode="auto", seed=DEFAULT_SEED, count=DEFAULT_SAMPLE_COUNT,
                                   report)
 
     if mode == "subgroups":
-        subs = [s.mask for s in enumerate_subgroups(ring, guard)]
+        subs = [s.mask for s in enumerate_subgroups(ring)]
         report = AxiomReport(mode="subgroups",
                              domain=f"{len(subs)} additive subgroups of {ring}")
         return _check_axioms_list(cl, ring, subs, report)
 
     if mode == "ideals":
         from .rings import classical_ideals
-        ideals = [i.canonical.mask for i in classical_ideals(ring, guard)]
+        ideals = [i.canonical.mask for i in classical_ideals(ring)]
         report = AxiomReport(mode="ideals",
                              domain=f"{len(ideals)} classical ideals of {ring}")
         return _check_axioms_list(cl, ring, ideals, report)
 
     if mode == "sampled":
-        subs = [s.mask for s in enumerate_subgroups(ring, guard)]
+        subs = [s.mask for s in enumerate_subgroups(ring)]
         _price_list(count + len(subs), card)
         subsets = _sampled_masks(card, count, seed) + subs
         report = AxiomReport(mode="sampled", seed=seed, count=count,
@@ -1377,31 +1367,30 @@ def replay_counterexample(cl, axiom, ce):
 # functoriality of ring homs with respect to a pair of closures
 
 
-def _subsets_for(ring, subset_cap, guard):
-    """Nonempty subsets, as masks: the degenerate empty corner separates
-    set-shift from span closures (cl of the empty set is empty versus {0})
-    and would dominate every compatibility verdict, contrary to the worked
-    models."""
+def _subsets_for(ring):
+    """Nonempty subsets, as masks, of a ring of at most 12 elements, and
+    the additive subgroups of a larger one: the degenerate empty corner
+    separates set-shift from span closures (cl of the empty set is empty
+    versus {0}) and would dominate every compatibility verdict, contrary
+    to the worked models."""
     n = ring.cardinality()
-    if (1 << n) <= subset_cap:
+    if n <= 12:
         return _combination_masks(n, 1), f"nonempty subsets of {ring}"
-    subs = [s.mask for s in enumerate_subgroups(ring, guard)]
+    subs = [s.mask for s in enumerate_subgroups(ring)]
     return subs, f"additive subgroups of {ring}"
 
 
-def closure_image_compatible(f, cl_src, cl_dst, subset_cap=1 << 12,
-                             gen_bound=200, window=8, guard=64):
+def closure_image_compatible(f, cl_src, cl_dst):
     """Check f(cl(A)) subset of cl(f(A)) over a stated domain of subsets A."""
     _require_closure_rings(f, cl_src, cl_dst)
     if isinstance(f.src, IntegerRing):
-        # principal subgroups (d), then windows of at most two generators:
-        # A, the generator of the subgroup A spans, and f(A)
+        # principal subgroups (d) for d <= 200, then at most two generators
+        # from 0..8: A, the generator of the subgroup A spans, and f(A)
         candidates = itertools.chain(
-            ((f"({d})", d, _z_image_of_principal(f, d))
-             for d in range(gen_bound + 1)),
+            ((f"({d})", d, _z_image_of_principal(f, d)) for d in range(201)),
             ((list(gens), math.gcd(*gens), frozenset(map(f.apply, gens)))
              for size in range(3)
-             for gens in itertools.combinations(range(window + 1), size)))
+             for gens in itertools.combinations(range(9), size)))
         for a, d, image in candidates:
             lhs = _z_image_of_principal(f, cl_src.z_principal_image(d))
             rhs = materialize(cl_dst, image)
@@ -1413,7 +1402,7 @@ def closure_image_compatible(f, cl_src, cl_dst, subset_cap=1 << 12,
 
     # every subset as a bool row; cl on all subsets of a small source is
     # the exhaustive engine's table, from n + 1 evaluations under a join
-    subsets, domain = _subsets_for(f.src, subset_cap, guard)
+    subsets, domain = _subsets_for(f.src)
     src, dst, img = _hom_map(f)
     rows = src.rows(subsets)
     if cl_src.join is not None and len(subsets) == (1 << src.n) - 1 \
@@ -1480,11 +1469,10 @@ def _first_preimage_violation(src, dst, img, rows, cl_src, cl_dst):
     return None
 
 
-def closure_preimage_compatible(f, cl_src, cl_dst, subset_cap=1 << 12,
-                                guard=64):
+def closure_preimage_compatible(f, cl_src, cl_dst):
     """Check f^{-1}(cl(B)) subset of cl(f^{-1}(B)) over codomain subsets B."""
     _require_closure_rings(f, cl_src, cl_dst)
-    subsets, domain = _subsets_for(f.dst, subset_cap, guard)
+    subsets, domain = _subsets_for(f.dst)
     dst = subgroup_lattice(f.dst)
     if isinstance(f.src, IntegerRing):
         n, bad = f.dst.n, None

@@ -19,7 +19,7 @@ class NotEnumerableError(ApproxAlgError):
 
 
 class ResourceLimitError(ApproxAlgError):
-    """An exhaustive computation exceeds its configured guard.
+    """An exhaustive computation exceeds its stated limit or price.
 
     This is always raised loudly; no routine silently truncates or samples
     when a guard is exceeded.

@@ -267,7 +267,11 @@ def parse_closure(ring, text):
                 if k == "point":
                     point = parse_point(v)
                 elif k == "tau":
-                    tau = Fraction(v.strip())
+                    try:
+                        tau = Fraction(v.strip())
+                    except (ValueError, ZeroDivisionError):
+                        raise ParseError("tol tau expects a rational", text,
+                                         4) from None
                 else:
                     raise ParseError(f"unknown tol key {k!r}", text, 4)
             if point is None or tau is None:

@@ -636,22 +636,21 @@ def _image_subgroup(f, base):
                                                       dst.row_mask(image)))
 
 
-def _pullback_identity_verdict(f, gen_bound=60):
+def _pullback_identity_verdict(f):
     """f^{-1}(f(A)) = A + Ker f over the tested subgroup domain.  Over Z,
-    A = (d): the left side is the gcd of the x in [0, 2n] that f sends into
-    <f(d)>, the right (d) + (n).  On a finite ring both are bool rows, A +
-    Ker f the union of A's translates by the kernel."""
+    A = (d) for d <= 60: the left side is the gcd of the x in [0, 2n] that
+    f sends into <f(d)>, the right (d) + (n).  On a finite ring both are
+    bool rows, A + Ker f the union of A's translates by the kernel."""
     if isinstance(f.src, IntegerRing):
         n = f.dst.n
         window = range(2 * n + 1)
         values = [f.apply(x) for x in window]
-        for d in range(gen_bound + 1):
+        for d in range(61):
             target = closures._z_image_of_principal(f, d)
             lhs = math.gcd(*(x for x, v in zip(window, values) if v in target))
             if lhs != math.gcd(d, n):
                 return Verdict("pullback-identity", False, {"A": f"({d})"})
-        return Verdict("pullback-identity", True,
-                       mode=f"(d) for d <= {gen_bound}")
+        return Verdict("pullback-identity", True, mode="(d) for d <= 60")
     subs = enumerate_subgroups(f.src)
     src, dst, img = _hom_map(f)
     rows = src.rows([sub.mask for sub in subs])

@@ -473,13 +473,14 @@ def check_transfer_axioms(loc, mode="auto", **kwargs):
     return check_axioms(loc.transferred, mode=mode, **kwargs)
 
 
-def check_rep_independence(loc, subset_limit=512):
-    """Evaluate the transferred closure on a family of class subsets and
-    report the first subset under which a class mixes verdicts across its
+def check_rep_independence(loc):
+    """Evaluate the transferred closure on a family of class subsets (the
+    first 512 of the model's subgroups and then its singletons) and report
+    the first subset under which a class mixes verdicts across its
     representatives, with the first such class in the model's order."""
     lat = subgroup_lattice(loc.model)
     tested = ([sub.mask for sub in enumerate_subgroups(loc.model)] +
-              [1 << i for i in range(lat.n)])[:subset_limit]
+              [1 << i for i in range(lat.n)])[:512]
     bad = None
     for a in tested:
         hits, misses = loc._class_masks(a)
@@ -492,14 +493,14 @@ def check_rep_independence(loc, subset_limit=512):
                    mode=f"{len(tested)} class subsets")
 
 
-def check_iota_functorial(loc, z_gen_bound=120):
+def check_iota_functorial(loc):
     """Both functoriality inclusions for the canonical map."""
     image_ce = None
     pre_ce = None
     trans = loc.transferred
     if isinstance(loc.base, IntegerRing):
         model = subgroup_lattice(loc.model)
-        for d in range(z_gen_bound + 1):
+        for d in range(121):
             g = loc.base_cl.z_principal_image(d)
             lhs, a = (model.mask({loc.iota(e * k) for k in range(loc.m0 + 1)})
                       for e in (g, d))
@@ -515,7 +516,7 @@ def check_iota_functorial(loc, z_gen_bound=120):
                     for c in model.listed(trans.eval_mask(sub.mask))):
                 pre_ce = {"B": b}
                 break
-        mode = f"(d) for d <= {z_gen_bound}; subgroup subsets of classes"
+        mode = "(d) for d <= 120; subgroup subsets of classes"
     else:
         # iota as an index array from the base's lattice to the model's
         base, model = subgroup_lattice(loc.base), subgroup_lattice(loc.model)

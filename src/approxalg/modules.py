@@ -51,7 +51,6 @@ from .rings import (
     whole_subgroup,
 )
 
-CM_SUBSET_CAP = 1 << 16
 # sampled mode checks the pairwise rules (C2, C4a) on the first this many
 # subsets only
 SAMPLED_PAIR_SUBSETS = 80
@@ -118,18 +117,14 @@ class FiniteModule:
     def subgroup_closure(self, values):
         return additive_closure(self, values)
 
-    def submodule_masks(self, guard=64):
+    def submodule_masks(self):
         """Every submodule (a subgroup that is its own span) as a mask."""
-        if self.cardinality() > guard:
-            raise ResourceLimitError(
-                f"|M| = {self.cardinality()} exceeds the guard {guard}")
         lat = subgroup_lattice(self)
         return [h for h in lat.subgroups() if lat.span(h) == h]
 
-    def all_submodules(self, guard=64):
+    def all_submodules(self):
         """Every submodule as a set of values, by size and then by elements."""
-        return list(map(subgroup_lattice(self).values,
-                        self.submodule_masks(guard)))
+        return list(map(subgroup_lattice(self).values, self.submodule_masks()))
 
     def spec_string(self):
         scal = self.scalar_ring.spec_string()
@@ -209,15 +204,14 @@ def module_domain(mod):
     return ring_domain(mod)
 
 
-def check_cm_axioms(mod, cl, mode="auto", subset_cap=CM_SUBSET_CAP,
-                    seed=0, count=500):
+def check_cm_axioms(mod, cl, mode="auto", seed=0, count=500):
     """CM1-CM4 for a module closure (CM4 merges the additive and scalar
     compatibility rules); absorption reports which subgroups are absorbed."""
     card = mod.cardinality()
     if mode == "auto":
         mode = "exhaustive" if (1 << card) <= (1 << 12) else "sampled"
     if mode == "exhaustive":
-        if (1 << card) > subset_cap:
+        if (1 << card) > closures.EXHAUSTIVE_SUBSET_CAP:
             raise ResourceLimitError(f"2^{card} subsets exceed the cap")
         inner = AxiomReport(mode="exhaustive",
                             domain=f"all subsets of {mod}")

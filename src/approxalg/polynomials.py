@@ -83,10 +83,6 @@ def uni_to_str(coeffs, var="x"):
 # sparse multivariate: dict {exponent tuple: coefficient}
 
 
-def m_zero():
-    return {}
-
-
 def m_const(c, nvars):
     return {} if c == 0 else {(0,) * nvars: c}
 

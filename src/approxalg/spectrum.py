@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvariantError, PreconditionError
+from .errors import InvariantError, PreconditionError, ResourceLimitError
 from .ideals import (
     ApproxIdeal,
     _carrier,
@@ -39,17 +39,19 @@ from .rings import (
     whole_subgroup,
 )
 
+# the most cells (ideal pairs times |R|) the topology pair walk may be priced
+# at: (Z/2)^5, 374 ideals, is 4.5M cells (about 50 s on one core); (Z/2)^6 511M
+TOPOLOGY_CELL_LIMIT = 1 << 23
+
 
 class SpectrumReport:
     """The enumerated approximate primes plus how they were found."""
 
-    def __init__(self, ring, cl, primes, method, bound=None, guard=None):
+    def __init__(self, ring, cl, primes, method):
         self.ring = ring
         self.cl = cl
         self.primes = primes
         self.method = method
-        self.bound = bound
-        self.guard = guard
 
     @cached_property
     def prime_closures(self):
@@ -99,7 +101,7 @@ def format_prime(ring, p):
     return repr(p)
 
 
-def spectrum(ring, cl, guard=64, z_bound=None):
+def spectrum(ring, cl, z_bound=None):
     """Enumerate the approximate primes of the ring under the closure.
 
     Finite rings filter every additive subgroup by: approximate ideal,
@@ -113,10 +115,9 @@ def spectrum(ring, cl, guard=64, z_bound=None):
         if m == 0:
             primes = [PrincipalSubgroup(0)] + [
                 PrincipalSubgroup(p) for p in range(2, bound + 1) if is_prime(p)]
-            return SpectrumReport(ring, cl, primes,
-                                  method="bounded-enumeration", bound=bound)
+            return SpectrumReport(ring, cl, primes, "bounded-enumeration")
         if m == 1:
-            return SpectrumReport(ring, cl, [], method="closed-form", bound=bound)
+            return SpectrumReport(ring, cl, [], "closed-form")
         # the sweep first: it is priced, and refused, before m is factored
         swept = z_prime_bruteforce_grid(m, bound)
         brute = [PrincipalSubgroup(int(d)) for d in np.flatnonzero(swept)]
@@ -125,13 +126,12 @@ def spectrum(ring, cl, guard=64, z_bound=None):
             raise InvariantError(
                 f"closed form and bounded sweep disagree for m={m}: "
                 f"{[p.d for p in closed]} vs {[p.d for p in brute]}")
-        return SpectrumReport(ring, cl, closed,
-                              method="closed-form+bounded-sweep", bound=bound)
+        return SpectrumReport(ring, cl, closed, "closed-form+bounded-sweep")
 
-    primes = [sub for sub in enumerate_subgroups(ring, guard)
+    primes = [sub for sub in enumerate_subgroups(ring)
               if not sub.is_whole() and is_approx_ideal(sub, cl)[0]
               and is_approx_prime(sub, cl, check_ideal=False)[0]]
-    return SpectrumReport(ring, cl, primes, method="exhaustive", guard=guard)
+    return SpectrumReport(ring, cl, primes, "exhaustive")
 
 
 def _closure_of(spec, defining):
@@ -177,11 +177,11 @@ def _ideal_pool(spec, z_ideal_bound):
     ring = spec.ring
     if isinstance(ring, IntegerRing):
         return [PrincipalSubgroup(d) for d in range(z_ideal_bound + 1)]
-    return [sub for sub in enumerate_subgroups(ring, spec.guard or 64)
+    return [sub for sub in enumerate_subgroups(ring)
             if is_approx_ideal(sub, spec.cl)[0]]
 
 
-def topology_check(spec, z_ideal_bound=120, f_pool=None):
+def topology_check(spec, z_ideal_bound=120):
     """The closed-set laws and separation properties, each from scratch.
 
     Verifies: V(I+J) = V(I) and V(J) intersected, with I + J the sum of
@@ -189,10 +189,17 @@ def topology_check(spec, z_ideal_bound=120, f_pool=None):
     V(J) with IJ the approximate product, the T0 separation through basic
     opens, the T1 criterion computed both as inclusion-maximality and as
     singleton point closures, and quasi-compactness by exhibiting a finite
-    subcover of the full basic-open cover.
+    subcover of the full basic-open cover.  The laws' walk over all pairs
+    of the ideal pool is priced first, at pool^2 x |R| cells (|R| = 1 over
+    Z), and refused with ResourceLimitError past TOPOLOGY_CELL_LIMIT.
     """
     verdicts = []
     pool = _ideal_pool(spec, z_ideal_bound)
+    cells = len(pool) ** 2 * (spec.ring.cardinality() or 1)
+    if cells > TOPOLOGY_CELL_LIMIT:
+        raise ResourceLimitError(
+            f"topology pair walk priced at {cells} cells ({len(pool)}^2 "
+            f"ideal pairs x |R|), past the limit {TOPOLOGY_CELL_LIMIT}")
     approx = [ApproxIdeal(a, spec.cl, check=False) for a in pool]
     # the pair loop meets few distinct I: cache V(I) by I's mask (or dZ)
     v_by_subgroup = {}
@@ -242,13 +249,12 @@ def topology_check(spec, z_ideal_bound=120, f_pool=None):
         "V(0)-is-whole-space", len(v_zero) == len(spec.primes)))
     verdicts.append(Verdict("V(R)-is-empty", len(v_whole) == 0))
 
-    if f_pool is None:
-        if isinstance(spec.ring, IntegerRing):
-            m = _z_shift_modulus(spec.cl)
-            f_pool = list(range(0, max(m, 30) + 1))
-            f_pool.extend(p.d for p in spec.primes if p.d > max(m, 30))
-        else:
-            f_pool = sorted(spec.ring.elements(), key=sort_key)
+    if isinstance(spec.ring, IntegerRing):
+        m = _z_shift_modulus(spec.cl)
+        f_pool = list(range(0, max(m, 30) + 1))
+        f_pool.extend(p.d for p in spec.primes if p.d > max(m, 30))
+    else:
+        f_pool = sorted(spec.ring.elements(), key=sort_key)
 
     # T0: no two points lie in exactly the same basic opens
     opens = {f: set(d_set(spec, f)) for f in f_pool}

@@ -61,10 +61,9 @@ def approx_hom_violation(src, dst, cl_dst, mapping):
     return None
 
 
-def closure_preimage_compatible(f, cl_src, cl_dst, subset_cap=1 << 12,
-                                guard=64):
+def closure_preimage_compatible(f, cl_src, cl_dst):
     """The finite branch: f^{-1}(cl(B)) inside cl(f^{-1}(B)) for each B."""
-    masks, domain = _subsets_for(f.dst, subset_cap, guard)
+    masks, domain = _subsets_for(f.dst)
     src_elems = sorted(f.src.elements(), key=sort_key)
     for b in map(subgroup_lattice(f.dst).values, masks):
         target = materialize(cl_dst, b)

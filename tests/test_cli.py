@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 
 import numpy as np
@@ -80,6 +81,14 @@ class TestChecks:
         assert code == 0
         assert "[pass] T0" in out and "[pass] T1" in out
 
+    def test_topology_past_64_elements(self, capsys):
+        """Z/128 has 8 subgroups: its lattice is cheap, so the work price
+        admits it where a cardinality guard of 64 refused it."""
+        code, out, _ = run(capsys, "topology", "--ring", "Zn:128",
+                           "--closure", "gen")
+        assert code == 0
+        assert "[pass] T1" in out
+
     def test_localize(self, capsys):
         code, out, _ = run(capsys, "localize", "--ring", "Z",
                            "--closure", "shift:J=30", "--mult-set", "2")
@@ -124,6 +133,17 @@ class TestExitCodes:
                            "--closure", "gen", "--mode", "exhaustive")
         assert code == 3
         assert "resource limit" in err
+
+    def test_topology_pair_walk_is_priced_before_it_starts(self, capsys):
+        """(Z/2)^6 has 2825 approximate ideals under gen, 2825^2 x 64
+        cells: refused once the pool is known, not walked for hours."""
+        start = time.perf_counter()
+        code, out, err = run(capsys, "topology", "--ring",
+                             "prod:[Zn:2,Zn:2,Zn:2,Zn:2,Zn:2,Zn:2]",
+                             "--closure", "gen")
+        assert code == 3 and out == ""
+        assert "priced at" in err and "Traceback" not in err
+        assert time.perf_counter() - start < 5
 
     def test_unpriceable_integer_sweep_is_exit_3(self, capsys):
         tracemalloc.start()

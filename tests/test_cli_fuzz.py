@@ -1,7 +1,8 @@
 """The command line under generated input: ring, closure and element
-strings drawn from the grammar (every ring has at most 12 elements), and
-the same strings with a character dropped or inserted, or replaced by
-malformed text, through ``approxalg.cli.main``.
+strings drawn from the grammar (every finite ring has at most 12 elements,
+and Z takes shift moduli of at most 20), and module documents, each also
+with a character dropped or inserted, or replaced by malformed text,
+through ``approxalg.cli.main`` on every subcommand but ``scenario``.
 
 Every call must end in a documented exit status (0, 1, 2 or 3) with no
 traceback, and ``--format json`` must print the same bytes when the call
@@ -11,6 +12,7 @@ larger valid one.
 
 import contextlib
 import io
+import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,7 +39,24 @@ RINGS += [("prod:[Zn:2,Zn:2,Zn:2]", tuples(3))]
 RINGS += [(f"GF:{p}/{m}", POLYS)
           for p, m in ((2, "x^2+x+1"), (2, "x^3+x+1"), (2, "x^3"),
                        (3, "x^2+1"), (3, "x^2"), (5, "x"), (11, "x"))]
-RINGS += [("Fun:p=2,n=1", st.sampled_from(["0", "1", "x1", "x1+1"]))]
+RINGS += [("Fun:p=2,n=1", st.sampled_from(["0", "1", "x1", "x1+1"])),
+          ("Fun:p=3,n=1", st.sampled_from(["0", "2", "x1", "x1^2+2"]))]
+RINGS += [("Z", INTEGERS)]
+
+MODULE_DOCS = [json.dumps(doc) for doc in (
+    {"module": {"scalars": "Z", "orders": [12]},
+     "closure": {"name": "shift", "shift": [[6]]}, "check": "iso2",
+     "N": [[4]], "K": [[6]]},
+    {"module": {"scalars": "Z", "orders": [8]}, "closure": {"name": "gen"},
+     "check": "iso1", "hom": {"scale": 2}},
+    {"module": {"scalars": "Z", "orders": [2, 4]},
+     "closure": {"name": "setshift", "shift": [[0, 2]]}, "check": "iso3",
+     "N": [[0, 2]], "K": [[0, 1]]},
+    {"module": {"scalars": "Zn:4", "orders": [4]},
+     "closure": {"name": "shift", "shift": [[2]]}, "check": "cm-axioms"},
+    {"module": {"scalars": "Z", "orders": [6]},
+     "closure": {"name": "setshift", "shift": [[3]]}, "check": "quotient",
+     "N": [[2]]})]
 
 MALFORMED = st.sampled_from([
     "", " ", "Zn:0", "Zn:1", "Zn:-3", "Zn:x", "prod:[]", "prod:[Zn:2",
@@ -48,35 +67,47 @@ MALFORMED = st.sampled_from([
 NO_DIGITS = "()[]{},:;=+-*^/ xJZnpGFunprodgenshift"
 
 
-def mutated(text):
-    """The text, or it with one character dropped or one inserted (never a
+def broken(text):
+    """The text with one character dropped or one inserted (never a
     digit), or malformed text instead."""
     drop = st.integers(0, max(0, len(text) - 1)).map(
         lambda i: text[:i] + text[i + 1:])
     insert = st.tuples(st.integers(0, len(text)),
                        st.sampled_from(NO_DIGITS)).map(
         lambda t: text[:t[0]] + t[1] + text[t[0]:])
-    return st.one_of(st.just(text), st.just(text), st.just(text), drop,
-                     insert, MALFORMED)
+    return st.one_of(drop, insert, MALFORMED)
 
 
 @st.composite
 def requests(draw):
-    ring, element = draw(st.sampled_from(RINGS))
+    """A request with at most one argument broken, so that most reach the
+    checks behind the parser."""
+    command = draw(st.sampled_from([
+        "axioms", "spec", "is-prime", "radical", "quotient", "vset", "dset",
+        "localize", "product", "topology", "nullstellensatz", "modules"]))
+    ring, element = draw(st.sampled_from(
+        [r for r in RINGS if r[0].startswith("Fun")]
+        if command == "nullstellensatz" else RINGS))
     elem = draw(element)
     closure = draw(st.sampled_from([
         "gen", f"shift:J={elem}", f"setshift:J={elem}", "pointwise",
         "sample:[{(0,)},{(1,)}]", "tol:[{point:(0,),tau:1/2}]"]))
-    ideal = ",".join(draw(st.lists(element, min_size=0, max_size=2)))
-    command = draw(st.sampled_from(["axioms", "spec", "is-prime", "radical",
-                                    "quotient", "vset"]))
-    argv = [command, "--ring=" + draw(mutated(ring)),
-            "--closure=" + draw(mutated(closure)), "--format=json"]
+    if command == "modules":
+        args = [("--spec", draw(st.sampled_from(MODULE_DOCS)))]
+    else:
+        args = [("--ring", ring), ("--closure", closure)]
+        ideals = {"spec": 0, "topology": 0, "axioms": 0, "product": 2}
+        for _ in range(ideals.get(command, 1)):
+            args.append(("--mult-set" if command == "localize" else "--ideal",
+                         elem if command == "dset" else
+                         ",".join(draw(st.lists(element, max_size=2)))))
+    broke = draw(st.sampled_from([None, *range(len(args))]))
+    if broke is not None:
+        args[broke] = (args[broke][0], draw(broken(args[broke][1])))
     if command == "axioms":
-        argv.append("--mode=subgroups")
-    elif command != "spec":
-        argv.append("--ideal=" + draw(mutated(ideal)))
-    return argv
+        args.append(("--mode", "subgroups"))
+    return [command] + [f"{name}={value}" for name, value in args] + \
+        ["--format=json"]
 
 
 def run(argv):
@@ -89,7 +120,7 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=150)
+@settings(max_examples=250)
 @given(requests())
 def test_every_request_ends_in_a_documented_exit(argv):
     code, out, err = run(argv)

@@ -94,7 +94,7 @@ LARGER = ["Zn:24", "Zn:36", "Zn:60", "prod:[Zn:2,Zn:2,Zn:2,Zn:2,Zn:2]"]
 def test_listed_modes_match_oracle(ring, monkeypatch):
     for cl, mode, kwargs in listed_cases(ring):
         assert_matches_oracle(
-            lambda: check_axioms(cl, mode=mode, guard=64, **kwargs),
+            lambda: check_axioms(cl, mode=mode, **kwargs),
             monkeypatch)
 
 
@@ -211,7 +211,7 @@ def test_image_compatibility_matches_loop():
     failed = 0
     for f, cl_src, cl_dst in _image_cases():
         got = closure_image_compatible(f, cl_src, cl_dst)
-        masks, domain = closures._subsets_for(f.src, 1 << 12, 64)
+        masks, domain = closures._subsets_for(f.src)
         subsets = list(map(subgroup_lattice(f.src).values, masks))
         want = image_compatible_loop(f, cl_src, cl_dst, subsets, domain)
         assert got.to_dict() == want.to_dict(), (f, cl_src, cl_dst)
@@ -332,7 +332,7 @@ def test_large_ring_subgroups_stay_small():
     cl = GeneratedIdealClosure(ResidueRing(210))
     reports = []
     peak = _peak(lambda: reports.append(
-        check_axioms(cl, mode="subgroups", guard=256)))
+        check_axioms(cl, mode="subgroups")))
     assert reports[0].all_pass()
     assert reports[0].domain == "16 additive subgroups of Zn:210"
     assert peak < 64 << 20

@@ -1,5 +1,7 @@
 import gc
+import itertools
 import random
+import time
 import weakref
 
 import pytest
@@ -32,6 +34,7 @@ from approxalg import (
     ideal_sum,
 )
 from approxalg import rings
+from approxalg.grammar import parse_ring
 from approxalg.modules import finite_module
 from approxalg.rings import (
     PrincipalSubgroup,
@@ -55,6 +58,26 @@ FINITE_RINGS = [Z12, Z2Z2, GF32, FUN21, ResidueRing(5)]
 
 def num_divisors(n):
     return sum(1 for d in range(1, n + 1) if n % d == 0)
+
+
+def partitions(e, largest):
+    """The partitions of e into parts of at most ``largest``, descending."""
+    if e == 0:
+        yield []
+    for k in range(min(e, largest), 0, -1):
+        for rest in partitions(e - k, k):
+            yield [k] + rest
+
+
+def abelian_groups(order):
+    """The cyclic orders of each abelian group of the given order, one
+    group per choice of a partition of each prime's exponent."""
+    per_prime = []
+    for p in rings.prime_factors(order):
+        e = next(k for k in range(order) if order % p ** (k + 1))
+        per_prime.append([[p ** k for k in part]
+                          for part in partitions(e, e)])
+    return [sum(choice, []) for choice in itertools.product(*per_prime)]
 
 
 class TestPrimeFactors:
@@ -188,7 +211,7 @@ class TestSubgroupEnumeration:
     def test_prime_order_has_two(self):
         assert len(enumerate_subgroups(ResidueRing(5))) == 2
 
-    @pytest.mark.parametrize("n", range(2, 65))
+    @pytest.mark.parametrize("n", [*range(2, 65), 128, 210, 360, 512])
     def test_cyclic_subgroup_count_is_divisor_count(self, n):
         assert len(enumerate_subgroups(ResidueRing(n))) == num_divisors(n)
 
@@ -220,9 +243,26 @@ class TestSubgroupEnumeration:
         for sub in enumerate_subgroups(Z2Z2):
             assert is_additive_subgroup(Z2Z2, sub.values)
 
-    def test_guard_raises_loudly(self):
-        with pytest.raises(ResourceLimitError):
-            enumerate_subgroups(ResidueRing(100))
+    def test_every_abelian_group_of_order_at_most_64_is_admitted(self):
+        """The 116 groups of order 2..64 enumerate under the work price:
+        the cardinality guard it replaced admitted all of them."""
+        groups = [orders for order in range(2, 65)
+                  for orders in abelian_groups(order)]
+        assert len(groups) == 116
+        for orders in groups:
+            assert subgroup_lattice(finite_module(Z, orders)).subgroups()
+
+    @pytest.mark.parametrize("spec", ["prod:[Zn:2,Zn:2,Zn:2,Zn:2,Zn:2,Zn:2,"
+                                      "Zn:2]", "Fun:p=2,n=3"])
+    def test_guard_raises_loudly(self, spec):
+        """(Z/2)^7 (29212 subgroups) and the 256-element function ring are
+        refused by the work price, naming the work against the limit."""
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=(
+                rf"translated \d+ elements, past the limit "
+                rf"{rings.SUBGROUP_WORK_LIMIT}")):
+            enumerate_subgroups(parse_ring(spec))
+        assert time.perf_counter() - start < 3
 
 
 class TestLatticeKernel:

@@ -61,3 +61,24 @@ def test_finite_kernels_evaluate_closures_on_masks(path):
     lines = [n for n, line in enumerate(path.read_text().splitlines(), 1)
              if ".eval_set(" in line or "materialize(" in line]
     assert not lines, f"{path.name}: call eval_mask instead, lines {lines}"
+
+
+LIMIT_KNOBS = {"guard", "subset_cap", "subset_limit", "f_pool"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_limits_are_constants_not_parameters(path):
+    """No function takes a resource limit as a parameter: a limit is a
+    module constant that prices the work (``rings.SUBGROUP_WORK_LIMIT``,
+    ``spectrum.TOPOLOGY_CELL_LIMIT``, ``closures.EXHAUSTIVE_SUBSET_CAP``),
+    so no caller can raise it and no test or benchmark has to cover the
+    values it could take."""
+    import ast
+
+    tree = ast.parse(path.read_text(), filename=str(path))
+    knobs = [f"{node.name}({arg.arg}) line {node.lineno}"
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for arg in ast.walk(node.args)
+             if isinstance(arg, ast.arg) and arg.arg in LIMIT_KNOBS]
+    assert not knobs, f"{path.name}: limit parameters {knobs}"
