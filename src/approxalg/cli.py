@@ -6,7 +6,7 @@ a structured report (``--format json`` or the default human table).  Exit
 status: 0 success, 1 a checked verdict failed, 2 usage or precondition
 error, 3 a resource limit tripped, 4 an internal invariant failed (a bug).
 Limits are measured prices, not options: ``rings.SUBGROUP_WORK_LIMIT``
-(elements translated) and ``spectrum.TOPOLOGY_CELL_LIMIT`` (pair cells).
+(elements translated or kept) and ``spectrum.TOPOLOGY_CELL_LIMIT`` (cells).
 """
 
 from __future__ import annotations

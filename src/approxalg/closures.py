@@ -87,6 +87,8 @@ from .rings import (
 )
 
 EXHAUSTIVE_SUBSET_CAP = 1 << 16
+# the most elements for which the axiom and map checks walk every subset
+EXHAUSTIVE_ELEMENTS = 12
 DEFAULT_Z_GEN_BOUND = 1000
 DEFAULT_Z_MULT_BOUND = 100
 DEFAULT_SAMPLE_COUNT = 2000
@@ -303,9 +305,8 @@ class PointwiseClosure(ClosureSpec):
         super().__init__(ring)
 
     def _vanishing_points(self, values):
-        ring = self.ring
-        idxs = range(ring.npoints)
-        return tuple(i for i in idxs if all(v[i] == 0 for v in values))
+        return tuple(i for i in range(self.ring.npoints)
+                     if all(v[i] == 0 for v in values))
 
     def eval_mask(self, mask):
         lat = subgroup_lattice(self.ring)
@@ -340,19 +341,15 @@ class SamplingClosure(PointwiseClosure):
     set_valued = False
 
     def __init__(self, ring, family):
-        if not isinstance(ring, FunctionRing):
-            raise PreconditionError("sampling closure needs a function ring")
         super().__init__(ring)
         pts = set(ring.points)
         family = tuple(frozenset(s) for s in family)
         if not family:
             raise PreconditionError("sampling family must be nonempty")
-        for s in family:
-            bad = [a for a in s if a not in pts]
-            if bad:
-                raise PreconditionError(f"sample point {bad[0]} outside the grid")
-        covered = set().union(*family)
-        if covered != pts:
+        bad = next((a for s in family for a in s if a not in pts), None)
+        if bad is not None:
+            raise PreconditionError(f"sample point {bad} outside the grid")
+        if set().union(*family) != pts:
             raise PreconditionError(
                 "sampling family must cover the whole point grid")
         self.family = family
@@ -1281,7 +1278,7 @@ def check_axioms(cl, mode="auto", seed=DEFAULT_SEED, count=DEFAULT_SAMPLE_COUNT,
     card = ring.cardinality()
     if mode == "auto":
         feasible = (1 << card) <= EXHAUSTIVE_SUBSET_CAP if cl.set_valued \
-            else card <= 12
+            else card <= EXHAUSTIVE_ELEMENTS
         mode = "exhaustive" if feasible else "subgroups"
 
     if mode == "exhaustive":
@@ -1294,10 +1291,11 @@ def check_axioms(cl, mode="auto", seed=DEFAULT_SEED, count=DEFAULT_SAMPLE_COUNT,
             return check_axioms_finite(cl, dom, report)
         # membership-only closures have no table: the list engine walks
         # every pair of the 2^card subsets
-        if card > 12:
+        if card > EXHAUSTIVE_ELEMENTS:
             raise ResourceLimitError(
                 f"exhaustive mode for a membership-only closure needs at "
-                f"most 12 elements, got {card}; use subgroups/ideals/sampled")
+                f"most {EXHAUSTIVE_ELEMENTS} elements, got {card}; use "
+                f"subgroups/ideals/sampled")
         return _check_axioms_list(cl, ring, _combination_masks(card, 0),
                                   report)
 
@@ -1368,13 +1366,13 @@ def replay_counterexample(cl, axiom, ce):
 
 
 def _subsets_for(ring):
-    """Nonempty subsets, as masks, of a ring of at most 12 elements, and
-    the additive subgroups of a larger one: the degenerate empty corner
-    separates set-shift from span closures (cl of the empty set is empty
-    versus {0}) and would dominate every compatibility verdict, contrary
-    to the worked models."""
+    """Nonempty subsets, as masks, of a ring of at most EXHAUSTIVE_ELEMENTS
+    elements, and the additive subgroups of a larger one: the degenerate
+    empty corner separates set-shift from span closures (cl of the empty
+    set is empty versus {0}) and would dominate every compatibility
+    verdict, contrary to the worked models."""
     n = ring.cardinality()
-    if n <= 12:
+    if n <= EXHAUSTIVE_ELEMENTS:
         return _combination_masks(n, 1), f"nonempty subsets of {ring}"
     subs = [s.mask for s in enumerate_subgroups(ring)]
     return subs, f"additive subgroups of {ring}"

@@ -45,6 +45,7 @@ from .rings import (
     ResidueRing,
     _mask,
     additive_closure,
+    enumerate_subgroups,
     ideal_closure_set,
     ideal_generated,
     subgroup_lattice,
@@ -119,8 +120,8 @@ class FiniteModule:
 
     def submodule_masks(self):
         """Every submodule (a subgroup that is its own span) as a mask."""
-        lat = subgroup_lattice(self)
-        return [h for h in lat.subgroups() if lat.span(h) == h]
+        return [s.mask for s in enumerate_subgroups(self)
+                if s.lat.span(s.mask) == s.mask]
 
     def all_submodules(self):
         """Every submodule as a set of values, by size and then by elements."""
@@ -209,7 +210,8 @@ def check_cm_axioms(mod, cl, mode="auto", seed=0, count=500):
     compatibility rules); absorption reports which subgroups are absorbed."""
     card = mod.cardinality()
     if mode == "auto":
-        mode = "exhaustive" if (1 << card) <= (1 << 12) else "sampled"
+        mode = "exhaustive" if card <= closures.EXHAUSTIVE_ELEMENTS \
+            else "sampled"
     if mode == "exhaustive":
         if (1 << card) > closures.EXHAUSTIVE_SUBSET_CAP:
             raise ResourceLimitError(f"2^{card} subsets exceed the cap")

@@ -9,8 +9,6 @@ function rings) and integer coefficients (for tolerance closures).
 
 from __future__ import annotations
 
-import itertools
-
 
 # ---------------------------------------------------------------------------
 # univariate, dense, coefficients in Z/p
@@ -209,8 +207,3 @@ def interpolate_fn_table(p, nvars, table_points, values):
             ind = m_mul(ind, factor, p, reduce_exp)
         out = m_add(out, m_scale(ind, val, p), p)
     return out
-
-
-def all_points(p, nvars):
-    """Lexicographically ordered grid F_p^nvars."""
-    return list(itertools.product(range(p), repeat=nvars))

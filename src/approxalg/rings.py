@@ -47,8 +47,8 @@ from .errors import (
     ResourceLimitError,
 )
 
-# the most elements ``_Lattice.subgroups`` may translate: (Z/2)^6, the worst
-# abelian group of order <= 64, takes 463,239; (Z/2)^7 takes more than this
+# the most work, in elements, ``_Lattice.subgroups`` may do: (Z/2)^6, the
+# worst abelian group of order <= 64, takes 489,562; (Z/2)^7 takes more
 SUBGROUP_WORK_LIMIT = 1 << 20
 
 
@@ -314,7 +314,8 @@ class FunctionRing(Ring):
             raise PreconditionError("nvars must be >= 1")
         self.p = p
         self.nvars = nvars
-        self.points = tuple(poly.all_points(p, nvars))
+        # the grid F_p^nvars, lexicographic
+        self.points = tuple(itertools.product(range(p), repeat=nvars))
         self.npoints = len(self.points)
         self.zero = (0,) * self.npoints
         self.one = (1,) * self.npoints
@@ -660,30 +661,21 @@ class _Lattice:
             out |= _mask(row[i] for i in bits)
         return out
 
-    def join(self, h, g):
-        """H + <g>, for a subgroup H and an element index g.
-
-        <g> = {kg : k >= 0} is a subgroup: g has some finite order t, so
-        -g = (t - 1)g.  H + <g> is the subgroup generated by H and g: a sum
-        of subgroups of an abelian group is one, and every subgroup holding
-        H and g holds each h + kg.  The cosets H + kg are equal or disjoint,
-        and H + kg = H iff kg is in H; so adding g to the last coset until
-        it meets H again visits every coset in H + <g>.
-        """
-        out = coset = h
-        while True:
-            coset = self.translate(coset, g)
-            if coset & h:
-                return out
-            out |= coset
-
     def subgroup(self, mask):
         """The subgroup generated by the mask: from H = {0}, H + <g> for
-        each g of the mask not yet in H."""
+        each g of the mask not yet in H.  H + <g> is the subgroup generated
+        by H and g (g has finite order t, so -g = (t - 1)g), the union of
+        the cosets H + kg; these are equal or disjoint, and H + kg = H iff
+        kg is in H, so adding g to the last coset until it meets H again
+        visits each once."""
         h = 1 << self.zero
         rest = mask & ~h
         while rest:
-            h = self.join(h, (rest & -rest).bit_length() - 1)
+            g = (rest & -rest).bit_length() - 1
+            grown = coset = h
+            while not (coset := self.translate(coset, g)) & h:
+                grown |= coset
+            h = grown
             rest &= ~h
         return h
 
@@ -712,12 +704,12 @@ class _Lattice:
         """Every subgroup, as masks by size and then by their elements.
 
         A worklist from {0} grows each subgroup H found to H + <g>, once
-        per coset g + H outside H (g + h gives the same H + <g>).  It
-        reaches every subgroup K: from {0}, H + <g> for any g in K outside
-        H is a larger subgroup inside K, until H is K.  It is priced in
-        elements translated, |H| for g + H and |H + <g>| for the join (one
-        coset of H per coset): past SUBGROUP_WORK_LIMIT it raises
-        ResourceLimitError with the work done.
+        per coset g + H outside H (g + h gives the same H + <g>), walking
+        cosets as ``subgroup`` does.  It reaches every subgroup K: from
+        {0}, H + <g> for any g in K outside H is a larger subgroup inside
+        K, until H is K.  Its price, in elements, is |H| per coset
+        translated and n per subgroup kept; past SUBGROUP_WORK_LIMIT,
+        checked before each translate, it raises ResourceLimitError.
         """
         seen = {1 << self.zero}
         frontier = list(seen)
@@ -728,15 +720,23 @@ class _Lattice:
             rest = ((1 << self.n) - 1) & ~h
             while rest:
                 g = (rest & -rest).bit_length() - 1
-                rest &= ~self.translate(h, g)
-                grown = self.join(h, g)
-                work += size + grown.bit_count()
-                if work > SUBGROUP_WORK_LIMIT:
-                    raise ResourceLimitError(
-                        f"subgroup enumeration of {self._struct()} translated "
-                        f"{work} elements, past the limit "
-                        f"{SUBGROUP_WORK_LIMIT}")
+                grown, coset, first = h, h, 0
+                while True:
+                    work += size
+                    if work > SUBGROUP_WORK_LIMIT:
+                        raise ResourceLimitError(
+                            f"subgroup enumeration of {self._struct()} "
+                            f"priced at {work} elements so far, past the "
+                            f"limit {SUBGROUP_WORK_LIMIT}")
+                    if (coset := self.translate(coset, g)) & h:
+                        break
+                    first = first or coset
+                    grown |= coset
+                # g + H, the first translate (on an add table that is not a
+                # group's, it may meet H)
+                rest &= ~(first or coset)
                 if grown not in seen:
+                    work += self.n
                     seen.add(grown)
                     frontier.append(grown)
         return sorted(seen, key=lambda m: (m.bit_count(), _bits(m)))
@@ -1004,11 +1004,22 @@ def whole_subgroup(ring):
 
 
 def enumerate_subgroups(ring):
-    """All additive subgroups of a finite ring, each exactly once, by size
-    and then by their elements.  The walk is priced by its work, not by
-    |R| (``_Lattice.subgroups``): Z/512 is admitted, (Z/2)^7 refused."""
+    """All additive subgroups of a finite ring or module, each exactly once,
+    by size and then by their elements, priced by ``_Lattice.subgroups``.
+    Its walk on n elements costs at least 2(n - 1) sqrt(n): from {0}, ord(g)
+    for each g != 0; then n or more for each proper cyclic C, shared by its
+    phi(|C|) <= ord(g) generators g, as ord(g) + n / ord(g) >= 2 sqrt(n)
+    (and n >= 2 sqrt(n) for C = R, n >= 4).  Past the limit that refuses a
+    large ring before its lattice (an element list) is built."""
     if not ring.is_finite:
         raise NotEnumerableError(f"{ring} is not enumerable")
+    n = ring.cardinality()
+    least = 2 * (n - 1) * math.isqrt(n)
+    if least > SUBGROUP_WORK_LIMIT:
+        raise ResourceLimitError(
+            f"subgroup enumeration of {ring} priced at no less than {least} "
+            f"elements (2(n - 1) sqrt(n) for n = {n}), past the limit "
+            f"{SUBGROUP_WORK_LIMIT}")
     lat = subgroup_lattice(ring)
     return [FiniteSubgroup.from_mask(ring, m) for m in lat.subgroups()]
 
@@ -1016,7 +1027,5 @@ def enumerate_subgroups(ring):
 def classical_ideals(ring):
     """All classical (multiplication-absorbing) ideals of a finite ring: the
     subgroups that are their own span."""
-    lat = subgroup_lattice(ring)
-    return [ideal_from_subgroup(sub)
-            for sub in enumerate_subgroups(ring)
-            if lat.span(sub.mask) == sub.mask]
+    return [ideal_from_subgroup(sub) for sub in enumerate_subgroups(ring)
+            if sub.lat.span(sub.mask) == sub.mask]

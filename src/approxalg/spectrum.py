@@ -39,8 +39,8 @@ from .rings import (
     whole_subgroup,
 )
 
-# the most cells (ideal pairs times |R|) the topology pair walk may be priced
-# at: (Z/2)^5, 374 ideals, is 4.5M cells (about 50 s on one core); (Z/2)^6 511M
+# the most cells ((ideal pairs + basic opens) x |R|) ``topology_check`` may
+# be priced at: (Z/2)^5 is 4.5M (about 50 s on one core), (Z/2)^6 511M
 TOPOLOGY_CELL_LIMIT = 1 << 23
 
 
@@ -190,16 +190,23 @@ def topology_check(spec, z_ideal_bound=120):
     opens, the T1 criterion computed both as inclusion-maximality and as
     singleton point closures, and quasi-compactness by exhibiting a finite
     subcover of the full basic-open cover.  The laws' walk over all pairs
-    of the ideal pool is priced first, at pool^2 x |R| cells (|R| = 1 over
-    Z), and refused with ResourceLimitError past TOPOLOGY_CELL_LIMIT.
+    of the ideal pool and the basic opens D(f), one closure each, are
+    priced first, at (pool^2 + opens) x |R| cells (|R| = 1 over Z), and
+    refused with ResourceLimitError past TOPOLOGY_CELL_LIMIT.
     """
     verdicts = []
     pool = _ideal_pool(spec, z_ideal_bound)
-    cells = len(pool) ** 2 * (spec.ring.cardinality() or 1)
+    if isinstance(spec.ring, IntegerRing):
+        top = max(_z_shift_modulus(spec.cl), 30)
+        f_pool = [*range(top + 1), *(p.d for p in spec.primes if p.d > top)]
+    else:
+        f_pool = sorted(spec.ring.elements(), key=sort_key)
+    cells = (len(pool) ** 2 + len(f_pool)) * (spec.ring.cardinality() or 1)
     if cells > TOPOLOGY_CELL_LIMIT:
         raise ResourceLimitError(
-            f"topology pair walk priced at {cells} cells ({len(pool)}^2 "
-            f"ideal pairs x |R|), past the limit {TOPOLOGY_CELL_LIMIT}")
+            f"topology priced at {cells} cells (({len(pool)}^2 ideal pairs "
+            f"+ {len(f_pool)} basic opens) x |R|), past the limit "
+            f"{TOPOLOGY_CELL_LIMIT}")
     approx = [ApproxIdeal(a, spec.cl, check=False) for a in pool]
     # the pair loop meets few distinct I: cache V(I) by I's mask (or dZ)
     v_by_subgroup = {}
@@ -248,13 +255,6 @@ def topology_check(spec, z_ideal_bound=120):
     verdicts.append(Verdict(
         "V(0)-is-whole-space", len(v_zero) == len(spec.primes)))
     verdicts.append(Verdict("V(R)-is-empty", len(v_whole) == 0))
-
-    if isinstance(spec.ring, IntegerRing):
-        m = _z_shift_modulus(spec.cl)
-        f_pool = list(range(0, max(m, 30) + 1))
-        f_pool.extend(p.d for p in spec.primes if p.d > max(m, 30))
-    else:
-        f_pool = sorted(spec.ring.elements(), key=sort_key)
 
     # T0: no two points lie in exactly the same basic opens
     opens = {f: set(d_set(spec, f)) for f in f_pool}

@@ -142,7 +142,8 @@ class TestExitCodes:
                              "prod:[Zn:2,Zn:2,Zn:2,Zn:2,Zn:2,Zn:2]",
                              "--closure", "gen")
         assert code == 3 and out == ""
-        assert "priced at" in err and "Traceback" not in err
+        assert "priced at" in err and "64 basic opens" in err
+        assert "Traceback" not in err
         assert time.perf_counter() - start < 5
 
     def test_unpriceable_integer_sweep_is_exit_3(self, capsys):
@@ -160,6 +161,25 @@ class TestExitCodes:
         assert "priced at" in lines[0] and "Traceback" not in err
         # refused before the (m + 1) x 2m box or any block of it exists
         assert peak < 4 << 20
+
+    @pytest.mark.parametrize("ring", ["Zn:1000000007", "Fun:p=2,n=5"])
+    def test_huge_ring_enumeration_is_exit_3_at_once(self, capsys, ring):
+        """10^9 + 7 and 2^32 elements: the enumeration's lower bound refuses
+        them before an element list exists."""
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "spec", "--ring", ring,
+                                 "--closure", "gen")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("resource limit:")
+        assert "priced at no less than" in lines[0]
+        assert peak < 4 << 20
+        assert time.perf_counter() - start < 2
 
     @pytest.mark.parametrize("spec, message", [
         ('{"bad": 1', "malformed JSON: Expecting ',' delimiter at position 9: "

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 import random
 import time
 import weakref
@@ -259,10 +260,45 @@ class TestSubgroupEnumeration:
         refused by the work price, naming the work against the limit."""
         start = time.perf_counter()
         with pytest.raises(ResourceLimitError, match=(
-                rf"translated \d+ elements, past the limit "
+                rf"priced at \d+ elements so far, past the limit "
                 rf"{rings.SUBGROUP_WORK_LIMIT}")):
             enumerate_subgroups(parse_ring(spec))
         assert time.perf_counter() - start < 3
+
+    @pytest.mark.parametrize("spec", ["Zn:1000000007", "Fun:p=2,n=5",
+                                      "Zn:1000000", "prod:[Zn:64,Zn:64,Zn:2]"])
+    def test_certain_refusal_comes_before_the_lattice(self, spec,
+                                                      monkeypatch):
+        """2(n - 1) sqrt(n) past the limit: refused before a lattice (an
+        element list of n entries) exists."""
+        monkeypatch.setattr(rings, "_LATTICES", weakref.WeakKeyDictionary())
+        ring = parse_ring(spec)
+        with pytest.raises(ResourceLimitError, match=(
+                rf"priced at no less than \d+ elements .*past the limit "
+                rf"{rings.SUBGROUP_WORK_LIMIT}")):
+            enumerate_subgroups(ring)
+        assert ring not in rings._LATTICES
+
+    def test_up_front_bound_is_a_lower_bound_of_the_walk(self, monkeypatch):
+        """Every walk of the corpus does at least 2(n - 1) isqrt(n) work:
+        with the limit one below that, the walk itself refuses."""
+        groups = [finite_module(Z, orders) for order in range(2, 65)
+                  for orders in abelian_groups(order)]
+        groups += [ResidueRing(n) for n in (97, 128, 210, 360, 1021)]
+        for group in groups:
+            n = group.cardinality()
+            monkeypatch.setattr(rings, "SUBGROUP_WORK_LIMIT",
+                                2 * (n - 1) * math.isqrt(n) - 1)
+            with pytest.raises(ResourceLimitError):
+                subgroup_lattice(group).subgroups()
+
+    def test_a_join_is_priced_coset_by_coset(self, monkeypatch):
+        """The first join of Z/1021 walks 1021 cosets of {0}; a limit of 100
+        stops it at the 101st element, not after the join."""
+        monkeypatch.setattr(rings, "SUBGROUP_WORK_LIMIT", 100)
+        ring = ResidueRing(1021)
+        with pytest.raises(ResourceLimitError, match=r"priced at 101 "):
+            subgroup_lattice(ring).subgroups()
 
 
 class TestLatticeKernel:

@@ -10,6 +10,7 @@ from approxalg import (
     PreconditionError,
     ProductRing,
     ResidueRing,
+    ResourceLimitError,
     SetShiftClosure,
     Z,
     ideal_generated,
@@ -189,6 +190,19 @@ class TestTopology:
         assert summed[:64] == pairs
         assert len(summed) == 64 + 2 * 56
         assert all(pair in summed for pair in differ)
+
+    def test_basic_opens_are_priced_with_the_pairs(self, monkeypatch):
+        """Z/31 under gen: 2 ideals and 31 basic opens, (2^2 + 31) x 31 =
+        1085 cells; the pairs alone would be 124."""
+        ring = ResidueRing(31)
+        sp = spectrum(ring, GeneratedIdealClosure(ring))
+        monkeypatch.setattr(spectrum_module, "TOPOLOGY_CELL_LIMIT", 1084)
+        with pytest.raises(ResourceLimitError, match=(
+                r"topology priced at 1085 cells \(\(2\^2 ideal pairs \+ 31 "
+                r"basic opens\) x \|R\|\), past the limit 1084")):
+            topology_check(sp)
+        monkeypatch.setattr(spectrum_module, "TOPOLOGY_CELL_LIMIT", 1085)
+        assert all(v.passed for v in topology_check(sp))
 
     def test_closed_primes_observation_reported(self):
         sp = spectrum(Z12, GeneratedIdealClosure(Z12))
