@@ -99,6 +99,16 @@ class TestClosureMember:
         with pytest.raises(DomainMismatchError):
             closure_member(cl, (1, 2, 3), [(1, 1)])
 
+    @pytest.mark.parametrize("m", [0, 1, 2, 6, 12, 30, 97])
+    def test_setshift_on_a_subgroup_of_z_is_gcd(self, m):
+        # (d) + mZ = gcd(d, m)Z: a subgroup of Z needs no setshift branch
+        cl = setshift(Z, [m])
+        for d in range(40):
+            dz = PrincipalSubgroup(d)
+            g = PrincipalSubgroup(math.gcd(d, m))
+            for x in range(-60, 61):
+                assert closure_member(cl, x, dz) == g.contains(x), (d, x)
+
 
 class TestCheckAxioms:
     def test_modular_shift_all_pass_exhaustively(self):
