@@ -277,12 +277,10 @@ class SetShiftClosure(_ShiftClosure):
         return subgroup_lattice(self.ring).setsum(
             mask, self.shift_ideal.canonical.mask)
 
-    def member(self, x, values, values_are_subgroup=False):
+    def member(self, x, values):
         ring = self.ring
         if isinstance(ring, IntegerRing):
             m = self.shift_ideal.canonical.d
-            if values_are_subgroup:
-                return PrincipalSubgroup(math.gcd(m, *values)).contains(x)
             return any(PrincipalSubgroup(m).contains(x - v) for v in values)
         if _is_integer_lattice(ring):
             m = self.shift_modulus
@@ -490,8 +488,6 @@ def closure_member(cl, x, a):
             not isinstance(vals, PrincipalSubgroup):
         vals = PrincipalSubgroup(math.gcd(0, *vals))
     if isinstance(vals, PrincipalSubgroup):
-        if isinstance(cl, SetShiftClosure):
-            return cl.member(x, [vals.d], values_are_subgroup=True)
         g = cl.z_principal_image(vals.d)
         return PrincipalSubgroup(g).contains(Z.canon(x))
     if ring.is_finite:
