@@ -551,6 +551,7 @@ class _Lattice:
         self.scalars = list(struct.scalar_reps) if self._module else self.elems
         self._rows = [None] * self.n
         self._orbits = [None] * self.n
+        self._subgroups = None
 
     def _struct(self):
         """A live structure among those the lattice has served (a strong
@@ -701,9 +702,15 @@ class _Lattice:
             self.translate(mask, i) == mask for i in _bits(mask))
 
     def subgroups(self):
-        """Every subgroup, as masks by size and then by their elements.
+        """Every subgroup, as masks by size and then by their elements: the
+        list of the first walk that completed, so a structure is walked
+        once (a refused walk keeps nothing).  Callers must not mutate it."""
+        if self._subgroups is None:
+            self._subgroups = self._walk_subgroups()
+        return self._subgroups
 
-        A worklist from {0} grows each subgroup H found to H + <g>, once
+    def _walk_subgroups(self):
+        """A worklist from {0} grows each subgroup H found to H + <g>, once
         per coset g + H outside H (g + h gives the same H + <g>), walking
         cosets as ``subgroup`` does.  It reaches every subgroup K: from
         {0}, H + <g> for any g in K outside H is a larger subgroup inside

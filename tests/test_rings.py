@@ -281,7 +281,9 @@ class TestSubgroupEnumeration:
 
     def test_up_front_bound_is_a_lower_bound_of_the_walk(self, monkeypatch):
         """Every walk of the corpus does at least 2(n - 1) isqrt(n) work:
-        with the limit one below that, the walk itself refuses."""
+        with the limit one below that, the walk itself refuses (on fresh
+        lattices, as a completed walk is kept)."""
+        monkeypatch.setattr(rings, "_LATTICES", weakref.WeakKeyDictionary())
         groups = [finite_module(Z, orders) for order in range(2, 65)
                   for orders in abelian_groups(order)]
         groups += [ResidueRing(n) for n in (97, 128, 210, 360, 1021)]
@@ -295,10 +297,21 @@ class TestSubgroupEnumeration:
     def test_a_join_is_priced_coset_by_coset(self, monkeypatch):
         """The first join of Z/1021 walks 1021 cosets of {0}; a limit of 100
         stops it at the 101st element, not after the join."""
+        monkeypatch.setattr(rings, "_LATTICES", weakref.WeakKeyDictionary())
         monkeypatch.setattr(rings, "SUBGROUP_WORK_LIMIT", 100)
         ring = ResidueRing(1021)
         with pytest.raises(ResourceLimitError, match=r"priced at 101 "):
             subgroup_lattice(ring).subgroups()
+
+    def test_a_refused_walk_keeps_nothing(self, monkeypatch):
+        monkeypatch.setattr(rings, "_LATTICES", weakref.WeakKeyDictionary())
+        lat = subgroup_lattice(ring := ResidueRing(31))
+        monkeypatch.setattr(rings, "SUBGROUP_WORK_LIMIT", 10)
+        with pytest.raises(ResourceLimitError):
+            lat.subgroups()
+        monkeypatch.undo()
+        assert lat.subgroups() == [1, (1 << ring.cardinality()) - 1]
+        assert lat.subgroups() is lat.subgroups()
 
 
 class TestLatticeKernel:

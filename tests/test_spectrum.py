@@ -1,4 +1,5 @@
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from approxalg import (
     Z,
     ideal_generated,
 )
+from approxalg import rings
 from approxalg import spectrum as spectrum_module
 from approxalg.rings import (
     PrincipalSubgroup,
@@ -203,6 +205,22 @@ class TestTopology:
             topology_check(sp)
         monkeypatch.setattr(spectrum_module, "TOPOLOGY_CELL_LIMIT", 1085)
         assert all(v.passed for v in topology_check(sp))
+
+    def test_spectrum_and_topology_walk_the_lattice_once(self, monkeypatch):
+        """The ideal pool reads the masks the spectrum's walk kept."""
+        monkeypatch.setattr(rings, "_LATTICES", weakref.WeakKeyDictionary())
+        walks = []
+        walk = rings._Lattice._walk_subgroups
+
+        def counted(lat):
+            walks.append(lat)
+            return walk(lat)
+
+        monkeypatch.setattr(rings._Lattice, "_walk_subgroups", counted)
+        ring = ResidueRing(60)
+        sp = spectrum(ring, GeneratedIdealClosure(ring))
+        assert all(v.passed for v in topology_check(sp))
+        assert len(walks) == 1
 
     def test_closed_primes_observation_reported(self):
         sp = spectrum(Z12, GeneratedIdealClosure(Z12))
