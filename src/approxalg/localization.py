@@ -24,6 +24,7 @@ import math
 import numpy as np
 
 from .closures import (
+    EXHAUSTIVE_ELEMENTS,
     LIST_GRID,
     LIST_PAIR_CELL_LIMIT,
     ClosureSpec,
@@ -467,9 +468,9 @@ def localize(ring, cl, mult):
 
 def check_transfer_axioms(loc, mode="auto", **kwargs):
     """Axiom suite for the transferred closure on the localized classes."""
-    k = loc.class_count()
     if mode == "auto":
-        mode = "exhaustive" if k <= 12 else "subgroups"
+        mode = "exhaustive" if loc.class_count() <= EXHAUSTIVE_ELEMENTS \
+            else "subgroups"
     return check_axioms(loc.transferred, mode=mode, **kwargs)
 
 
