@@ -1,10 +1,15 @@
 """Command-line front end.
 
 Subcommands: axioms, spec, vset, dset, is-prime, product, quotient,
-topology, localize, radical, modules, nullstellensatz, scenario.  Output is
-a structured report (``--format json`` or the default human table).  Exit
-status: 0 success, 1 a checked verdict failed, 2 usage or precondition
-error, 3 a resource limit tripped, 4 an internal invariant failed (a bug).
+topology, localize, radical, modules, nullstellensatz, scenario.  Each
+takes only the options its handler reads: every subcommand but modules
+and scenario takes ``--ring`` and ``--closure``; ``--bound`` goes to
+axioms, spec, vset, dset, topology, localize and radical; ``--mode`` and
+``--seed`` (which fixes the sampled mode) to axioms and localize.  Any
+other option is refused with exit 2.  Output is a structured report
+(``--format json`` or the default human table).  Exit status: 0 success,
+1 a checked verdict failed, 2 usage or precondition error, 3 a resource
+limit tripped, 4 an internal invariant failed (a bug).
 Limits are measured prices, not options: ``rings.SUBGROUP_WORK_LIMIT``
 (elements translated or kept) and ``spectrum.TOPOLOGY_CELL_LIMIT`` (cells).
 """
@@ -12,6 +17,7 @@ Limits are measured prices, not options: ``rings.SUBGROUP_WORK_LIMIT``
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from importlib import resources
@@ -65,61 +71,50 @@ from .rings import Z, ideal_generated, subgroup_generated
 from .spectrum import d_set, spectrum, topology_check, v_set
 
 
+@functools.cache
 def build_parser():
+    """The parser, built once: each parse makes a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="approxalg",
         description="approximate commutative algebra workbench")
     sub = parser.add_subparsers(dest="command", required=True)
+    # a subcommand on --ring and --closure takes those of these it reads
+    extras = {
+        "--seed": dict(type=int, default=DEFAULT_SEED,
+                       help="seed of the sampled mode"),
+        "--bound": dict(type=int, default=None,
+                        help="bound for integer enumerations"),
+        "--mode": dict(choices=["auto", "exhaustive", "subgroups", "ideals",
+                                "sampled"], default="auto"),
+    }
 
-    def common(p, closure=True):
+    def command(name, help, *options):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--ring", required=True, help="ring spec")
-        if closure:
-            p.add_argument("--closure", required=True, help="closure spec")
+        p.add_argument("--closure", required=True, help="closure spec")
         p.add_argument("--format", choices=["json", "table"], default="table")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--bound", type=int, default=None,
-                       help="bound for integer enumerations")
-        p.add_argument("--mode",
-                       choices=["auto", "exhaustive", "subgroups", "ideals",
-                                "sampled"],
-                       default="auto")
+        for option in options:
+            p.add_argument(option, **extras[option])
+        return p
 
-    p = sub.add_parser("axioms", help="closure axiom suite")
-    common(p)
-
-    p = sub.add_parser("spec", help="enumerate the approximate primes")
-    common(p)
-
-    p = sub.add_parser("vset", help="closed set V(I)")
-    common(p)
+    command("axioms", "closure axiom suite", "--seed", "--bound", "--mode")
+    command("spec", "enumerate the approximate primes", "--bound")
+    p = command("vset", "closed set V(I)", "--bound")
     p.add_argument("--ideal", required=True)
-
-    p = sub.add_parser("dset", help="basic open D(f)")
-    common(p)
+    p = command("dset", "basic open D(f)", "--bound")
     p.add_argument("--ideal", required=True, help="the element f")
-
-    p = sub.add_parser("is-prime", help="approximate primality of an ideal")
-    common(p)
+    p = command("is-prime", "approximate primality of an ideal")
     p.add_argument("--ideal", required=True)
-
-    p = sub.add_parser("product", help="approximate product of two ideals")
-    common(p)
+    p = command("product", "approximate product of two ideals")
     p.add_argument("--ideal", action="append", required=True,
                    help="give twice: the two factors")
-
-    p = sub.add_parser("quotient", help="quotient ring by an ideal")
-    common(p)
+    p = command("quotient", "quotient ring by an ideal")
     p.add_argument("--ideal", required=True)
-
-    p = sub.add_parser("topology", help="Zariski topology checks")
-    common(p)
-
-    p = sub.add_parser("localize", help="localize at a multiplicative set")
-    common(p)
+    command("topology", "Zariski topology checks", "--bound")
+    p = command("localize", "localize at a multiplicative set",
+                "--seed", "--bound", "--mode")
     p.add_argument("--mult-set", required=True)
-
-    p = sub.add_parser("radical", help="approximate radical of an ideal")
-    common(p)
+    p = command("radical", "approximate radical of an ideal", "--bound")
     p.add_argument("--ideal", required=True)
 
     p = sub.add_parser("modules", help="module checks from a JSON document")
@@ -127,9 +122,7 @@ def build_parser():
     p.add_argument("--spec", help="the same JSON document given inline")
     p.add_argument("--format", choices=["json", "table"], default="table")
 
-    p = sub.add_parser("nullstellensatz",
-                       help="ESEP, PP, and the radical identity")
-    common(p)
+    p = command("nullstellensatz", "ESEP, PP, and the radical identity")
     p.add_argument("--ideal", default=None)
 
     p = sub.add_parser("scenario", help="run a scenario suite")
@@ -228,7 +221,7 @@ def cmd_topology(args, report):
 def cmd_localize(args, report):
     ring = parse_ring(args.ring)
     cl = parse_closure(ring, args.closure)
-    gens = parse_generators(ring, getattr(args, "mult_set"))
+    gens = parse_generators(ring, args.mult_set)
     loc = localize(ring, cl, mult_set(ring, gens))
     report.add_extra("classes", loc.class_count())
     for v in loc.verdicts:
@@ -240,12 +233,13 @@ def cmd_localize(args, report):
     report.add_verdict(bij)
     report.add_extra("matched-pairs", [
         f"{p!r} <-> {e!r}" for p, e in matched])
-    rep = check_transfer_axioms(loc, mode=args.mode)
+    rep = check_transfer_axioms(loc, mode=args.mode, seed=args.seed)
     for name in rep.AXIOMS:
         if name in rep.verdicts:
             v = rep.verdicts[name]
             report.add_verdict(Verdict(f"transfer-{name}", v.passed,
-                                       v.counterexample, mode=rep.mode))
+                                       v.counterexample, mode=rep.mode,
+                                       seed=rep.seed))
 
 
 def cmd_radical(args, report):
@@ -486,7 +480,7 @@ def main(argv=None):
 
 
 def _emit(report, args):
-    if getattr(args, "format", "table") == "json":
+    if args.format == "json":
         sys.stdout.write(report.to_json())
     else:
         sys.stdout.write(report.to_table())

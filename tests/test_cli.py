@@ -5,8 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from approxalg import ResidueRing
 from approxalg import spectrum as spectrum_module
-from approxalg.cli import main
+from approxalg.cli import build_parser, main
+from approxalg.closures import GeneratedIdealClosure
+from approxalg.localization import check_transfer_axioms, localize, mult_set
 
 
 def run(capsys, *argv):
@@ -119,6 +122,82 @@ class TestChecks:
         code, out, _ = run(capsys, "modules", "--spec", json.dumps(doc))
         assert code == 0
         assert "[pass] class-counts-equal" in out
+
+
+# a request each ring subcommand answers, and the options its handler reads
+# beside --ring, --closure and --format
+ON_Z6 = ["--ring", "Zn:6", "--closure", "gen"]
+REQUESTS = {
+    "axioms": (ON_Z6, {"--seed", "--bound", "--mode"}),
+    "localize": (ON_Z6 + ["--mult-set", "5"], {"--seed", "--bound", "--mode"}),
+    "spec": (ON_Z6, {"--bound"}),
+    "vset": (ON_Z6 + ["--ideal", "2"], {"--bound"}),
+    "dset": (ON_Z6 + ["--ideal", "2"], {"--bound"}),
+    "topology": (ON_Z6, {"--bound"}),
+    "radical": (ON_Z6 + ["--ideal", "0"], {"--bound"}),
+    "is-prime": (ON_Z6 + ["--ideal", "2"], set()),
+    "product": (ON_Z6 + ["--ideal", "2", "--ideal", "3"], set()),
+    "quotient": (ON_Z6 + ["--ideal", "2"], set()),
+    "nullstellensatz": (["--ring", "Fun:p=2,n=1", "--closure", "pointwise"],
+                        set()),
+}
+VALUES = {"--seed": "5", "--bound": "20", "--mode": "sampled"}
+
+
+class TestOptions:
+    """Each subcommand takes exactly the options its handler reads."""
+
+    @pytest.mark.parametrize("command,option", [
+        (command, option) for command in REQUESTS for option in VALUES])
+    def test_an_option_is_taken_where_it_is_read(self, capsys, command,
+                                                 option):
+        base, reads = REQUESTS[command]
+        argv = [command, *base, option, VALUES[option]]
+        if option in reads:
+            code, out, err = run(capsys, *argv)
+            assert code == 0, err
+            assert out.startswith(f"command: {command}")
+            return
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert f"unrecognized arguments: {option}" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_sampled_localize_carries_its_seed(self, capsys):
+        code, out, _ = run(capsys, "localize", "--ring", "Zn:12", "--closure",
+                           "gen", "--mult-set", "3", "--mode", "sampled",
+                           "--seed", "7", "--format", "json")
+        assert code == 0
+        transfer = [v for v in json.loads(out)["verdicts"]
+                    if v["axiom"].startswith("transfer-")]
+        ring = ResidueRing(12)
+        loc = localize(ring, GeneratedIdealClosure(ring),
+                       mult_set(ring, [3]))
+        rep = check_transfer_axioms(loc, mode="sampled", seed=7)
+        assert rep.seed == 7
+        assert transfer == [
+            json.loads(json.dumps(dict(rep.verdicts[name].to_dict(),
+                                       axiom=f"transfer-{name}"),
+                                  default=str))
+            for name in rep.AXIOMS if name in rep.verdicts]
+
+    def test_the_parser_is_built_once(self, capsys):
+        build_parser.cache_clear()
+        for _ in range(2):
+            assert run(capsys, "spec", *ON_Z6)[0] == 0
+        info = build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_appended_ideals_do_not_leak_between_calls(self, capsys):
+        for pair, product in (("2", "3"), "(6)"), (("4", "9"), "(12)"):
+            code, out, _ = run(capsys, "product", "--ring", "Z", "--closure",
+                               "shift:J=12", "--ideal", pair[0],
+                               "--ideal", pair[1])
+            assert code == 0
+            assert f"product: {product}" in out
 
 
 class TestExitCodes:

@@ -1,8 +1,10 @@
 """The command line under generated input: ring, closure and element
-strings drawn from the grammar (every finite ring has at most 12 elements,
-and Z takes shift moduli of at most 20), and module documents, each also
-with a character dropped or inserted, or replaced by malformed text,
-through ``approxalg.cli.main`` on every subcommand but ``scenario``.
+strings drawn from the grammar (every finite ring but Fun:p=3,n=1 has at
+most 12 elements, and Z takes shift moduli of at most 20), and module
+documents, each also with a character dropped or inserted, or replaced by
+malformed text, through ``approxalg.cli.main`` on every subcommand but
+``scenario``, with at most one of ``--seed``, ``--mode`` and ``--bound``,
+which the subcommands that do not read it refuse.
 
 Every call must end in a documented exit status (0, 1, 2 or 3) with no
 traceback, and ``--format json`` must print the same bytes when the call
@@ -64,6 +66,14 @@ MALFORMED = st.sampled_from([
     "shift:J=", "setshift:J=(", "sample:[]", "sample:[{(9,)}]",
     "tol:[{point:(0,),tau:-1}]", "tol:[{point:(0,)}]", "((", "x^", "1/0",
     "[", "}", "gen,gen", "(1,2,3,4)"])
+# values of the options some subcommands read; the others refuse them.  The
+# sampled mode's 2000 subsets take seconds on the 27 functions of
+# Fun:p=3,n=1, so it is drawn on the other rings only.
+OPTIONS = {
+    "--seed": st.integers(-5, 99).map(str),
+    "--bound": st.integers(-5, 60).map(str),
+    "--mode": st.sampled_from(["subgroups", "ideals", "sampled"]),
+}
 NO_DIGITS = "()[]{},:;=+-*^/ xJZnpGFunprodgenshift"
 
 
@@ -104,7 +114,13 @@ def requests(draw):
     broke = draw(st.sampled_from([None, *range(len(args))]))
     if broke is not None:
         args[broke] = (args[broke][0], draw(broken(args[broke][1])))
-    if command == "axioms":
+    option = draw(st.sampled_from([None, *OPTIONS]))
+    if option is not None:
+        value = draw(OPTIONS[option])
+        if value == "sampled" and ring == "Fun:p=3,n=1":
+            value = "subgroups"
+        args.append((option, value))
+    if command == "axioms" and option != "--mode":
         args.append(("--mode", "subgroups"))
     return [command] + [f"{name}={value}" for name, value in args] + \
         ["--format=json"]
