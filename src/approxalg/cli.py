@@ -78,7 +78,7 @@ def build_parser():
         prog="approxalg",
         description="approximate commutative algebra workbench")
     sub = parser.add_subparsers(dest="command", required=True)
-    # a subcommand on --ring and --closure takes those of these it reads
+    # options only some handlers read: command() adds those it is given
     extras = {
         "--seed": dict(type=int, default=DEFAULT_SEED,
                        help="seed of the sampled mode"),
