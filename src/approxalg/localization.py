@@ -684,26 +684,21 @@ def _squarefree_kernel(n):
 
 
 def z_radical_bruteforce(cl, d, bound=200):
-    """Membership of each |x| <= bound in rad((d)) straight from the
-    definition, detecting the power-residue cycle for the exponent bound."""
+    """Membership of each x = 0..bound in rad((d)) straight from the
+    definition: some power x^k, k >= 1, lies in cl((d)) = (g).
+
+    One power decides it, x^e with e = max(1, floor(log2 g)), without
+    factoring g.  If g | x^k for some k, every prime p of g divides x^k,
+    hence x.  Each exponent a of p in g has p^a <= g, so a <= log2 g, and
+    a <= e; as p^a divides x^a, it divides x^e, for every p, and so g | x^e.
+    The converse is the definition with k = e.  For g = 0 only x = 0 has a
+    power in (0), and (0) holds exactly 0.
+    """
     g = cl.z_principal_image(d)
-    out = []
-    for x in range(0, bound + 1):
-        if g == 0:
-            hit = x == 0
-        else:
-            seen = set()
-            r = x % g
-            hit = False
-            while r not in seen:
-                seen.add(r)
-                if r == 0:
-                    hit = True
-                    break
-                r = (r * x) % g
-        if hit:
-            out.append(x)
-    return out
+    if g == 0:
+        return [0] if bound >= 0 else []
+    e = max(1, g.bit_length() - 1)
+    return [x for x in range(bound + 1) if pow(x, e, g) == 0]
 
 
 def prime_radical(spec):

@@ -108,6 +108,9 @@ def spectrum(ring, cl, z_bound=None):
     proper, approximately prime.  Over the integers the modular closed form
     is used and re-derived by a bounded candidate sweep; the plain span
     closure gives the classically bounded enumeration {(0)} + small primes.
+    The sweep re-derives the candidates (d), d <= z_bound: there the two
+    must agree (InvariantError otherwise), and a z_bound below m's largest
+    prime is refused with PreconditionError, as the sweep cannot reach it.
     """
     if isinstance(ring, IntegerRing):
         m = _z_shift_modulus(cl)
@@ -122,10 +125,15 @@ def spectrum(ring, cl, z_bound=None):
         swept = z_prime_bruteforce_grid(m, bound)
         brute = [PrincipalSubgroup(int(d)) for d in np.flatnonzero(swept)]
         closed = [PrincipalSubgroup(p) for p in prime_factors(m)]
-        if closed != brute:
+        inside = [p for p in closed if p.d <= bound]
+        if inside != brute:
             raise InvariantError(
                 f"closed form and bounded sweep disagree for m={m}: "
-                f"{[p.d for p in closed]} vs {[p.d for p in brute]}")
+                f"{[p.d for p in inside]} vs {[p.d for p in brute]}")
+        if inside != closed:
+            raise PreconditionError(
+                f"the bound {bound} is below the prime {closed[-1].d} of "
+                f"m={m}: the sweep over (d), d <= {bound}, cannot confirm it")
         return SpectrumReport(ring, cl, closed, "closed-form+bounded-sweep")
 
     primes = [sub for sub in enumerate_subgroups(ring)
@@ -193,6 +201,14 @@ def topology_check(spec, z_ideal_bound=120):
     of the ideal pool and the basic opens D(f), one closure each, are
     priced first, at (pool^2 + opens) x |R| cells (|R| = 1 over Z), and
     refused with ResourceLimitError past TOPOLOGY_CELL_LIMIT.
+
+    D(f) = {P : cl(<f>) not inside cl(P)} depends on f only through
+    cl(<f>).  So each f of the pool is closed once, and each distinct
+    closure value builds its open once.  The T0 marks are taken over the
+    distinct opens: two points agree on every D(f) iff they agree on every
+    distinct one, since each D(f) is one of them, so the equality relation
+    and the first (P, Q) counterexample are those of the per-f marks.  The
+    subcover walks the pool in order, so it picks the same f.
     """
     verdicts = []
     pool = _ideal_pool(spec, z_ideal_bound)
@@ -256,10 +272,18 @@ def topology_check(spec, z_ideal_bound=120):
         "V(0)-is-whole-space", len(v_zero) == len(spec.primes)))
     verdicts.append(Verdict("V(R)-is-empty", len(v_whole) == 0))
 
-    # T0: no two points lie in exactly the same basic opens
-    opens = {f: set(d_set(spec, f)) for f in f_pool}
+    # T0: no two points lie in exactly the same basic opens; one open per
+    # distinct cl(<f>)
     primes = list(spec.primes)
-    marks = [tuple(p in op for op in opens.values()) for p in primes]
+    distinct = {}
+    opens = []
+    for f in f_pool:
+        clf = _closure_of(spec, [f])
+        if clf not in distinct:
+            distinct[clf] = {p for p, clp in zip(primes, spec.prime_closures)
+                             if not clf <= clp}
+        opens.append(distinct[clf])
+    marks = [tuple(p in op for op in distinct.values()) for p in primes]
     t0_ce = next(({"P": repr(p), "Q": repr(primes[j])}
                   for i, p in enumerate(primes)
                   for j in range(i + 1, len(primes)) if marks[i] == marks[j]),
@@ -283,12 +307,12 @@ def topology_check(spec, z_ideal_bound=120):
     # quasi-compactness: the full basic-open cover has a finite subcover
     cover = []
     remaining = set(primes)
-    for f in f_pool:
+    for f, op in zip(f_pool, opens):
         if not remaining:
             break
-        if opens[f] & remaining:
+        if op & remaining:
             cover.append(f)
-            remaining -= opens[f]
+            remaining -= op
     verdicts.append(Verdict("quasi-compact", not remaining,
                             None if not remaining else
                             {"uncovered": len(remaining)},

@@ -11,7 +11,9 @@ the nested well-definedness loops of ``ideals.quotient_ring`` and
 transferred closure from its definition, one representative at a time.
 ``z_relation_loop`` is the relation check of a localization of Z as it was
 before it read the absorbed residues: one grid comparison per residue of
-S."""
+S.  ``z_radical_cycle_walk`` is the membership sweep of rad((d)) over Z as
+it was before one power decided it: it walks each x's power residues
+modulo g until one is 0 or repeats."""
 
 import numpy as np
 
@@ -219,3 +221,26 @@ def z_relation_loop(loc):
             break
     return Verdict("equivalence-matches-class-map", ce is None, ce,
                    mode=f"pairs with |a| <= {m}, {len(s_lifts)} denominators")
+
+
+def z_radical_cycle_walk(cl, d, bound=200):
+    """Membership of each x = 0..bound in rad((d)) straight from the
+    definition, detecting the power-residue cycle for the exponent bound."""
+    g = cl.z_principal_image(d)
+    out = []
+    for x in range(0, bound + 1):
+        if g == 0:
+            hit = x == 0
+        else:
+            seen = set()
+            r = x % g
+            hit = False
+            while r not in seen:
+                seen.add(r)
+                if r == 0:
+                    hit = True
+                    break
+                r = (r * x) % g
+        if hit:
+            out.append(x)
+    return out

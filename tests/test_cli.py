@@ -334,6 +334,27 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("internal error:")
         assert "disagree for m=30" in lines[0]
 
+    @pytest.mark.parametrize("argv, bound, prime, m", [
+        (["spec", "--closure", "shift:J=12", "--bound", "2"], 2, 3, 12),
+        (["topology", "--closure", "setshift:J=12", "--bound", "0"],
+         0, 3, 12),
+        (["vset", "--closure", "shift:J=30", "--ideal", "2", "--bound", "3"],
+         3, 5, 30),
+        (["radical", "--closure", "shift:J=12", "--ideal", "0",
+          "--bound", "2"], 2, 3, 12),
+        (["localize", "--closure", "shift:J=12", "--mult-set", "2",
+          "--bound", "2"], 2, 3, 12)])
+    def test_bound_below_a_prime_of_m_is_usage_error(self, capsys, argv,
+                                                     bound, prime, m):
+        """A --bound below m's largest prime leaves that prime outside the
+        sweep's window: the caller's choice, not a disagreement."""
+        code, _, err = run(capsys, *argv, "--ring", "Z")
+        assert code == 2
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(
+            f"error: the bound {bound} is below the prime {prime} of m={m}")
+
     def test_failed_verdict_is_exit_1(self, capsys, tmp_path):
         suite = [{"name": "wrong", "ring": "Z", "closure": "shift:J=12",
                   "operation": "is-prime", "params": {"generators": "3"},

@@ -16,7 +16,7 @@ import contextlib
 import io
 import json
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from approxalg.cli import main
@@ -138,6 +138,17 @@ def run(argv):
 
 @settings(max_examples=250)
 @given(requests())
+# a --bound below m's largest prime over Z
+@example(["spec", "--ring=Z", "--closure=shift:J=12", "--bound=2",
+          "--format=json"])
+@example(["topology", "--ring=Z", "--closure=setshift:J=12", "--bound=0",
+          "--format=json"])
+@example(["vset", "--ring=Z", "--closure=shift:J=30", "--ideal=2",
+          "--bound=3", "--format=json"])
+@example(["radical", "--ring=Z", "--closure=shift:J=12", "--ideal=0",
+          "--bound=2", "--format=json"])
+@example(["localize", "--ring=Z", "--closure=shift:J=12", "--mult-set=2",
+          "--bound=2", "--format=json"])
 def test_every_request_ends_in_a_documented_exit(argv):
     code, out, err = run(argv)
     assert code in (0, 1, 2, 3), (argv, code, err)
