@@ -223,9 +223,11 @@ def cmd_localize(args, report):
     cl = parse_closure(ring, args.closure)
     gens = parse_generators(ring, args.mult_set)
     loc = localize(ring, cl, mult_set(ring, gens))
-    report.add_extra("classes", loc.class_count())
     for v in loc.verdicts:
         report.add_verdict(v)
+    if loc.model is None:  # no classes to check the rest on
+        return
+    report.add_extra("classes", loc.class_count())
     report.add_verdict(check_rep_independence(loc))
     for v in check_iota_functorial(loc):
         report.add_verdict(v)

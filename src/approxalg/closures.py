@@ -78,6 +78,7 @@ from .rings import (
     ProductRing,
     Z,
     _bits,
+    _first_violation,
     _mask,
     additive_closure,
     enumerate_subgroups,
@@ -603,13 +604,6 @@ class FiniteDomain:
         return self.setsum_vec(a_aug[:, None], b_aug[None, :])
 
 
-def _first_violation(viol):
-    """Row-major first True position, or None."""
-    if not viol.any():
-        return None
-    return tuple(int(x) for x in np.argwhere(viol)[0])
-
-
 def check_axioms_finite(cl, dom, report):
     """All six verdicts over every subset of the domain (vectorized).
 
@@ -831,22 +825,6 @@ def _image_rows(img, rows, n):
     return out
 
 
-def _quotient_labels(lat, h, carrier):
-    """The quotient map of a carrier subgroup by a subgroup H inside it
-    (masks): the cosets e_i + H tiling the carrier, each H translated to the
-    least index i not yet covered, which is its least member.  Returns the
-    labels (carrier index to its coset's i, -1 elsewhere) and the (i, coset)."""
-    labels = np.full(lat.n, -1, dtype=np.intp)
-    cosets = []
-    while carrier:
-        i = (carrier & -carrier).bit_length() - 1
-        coset = lat.translate(h, i)
-        labels[_bits(coset)] = i
-        cosets.append((i, coset))
-        carrier &= ~coset
-    return labels, cosets
-
-
 class QuotientModule:
     """Classes of a carrier subgroup of a ring or module under x ~ y iff
     x - y in cl(N), a subgroup H: the cosets x + (H meet carrier) on the
@@ -854,7 +832,11 @@ class QuotientModule:
     least member, and every other index to -1.  The quotient is itself a
     structure ``subgroup_lattice`` reads, whose elements are the
     representatives; ``canon`` takes a carrier element to its class, and
-    ``add``, ``act`` (a module's) and ``mul`` (a ring's) work on them."""
+    ``add``, ``act`` (a module's) and ``mul`` (a ring's) work on them.
+    The classes of a subgroup by a subgroup form a group, so the lattice
+    reads its addition unchecked (``group_by_construction``)."""
+
+    group_by_construction = True
 
     def __init__(self, mod, carrier, clset, verdicts):
         lat = self.lat = subgroup_lattice(mod)
@@ -863,7 +845,7 @@ class QuotientModule:
             raise PreconditionError("cl(N) is not a subgroup; classes undefined")
         self.mod = mod
         self.carrier = [lat.elems[j] for j in _bits(c)]
-        self.labels, cosets = _quotient_labels(lat, h & c, c)
+        self.labels, cosets = lat.cosets(h & c, c)
         self.classes = [(lat.elems[i], lat.values(coset)) for i, coset in cosets]
         self.rep_of = {lat.elems[j]: lat.elems[i]
                        for i, coset in cosets for j in _bits(coset)}

@@ -410,28 +410,40 @@ def quotient_ring(ring, ideal):
 
 def _ring_axioms_hold(ring):
     """The commutative-ring laws over a finite ring, on index tables of its
-    own operations (``add[a, b]`` is b + a, ``mul[a, b]`` is a b): unit,
-    inverse and commutative laws whole, then every triple [a, b, c] of
-    c + (b + a) = (c + b) + a, (a b) c = a (b c) and a c + a b = a (c + b)
-    in ``_chunks`` rows of a, so that no n^3 array is built."""
+    own operations (``add[a, b]`` is a + b, ``mul[a, b]`` is a b).  The
+    ring's lattice has checked + to be an abelian group before its add
+    table is read (``rings._Lattice``), and a refusal is False here.  Left
+    are the inverse ``neg``, the unit and commutativity of the product,
+    whole, then distributivity and associativity of the product with the
+    middle slot b over the additive ``generators`` G only, n^2 cells each:
+
+    * the b with a (b + c) = a b + a c for all a, c are closed under +:
+      a ((b + b') + c) = a (b + (b' + c)) = a b + a (b' + c)
+      = a b + (a b' + a c) = (a b + a b') + a c = a (b + b') + a c;
+    * given distributivity, and the product commutative, the b with
+      (a b) c = a (b c) for all a, c are closed under +:
+      (a (b + b')) c = (a b + a b') c = (a b) c + (a b') c
+      = a (b c) + a (b' c) = a (b c + b' c) = a ((b + b') c).
+
+    Both sets hold G, so each holds every sum of generators, and that is
+    every element: 0 = t g for a generator g of order t, and a ring with
+    no generators is {0}."""
     lat = subgroup_lattice(ring)
+    try:
+        add = lat.add_table
+    except PreconditionError:
+        return False
+    # the narrowest index type keeps each n^2 temporary small
     dtype = np.min_scalar_type(lat.n)
-    add, mul = lat.add_table.astype(dtype), lat.act_table().astype(dtype)
+    add, mul = add.astype(dtype), lat.act_table().astype(dtype)
     neg = np.array([lat.index[ring.neg(x)] for x in lat.elems], dtype=np.intp)
     every = np.arange(lat.n)
-    z, o = lat.index[ring.zero], lat.index[ring.one]
-    if not ((add[z] == every).all() and (mul[:, o] == every).all()
-            and (add[neg, every] == z).all() and (add == add.T).all()
-            and (mul == mul.T).all()):
+    if not ((mul[:, lat.index[ring.one]] == every).all()
+            and (add[neg, every] == lat.zero).all() and (mul == mul.T).all()):
         return False
-    for lo, hi in _chunks(lat.n, lat.n * lat.n):
-        ra, ma = add[lo:hi], mul[lo:hi]
-        if not ((add[ra] == np.take(ra, add, axis=1)).all()
-                and (mul[ma] == np.take(ma, mul, axis=1)).all()
-                and (add[ma[:, :, None], ma[:, None]]
-                     == np.take(ma, add, axis=1)).all()):
-            return False
-    return True
+    return all(
+        (mul[:, add[g]] == add[mul[:, g, None], mul]).all()
+        and (mul[mul[:, g]] == mul[:, mul[g]]).all() for g in lat.generators)
 
 
 # ---------------------------------------------------------------------------

@@ -112,28 +112,6 @@ class MultSet:
             return self.contains_multiple_of(sub.d)
         return len(self._sat & sub) > 0
 
-    def contains(self, x):
-        """Membership test for an integer multiplicative set."""
-        if not isinstance(self.ring, IntegerRing):
-            return self.ring.canon(x) in self.saturation
-        if x == 1:
-            return True
-        if x <= 0:
-            return False
-        seen = set()
-        frontier = [x]
-        while frontier:
-            y = frontier.pop()
-            if y == 1:
-                return True
-            if y in seen:
-                continue
-            seen.add(y)
-            for g in self.generators:
-                if g not in (0, 1) and y % g == 0:
-                    frontier.append(y // g)
-        return False
-
     def __repr__(self):
         gens = ",".join(self.ring.format_element(g) for g in self.generators)
         return f"<{gens}>"
@@ -162,7 +140,10 @@ class TransferredClosure(ClosureSpec):
 
 
 class LocalizedRing:
-    """S^{-1}R as explicit classes with a finite model ring."""
+    """S^{-1}R as explicit classes with a finite model ring.  When its own
+    relation or operations verdict fails there are no classes to model:
+    ``model`` and ``transferred`` are None, the verdicts say why, and the
+    checks below refuse it (``_require_model``)."""
 
     def __init__(self, base, base_cl, mult):
         self.base = base
@@ -170,13 +151,17 @@ class LocalizedRing:
         self.mult = mult
         self.verdicts = []
         self._masks = {}
+        self.model = self.transferred = None
         if isinstance(base, IntegerRing):
             self._build_z()
         elif base.is_finite:
             self._build_finite()
         else:
             raise PreconditionError(f"localization unsupported over {base}")
-        self.transferred = TransferredClosure(self)
+        if self.ok():
+            self.transferred = TransferredClosure(self)
+        else:
+            self.model = None  # the Z model, built to check the operations
 
     # -- integer base -----------------------------------------------------
 
@@ -306,10 +291,14 @@ class LocalizedRing:
         ring = self.base
         lat = subgroup_lattice(ring)
         sat = sorted(self.mult.saturation, key=sort_key)
-        (cl0,) = lat.rows([self.base_cl.eval_mask(1 << lat.zero)])
         pairs = [(a, s) for a in lat.elems for s in sat]
-        if len(pairs) > 4096:
-            raise ResourceLimitError(f"{len(pairs)} pairs exceed the guard")
+        limit = 4096
+        if len(pairs) > limit:
+            raise ResourceLimitError(
+                f"the localization of {ring} at {self.mult!r} has |R| |S| = "
+                f"{lat.n} x {len(sat)} = {len(pairs)} representative pairs, "
+                f"past the limit {limit}")
+        (cl0,) = lat.rows([self.base_cl.eval_mask(1 << lat.zero)])
         mul, n_pairs, ns = lat.act_table(), len(pairs), len(sat)
         s_idx = np.array([lat.index[s] for s in sat], dtype=np.intp)
         slot = np.full(lat.n, -1, dtype=np.intp)
@@ -377,6 +366,8 @@ class LocalizedRing:
         self.verdicts.append(Verdict("operations-well-defined", wd_ce is None,
                                      wd_ce, mode="all representative pairs"))
 
+        if not self.ok():
+            return
         pc = self._pair_class
         self.model = TableRing(
             f"S^-1({ring.spec_string()})", [pairs[k] for k in reps],
@@ -447,7 +438,7 @@ class LocalizedRing:
         return hits, misses
 
     def class_count(self):
-        return self.model.cardinality()
+        return None if self.model is None else self.model.cardinality()
 
     def ok(self):
         return all(v.passed for v in self.verdicts)
@@ -466,8 +457,18 @@ def localize(ring, cl, mult):
     return LocalizedRing(ring, cl, mult)
 
 
+def _require_model(loc):
+    """Refuse a localization whose failed relation or operations verdict
+    left it without a model, naming the verdict."""
+    if loc.model is None:
+        failed = ", ".join(v.name for v in loc.verdicts if not v.passed)
+        raise PreconditionError(f"{loc.base} localized at {loc.mult!r} has "
+                                f"no model: {failed} failed")
+
+
 def check_transfer_axioms(loc, mode="auto", **kwargs):
     """Axiom suite for the transferred closure on the localized classes."""
+    _require_model(loc)
     if mode == "auto":
         mode = "exhaustive" if loc.class_count() <= EXHAUSTIVE_ELEMENTS \
             else "subgroups"
@@ -479,6 +480,7 @@ def check_rep_independence(loc):
     first 512 of the model's subgroups and then its singletons) and report
     the first subset under which a class mixes verdicts across its
     representatives, with the first such class in the model's order."""
+    _require_model(loc)
     lat = subgroup_lattice(loc.model)
     tested = ([sub.mask for sub in enumerate_subgroups(loc.model)] +
               [1 << i for i in range(lat.n)])[:512]
@@ -496,6 +498,7 @@ def check_rep_independence(loc):
 
 def check_iota_functorial(loc):
     """Both functoriality inclusions for the canonical map."""
+    _require_model(loc)
     image_ce = None
     pre_ce = None
     trans = loc.transferred
@@ -551,6 +554,7 @@ def extend(loc, p_sub):
     When P meets S the extension blows up to the whole localized ring; that
     is reported (``proper`` False), not raised.
     """
+    _require_model(loc)
     if isinstance(loc.base, IntegerRing):
         # the multiples of gcd(d, m0) among the classes 0, ..., m0 - 1
         mask = _mask(range(0, loc.m0, math.gcd(p_sub.d, loc.m0)))
@@ -572,6 +576,7 @@ def extend(loc, p_sub):
 
 def contract(loc, q_sub):
     """q^c = iota^{-1}(q) back in the base ring, with a primeness verdict."""
+    _require_model(loc)
     if isinstance(loc.base, IntegerRing):
         m0 = loc.m0
         out = PrincipalSubgroup(math.gcd(m0, *q_sub.values) if m0 > 1 else 1)
@@ -597,6 +602,7 @@ def check_ext_contr_bijection(loc, z_bound=None):
     extension and contraction, checking both round trips and inclusion
     order.  Returns (verdict, matched pairs).
     """
+    _require_model(loc)
     base_spec = spectrum(loc.base, loc.base_cl, z_bound=z_bound)
     loc_spec = spectrum(loc.model, loc.transferred)
     avoiding = [p for p in base_spec.primes if not loc.mult.meets(p)]

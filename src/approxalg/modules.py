@@ -67,6 +67,7 @@ class FiniteModule:
     again here."""
 
     is_finite = True
+    group_by_construction = True
 
     def __init__(self, scalar_ring, orders):
         orders = tuple(orders)

@@ -87,9 +87,14 @@ def prime_factors(n):
 
 
 class Ring:
-    """Arithmetic on canonical values plus descriptor metadata."""
+    """Arithmetic on canonical values plus descriptor metadata.
+
+    ``group_by_construction`` declares that ``add`` is an abelian group law
+    by its arithmetic (modular, componentwise or coefficientwise), so the
+    subgroup lattice reads it unchecked; ``TableRing`` declares otherwise."""
 
     is_finite = False
+    group_by_construction = True
 
     def cardinality(self):
         return None
@@ -368,9 +373,13 @@ class TableRing(Ring):
 
     Built by quotient and localization constructions; not part of the ring
     grammar.  Elements are whatever canonical values the construction chose.
+    Nothing makes its ``add`` a group law, so its subgroup lattice checks
+    the add table once, before it reads a row, and refuses one that is not
+    an abelian group's with ``PreconditionError`` (``_Lattice``).
     """
 
     is_finite = True
+    group_by_construction = False
 
     # Compared by identity: every quotient of one ring by any ideal, and
     # every localization of one ring, shares a label, not a table.
@@ -527,6 +536,13 @@ def _mask(indices):
     return sum(1 << i for i in indices)
 
 
+def _first_violation(viol):
+    """Row-major first True position, or None."""
+    if not viol.any():
+        return None
+    return tuple(int(x) for x in np.argwhere(viol)[0])
+
+
 class _Lattice:
     """A finite abelian group with a scalar action, in index space.
 
@@ -537,6 +553,12 @@ class _Lattice:
     call touches, and the act table likewise.  Structures are held weakly:
     the lattice is cached under the first in a weak dictionary, serves every
     equal one asked for, and keeps working for its callers while one lives.
+
+    The group is checked at the door: a structure that does not declare
+    ``group_by_construction`` (a ``TableRing``: user tables, quotient and
+    localization models) has its whole add table built and checked once,
+    before any add row is read (``_check_group``), so every walk below may
+    take a group for granted.
     """
 
     _DIGITS = bytes.maketrans(b"01", b"\0\1")  # binary digits as 0/1 bytes
@@ -550,6 +572,7 @@ class _Lattice:
         self._module = hasattr(struct, "scalar_reps")
         self.scalars = list(struct.scalar_reps) if self._module else self.elems
         self._rows = [None] * self.n
+        self._checked = getattr(struct, "group_by_construction", False)
         self._orbits = [None] * self.n
         self._subgroups = None
 
@@ -637,9 +660,65 @@ class _Lattice:
     def add_row(self, i):
         """The permutation "add e_i": j -> index of e_j + e_i."""
         if self._rows[i] is None:
+            if not self._checked:
+                self._check_group()
+                return self._rows[i]
             add, index, e = self._struct().add, self.index, self.elems[i]
             self._rows[i] = [index[add(x, e)] for x in self.elems]
         return self._rows[i]
+
+    def _check_group(self):
+        """Build the whole add table and check that it is an abelian
+        group's, keeping its rows if so; else raise PreconditionError naming
+        the law and a cell.  Priced at its n^2 cells against
+        SUBGROUP_WORK_LIMIT.  In order: every row is a permutation (so
+        every coset walk returns to H), 0 is neutral, the table is
+        symmetric, and (x + g) + y = x + (g + y) for each g of
+        ``generators``.  That last is Light's test (Clifford and Preston,
+        The Algebraic Theory of Semigroups I, 1.2): the g for which it holds
+        for all x, y hold 0 and are closed under +, as
+        (x + (g + h)) + y = ((x + g) + h) + y = (x + g) + (h + y)
+        = x + (g + (h + y)) = x + ((g + h) + y); and every element is a
+        sum of generators, since the walk that finds them reaches each
+        element as h + g with h reached and g a generator."""
+        struct, n = self._struct(), self.n
+        if n * n > SUBGROUP_WORK_LIMIT:
+            raise ResourceLimitError(
+                f"the group check of {struct} reads {n * n} cells of its "
+                f"add table, past the limit {SUBGROUP_WORK_LIMIT}")
+        add, index, elems = struct.add, self.index, self.elems
+        table = np.array([[index.get(add(x, e), -1) for x in elems]
+                          for e in elems], dtype=np.intp)
+        every = np.arange(n)
+
+        def refuse(law, cell):
+            self._rows = [None] * n
+            raise PreconditionError(f"{struct} is not an abelian group "
+                                    f"under +: {law} fails, {cell}")
+
+        if (row := _first_violation((np.sort(table, axis=1) != every).any(1))):
+            (g,) = row
+            sums, e = table[g].tolist(), elems[g]
+            x = next(j for j, k in enumerate(sums) if k < 0 or k in sums[:j])
+            refuse("cancellation", f"{elems[x]!r} + {e!r} is not an element"
+                   if sums[x] < 0 else f"{elems[sums.index(sums[x])]!r} + "
+                   f"{e!r} = {elems[x]!r} + {e!r}")
+        if (cell := _first_violation(table[self.zero] != every)):
+            (x,) = cell
+            refuse("neutral zero", f"{elems[x]!r} + {elems[self.zero]!r} = "
+                   f"{elems[table[self.zero, x]]!r}")
+        if (cell := _first_violation(table != table.T)):
+            a, b = (elems[k] for k in cell)
+            refuse("commutativity", f"{a!r} + {b!r} != {b!r} + {a!r}")
+        self._rows = table.tolist()
+        for g in self.generators:
+            # cell [x, y]: (x + g) + y against x + (g + y)
+            sums = table[g]
+            if (cell := _first_violation(table[sums] != table[:, sums])):
+                x, y, e = (elems[k] for k in (*cell, g))
+                refuse("associativity",
+                       f"({x!r} + {e!r}) + {y!r} != {x!r} + ({e!r} + {y!r})")
+        self._checked = True
 
     def act_row(self, r):
         """The map "act by r": j -> index of r * e_j."""
@@ -662,23 +741,41 @@ class _Lattice:
             out |= _mask(row[i] for i in bits)
         return out
 
-    def subgroup(self, mask):
-        """The subgroup generated by the mask: from H = {0}, H + <g> for
-        each g of the mask not yet in H.  H + <g> is the subgroup generated
-        by H and g (g has finite order t, so -g = (t - 1)g), the union of
-        the cosets H + kg; these are equal or disjoint, and H + kg = H iff
-        kg is in H, so adding g to the last coset until it meets H again
-        visits each once."""
-        h = 1 << self.zero
+    def _join(self, h, g, most):
+        """H + <g>, the subgroup generated by a subgroup H and g (g has
+        finite order t, so -g = (t - 1)g), and g + H, its first coset past
+        H; None if that takes more than ``most`` translates.  H + <g> is
+        the union of the cosets H + kg; these are equal or disjoint, and
+        H + kg = H iff kg is in H, so adding g to the last coset until it
+        meets H again visits each once: |H + <g>| / |H| translates."""
+        grown, coset, first = h, h, 0
+        for _ in range(most):
+            if (coset := self.translate(coset, g)) & h:
+                return grown, first
+            first = first or coset  # g + H, the first translate
+            grown |= coset
+        return None
+
+    def _generate(self, mask):
+        """The subgroup generated by the mask, and the g it joined: from
+        H = {0}, H + <g> for each g of the mask not yet in H, least first."""
+        h, joined = 1 << self.zero, []
         rest = mask & ~h
         while rest:
-            g = (rest & -rest).bit_length() - 1
-            grown = coset = h
-            while not (coset := self.translate(coset, g)) & h:
-                grown |= coset
-            h = grown
+            joined.append(g := (rest & -rest).bit_length() - 1)
+            h = self._join(h, g, self.n)[0]
             rest &= ~h
-        return h
+        return h, joined
+
+    def subgroup(self, mask):
+        """The subgroup generated by the mask."""
+        return self._generate(mask)[0]
+
+    @cached_property
+    def generators(self):
+        """Indices whose sums reach every element: the g that the walk
+        generating the whole group joins (at most log2 n of them)."""
+        return self._generate((1 << self.n) - 1)[1]
 
     def span(self, mask):
         """The submodule (for a ring, the ideal) generated by S: the
@@ -695,11 +792,25 @@ class _Lattice:
         return self.subgroup(spread)
 
     def is_subgroup(self, mask):
-        """0 in S and S + S = S, tested as S + s = S for each s in S (S + s
-        has the size of S, so it lies in S iff it is S).  That makes S a
-        subgroup: -s = (t - 1)s is in S, for s of order t."""
-        return bool((mask >> self.zero) & 1) and all(
-            self.translate(mask, i) == mask for i in _bits(mask))
+        """0 in S and S the subgroup it generates, the least subgroup
+        holding S."""
+        return bool((mask >> self.zero) & 1) and self.subgroup(mask) == mask
+
+    def cosets(self, h, carrier):
+        """The quotient map of a carrier subgroup by a subgroup H inside it
+        (masks): the cosets e_i + H tiling the carrier, each H translated to
+        the least index i not yet covered, which is its least member.
+        Returns the labels (carrier index to its coset's i, -1 elsewhere)
+        and the (i, coset)."""
+        labels = np.full(self.n, -1, dtype=np.intp)
+        cosets = []
+        while carrier:
+            i = (carrier & -carrier).bit_length() - 1
+            coset = self.translate(h, i)
+            labels[_bits(coset)] = i
+            cosets.append((i, coset))
+            carrier &= ~coset
+        return labels, cosets
 
     def subgroups(self):
         """Every subgroup, as masks by size and then by their elements: the
@@ -710,13 +821,14 @@ class _Lattice:
         return self._subgroups
 
     def _walk_subgroups(self):
-        """A worklist from {0} grows each subgroup H found to H + <g>, once
-        per coset g + H outside H (g + h gives the same H + <g>), walking
-        cosets as ``subgroup`` does.  It reaches every subgroup K: from
-        {0}, H + <g> for any g in K outside H is a larger subgroup inside
-        K, until H is K.  Its price, in elements, is |H| per coset
-        translated and n per subgroup kept; past SUBGROUP_WORK_LIMIT,
-        checked before each translate, it raises ResourceLimitError.
+        """A worklist from {0} grows each subgroup H found to H + <g>
+        (``_join``), once per coset g + H outside H (g + h gives the same
+        H + <g>).  It reaches every subgroup K: from {0}, H + <g> for any g
+        in K outside H is a larger subgroup inside K, until H is K.  Its
+        price, in elements, is |H| per coset translated (|H + <g>| a join)
+        and n per subgroup kept; each join is handed the translates that
+        SUBGROUP_WORK_LIMIT still admits, and the walk raises
+        ResourceLimitError at the one that would pass it.
         """
         seen = {1 << self.zero}
         frontier = list(seen)
@@ -726,22 +838,16 @@ class _Lattice:
             size = h.bit_count()
             rest = ((1 << self.n) - 1) & ~h
             while rest:
-                g = (rest & -rest).bit_length() - 1
-                grown, coset, first = h, h, 0
-                while True:
-                    work += size
-                    if work > SUBGROUP_WORK_LIMIT:
-                        raise ResourceLimitError(
-                            f"subgroup enumeration of {self._struct()} "
-                            f"priced at {work} elements so far, past the "
-                            f"limit {SUBGROUP_WORK_LIMIT}")
-                    if (coset := self.translate(coset, g)) & h:
-                        break
-                    first = first or coset
-                    grown |= coset
-                # g + H, the first translate (on an add table that is not a
-                # group's, it may meet H)
-                rest &= ~(first or coset)
+                most = max(0, (SUBGROUP_WORK_LIMIT - work) // size)
+                joined = self._join(h, (rest & -rest).bit_length() - 1, most)
+                if joined is None:
+                    raise ResourceLimitError(
+                        f"subgroup enumeration of {self._struct()} priced at "
+                        f"{work + (most + 1) * size} elements so far, past "
+                        f"the limit {SUBGROUP_WORK_LIMIT}")
+                grown, first = joined
+                work += grown.bit_count()
+                rest &= ~first
                 if grown not in seen:
                     work += self.n
                     seen.add(grown)

@@ -202,3 +202,11 @@ SET_EVALUATIONS = {"gen": gen_eval_set, "shift": shift_eval_set,
                    "setshift": setshift_eval_set,
                    "union-fixed": union_fixed_eval_set,
                    "sample": sample_eval_set_internal}
+
+
+def is_subgroup(lat, mask):
+    """``_Lattice.is_subgroup`` as it was: 0 in S and S + s = S for each s
+    in S (S + s has the size of S, so it lies in S iff it is S)."""
+    return bool((mask >> lat.zero) & 1) and all(
+        lat.translate(mask, i) == mask
+        for i in range(lat.n) if mask >> i & 1)

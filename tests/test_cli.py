@@ -5,10 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from approxalg import ResidueRing
+from approxalg import ResidueRing, cli
 from approxalg import spectrum as spectrum_module
 from approxalg.cli import build_parser, main
-from approxalg.closures import GeneratedIdealClosure
+from approxalg.closures import GeneratedIdealClosure, UnionFixedClosure
 from approxalg.localization import check_transfer_axioms, localize, mult_set
 
 
@@ -259,6 +259,54 @@ class TestExitCodes:
         assert "priced at no less than" in lines[0]
         assert peak < 4 << 20
         assert time.perf_counter() - start < 2
+
+    def test_localization_pair_guard_names_its_count_and_limit(self, capsys):
+        code, out, err = run(capsys, "localize", "--ring", "Zn:4099",
+                             "--closure", "gen", "--mult-set", "1")
+        assert code == 3 and out == ""
+        assert err == (
+            "resource limit: the localization of Zn:4099 at <1> has "
+            "|R| |S| = 4099 x 1 = 4099 representative pairs, past the limit "
+            "4096\n")
+
+    def test_failed_localization_reports_its_verdicts_and_stops(
+            self, capsys, monkeypatch):
+        """Z/4 under the union-fixed closure of {1} at S = {1} (no closure
+        of the grammar fails these verdicts): no model, so no classes and
+        no checks that would read one."""
+        monkeypatch.setattr(cli, "parse_closure",
+                            lambda ring, text: UnionFixedClosure(ring, [1]))
+        code, out, err = run(capsys, "localize", "--ring", "Zn:4",
+                             "--closure", "gen", "--mult-set", "1")
+        assert code == 1 and err == ""
+        assert out.splitlines() == [
+            "command: localize",
+            "  [FAIL] equivalence-relation  counterexample: "
+            "{'pair1': (1, 1), 'pair2': (0, 1), 'related': True}",
+            "  [FAIL] operations-well-defined  counterexample: "
+            "{'pair': (3, 1), 'rep': (0, 1), 'other': (1, 1), 'op': 'add'}"]
+
+    def test_quotient_of_a_thousand_classes(self, capsys):
+        """Z/1000 by (0): its ring laws read n^2 cells per additive
+        generator (a loop over every triple took about 17 s)."""
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "quotient", "--ring", "Zn:1000",
+                           "--closure", "gen", "--ideal", "0")
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert out.splitlines() == [
+            "command: quotient", "classes: 1000",
+            "  [pass] congruence-classes-partition",
+            "  [pass] addition-well-defined",
+            "  [pass] multiplication-well-defined", "  [pass] ring-axioms"]
+        assert elapsed < 10
+
+    def test_quotient_past_the_group_check_price_is_exit_3(self, capsys):
+        code, out, err = run(capsys, "quotient", "--ring", "Zn:1025",
+                             "--closure", "gen", "--ideal", "0")
+        assert code == 3 and out == ""
+        assert "reads 1050625 cells of its add table, past the limit " \
+            "1048576" in err
 
     @pytest.mark.parametrize("spec, message", [
         ('{"bad": 1', "malformed JSON: Expecting ',' delimiter at position 9: "

@@ -2,7 +2,8 @@
 routes: the topology checker against ``topology_oracle`` (one basic open
 per f), the radical sweep against the power-cycle walk of
 ``localization_oracle``, and the spectrum, topology and radical verdicts
-of Z against those of Z/N."""
+of Z against those of Z/N: every spectrum for N <= 120, and on a subset
+the V-sets and the extension-contraction bijection of S = <s>."""
 
 import pytest
 from lattice_oracle import small_rings
@@ -17,7 +18,13 @@ from approxalg.closures import (
     UnionFixedClosure,
 )
 from approxalg.grammar import parse_closure
-from approxalg.localization import check_rad_eq_nil, z_radical_bruteforce
+from approxalg.localization import (
+    check_ext_contr_bijection,
+    check_rad_eq_nil,
+    localize,
+    mult_set,
+    z_radical_bruteforce,
+)
 from approxalg.rings import (
     FunctionRing,
     ResidueRing,
@@ -26,7 +33,7 @@ from approxalg.rings import (
     prime_factors,
     subgroup_generated,
 )
-from approxalg.spectrum import spectrum, topology_check
+from approxalg.spectrum import spectrum, topology_check, v_set
 
 LARGE_MODULI = [383, 605, 956, 1511, 2387, 2999, 3000]
 MODULI = [*range(1, 121), *LARGE_MODULI]
@@ -119,3 +126,64 @@ def test_residue_rings_follow_the_integers(n, m):
     assert verdicts(finite) == verdicts(integer)
     assert check_rad_eq_nil(ring, finite_cl).passed == \
         check_rad_eq_nil(Z, integer_cl).passed
+
+
+def _generator(sub):
+    """d for pi(dZ), d | N: its least positive member (N for {0})."""
+    return min((x for x in sub.values if x), default=sub.ring.n)
+
+
+def test_every_spectrum_up_to_120():
+    """Spec(Z/N) = {pi(pZ) : p | m} for every 2 <= N <= 120 and m | N,
+    the image of the closed form of Spec(Z) (proof at
+    ``test_residue_rings_follow_the_integers``)."""
+    pairs = 0
+    for n in range(2, 121):
+        ring = ResidueRing(n)
+        for m in (m for m in range(1, n + 1) if n % m == 0):
+            finite = spectrum(ring, parse_closure(ring, f"shift:J={m}"))
+            assert sorted(map(_generator, finite.primes)) == \
+                prime_factors(m), (n, m)
+            pairs += 1
+    assert pairs == 601
+
+
+@pytest.mark.parametrize("n", CROSS_N)
+def test_v_sets_follow_the_integers(n):
+    """V(pi(dZ)) in Spec(Z/N) is pi of V(dZ) in Spec(Z), for each d | N
+    and m | N: cl(pi(dZ)) = pi(gcd(d, m)Z) lies in cl(pi(pZ)) = pi(pZ)
+    iff gcd(d, m)Z lies in pZ, as pi keeps inclusion among the pi(eZ),
+    e | N; and that is cl(dZ) = gcd(d, m)Z inside cl(pZ) over Z."""
+    ring = ResidueRing(n)
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    for m in divisors:
+        finite = spectrum(ring, parse_closure(ring, f"shift:J={m}"))
+        integer = spectrum(Z, parse_closure(Z, f"shift:J={m}"))
+        for d in divisors:
+            got = v_set(finite, subgroup_generated(ring, [d]))
+            want = v_set(integer, ideal_generated(Z, [d]))
+            assert sorted(map(_generator, got)) == [p.d for p in want], \
+                (n, m, d)
+
+
+@pytest.mark.parametrize("n", CROSS_N)
+def test_extension_contraction_follows_the_integers(n):
+    """The bijection between the primes avoiding S = <s> and Spec(S^-1 R),
+    by Z/N and by Z, for each m | N and s in 1, N - 1 and the least prime
+    of N.  pi(pZ), p | N, meets S iff p divides some s^k, iff p | s, as
+    for pZ over Z, so both sides avoid the same p; the verdicts, and the
+    primes matched, must agree."""
+    ring = ResidueRing(n)
+    gens = sorted({1, prime_factors(n)[0] % n, n - 1} - {0})
+    for m in (m for m in range(1, n + 1) if n % m == 0):
+        for s in gens:
+            finite = localize(ring, parse_closure(ring, f"shift:J={m}"),
+                              mult_set(ring, [s]))
+            integer = localize(Z, parse_closure(Z, f"shift:J={m}"),
+                               mult_set(Z, [s]))
+            (f_verdict, f_matched), (z_verdict, z_matched) = (
+                check_ext_contr_bijection(loc) for loc in (finite, integer))
+            assert f_verdict.passed and z_verdict.passed, (n, m, s)
+            assert sorted(_generator(p) for p, _ in f_matched) == \
+                [p.d for p, _ in z_matched] == \
+                [p for p in prime_factors(m) if s % p], (n, m, s)

@@ -82,3 +82,16 @@ def test_limits_are_constants_not_parameters(path):
              for arg in ast.walk(node.args)
              if isinstance(arg, ast.arg) and arg.arg in LIMIT_KNOBS]
     assert not knobs, f"{path.name}: limit parameters {knobs}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_coset_arithmetic_lives_in_the_lattice(path):
+    """Only ``rings.py`` calls ``.translate(``: a subgroup, a span, a
+    coset tiling or a subgroup test is asked of ``rings._Lattice``, which
+    may take its structure for a group once its add table passed the
+    check at the door."""
+    if path.name == "rings.py":
+        return
+    lines = [n for n, line in enumerate(path.read_text().splitlines(), 1)
+             if ".translate(" in line]
+    assert not lines, f"{path.name}: ask the lattice instead, lines {lines}"

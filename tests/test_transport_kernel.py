@@ -27,6 +27,7 @@ from approxalg.closures import (
     materialize,
 )
 from approxalg import modules
+from approxalg.errors import PreconditionError
 from approxalg.grammar import parse_ring
 from approxalg.homs import ReductionHom, identity_hom, reduction_hom, table_hom
 from approxalg.ideals import (
@@ -55,6 +56,7 @@ from approxalg.rings import (
     ideal_classical_product,
     ideal_generated,
     subgroup_lattice,
+    whole_subgroup,
 )
 
 RINGS = [f"Zn:{n}" for n in range(2, 17)] + [
@@ -276,6 +278,10 @@ def localizations_of(spec):
 @pytest.mark.parametrize("spec", SPECS)
 def test_extension_contraction_and_masks_match_loops(spec):
     for loc in localizations_of(spec):
+        if not loc.ok():
+            with pytest.raises(PreconditionError, match="has no model"):
+                extend(loc, whole_subgroup(loc.base))
+            continue
         for p in enumerate_subgroups(loc.base):
             assert extend(loc, p)[0].values == oracle.extension_values(loc, p)
         for q in enumerate_subgroups(loc.model):
@@ -290,15 +296,18 @@ def test_integer_masks_match_loops():
 
 
 def test_localization_corpus_mixes_verdicts():
-    """A class admitted by one representative and refused by another (Z/8
-    at S = <3> under a union-fixed closure, at A = {4/1}), and an
-    extension that reaches the whole model (Z/6 at S = <2>, P = (2))."""
-    ring = ResidueRing(8)
-    loc = localize(ring, closure(ring, "union-fixed"), mult_set(ring, [3]))
-    hits, misses = loc._class_masks(
-        subgroup_lattice(loc.model).mask([(4, 1)]))
+    """A class admitted by one representative and refused by another, in a
+    localization whose own verdicts pass (Z/2 x Z/2 at S = <(1, 0)> under
+    a union-fixed closure, at A = {(1, 0)/(1, 0)}), and an extension that
+    reaches the whole model (Z/6 at S = <2>, P = (2))."""
+    ring = parse_ring("prod:[Zn:2,Zn:2]")
+    loc = localize(ring, closure(ring, "union-fixed"),
+                   mult_set(ring, [(1, 0)]))
+    assert loc.ok()
+    a = ((1, 0), (1, 0))
+    hits, misses = loc._class_masks(subgroup_lattice(loc.model).mask([a]))
     assert hits & misses == 1
-    assert (hits, misses) == oracle.class_masks(loc, frozenset([(4, 1)]))
+    assert (hits, misses) == oracle.class_masks(loc, frozenset([a]))
     ring = ResidueRing(6)
     loc = localize(ring, closure(ring, "gen"), mult_set(ring, [2]))
     two = FiniteSubgroup(ring, {0, 2, 4})
