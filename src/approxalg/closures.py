@@ -826,20 +826,17 @@ def _image_rows(img, rows, n):
 
 
 class QuotientModule:
-    """Classes of a carrier subgroup of a ring or module under x ~ y iff
-    x - y in cl(N), a subgroup H: the cosets x + (H meet carrier) on the
-    structure's lattice.  ``labels`` maps each carrier index to its class's
-    least member, and every other index to -1.  The quotient is itself a
-    structure ``subgroup_lattice`` reads, whose elements are the
-    representatives; ``canon`` takes a carrier element to its class, and
-    ``add``, ``act`` (a module's) and ``mul`` (a ring's) work on them.
-    The classes of a subgroup by a subgroup form a group, so the lattice
-    reads its addition unchecked (``group_by_construction``)."""
-
-    group_by_construction = True
+    """Classes of a carrier subgroup of a ring or module under x ~ y iff x - y
+    in cl(N), a subgroup H: the cosets x + (H meet carrier) on the structure's
+    lattice.  ``labels`` maps each carrier index to its class's least member,
+    and every other index to -1.  The quotient is itself a structure
+    ``subgroup_lattice`` reads (its addition unchecked, as a group's), whose
+    elements are the representatives; ``canon`` takes a carrier element to its
+    class, and ``add``, ``act`` (a module's) and ``mul`` (a ring's) work on
+    them."""
 
     def __init__(self, mod, carrier, clset, verdicts):
-        lat = self.lat = subgroup_lattice(mod)
+        lat = subgroup_lattice(mod)
         h, c = lat.mask(clset), lat.mask(carrier)
         if not lat.is_subgroup(h):
             raise PreconditionError("cl(N) is not a subgroup; classes undefined")
@@ -860,8 +857,7 @@ class QuotientModule:
     def reps(self):
         return [rep for rep, _ in self.classes]
 
-    def elements(self):
-        return self.reps()
+    elements = reps
 
     def canon(self, x):
         x = self.mod.canon(x)
@@ -871,7 +867,8 @@ class QuotientModule:
 
     def member_rows(self):
         """The carrier's indices class by class, each in its member order."""
-        return np.array([self.lat.index[x] for _, members in self.classes
+        index = subgroup_lattice(self.mod).index
+        return np.array([index[x] for _, members in self.classes
                          for x in members], dtype=np.intp)
 
     def add(self, a, b):
@@ -888,7 +885,7 @@ class QuotientModule:
         ignore the representative, varying one slot at a time (H is a
         subgroup, so the relation is transitive): the first break of each
         over ``member_rows`` names x, its representative x2 and y or r."""
-        lat, rows = self.lat, self.member_rows()
+        lat, rows = subgroup_lattice(self.mod), self.member_rows()
         if hasattr(self.mod, "scalar_reps"):
             act = ("action", "r", lat.act_table().T.__getitem__)
         else:

@@ -338,9 +338,9 @@ def approx_product(a, b):
 class QuotientRing:
     """R / cl(I): congruence classes x ~ y iff x - y in cl(I).
 
-    Finite rings carry explicit classes and a table-ring model plus the
-    recorded well-definedness verdicts; over the integers the quotient is
-    described by the modulus of cl(I).
+    Finite rings carry explicit classes, the well-definedness verdicts and,
+    when these pass, a ``TableRing`` model on the tables they read; over
+    the integers, the modulus g of cl(I) and, for g > 0, the model Z/(g).
     """
 
     def __init__(self, ring, ideal, classes, model, modulus=None,
@@ -382,8 +382,7 @@ def quotient_ring(ring, ideal):
         if g >= 2:
             model = ResidueRing(g)
         elif g == 1:
-            model = TableRing("0-ring", [0], lambda a, b: 0, lambda a: 0,
-                              lambda a, b: 0, 0, 0)
+            model = TableRing("0-ring", [0], [[0]], [[0]], 0, 0)
         else:
             model = None  # Z itself; infinitely many classes
         return QuotientRing(ring, ideal, None, model, modulus=g)
@@ -399,11 +398,15 @@ def quotient_ring(ring, ideal):
     q.check_operations()
     model = None
     if q.ok():
+        # the tables check_operations read, as class numbers (narrowest type)
+        lat, reps = subgroup_lattice(ring), q.reps()
+        at = np.flatnonzero(q.labels == np.arange(lat.n))
+        number = np.searchsorted(at, q.labels).astype(np.min_scalar_type(-lat.n))
         model = TableRing(
-            f"{ring.spec_string()}/cl(I)", q.reps(), add=q.add,
-            neg=lambda a: q.rep_of[ring.neg(a)], mul=q.mul, zero=q.zero,
-            one=q.rep_of[ring.one],
-            fmt=lambda v: f"[{ring.format_element(v)}]")
+            f"{ring.spec_string()}/cl(I)", reps,
+            number[lat.add_table[at[:, None], at]],
+            number[lat.act_table(at)[:, at]], q.zero, q.rep_of[ring.one],
+            [f"[{ring.format_element(v)}]" for v in reps])
         q.verdicts.append(Verdict("ring-axioms", _ring_axioms_hold(model)))
     return QuotientRing(ring, ideal, q.classes, model, verdicts=q.verdicts)
 
@@ -413,7 +416,7 @@ def _ring_axioms_hold(ring):
     own operations (``add[a, b]`` is a + b, ``mul[a, b]`` is a b).  The
     ring's lattice has checked + to be an abelian group before its add
     table is read (``rings._Lattice``), and a refusal is False here.  Left
-    are the inverse ``neg``, the unit and commutativity of the product,
+    are a product that names an element, its unit and commutativity,
     whole, then distributivity and associativity of the product with the
     middle slot b over the additive ``generators`` G only, n^2 cells each:
 
@@ -433,14 +436,12 @@ def _ring_axioms_hold(ring):
         add = lat.add_table
     except PreconditionError:
         return False
-    # the narrowest index type keeps each n^2 temporary small
-    dtype = np.min_scalar_type(lat.n)
-    add, mul = add.astype(dtype), lat.act_table().astype(dtype)
-    neg = np.array([lat.index[ring.neg(x)] for x in lat.elems], dtype=np.intp)
-    every = np.arange(lat.n)
-    if not ((mul[:, lat.index[ring.one]] == every).all()
-            and (add[neg, every] == lat.zero).all() and (mul == mul.T).all()):
+    mul, every = lat.act_table(), np.arange(lat.n)
+    if not ((mul >= 0).all() and (mul[:, lat.index[ring.one]] == every).all()
+            and (mul == mul.T).all()):
         return False
+    # the narrowest index type keeps each n^2 temporary small
+    add, mul = (t.astype(np.min_scalar_type(lat.n)) for t in (add, mul))
     return all(
         (mul[:, add[g]] == add[mul[:, g, None], mul]).all()
         and (mul[mul[:, g]] == mul[:, mul[g]]).all() for g in lat.generators)

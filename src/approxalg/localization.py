@@ -49,6 +49,7 @@ from .rings import (
     FiniteSubgroup,
     IntegerRing,
     PrincipalSubgroup,
+    ResidueRing,
     TableRing,
     Z,
     _mask,
@@ -139,9 +140,19 @@ class TransferredClosure(ClosureSpec):
         return self.loc._class_masks(mask)[0]
 
 
+class _ClassesModM0(ResidueRing):
+    """Z/m0, m0 >= 2, named as the classes of a localization of Z."""
+
+    def spec_string(self):
+        return f"S^-1Z (classes mod {self.n})"
+
+
 class LocalizedRing:
-    """S^{-1}R as explicit classes with a finite model ring.  When its own
-    relation or operations verdict fails there are no classes to model:
+    """S^{-1}R as explicit classes with a finite model ring: a ``TableRing``
+    on the tables its operations verdict computed over a finite base, and
+    over Z the residues mod m0, named ``S^-1Z (classes mod m0)`` (the
+    one-element table ring at m0 = 1).  When its own relation or
+    operations verdict fails there are no classes to model:
     ``model`` and ``transferred`` are None, the verdicts say why, and the
     checks below refuse it (``_require_model``)."""
 
@@ -184,29 +195,20 @@ class LocalizedRing:
             if math.gcd(s, m0) != 1:
                 raise InvariantError(
                     "saturation residue not invertible modulo the class modulus")
-        elems = list(range(m0))
-        self.model = TableRing(
-            f"S^-1Z (classes mod {m0})", elems,
-            add=lambda a, b: (a + b) % m0 if m0 > 1 else 0,
-            neg=lambda a: (-a) % m0 if m0 > 1 else 0,
-            mul=lambda a, b: (a * b) % m0 if m0 > 1 else 0,
-            zero=0, one=1 % m0)
-        self.sat_residues_mod_m0 = sorted({s % m0 for s in sat_m}) if m0 > 1 else [0]
+        self.model = _ClassesModM0(m0) if m0 > 1 else TableRing(
+            "S^-1Z (classes mod 1)", [0], [[0]], [[0]], 0, 0)
         # class c has the representative (c s, s) for each residue s of S
-        self.denominators = self.sat_residues_mod_m0 if m0 > 1 else [1]
-        self._class_members = {c: tuple(((c * s) % m0 if m0 > 1 else 0, s)
+        self.denominators = sorted({s % m0 for s in sat_m}) if m0 > 1 else [1]
+        self._class_members = {c: tuple(((c * s) % m0, s)
                                         for s in self.denominators)
-                               for c in elems}
+                               for c in range(m0)}
         # the class of (a, s) is a s^-1 mod m0, for each residue a
-        inverse = [pow(s, -1, m0) if m0 > 1 else 0 for s in self.denominators]
-        self._pair_labels = np.arange(len(elems))[:, None] * inverse % m0
+        self._pair_labels = np.arange(m0)[:, None] * [
+            pow(s, -1, m0) for s in self.denominators] % m0
         self._verify_z_relation()
 
     def to_class_z(self, a, s):
-        m0 = self.m0
-        if m0 == 1:
-            return 0
-        return (a * pow(s % m0, -1, m0)) % m0
+        return (a * pow(s % self.m0, -1, self.m0)) % self.m0
 
     def _verify_z_relation(self):
         """The relation is a congruence matching the class map, on a box.
@@ -368,16 +370,15 @@ class LocalizedRing:
 
         if not self.ok():
             return
-        pc = self._pair_class
+        # the sum and product tables side by side, in the narrowest type
+        cells = np.empty((len(reps), 2 * len(reps)), np.min_scalar_type(-n_pairs))
+        for lo, hi in _chunks(len(reps), 2 * len(reps)):
+            cells[lo:hi] = np.searchsorted(reps, labels[ops(reps[lo:hi])])
+        classes, fmt = [pairs[k] for k in reps], ring.format_element
         self.model = TableRing(
-            f"S^-1({ring.spec_string()})", [pairs[k] for k in reps],
-            lambda x, y: pc[(ring.add(ring.mul(x[0], y[1]),
-                                      ring.mul(y[0], x[1])),
-                             ring.mul(x[1], y[1]))],
-            lambda x: pc[(ring.neg(x[0]), x[1])],
-            lambda x, y: pc[(ring.mul(x[0], y[0]), ring.mul(x[1], y[1]))],
-            pc[(ring.zero, ring.one)], pc[(ring.one, ring.one)],
-            fmt=lambda v: f"{ring.format_element(v[0])}/{ring.format_element(v[1])}")
+            f"S^-1({ring.spec_string()})", classes, cells[:, ::2],
+            cells[:, 1::2], self.iota(ring.zero), self.iota(ring.one),
+            [f"{fmt(a)}/{fmt(s)}" for a, s in classes])
 
     # -- shared interface ---------------------------------------------------
 
@@ -578,8 +579,7 @@ def contract(loc, q_sub):
     """q^c = iota^{-1}(q) back in the base ring, with a primeness verdict."""
     _require_model(loc)
     if isinstance(loc.base, IntegerRing):
-        m0 = loc.m0
-        out = PrincipalSubgroup(math.gcd(m0, *q_sub.values) if m0 > 1 else 1)
+        out = PrincipalSubgroup(math.gcd(loc.m0, *q_sub.values))
     else:
         base, model = subgroup_lattice(loc.base), subgroup_lattice(loc.model)
         (q_row,) = model.rows([model.mask(q_sub)])

@@ -67,7 +67,6 @@ class FiniteModule:
     again here."""
 
     is_finite = True
-    group_by_construction = True
 
     def __init__(self, scalar_ring, orders):
         orders = tuple(orders)
@@ -323,10 +322,11 @@ class ModuleHom:
 
     def image_q(self):
         """Im^q f: the classes f(x) + cl'(0) inside M'/cl'(0)."""
-        cl0 = self.cl_dst.eval_mask(1 << subgroup_lattice(self.dst).zero)
+        dst = subgroup_lattice(self.dst)
+        cl0 = self.cl_dst.eval_mask(1 << dst.zero)
         q = QuotientModule(self.dst, whole_subgroup(self.dst),
                            ElementSet.from_mask(self.dst, cl0), [])
-        return q, [q.lat.elems[i] for i in np.unique(q.labels[self.img])]
+        return q, dst.listed(_mask(set(q.labels[self.img].tolist())))
 
     def image_c(self):
         """Im_c f = cl'(f(M)), the closure of the raw image set."""
@@ -435,20 +435,21 @@ def iso_first(f):
     q_dst, image_reps = f.image_q()
     # the descended map, read at every source index: the target class of f(x)
     phi = q_dst.labels[f.img]
+    src, dst = subgroup_lattice(f.src), subgroup_lattice(f.dst)
     rows = q_src.member_rows()
     bad = rows[phi[rows] != phi[q_src.labels[rows]]]
     well_ce = None
     if len(bad):
-        well_ce = {"x": q_src.lat.elems[bad[0]],
-                   "rep": q_src.lat.elems[q_src.labels[bad[0]]]}
+        well_ce = {"x": src.elems[bad[0]],
+                   "rep": src.elems[q_src.labels[bad[0]]]}
     verdicts = [kernel_verdict,
                 Verdict("descended-map-well-defined", well_ce is None, well_ce)]
     verdicts += _check_map_is_module_iso(
-        "iso1", (q_src.lat, q_src.labels), (q_dst.lat, q_dst.labels), phi,
+        "iso1", (src, q_src.labels), (dst, q_dst.labels), phi,
         np.unique(phi))
     # the closed image is reported for comparison only: when it differs
     # from the raw image no relation between the two is asserted
-    raw_image = {q_dst.lat.elems[j] for j in f.img.tolist()}
+    raw_image = {dst.elems[j] for j in f.img.tolist()}
     imc = f.image_c()
     verdicts.append(Verdict(
         "closed-image-report", True, details={

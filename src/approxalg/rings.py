@@ -12,8 +12,8 @@ structural equality of values is element equality.  The supported rings:
 * ``FunctionRing(p, nvars)`` -- all functions F_p^nvars -> F_p, stored as
   value tables over the lexicographic point grid (x_i^p = x_i holds, so the
   table is a faithful canonical form).
-* ``TableRing`` -- an explicit finite ring given by element list and
-  operation tables; used internally for quotients and localizations.
+* ``TableRing`` -- an explicit finite ring, elements with add and product
+  tables of indices into them: the finite quotient and localization models.
 
 Additive subgroups are ``FiniteSubgroup`` (finite rings and modules) or
 ``PrincipalSubgroup(d)`` (d*Z inside the integers).  Both, and the plain
@@ -87,14 +87,9 @@ def prime_factors(n):
 
 
 class Ring:
-    """Arithmetic on canonical values plus descriptor metadata.
-
-    ``group_by_construction`` declares that ``add`` is an abelian group law
-    by its arithmetic (modular, componentwise or coefficientwise), so the
-    subgroup lattice reads it unchecked; ``TableRing`` declares otherwise."""
+    """Arithmetic on canonical values plus descriptor metadata."""
 
     is_finite = False
-    group_by_construction = True
 
     def cardinality(self):
         return None
@@ -369,45 +364,43 @@ class FunctionRing(Ring):
 
 
 class TableRing(Ring):
-    """Finite ring with explicit elements and operation callables.
+    """Finite ring given by its elements and its operation tables.
 
-    Built by quotient and localization constructions; not part of the ring
-    grammar.  Elements are whatever canonical values the construction chose.
-    Nothing makes its ``add`` a group law, so its subgroup lattice checks
-    the add table once, before it reads a row, and refuses one that is not
-    an abelian group's with ``PreconditionError`` (``_Lattice``).
+    ``add`` and ``mul`` are n x n tables of indices into ``elems`` (entry
+    [i][j] is the index of e_i + e_j, of e_i e_j); negation is read off the
+    add table, and ``names`` are the elements' display strings.  Plain
+    data, so it pickles; not part of the ring grammar.  Nothing makes its
+    ``add`` a group law, so its subgroup lattice checks the add table once,
+    before it reads a row, and refuses one that is not an abelian group's
+    with ``PreconditionError`` (``_Lattice``).
     """
 
     is_finite = True
-    group_by_construction = False
 
     # Compared by identity: every quotient of one ring by any ideal, and
     # every localization of one ring, shares a label, not a table.
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, label, elems, add, neg, mul, zero, one, fmt=None):
+    def __init__(self, label, elems, add, mul, zero, one, names=None):
         self._label = label
         self._elems = tuple(elems)
         self._index = {v: i for i, v in enumerate(self._elems)}
-        self._add = add
-        self._neg = neg
-        self._mul = mul
-        self.zero = zero
-        self.one = one
-        self._fmt = fmt or str
+        self.sums, self.products = np.asarray(add), np.asarray(mul)
+        self.zero, self.one, self._names = zero, one, names
 
     def cardinality(self):
         return len(self._elems)
 
     def add(self, a, b):
-        return self._add(a, b)
+        return self._elems[self.sums[self._index[a], self._index[b]]]
 
-    def neg(self, a):
-        return self._neg(a)
+    def neg(self, a):  # the first b in element order with a + b = 0
+        row = self.sums[self._index[a]].tolist()
+        return self._elems[row.index(self._index[self.zero])]
 
     def mul(self, a, b):
-        return self._mul(a, b)
+        return self._elems[self.products[self._index[a], self._index[b]]]
 
     def canon(self, v):
         if v not in self._index:
@@ -421,7 +414,7 @@ class TableRing(Ring):
         return self._label
 
     def format_element(self, v):
-        return self._fmt(v)
+        return str(v) if self._names is None else self._names[self._index[v]]
 
 
 # ---------------------------------------------------------------------------
@@ -554,11 +547,12 @@ class _Lattice:
     the lattice is cached under the first in a weak dictionary, serves every
     equal one asked for, and keeps working for its callers while one lives.
 
-    The group is checked at the door: a structure that does not declare
-    ``group_by_construction`` (a ``TableRing``: user tables, quotient and
-    localization models) has its whole add table built and checked once,
-    before any add row is read (``_check_group``), so every walk below may
-    take a group for granted.
+    The group is checked at the door: the built-in rings, the modules and
+    their quotients are groups by their arithmetic, but a ``TableRing``
+    (user tables, quotient and localization models) has its add table
+    checked once, before any add row is read (``_check_group``), so every
+    walk below may take a group for granted.  Its add rows and act table
+    are read off its tables (``_in_order``), not through its operations.
     """
 
     _DIGITS = bytes.maketrans(b"01", b"\0\1")  # binary digits as 0/1 bytes
@@ -572,7 +566,7 @@ class _Lattice:
         self._module = hasattr(struct, "scalar_reps")
         self.scalars = list(struct.scalar_reps) if self._module else self.elems
         self._rows = [None] * self.n
-        self._checked = getattr(struct, "group_by_construction", False)
+        self._checked = not isinstance(struct, TableRing)
         self._orbits = [None] * self.n
         self._subgroups = None
 
@@ -599,7 +593,9 @@ class _Lattice:
 
     @cached_property
     def _act_store(self):
-        """The act table and the set of its rows not built yet."""
+        """The act table and its rows still to build (none for a TableRing)."""
+        if isinstance(struct := self._struct(), TableRing):
+            return self._in_order(struct.products), set()
         return (np.empty((len(self.scalars), self.n), dtype=np.intp),
                 set(range(len(self.scalars))))
 
@@ -668,12 +664,12 @@ class _Lattice:
         return self._rows[i]
 
     def _check_group(self):
-        """Build the whole add table and check that it is an abelian
-        group's, keeping its rows if so; else raise PreconditionError naming
-        the law and a cell.  Priced at its n^2 cells against
-        SUBGROUP_WORK_LIMIT.  In order: every row is a permutation (so
-        every coset walk returns to H), 0 is neutral, the table is
-        symmetric, and (x + g) + y = x + (g + y) for each g of
+        """Read a ``TableRing``'s add table in ``sort_key`` order and check
+        that it is an abelian group's, keeping its rows if so; else raise
+        PreconditionError naming the law and a cell.  Priced at its n^2
+        cells against SUBGROUP_WORK_LIMIT.  In order: every row is a
+        permutation (so every coset walk returns to H), 0 is neutral, the
+        table is symmetric, and (x + g) + y = x + (g + y) for each g of
         ``generators``.  That last is Light's test (Clifford and Preston,
         The Algebraic Theory of Semigroups I, 1.2): the g for which it holds
         for all x, y hold 0 and are closed under +, as
@@ -686,10 +682,8 @@ class _Lattice:
             raise ResourceLimitError(
                 f"the group check of {struct} reads {n * n} cells of its "
                 f"add table, past the limit {SUBGROUP_WORK_LIMIT}")
-        add, index, elems = struct.add, self.index, self.elems
-        table = np.array([[index.get(add(x, e), -1) for x in elems]
-                          for e in elems], dtype=np.intp)
-        every = np.arange(n)
+        elems, every = self.elems, np.arange(n)
+        table = self._in_order(struct.sums).T
 
         def refuse(law, cell):
             self._rows = [None] * n
@@ -720,6 +714,14 @@ class _Lattice:
                        f"({x!r} + {e!r}) + {y!r} != {x!r} + ({e!r} + {y!r})")
         self._checked = True
 
+    def _in_order(self, cells):
+        """A ``TableRing`` table in ``sort_key`` order, by one permutation:
+        [i, j] indexes the entry for (e_i, e_j) here, -1 if it is none."""
+        order = np.array([self._struct()._index[x] for x in self.elems])
+        index = np.full(self.n + 1, -1, dtype=np.intp)
+        index[order] = np.arange(self.n)
+        return index[np.clip(cells[order[:, None], order], -1, self.n)]
+
     def act_row(self, r):
         """The map "act by r": j -> index of r * e_j."""
         act = self._act()
@@ -741,41 +743,36 @@ class _Lattice:
             out |= _mask(row[i] for i in bits)
         return out
 
-    def _join(self, h, g, most):
-        """H + <g>, the subgroup generated by a subgroup H and g (g has
-        finite order t, so -g = (t - 1)g), and g + H, its first coset past
-        H; None if that takes more than ``most`` translates.  H + <g> is
-        the union of the cosets H + kg; these are equal or disjoint, and
-        H + kg = H iff kg is in H, so adding g to the last coset until it
-        meets H again visits each once: |H + <g>| / |H| translates."""
-        grown, coset, first = h, h, 0
-        for _ in range(most):
-            if (coset := self.translate(coset, g)) & h:
-                return grown, first
-            first = first or coset  # g + H, the first translate
-            grown |= coset
-        return None
+    def _cosets(self, h, g):
+        """The cosets H + kg of a subgroup H, k = 1, 2, ..., while kg is
+        outside H, at |H| translated elements each: with H they tile H + <g>
+        once each, as H + kg = H + jg iff (k - j)g is in H."""
+        row, coset, k = self.add_row(g), h, g
+        while not h >> k & 1:
+            yield (coset := _mask(row[j] for j in _bits(coset)))
+            k = row[k]
 
-    def _generate(self, mask):
-        """The subgroup generated by the mask, and the g it joined: from
-        H = {0}, H + <g> for each g of the mask not yet in H, least first."""
-        h, joined = 1 << self.zero, []
-        rest = mask & ~h
-        while rest:
-            joined.append(g := (rest & -rest).bit_length() - 1)
-            h = self._join(h, g, self.n)[0]
-            rest &= ~h
-        return h, joined
+    def _grow(self, mask):
+        """The coset walk from H = {0} to the subgroup the mask generates:
+        for each g of the mask outside H, least first, the cosets of H in
+        H + <g> past H (``_cosets``), as (g, coset), H growing by each."""
+        h = 1 << self.zero
+        while rest := mask & ~h:
+            g = (rest & -rest).bit_length() - 1
+            for coset in self._cosets(h, g):
+                h |= coset
+                yield g, coset
 
     def subgroup(self, mask):
-        """The subgroup generated by the mask."""
-        return self._generate(mask)[0]
+        """The subgroup the mask generates: {0} and the walk's disjoint
+        cosets, so their sum is their union."""
+        return (1 << self.zero) + sum(c for _, c in self._grow(mask))
 
     @cached_property
     def generators(self):
         """Indices whose sums reach every element: the g that the walk
         generating the whole group joins (at most log2 n of them)."""
-        return self._generate((1 << self.n) - 1)[1]
+        return list(dict.fromkeys(g for g, _ in self._grow((1 << self.n) - 1)))
 
     def span(self, mask):
         """The submodule (for a ring, the ideal) generated by S: the
@@ -792,9 +789,11 @@ class _Lattice:
         return self.subgroup(spread)
 
     def is_subgroup(self, mask):
-        """0 in S and S the subgroup it generates, the least subgroup
-        holding S."""
-        return bool((mask >> self.zero) & 1) and self.subgroup(mask) == mask
+        """0 in S and S closed under +: the walk ``_grow`` stays in S, read
+        coset by coset up to the first that leaves it (the cosets kept are
+        disjoint inside S, so fewer than 2|S| elements are translated)."""
+        return bool(mask >> self.zero & 1) and \
+            not any(c & ~mask for _, c in self._grow(mask))
 
     def cosets(self, h, carrier):
         """The quotient map of a carrier subgroup by a subgroup H inside it
@@ -822,11 +821,11 @@ class _Lattice:
 
     def _walk_subgroups(self):
         """A worklist from {0} grows each subgroup H found to H + <g>
-        (``_join``), once per coset g + H outside H (g + h gives the same
+        (``_cosets``), once per coset g + H outside H (g + h gives the same
         H + <g>).  It reaches every subgroup K: from {0}, H + <g> for any g
         in K outside H is a larger subgroup inside K, until H is K.  Its
-        price, in elements, is |H| per coset translated (|H + <g>| a join)
-        and n per subgroup kept; each join is handed the translates that
+        price, in elements, is |H + <g>| a join (|H| per coset of H in it)
+        and n per subgroup kept; each join is handed the cosets that
         SUBGROUP_WORK_LIMIT still admits, and the walk raises
         ResourceLimitError at the one that would pass it.
         """
@@ -839,13 +838,14 @@ class _Lattice:
             rest = ((1 << self.n) - 1) & ~h
             while rest:
                 most = max(0, (SUBGROUP_WORK_LIMIT - work) // size)
-                joined = self._join(h, (rest & -rest).bit_length() - 1, most)
-                if joined is None:
-                    raise ResourceLimitError(
-                        f"subgroup enumeration of {self._struct()} priced at "
-                        f"{work + (most + 1) * size} elements so far, past "
-                        f"the limit {SUBGROUP_WORK_LIMIT}")
-                grown, first = joined
+                grown, first, g = h, 0, (rest & -rest).bit_length() - 1
+                for k, coset in enumerate(self._cosets(h, g), 1):
+                    if k >= most:  # H + <g> holds more than most cosets
+                        raise ResourceLimitError(
+                            f"subgroup enumeration of {self._struct()} "
+                            f"priced at {work + (most + 1) * size} elements "
+                            f"so far, past the limit {SUBGROUP_WORK_LIMIT}")
+                    first, grown = first or coset, grown | coset
                 work += grown.bit_count()
                 rest &= ~first
                 if grown not in seen:

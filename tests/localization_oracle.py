@@ -100,17 +100,17 @@ class LoopLocalization:
             return self._pair_class[(ring.add(ring.mul(a, t), ring.mul(b, s)),
                                      ring.mul(s, t))]
 
-        def neg(x):
-            (a, s) = x
-            return self._pair_class[(ring.neg(a), s)]
-
         def mul(x, y):
             (a, s), (b, t) = x, y
             return self._pair_class[(ring.mul(a, b), ring.mul(s, t))]
 
+        # the model's tables, one cell at a time
+        slot, fmt = {rep: k for k, rep in enumerate(reps)}, ring.format_element
         self.model = TableRing(
-            f"S^-1({ring.spec_string()})", reps, add, neg, mul, zero, one,
-            fmt=lambda v: f"{ring.format_element(v[0])}/{ring.format_element(v[1])}")
+            f"S^-1({ring.spec_string()})", reps,
+            *([[slot[op(x, y)] for y in reps] for x in reps]
+              for op in (add, mul)), zero, one,
+            [f"{fmt(a)}/{fmt(s)}" for a, s in reps])
 
         wd_ce = None
         for rep, members in self._class_members.items():
@@ -133,12 +133,13 @@ class LoopLocalization:
 
 
 def model_tables(model):
-    """The model's elements and its neg, add and mul tables, by value."""
+    """The model's elements and its neg, add and mul tables, by value, and
+    its elements' names."""
     elems = list(model.elements())
     return (elems, [model.neg(x) for x in elems],
             [[model.add(x, y) for y in elems] for x in elems],
             [[model.mul(x, y) for y in elems] for x in elems],
-            model.zero, model.one)
+            model.zero, model.one, [model.format_element(x) for x in elems])
 
 
 def quotient_breaks_loop(q):

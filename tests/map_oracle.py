@@ -4,13 +4,13 @@ These are the checks that quantify over a finite map as they were written
 before maps became index arrays on the subgroup lattice: the table-hom and
 approximate module-hom laws, the finite preimage-compatibility loop, both
 finite loops of the canonical map's functoriality, the class loop of a
-quotient ring, and ``QuotientModule`` with the three isomorphism theorems
-built on it.  ``LoopModuleHom`` carries a hom's map table through the old
-``kernel``, ``image_q``, ``image_c`` and (from before the list engine) the
-plain ``image_compatible`` loop.  ``ModuleClosure`` and its four variants
-are the module closures as written before they became the ring closures
-applied to a module, and ``ring_axioms_hold`` the triple loop over a
-quotient model's laws."""
+quotient ring with its model's tables, and ``QuotientModule`` with the
+three isomorphism theorems built on it.  ``LoopModuleHom`` carries a
+hom's map table through the old ``kernel``, ``image_q``, ``image_c`` and
+(from before the list engine) the plain ``image_compatible`` loop.
+``ModuleClosure`` and its four variants are the module closures as
+written before they became the ring closures applied to a module, and
+``ring_axioms_hold`` the triple loop over a quotient model's laws."""
 
 import random
 
@@ -122,6 +122,18 @@ def quotient_ring_classes(ring, clset):
             rep_of[y] = x
         classes.append((x, members))
     return rep_of, classes
+
+
+def quotient_model_tables(ring, rep_of, classes):
+    """What ``localization_oracle.model_tables`` reads off a quotient
+    model, from the class loop: each negative, sum and product of
+    representatives taken to its class, and each class's name."""
+    reps = [rep for rep, _ in classes]
+    return (reps, [rep_of[ring.neg(x)] for x in reps],
+            [[rep_of[ring.add(x, y)] for y in reps] for x in reps],
+            [[rep_of[ring.mul(x, y)] for y in reps] for x in reps],
+            rep_of[ring.zero], rep_of[ring.one],
+            [f"[{ring.format_element(x)}]" for x in reps])
 
 
 class QuotientModule:
@@ -477,7 +489,7 @@ def ring_axioms_hold(ring):
     for a in elems:
         if ring.add(a, z) != a or ring.mul(a, o) != a:
             return False
-        if ring.add(a, ring.neg(a)) != z:
+        if all(ring.add(a, b) != z for b in elems):
             return False
         for b in elems:
             if ring.add(a, b) != ring.add(b, a):

@@ -137,11 +137,9 @@ def test_iso_third_fails_when_the_outer_quotient_is_broken(monkeypatch):
 # the ring laws of a quotient model
 
 
-def table_ring(add, mul, neg):
+def table_ring(add, mul):
     """A 3-element TableRing on {0, 1, 2} from its tables."""
-    return TableRing("T3", [0, 1, 2], add=lambda a, b: add[a][b],
-                     neg=neg.__getitem__, mul=lambda a, b: mul[a][b],
-                     zero=0, one=1)
+    return TableRing("T3", [0, 1, 2], add, mul, zero=0, one=1)
 
 
 Z3_ADD = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
@@ -150,17 +148,13 @@ Z3_MUL = [[0, 0, 0], [0, 1, 2], [0, 2, 1]]
 BROKEN = {
     # 2 * 2 = 2: units, commutativity and associativity hold; 2 (1 + 1) =
     # 2 * 2 = 2 but 2 * 1 + 2 * 1 = 1
-    "distributive": (Z3_ADD, [[0, 0, 0], [0, 1, 2], [0, 2, 2]], [0, 2, 1]),
+    "distributive": (Z3_ADD, [[0, 0, 0], [0, 1, 2], [0, 2, 2]]),
     # 1 + 1 = 1 and 2 + 2 = 2: (1 + 1) + 2 = 0 but 1 + (1 + 2) = 1
-    "additive-associative": ([[0, 1, 2], [1, 1, 0], [2, 0, 2]], Z3_MUL,
-                             [0, 2, 1]),
+    "additive-associative": ([[0, 1, 2], [1, 1, 0], [2, 0, 2]], Z3_MUL),
     # 1 + 2 = 1 but 2 + 1 = 0
-    "additive-commutative": ([[0, 1, 2], [1, 2, 1], [2, 0, 1]], Z3_MUL,
-                             [0, 2, 1]),
+    "additive-commutative": ([[0, 1, 2], [1, 2, 1], [2, 0, 1]], Z3_MUL),
     # 2 * 1 = 1: 1 is no unit
-    "unit": (Z3_ADD, [[0, 0, 0], [0, 1, 2], [0, 1, 1]], [0, 2, 1]),
-    # -1 = 1
-    "inverse": (Z3_ADD, Z3_MUL, [0, 1, 1]),
+    "unit": (Z3_ADD, [[0, 0, 0], [0, 1, 2], [0, 1, 1]]),
 }
 
 
@@ -172,7 +166,7 @@ def test_ring_laws_reject_a_broken_table_ring(law):
 
 
 def test_ring_laws_match_the_loop_on_quotient_models():
-    assert _ring_axioms_hold(table_ring(Z3_ADD, Z3_MUL, [0, 2, 1]))
+    assert _ring_axioms_hold(table_ring(Z3_ADD, Z3_MUL))
     models = 0
     for spec in ["Zn:12", "Zn:18", "prod:[Zn:2,Zn:4]", "GF:2/x^2"]:
         ring = parse_ring(spec)

@@ -8,6 +8,7 @@ import itertools
 import map_oracle as oracle
 import numpy as np
 import pytest
+from localization_oracle import model_tables
 from test_congruence_kernel import (
     KINDS,
     ORACLE_PAIRS,
@@ -358,15 +359,20 @@ def test_theorems_refuse_union_fixed():
 
 @pytest.mark.parametrize("ring, kind, sub", quotient_cases())
 def test_quotient_ring_classes_match_loop(ring, kind, sub):
+    """The classes, and the model's tables and names where the verdicts
+    pass, are those of the class loop."""
     cl = closure(ring, kind)
     try:
         q = quotient_ring(ring, ApproxIdeal(sub, cl, check=False))
     except PreconditionError:
         return
-    _, classes = oracle.quotient_ring_classes(
+    rep_of, classes = oracle.quotient_ring_classes(
         ring, materialize(cl, sub.values))
     assert [(r, list(m)) for r, m in q.classes] == \
         [(r, list(m)) for r, m in classes]
+    if q.model is not None:
+        assert model_tables(q.model) == \
+            oracle.quotient_model_tables(ring, rep_of, classes)
 
 
 def test_quotient_labels_tile_the_carrier():
