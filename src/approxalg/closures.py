@@ -826,14 +826,15 @@ def _image_rows(img, rows, n):
 
 
 class QuotientModule:
-    """Classes of a carrier subgroup of a ring or module under x ~ y iff x - y
-    in cl(N), a subgroup H: the cosets x + (H meet carrier) on the structure's
-    lattice.  ``labels`` maps each carrier index to its class's least member,
-    and every other index to -1.  The quotient is itself a structure
-    ``subgroup_lattice`` reads (its addition unchecked, as a group's), whose
-    elements are the representatives; ``canon`` takes a carrier element to its
-    class, and ``add``, ``act`` (a module's) and ``mul`` (a ring's) work on
-    them."""
+    """Classes of a carrier subgroup of a ring or module under x ~ y iff
+    x - y in cl(N), a subgroup H: the cosets x + (H meet carrier) on the
+    structure's lattice.  ``labels`` maps each carrier index to its class's
+    least member, and every other index to -1.  The quotient is itself a
+    structure ``subgroup_lattice`` reads, whose elements are the
+    representatives; ``canon`` takes a carrier element to its class, and
+    ``add``, ``act`` (a module's) and ``mul`` (a ring's) work on them.
+    The classes of a subgroup by a subgroup form a group, so the lattice
+    reads its addition unchecked."""
 
     def __init__(self, mod, carrier, clset, verdicts):
         lat = subgroup_lattice(mod)
@@ -857,7 +858,8 @@ class QuotientModule:
     def reps(self):
         return [rep for rep, _ in self.classes]
 
-    elements = reps
+    def elements(self):
+        return self.reps()
 
     def canon(self, x):
         x = self.mod.canon(x)

@@ -436,12 +436,13 @@ def _ring_axioms_hold(ring):
         add = lat.add_table
     except PreconditionError:
         return False
-    mul, every = lat.act_table(), np.arange(lat.n)
+    # the narrowest signed index type (-1: no element) keeps n^2 temps small
+    dtype = np.min_scalar_type(-lat.n)
+    add, mul = add.astype(dtype), lat.act_table().astype(dtype)
+    every = np.arange(lat.n)
     if not ((mul >= 0).all() and (mul[:, lat.index[ring.one]] == every).all()
             and (mul == mul.T).all()):
         return False
-    # the narrowest index type keeps each n^2 temporary small
-    add, mul = (t.astype(np.min_scalar_type(lat.n)) for t in (add, mul))
     return all(
         (mul[:, add[g]] == add[mul[:, g, None], mul]).all()
         and (mul[mul[:, g]] == mul[:, mul[g]]).all() for g in lat.generators)

@@ -56,6 +56,7 @@ from .rings import (
     enumerate_subgroups,
     ideal_from_subgroup,
     ideal_generated,
+    price_group_check,
     prime_factors,
     sort_key,
     subgroup_lattice,
@@ -151,8 +152,9 @@ class LocalizedRing:
     """S^{-1}R as explicit classes with a finite model ring: a ``TableRing``
     on the tables its operations verdict computed over a finite base, and
     over Z the residues mod m0, named ``S^-1Z (classes mod m0)`` (the
-    one-element table ring at m0 = 1).  When its own relation or
-    operations verdict fails there are no classes to model:
+    one-element table ring at m0 = 1).  Past 1024 classes
+    ``price_group_check`` refuses the model before it is built.  When its
+    own relation or operations verdict fails there are no classes to model:
     ``model`` and ``transferred`` are None, the verdicts say why, and the
     checks below refuse it (``_require_model``)."""
 
@@ -206,6 +208,8 @@ class LocalizedRing:
         self._pair_labels = np.arange(m0)[:, None] * [
             pow(s, -1, m0) for s in self.denominators] % m0
         self._verify_z_relation()
+        if self.ok():
+            price_group_check(self.model, m0)
 
     def to_class_z(self, a, s):
         return (a * pow(s % self.m0, -1, self.m0)) % self.m0
@@ -370,14 +374,16 @@ class LocalizedRing:
 
         if not self.ok():
             return
+        label = f"S^-1({ring.spec_string()})"
+        price_group_check(label, len(reps))
         # the sum and product tables side by side, in the narrowest type
         cells = np.empty((len(reps), 2 * len(reps)), np.min_scalar_type(-n_pairs))
         for lo, hi in _chunks(len(reps), 2 * len(reps)):
             cells[lo:hi] = np.searchsorted(reps, labels[ops(reps[lo:hi])])
         classes, fmt = [pairs[k] for k in reps], ring.format_element
         self.model = TableRing(
-            f"S^-1({ring.spec_string()})", classes, cells[:, ::2],
-            cells[:, 1::2], self.iota(ring.zero), self.iota(ring.one),
+            label, classes, cells[:, ::2], cells[:, 1::2],
+            self.iota(ring.zero), self.iota(ring.one),
             [f"{fmt(a)}/{fmt(s)}" for a, s in classes])
 
     # -- shared interface ---------------------------------------------------

@@ -326,7 +326,7 @@ class ModuleHom:
         cl0 = self.cl_dst.eval_mask(1 << dst.zero)
         q = QuotientModule(self.dst, whole_subgroup(self.dst),
                            ElementSet.from_mask(self.dst, cl0), [])
-        return q, dst.listed(_mask(set(q.labels[self.img].tolist())))
+        return q, [dst.elems[i] for i in np.unique(q.labels[self.img])]
 
     def image_c(self):
         """Im_c f = cl'(f(M)), the closure of the raw image set."""

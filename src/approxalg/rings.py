@@ -417,6 +417,15 @@ class TableRing(Ring):
         return str(v) if self._names is None else self._names[self._index[v]]
 
 
+def price_group_check(name, n):
+    """Refuse an n-element ring whose group check would read its n^2
+    add-table cells, past SUBGROUP_WORK_LIMIT, before they are built."""
+    if n * n > SUBGROUP_WORK_LIMIT:
+        raise ResourceLimitError(
+            f"the group check of {name} reads {n * n} cells of its "
+            f"add table, past the limit {SUBGROUP_WORK_LIMIT}")
+
+
 # ---------------------------------------------------------------------------
 # elements and the arithmetic interface
 
@@ -678,10 +687,7 @@ class _Lattice:
         sum of generators, since the walk that finds them reaches each
         element as h + g with h reached and g a generator."""
         struct, n = self._struct(), self.n
-        if n * n > SUBGROUP_WORK_LIMIT:
-            raise ResourceLimitError(
-                f"the group check of {struct} reads {n * n} cells of its "
-                f"add table, past the limit {SUBGROUP_WORK_LIMIT}")
+        price_group_check(struct, n)
         elems, every = self.elems, np.arange(n)
         table = self._in_order(struct.sums).T
 

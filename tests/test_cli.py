@@ -308,6 +308,17 @@ class TestExitCodes:
         assert "reads 1050625 cells of its add table, past the limit " \
             "1048576" in err
 
+    @pytest.mark.parametrize("ring, closure, model", [
+        ("Zn:1025", "gen", "S^-1(Zn:1025)"),
+        ("Z", "shift:J=1025", "S^-1Z (classes mod 1025)")])
+    def test_localize_past_the_group_check_price_is_exit_3(
+            self, capsys, ring, closure, model):
+        code, out, err = run(capsys, "localize", "--ring", ring,
+                             "--closure", closure, "--mult-set", "1")
+        assert code == 3 and out == ""
+        assert f"the group check of {model} reads 1050625 cells of its " \
+            "add table, past the limit 1048576" in err
+
     @pytest.mark.parametrize("spec, message", [
         ('{"bad": 1', "malformed JSON: Expecting ',' delimiter at position 9: "
                       "'{\"bad\": 1'"),
