@@ -39,14 +39,16 @@ Every other finite domain is an explicit list of subsets: the subgroups,
 the classical ideals, seeded samples (plus every subgroup), all subsets
 for a membership-only closure, and sampled module checks.  The list engine
 (``_check_axioms_list``) turns each member into a bool row over the
-element order of ``rings.subgroup_lattice``, calls ``eval_mask`` once per
-distinct row, and decides each axiom with a few numpy calls over those
-rows: scalar multiples come from the kernel's action rows and set-sums
-from its "add e_i" rows.  C1, C3, C4b and absorption report the first
-member that violates (C4b and absorption with the first scalar for that
-member); C2 and C4a report the first violating pair in row-major list
-order, walked in doubling chunks and priced up front
-(``LIST_PAIR_CELL_LIMIT``).  It builds no table over all 2^n subsets.
+element order of ``rings.subgroup_lattice``, computes the closure once per
+distinct row (``_ClosureRows``: from the generator rows by the join where
+that saves evaluations, else by ``eval_mask``), and decides each axiom
+with a few numpy calls over those rows: scalar multiples come from the
+kernel's action rows and set-sums from its "add e_i" rows.  C1, C3, C4b
+and absorption report the first member that violates (C4b and absorption
+with the first scalar for that member); C2 and C4a report the first
+violating pair in row-major list order, walked in doubling chunks and
+priced up front (``LIST_PAIR_CELL_LIMIT``).  It builds no table over all
+2^n subsets.
 """
 
 from __future__ import annotations
@@ -103,8 +105,9 @@ PAIR_GRID = 1 << 20
 # the most cells the integer candidate sweep may be priced at
 Z_SWEEP_CELL_LIMIT = 1 << 26
 # cells per chunk of the list engine's walks (a chunk's largest arrays are
-# float32 and float64 over its cells), and the most cells (pairs times
-# elements) its pair walk may be priced at
+# float32 and float64 over its cells, and a join's matrices in
+# ``_ClosureRows`` are float32 over at most this many), and the most cells
+# (pairs times elements) its pair walk may be priced at
 LIST_GRID = 1 << 18
 LIST_PAIR_CELL_LIMIT = 1 << 28
 
@@ -147,8 +150,14 @@ class ClosureSpec:
 
     ``join`` names how cl(A | {x}) follows from cl(A) and cl({x}):
     ``"sum"`` (their set-sum), ``"union"`` (their union), or None when no
-    such rule holds.  ``FiniteDomain.closure_vector`` builds its table from
-    it, so a subclass that changes ``eval_mask`` restates ``join``.
+    such rule holds.  Both engines build their values from it: the
+    exhaustive engine's table (``FiniteDomain.closure_vector``) and the
+    list engine's rows (``_ClosureRows``) come from the n + 1 generator
+    values cl({}) and cl({x_i}).  They read it through ``declared_join``,
+    which honours it only where it is declared by the class that defines
+    the evaluation or by a subclass of it: a subclass that changes
+    ``eval_mask`` or ``eval_set`` and keeps an inherited ``join`` is
+    evaluated subset by subset.
     """
 
     name = "?"
@@ -196,6 +205,18 @@ class ClosureSpec:
 
     def __repr__(self):
         return f"<closure {self.describe()} on {self.ring}>"
+
+
+def declared_join(cl):
+    """The join the engines may build cl from: ``cl.join`` when the class
+    that declares it is the class that defines cl's evaluation (the first
+    ``eval_mask`` or ``eval_set`` in the method resolution order) or a
+    subclass of it, and None otherwise."""
+    mro = type(cl).__mro__
+    evaluates = next(i for i, k in enumerate(mro)
+                     if "eval_mask" in vars(k) or "eval_set" in vars(k))
+    declares = next(i for i, k in enumerate(mro) if "join" in vars(k))
+    return cl.join if declares <= evaluates else None
 
 
 class GeneratedIdealClosure(ClosureSpec):
@@ -485,7 +506,7 @@ def closure_member(cl, x, a):
         gens = a if isinstance(a, (list, tuple)) else [a]
         return cl.member(x, gens)
     vals = _input_values(ring, a)
-    if isinstance(ring, IntegerRing) and cl.join == "sum" and \
+    if isinstance(ring, IntegerRing) and declared_join(cl) == "sum" and \
             not isinstance(vals, PrincipalSubgroup):
         vals = PrincipalSubgroup(math.gcd(0, *vals))
     if isinstance(vals, PrincipalSubgroup):
@@ -561,12 +582,12 @@ class FiniteDomain:
     def closure_vector(self, cl):
         """cl as a mask -> mask table.
 
-        A closure without a ``join`` is evaluated once per subset, which is
-        the definition of the table.  One with a join is evaluated n + 1
-        times: on the empty set and on each singleton {x_i}.  The masks
-        below 2^i are the subsets of {x_0, ..., x_(i-1)}, so block
-        [2^i, 2^(i+1)) is block [0, 2^i) with x_i added, and one numpy pass
-        over that block fills it:
+        A closure without a ``join`` (as ``declared_join`` reads it) is
+        evaluated once per subset, which is the definition of the table.
+        One with a join is evaluated n + 1 times: on the empty set and on
+        each singleton {x_i}.  The masks below 2^i are the subsets of
+        {x_0, ..., x_(i-1)}, so block [2^i, 2^(i+1)) is block [0, 2^i) with
+        x_i added, and one numpy pass over that block fills it:
 
         * ``"sum"``: cl(A | {x}) = cl(A) + cl({x}).  For the span, <S> is
           the least set holding S and 0 that is closed under +, - and
@@ -583,7 +604,8 @@ class FiniteDomain:
           a union over A | {x} splits into the one over A and the one
           over {x}.
         """
-        if cl.join is None:
+        join = declared_join(cl)
+        if join is None:
             return np.array([cl.eval_mask(m) for m in range(self.nmasks)],
                             dtype=np.int32)
         clv = np.zeros(self.nmasks, dtype=np.int32)
@@ -591,7 +613,7 @@ class FiniteDomain:
         for i in range(self.n):
             single = np.int32(cl.eval_mask(1 << i))
             low, high = clv[:1 << i], clv[1 << i:2 << i]
-            if cl.join == "sum":
+            if join == "sum":
                 high[:] = self.setsum_vec(low, single)
             else:
                 np.bitwise_or(low, single, out=high)
@@ -978,47 +1000,165 @@ def _row_keys(rows):
 
 
 class _ClosureRows:
-    """cl on bool rows over the lattice's element order, evaluated through
-    ``eval_mask`` once per distinct row.  Known rows are a sorted key array
-    with the table row of each, so a batch is looked up by one
-    ``searchsorted`` and only its new rows reach Python."""
+    """cl on bool rows over the lattice's element order, each distinct row
+    computed once.  Known rows are a sorted key array with the table row of
+    each, so a batch is looked up by one ``searchsorted`` and only its new
+    rows are computed.
+
+    A closure without a join (as ``declared_join`` reads it) is evaluated
+    by ``eval_mask`` once per new row.  One with a join is built as the
+    exhaustive engine builds its table (``FiniteDomain.closure_vector``),
+    from the generator rows cl({}) and cl({e_i}), each evaluated at most
+    once and only for the elements e_i that occur in new rows:
+
+    * ``"union"``: cl(A) = cl({}) | the union of cl({e_i}) over e_i in A,
+      one float32 product A @ G against the generator rows G.
+    * ``"sum"``: fold in element order.  Every row starts at cl({}), and
+      for each element e_i the rows holding it are replaced by U + cl({e_i})
+      (``U @ M_i > 0`` with M_i[j, k] = [e_k - e_j in cl({e_i})]).  After
+      the elements of A before e_i a row is cl of those elements, so this
+      step gives cl(B | {e_i}) = cl(B) + cl({e_i}), the declared rule.  The
+      first step is the rule at B = {}, so no subgroup argument is needed.
+
+    The join pays only when it evaluates fewer rows than it fills: a call
+    is built by it when its new rows outnumber the generator rows it would
+    still have to evaluate, and otherwise evaluated row by row.  Either way
+    a call makes at most as many ``eval_mask`` calls as it has new rows.
+    (A list of a few subgroups of Z/53 has a handful of new rows, and 54
+    generator rows.)  The join's float32 matrices, G (n^2 cells) or the n
+    matrices M_i (n^3 cells), are built once, and only where they fit in
+    LIST_GRID cells (1 MiB; for a sum, n <= 64); a larger structure is
+    evaluated row by row, as the sum's matrices would take 64 MiB on Z/256
+    and 512 MiB on Z/512.
+    """
 
     def __init__(self, cl, lat):
+        n = lat.n
         self.cl = cl
         self.lat = lat
-        self.keys = self.slots = None
-        self.table = np.zeros((16, lat.n), dtype=bool)
+        self.keys = _row_keys(np.zeros((0, n), dtype=bool))
+        self.slots = np.zeros(0, dtype=np.intp)
+        self.table = np.zeros((16, n), dtype=bool)
+        self.rule = declared_join(cl)
+        self.shape = {"union": (n, n), "sum": (n, n, n)}.get(self.rule)
+        if self.shape is None or math.prod(self.shape) > LIST_GRID:
+            self.rule = None
+        # generator 0 is cl({}), kept as ``empty``, and generator 1 + i is
+        # cl({e_i}), kept in the join's matrices, once ``known``
+        self.empty = self.mats = None
+        self.known = np.zeros(n + 1, dtype=bool)
 
     def __call__(self, rows):
         flat = rows.reshape(-1, self.lat.n)
         keys, inverse = np.unique(_row_keys(flat), return_inverse=True)
         inverse = inverse.ravel()
-        if self.keys is None:
-            self.keys, self.slots = keys[:0], np.zeros(0, dtype=np.intp)
+        slots = self._find(keys)
+        new = slots < 0
+        if new.any():
+            # a representative row of each key: rows with one key are equal
+            first = np.empty(len(keys), dtype=np.intp)
+            first[inverse] = np.arange(len(flat))
+            fresh = flat[first[new]]
+            joined = self._generators(fresh)
+            if joined is None:
+                values = self._evaluate(fresh)
+            else:
+                if joined:
+                    # generator rows just evaluated may be among the new
+                    slots = self._find(keys)
+                    new = slots < 0
+                    fresh = flat[first[new]]
+                values = self._joined(fresh)
+            slots[new] = self._add(keys[new], values)
+        return self.table[slots[inverse]].reshape(rows.shape)
+
+    def _find(self, keys):
+        """The table slot of each key, or -1 for a key not yet known."""
         pos = np.searchsorted(self.keys, keys)
         hit = pos < len(self.keys)
         hit[hit] = self.keys[pos[hit]] == keys[hit]
-        slots = np.empty(len(keys), dtype=np.intp)
+        slots = np.full(len(keys), -1, dtype=np.intp)
         slots[hit] = self.slots[pos[hit]]
-        new = np.flatnonzero(~hit)
-        if len(new):
-            # a representative row of each key: rows with one key are equal
-            rep = np.empty(len(keys), dtype=np.intp)
-            rep[inverse] = np.arange(len(flat))
-            slots[new] = len(self.keys) + np.arange(len(new))
-            for slot, f in zip(slots[new].tolist(), rep[new].tolist()):
-                self._store(slot, flat[f])
-            merged = np.concatenate([self.keys, keys[new]])
-            order = np.argsort(merged, kind="stable")
-            self.keys = merged[order]
-            self.slots = np.concatenate([self.slots, slots[new]])[order]
-        return self.table[slots[inverse]].reshape(rows.shape)
+        return slots
 
-    def _store(self, slot, row):
+    def _add(self, keys, values):
+        """Store the rows ``values`` under new ``keys``; their slots."""
+        start = len(self.keys)
+        slots = start + np.arange(len(keys))
+        if start + len(keys) > len(self.table):
+            grown = np.zeros((max(start + len(keys), 2 * len(self.table)),
+                              self.lat.n), dtype=bool)
+            grown[:start] = self.table[:start]
+            self.table = grown
+        self.table[slots] = values
+        # no new key is known: merge the sorted new keys in at their
+        # searchsorted positions
+        order = np.argsort(keys)
+        at = np.searchsorted(self.keys, keys[order]) + np.arange(len(keys))
+        old = np.ones(start + len(keys), dtype=bool)
+        old[at] = False
+        merged = np.empty(len(old), dtype=self.keys.dtype)
+        merged[at], merged[old] = keys[order], self.keys
+        self.keys = merged
+        merged = np.empty(len(old), dtype=np.intp)
+        merged[at], merged[old] = slots[order], self.slots
+        self.slots = merged
+        return slots
+
+    def _evaluate(self, rows):
+        """cl of each row by ``eval_mask``."""
         lat = self.lat
-        if slot == len(self.table):
-            self.table = np.concatenate([self.table, np.zeros_like(self.table)])
-        self.table[slot][_bits(self.cl.eval_mask(lat.row_mask(row)))] = True
+        out = np.zeros(rows.shape, dtype=bool)
+        for row, value in zip(rows, out):
+            value[_bits(self.cl.eval_mask(lat.row_mask(row)))] = True
+        return out
+
+    def _generators(self, rows):
+        """None when the new ``rows`` are to be evaluated one by one.
+        Otherwise the generator rows they need are made known, read from
+        the table or evaluated into it, and the answer is whether any was
+        evaluated."""
+        if self.rule is None:
+            return None
+        wanted = ~self.known
+        wanted[1:] &= rows.any(0)
+        need = np.flatnonzero(wanted)
+        if len(rows) <= len(need) - len(self.keys):
+            # the table holds at most len(self.keys) of the needed rows
+            return None
+        if not len(need):
+            return False
+        units = np.zeros((len(need), self.lat.n), dtype=bool)
+        units[need > 0, need[need > 0] - 1] = True
+        keys = _row_keys(units)
+        slots = self._find(keys)
+        missing = slots < 0
+        evaluated = np.count_nonzero(missing)
+        if len(rows) <= evaluated:
+            return None
+        if evaluated:
+            slots[missing] = self._add(keys[missing],
+                                       self._evaluate(units[missing]))
+        if self.mats is None:
+            self.mats = np.zeros(self.shape, dtype=np.float32)
+        self.known[need] = True
+        values = self.table[slots]
+        if need[0] == 0:
+            self.empty, values, need = values[0], values[1:], need[1:]
+        if self.rule == "sum":
+            values = values[:, self.lat.neg_add_table]
+        self.mats[need - 1] = values
+        return evaluated > 0
+
+    def _joined(self, rows):
+        """cl of each row from the generator rows, by the join."""
+        if self.rule == "union":
+            return self.empty | (rows.astype(np.float32) @ self.mats > 0)
+        out = np.tile(self.empty, (len(rows), 1))
+        for i in np.flatnonzero(rows.any(0)):
+            has = rows[:, i]
+            out[has] = out[has].astype(np.float32) @ self.mats[i] > 0
+        return out
 
 
 def _chunks(total, row_cells):
@@ -1375,18 +1515,11 @@ def closure_image_compatible(f, cl_src, cl_dst):
                                mode="bounded")
         return Verdict("image-compatible", True, mode="bounded")
 
-    # every subset as a bool row; cl on all subsets of a small source is
-    # the exhaustive engine's table, from n + 1 evaluations under a join
     subsets, domain = _subsets_for(f.src)
     src, dst, img = _hom_map(f)
     rows = src.rows(subsets)
-    if cl_src.join is not None and len(subsets) == (1 << src.n) - 1 \
-            and src.n <= 16:
-        clv = ring_domain(f.src).closure_vector(cl_src)
-        cl_rows = src.rows(clv[np.array(subsets, dtype=np.intp)].tolist())
-    else:
-        cl_rows = _ClosureRows(cl_src, src)(rows)
-    bad = _first_image_violation(dst, img, rows, cl_rows, cl_dst)
+    bad = _first_image_violation(dst, img, rows,
+                                 _ClosureRows(cl_src, src)(rows), cl_dst)
     if bad is not None:
         return Verdict("image-compatible", False,
                        {"A": src.listed(subsets[bad[0]]),
@@ -1420,7 +1553,7 @@ def _first_image_violation(dst, img, rows, cl_rows, cl_dst):
     """The position of the first A with f(cl(A)) outside cl'(f(A)), and the
     least element of the difference, or None: A and cl(A) are bool rows
     over the source lattice, ``img`` is f from it to the target lattice
-    ``dst``, and cl' is evaluated once per distinct row of f(A)."""
+    ``dst``, and cl' is computed once per distinct row of f(A)."""
     bad = _image_rows(img, cl_rows, dst.n) & \
         ~_ClosureRows(cl_dst, dst)(_image_rows(img, rows, dst.n))
     pos = _first_violation(bad.any(1))

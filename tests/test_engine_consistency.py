@@ -7,7 +7,10 @@ domains are also held against a naive sweep over all subset pairs, which
 must give the same report, counterexamples included, also when the C4a
 rows are walked in many small chunks.  A closure table built by a declared
 join must equal the table of one evaluation per subset, and must cost at
-most n + 1 evaluations.
+most n + 1 evaluations.  So must the list engine's rows
+(``closures._ClosureRows``), which are evaluated one by one where the join
+would not save evaluations; and a join counts only where the class that
+defines the evaluation declares it.
 """
 
 import itertools
@@ -313,10 +316,8 @@ def test_join_table_matches_per_subset_table(make, structure, kind, param):
     np.testing.assert_array_equal(dom.closure_vector(cl), per_subset)
 
 
-@pytest.mark.parametrize("make, structure, kind, param", join_cases())
-def test_declared_join_evaluates_n_plus_one_times(make, structure, kind, param,
-                                                  monkeypatch):
-    cl, dom, run = make(structure, kind, param)
+def _counted(cl, monkeypatch):
+    """The masks ``cl.eval_mask`` is called on from now on."""
     calls = []
     evaluate = cl.eval_mask
 
@@ -325,5 +326,150 @@ def test_declared_join_evaluates_n_plus_one_times(make, structure, kind, param,
         return evaluate(mask)
 
     monkeypatch.setattr(cl, "eval_mask", counted)
+    return calls
+
+
+@pytest.mark.parametrize("make, structure, kind, param", join_cases())
+def test_declared_join_evaluates_n_plus_one_times(make, structure, kind, param,
+                                                  monkeypatch):
+    cl, dom, run = make(structure, kind, param)
+    calls = _counted(cl, monkeypatch)
     run()
     assert len(calls) <= dom.n + 1
+
+
+@pytest.mark.parametrize("make, structure, kind, param", join_cases())
+def test_join_built_rows_match_per_row_evaluation(make, structure, kind,
+                                                  param, monkeypatch):
+    """One ``_ClosureRows`` over four calls: seeded random rows with the
+    empty row and duplicates, known rows mixed with new ones (as a 3-D
+    array), two new rows, and the generator rows themselves.  Every row
+    equals ``eval_mask`` on it, and no row, generators included, is
+    evaluated twice."""
+    cl, dom, _ = make(structure, kind, param)
+    lat, n = dom.lat, dom.n
+    expected = [lat.rows([cl.eval_mask(m)])[0] for m in range(dom.nmasks)]
+    rng = np.random.default_rng(n)
+    first = rng.random((4 * (n + 1), n)) < 0.3
+    first[0] = False
+    first = np.vstack([first, first[:5]])
+    mixed = np.vstack([first[rng.integers(0, len(first), 6)],
+                       rng.random((6, n)) < 0.6])
+    rng.shuffle(mixed)
+    calls = _counted(cl, monkeypatch)
+    clo = closures._ClosureRows(cl, lat)
+    for rows in [first, mixed.reshape(2, 6, n), rng.random((2, n)) < 0.5,
+                 np.eye(n + 1, n, -1, dtype=bool)]:
+        flat = rows.reshape(-1, n)
+        want = np.array([expected[lat.row_mask(row)] for row in flat])
+        np.testing.assert_array_equal(clo(rows), want.reshape(rows.shape))
+        if rows is first:
+            distinct = len({lat.row_mask(row) for row in first})
+            assert len(calls) <= min(distinct, n + 1)
+    assert len(calls) == len(set(calls))
+
+
+class ZeroAdjoined(GeneratedIdealClosure):
+    """cl(A) = A | {0}: changes the span's evaluation and keeps its
+    inherited join, which does not hold for it (cl({1, 2}) is {0, 1, 2},
+    not {0, 1} + {0, 2})."""
+
+    name = "zero-adjoined"
+
+    def eval_mask(self, mask):
+        return mask | 1 << closures.subgroup_lattice(self.ring).zero
+
+
+@pytest.mark.parametrize("n", [6, 8, 12])
+def test_an_inherited_join_is_not_honoured(n, monkeypatch):
+    """A subclass that redefines the evaluation but not ``join`` gets the
+    oracle's verdicts: exhaustive against every subset, and sampled (report
+    for report) against the same sampled list."""
+    cl = ZeroAdjoined(ResidueRing(n))
+    assert closures.declared_join(cl) is None
+    if n <= 8:
+        exhaustive = check_axioms(cl, mode="exhaustive")
+        oracle = pure_python_report(cl)
+        assert [v.passed for v in exhaustive.verdicts.values()] == \
+            [oracle.verdicts[a].passed for a in exhaustive.verdicts]
+    sampled = check_axioms(cl, mode="sampled", seed=n, count=40).to_dict()
+
+    def oracle_list(cl, struct, masks, report, paired=None):
+        lat = closures.subgroup_lattice(struct)
+        return check_axioms_sets(cl, [lat.values(m) for m in masks],
+                                 lat.elems, report)
+
+    monkeypatch.setattr(closures, "_check_axioms_list", oracle_list)
+    assert sampled == check_axioms(cl, mode="sampled", seed=n,
+                                   count=40).to_dict()
+
+
+def test_a_restated_join_is_honoured():
+    """A join declared by the class that defines the evaluation, or by a
+    subclass of it, stands; one inherited from above that class does not."""
+
+    class Restated(ZeroAdjoined):
+        join = "union"
+
+    ring = ResidueRing(6)
+    assert closures.declared_join(Restated(ring)) == "union"
+    assert closures.declared_join(GeneratedIdealClosure(ring)) == "sum"
+    assert closures.declared_join(
+        modules.GeneratedSubmoduleClosure(modules.finite_module(Z, [6]))) \
+        == "sum"
+    assert closures.declared_join(ZeroAdjoined(ring)) is None
+
+
+@pytest.mark.parametrize("spec, closure", [
+    ("Zn:12", "gen"), ("Zn:12", "shift:J=2"), ("Zn:12", "setshift:J=2"),
+    ("Zn:60", "gen"), ("Fun:p=3,n=1", "gen")])
+def test_sampled_join_closure_evaluates_its_generators_only(spec, closure,
+                                                           monkeypatch):
+    """The default sampled run of a join closure evaluates it on at most
+    the n + 1 generator rows (2969 rows were evaluated on Zn:12 under gen
+    when each distinct row was)."""
+    ring = parse_ring(spec)
+    cl = parse_closure(ring, closure)
+    calls = _counted(cl, monkeypatch)
+    check_axioms(cl, mode="sampled")
+    assert len(calls) <= ring.cardinality() + 1
+
+
+@pytest.mark.parametrize("spec, shift", [
+    ("Zn:12", "2"), ("Zn:41", "2"), ("Zn:53", "2"), ("Zn:60", "2"),
+    ("prod:[Zn:2,Zn:2,Zn:2,Zn:2]", "(0,0,0,1)")])
+def test_subgroup_lists_evaluate_no_more_rows_than_one_by_one(spec, shift,
+                                                              monkeypatch):
+    """On a list of subgroups, which has few rows and many generators, the
+    join is used only where it saves evaluations: no more ``eval_mask``
+    calls, and the same report, as with the join hidden."""
+    ring = parse_ring(spec)
+    for closure in ("gen", f"shift:J={shift}", f"setshift:J={shift}"):
+        cl = parse_closure(ring, closure)
+        calls = _counted(cl, monkeypatch)
+        joined = check_axioms(cl, mode="subgroups").to_dict()
+        used = len(calls)
+        with monkeypatch.context() as patch:
+            patch.setattr(closures, "declared_join", lambda cl: None)
+            del calls[:]
+            assert check_axioms(cl, mode="subgroups").to_dict() == joined
+        assert used <= len(calls)
+
+
+def test_join_matrices_past_list_grid_evaluate_row_by_row(monkeypatch):
+    """A join's matrices must fit in LIST_GRID cells: with the grid below
+    a sum's n^3 cells on Z/12 its rows are evaluated one by one, while a
+    union's n^2 cells still fit and its rows are built by the join."""
+    monkeypatch.setattr(closures, "LIST_GRID", 12 ** 3 - 1)
+    ring = ResidueRing(12)
+    lat = closures.subgroup_lattice(ring)
+    rows = np.random.default_rng(12).random((40, 12)) < 0.5
+    distinct = len({lat.row_mask(row) for row in rows})
+    for cl, evaluations in [
+            (GeneratedIdealClosure(ring), distinct),
+            (UnionFixedClosure(ring, [1]), 13)]:
+        want = lat.rows([cl.eval_mask(lat.row_mask(row)) for row in rows])
+        calls = _counted(cl, monkeypatch)
+        np.testing.assert_array_equal(
+            closures._ClosureRows(cl, lat)(rows), want)
+        assert len(calls) == evaluations

@@ -95,3 +95,31 @@ def test_coset_arithmetic_lives_in_the_lattice(path):
     lines = [n for n, line in enumerate(path.read_text().splitlines(), 1)
              if ".translate(" in line]
     assert not lines, f"{path.name}: ask the lattice instead, lines {lines}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_join_is_read_through_declared_join(path):
+    """Only ``closures.declared_join`` reads a closure's ``join`` (an
+    attribute ``.join`` that is not called, or ``getattr`` of "join"): the
+    engines may build a closure from its join only where the class that
+    defines the evaluation declares it, and a direct read would also
+    honour a join that a subclass inherited past its own ``eval_mask``."""
+    import ast
+
+    tree = ast.parse(path.read_text(), filename=str(path))
+    called = {id(node.func) for node in ast.walk(tree)
+              if isinstance(node, ast.Call)}
+    helper = {id(inner) for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef)
+              and node.name == "declared_join" and path.name == "closures.py"
+              for inner in ast.walk(node)}
+    reads = [node.lineno for node in ast.walk(tree)
+             if id(node) not in helper and (
+                 isinstance(node, ast.Attribute) and node.attr == "join"
+                 and id(node) not in called
+                 or isinstance(node, ast.Call)
+                 and getattr(node.func, "id", None) == "getattr"
+                 and any(isinstance(arg, ast.Constant) and arg.value == "join"
+                         for arg in node.args))]
+    assert not reads, f"{path.name}: read join through declared_join, " \
+        f"lines {reads}"
