@@ -67,7 +67,7 @@ from .errors import (
     DomainMismatchError,
     NotEnumerableError,
     PreconditionError,
-    ResourceLimitError,
+    price,
 )
 from .reports import AxiomReport, Verdict
 from .rings import (
@@ -319,9 +319,8 @@ class PointwiseClosure(ClosureSpec):
     def __init__(self, ring):
         if not isinstance(ring, FunctionRing):
             raise PreconditionError("pointwise closure needs a function ring")
-        if ring.npoints > POINT_GUARD:
-            raise ResourceLimitError(
-                f"{ring.npoints} points exceed the guard {POINT_GUARD}")
+        price(f"the pointwise closure of {ring}", ring.npoints, POINT_GUARD,
+              "points")
         super().__init__(ring)
 
     def _vanishing_points(self, values):
@@ -545,8 +544,8 @@ class FiniteDomain:
     def __init__(self, lattice):
         self.lat = lattice
         self.n = lattice.n
-        if self.n > 16:
-            raise ResourceLimitError(f"{self.n} elements exceed the mask width")
+        price(f"the mask tables of {self.n} elements", 1 << self.n,
+              EXHAUSTIVE_SUBSET_CAP, "masks")
         self.nmasks = 1 << self.n
         self.zero_bit = np.int32(1 << lattice.zero)
         masks = np.arange(self.nmasks, dtype=np.int32)
@@ -963,11 +962,8 @@ def _price_list(rows, n):
     """Refuse a pair walk over ``rows`` listed subsets of n elements when
     its rows^2 * n cells exceed LIST_PAIR_CELL_LIMIT, before any subset is
     drawn or any closure evaluated."""
-    cells = rows * rows * n
-    if cells > LIST_PAIR_CELL_LIMIT:
-        raise ResourceLimitError(
-            f"{rows}^2 pairs of {n}-element subsets are priced at {cells} "
-            f"cells, above the list engine's limit {LIST_PAIR_CELL_LIMIT}")
+    price(f"the list engine's walk over {rows}^2 pairs of {n}-element "
+          f"subsets", rows * rows * n, LIST_PAIR_CELL_LIMIT, "cells")
 
 
 def _combination_masks(n, least):
@@ -1394,25 +1390,23 @@ def check_axioms(cl, mode="auto", seed=DEFAULT_SEED, count=DEFAULT_SAMPLE_COUNT,
 
     card = ring.cardinality()
     if mode == "auto":
-        feasible = (1 << card) <= EXHAUSTIVE_SUBSET_CAP if cl.set_valued \
-            else card <= EXHAUSTIVE_ELEMENTS
+        # 2^card <= the cap, with no 2^card built (2^32 bits for Fun:p=2,n=5)
+        feasible = card < EXHAUSTIVE_SUBSET_CAP.bit_length() \
+            if cl.set_valued else card <= EXHAUSTIVE_ELEMENTS
         mode = "exhaustive" if feasible else "subgroups"
 
     if mode == "exhaustive":
-        if (1 << card) > EXHAUSTIVE_SUBSET_CAP:
-            raise ResourceLimitError(f"2^{card} subsets exceed the exhaustive "
-                                     f"cap {EXHAUSTIVE_SUBSET_CAP}")
+        price(f"exhaustive mode over the 2^{card} subsets of {ring}",
+              1 << card, EXHAUSTIVE_SUBSET_CAP, "subsets")
         report = AxiomReport(mode="exhaustive", domain=f"all subsets of {ring}")
         if cl.set_valued:
             dom = ring_domain(ring)
             return check_axioms_finite(cl, dom, report)
         # membership-only closures have no table: the list engine walks
         # every pair of the 2^card subsets
-        if card > EXHAUSTIVE_ELEMENTS:
-            raise ResourceLimitError(
-                f"exhaustive mode for a membership-only closure needs at "
-                f"most {EXHAUSTIVE_ELEMENTS} elements, got {card}; use "
-                f"subgroups/ideals/sampled")
+        price(f"exhaustive mode for a membership-only closure on {ring} "
+              f"(use subgroups/ideals/sampled)", card, EXHAUSTIVE_ELEMENTS,
+              "elements")
         return _check_axioms_list(cl, ring, _combination_masks(card, 0),
                                   report)
 

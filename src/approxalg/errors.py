@@ -2,7 +2,8 @@
 
 Checkers that look for mathematical violations report them as verdicts with
 counterexamples, never as exceptions; exceptions are reserved for misuse of
-the API (mixed rings, unsupported combinations, blown resource guards).
+the API (mixed rings, unsupported combinations), and for work that ``price``
+finds past its limit before it starts.
 """
 
 
@@ -19,11 +20,28 @@ class NotEnumerableError(ApproxAlgError):
 
 
 class ResourceLimitError(ApproxAlgError):
-    """An exhaustive computation exceeds its stated limit or price.
+    """Work priced past its limit, raised only by ``price`` and always
+    worded "<what> priced at <amount> <unit>, past the limit <limit>".
 
     This is always raised loudly; no routine silently truncates or samples
     when a guard is exceeded.
     """
+
+
+def price(what, amount, limit, unit):
+    """Raise ResourceLimitError when ``amount`` (an int, in ``unit``) is past
+    ``limit``; ``what`` names the work and the breakdown of its amount."""
+    if amount > limit:
+        raise ResourceLimitError(f"{what} priced at {figure(amount)} {unit}, "
+                                 f"past the limit {limit}")
+
+
+def figure(n):
+    """n in decimal, or past 256 bits by its binary order, "2^k" or "more
+    than 2^k" (Python prints no int of more than 4300 digits)."""
+    k = n.bit_length() - 1
+    return str(n) if k < 256 else f"2^{k}" if n == 1 << k \
+        else f"more than 2^{k}"
 
 
 class PreconditionError(ApproxAlgError):

@@ -28,7 +28,7 @@ from .closures import (
 )
 from .closures import _chunks, _first_unabsorbed, _first_violation, _hom_map
 from .closures import _image_rows
-from .errors import DomainMismatchError, PreconditionError, ResourceLimitError
+from .errors import DomainMismatchError, PreconditionError, price
 from .reports import Verdict
 from .rings import (
     ElementSet,
@@ -234,12 +234,9 @@ def z_prime_bruteforce_grid(m, d_max, bound=None):
         raise PreconditionError(
             f"candidate sweep for m={m} over d <= {d_max}, x <= {bound} "
             f"computes in int64: each must be at most 2^63 - 1")
-    cells = _z_sweep_cells(m, d_max, bound)
-    if cells > closures.Z_SWEEP_CELL_LIMIT:
-        raise ResourceLimitError(
-            f"candidate sweep for m={m} over d <= {d_max}, x <= {bound} is "
-            f"priced at {cells} cells, beyond the limit of "
-            f"{closures.Z_SWEEP_CELL_LIMIT}")
+    price(f"the candidate sweep for m={m} over d <= {d_max}, x <= {bound}",
+          _z_sweep_cells(m, d_max, bound), closures.Z_SWEEP_CELL_LIMIT,
+          "cells")
     grid = closures.PAIR_GRID
     verdict = np.ones(d_max + 1, dtype=bool)
     for lo in range(0, d_max + 1, grid):

@@ -37,7 +37,7 @@ from .closures import (
     _image_rows,
     check_axioms,
 )
-from .errors import InvariantError, PreconditionError, ResourceLimitError
+from .errors import InvariantError, PreconditionError, price
 from .ideals import (
     ApproxIdeal,
     _z_shift_modulus,
@@ -63,6 +63,10 @@ from .rings import (
     whole_subgroup,
 )
 from .spectrum import spectrum
+
+# the most representative pairs (a, s), |R| |S| of them, that a finite
+# localization relates in its one pairs x pairs bool grid (16 MiB at 4096)
+LOCALIZATION_PAIR_LIMIT = 4096
 
 
 def _saturate(one, generators, mul, key=lambda y: y):
@@ -224,10 +228,8 @@ class LocalizedRing:
         m, m0 = self.modulus, self.m0
         s_lifts = self._sat_lifts()
         n_pairs = (2 * m + 1) * len(s_lifts)
-        if n_pairs ** 2 > LIST_PAIR_CELL_LIMIT:
-            raise ResourceLimitError(
-                f"the relation check's {n_pairs} pairs are priced at "
-                f"{n_pairs ** 2} cells, above the limit {LIST_PAIR_CELL_LIMIT}")
+        price(f"the relation check of {n_pairs} pairs by {n_pairs} pairs",
+              n_pairs ** 2, LIST_PAIR_CELL_LIMIT, "cells")
         pairs = [(a, s) for a in range(-m, m + 1) for s in s_lifts]
         a_m = np.array([a % m for a, _ in pairs], dtype=np.int64)
         s_m = np.array([s % m for _, s in pairs], dtype=np.int64)
@@ -298,12 +300,9 @@ class LocalizedRing:
         lat = subgroup_lattice(ring)
         sat = sorted(self.mult.saturation, key=sort_key)
         pairs = [(a, s) for a in lat.elems for s in sat]
-        limit = 4096
-        if len(pairs) > limit:
-            raise ResourceLimitError(
-                f"the localization of {ring} at {self.mult!r} has |R| |S| = "
-                f"{lat.n} x {len(sat)} = {len(pairs)} representative pairs, "
-                f"past the limit {limit}")
+        price(f"the localization of {ring} at {self.mult!r}, |R| |S| = "
+              f"{lat.n} x {len(sat)},", len(pairs), LOCALIZATION_PAIR_LIMIT,
+              "representative pairs")
         (cl0,) = lat.rows([self.base_cl.eval_mask(1 << lat.zero)])
         mul, n_pairs, ns = lat.act_table(), len(pairs), len(sat)
         s_idx = np.array([lat.index[s] for s in sat], dtype=np.intp)

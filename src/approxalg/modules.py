@@ -32,11 +32,7 @@ from .closures import (
     check_axioms_finite,
     ring_domain,
 )
-from .errors import (
-    DomainMismatchError,
-    PreconditionError,
-    ResourceLimitError,
-)
+from .errors import DomainMismatchError, PreconditionError, price
 from .ideals import is_approx_ideal
 from .reports import AxiomReport, Verdict
 from .rings import (
@@ -213,8 +209,8 @@ def check_cm_axioms(mod, cl, mode="auto", seed=0, count=500):
         mode = "exhaustive" if card <= closures.EXHAUSTIVE_ELEMENTS \
             else "sampled"
     if mode == "exhaustive":
-        if (1 << card) > closures.EXHAUSTIVE_SUBSET_CAP:
-            raise ResourceLimitError(f"2^{card} subsets exceed the cap")
+        price(f"exhaustive mode over the 2^{card} subsets of {mod}",
+              1 << card, closures.EXHAUSTIVE_SUBSET_CAP, "subsets")
         inner = AxiomReport(mode="exhaustive",
                             domain=f"all subsets of {mod}")
         check_axioms_finite(cl, module_domain(mod), inner)

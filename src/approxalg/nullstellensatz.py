@@ -13,7 +13,7 @@ import random
 
 from . import polynomials as poly
 from .closures import POINT_GUARD, _vanishing_functions
-from .errors import InvariantError, PreconditionError, ResourceLimitError
+from .errors import InvariantError, PreconditionError, price
 from .ideals import is_approx_prime
 from .localization import radical
 from .reports import Verdict
@@ -30,9 +30,8 @@ class Variety:
     """V(I): the common zero set, computed two ways that must agree."""
 
     def __init__(self, ring, ideal):
-        if ring.npoints > POINT_GUARD:
-            raise ResourceLimitError(
-                f"{ring.npoints} points exceed the guard {POINT_GUARD}")
+        price(f"the variety of an ideal of {ring}", ring.npoints,
+              POINT_GUARD, "points")
         self.ring = ring
         self.ideal = ideal
         by_generators = self._zeros(ideal.generators)

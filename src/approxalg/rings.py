@@ -44,7 +44,8 @@ from .errors import (
     DomainMismatchError,
     NotEnumerableError,
     PreconditionError,
-    ResourceLimitError,
+    figure,
+    price,
 )
 
 # the most work, in elements, ``_Lattice.subgroups`` may do: (Z/2)^6, the
@@ -420,10 +421,8 @@ class TableRing(Ring):
 def price_group_check(name, n):
     """Refuse an n-element ring whose group check would read its n^2
     add-table cells, past SUBGROUP_WORK_LIMIT, before they are built."""
-    if n * n > SUBGROUP_WORK_LIMIT:
-        raise ResourceLimitError(
-            f"the group check of {name} reads {n * n} cells of its "
-            f"add table, past the limit {SUBGROUP_WORK_LIMIT}")
+    price(f"the group check of {name} over its {n} x {n} add table", n * n,
+          SUBGROUP_WORK_LIMIT, "cells")
 
 
 # ---------------------------------------------------------------------------
@@ -847,10 +846,9 @@ class _Lattice:
                 grown, first, g = h, 0, (rest & -rest).bit_length() - 1
                 for k, coset in enumerate(self._cosets(h, g), 1):
                     if k >= most:  # H + <g> holds more than most cosets
-                        raise ResourceLimitError(
-                            f"subgroup enumeration of {self._struct()} "
-                            f"priced at {work + (most + 1) * size} elements "
-                            f"so far, past the limit {SUBGROUP_WORK_LIMIT}")
+                        price(f"subgroup enumeration of {self._struct()}",
+                              work + (most + 1) * size, SUBGROUP_WORK_LIMIT,
+                              "elements so far")
                     first, grown = first or coset, grown | coset
                 work += grown.bit_count()
                 rest &= ~first
@@ -1133,12 +1131,9 @@ def enumerate_subgroups(ring):
     if not ring.is_finite:
         raise NotEnumerableError(f"{ring} is not enumerable")
     n = ring.cardinality()
-    least = 2 * (n - 1) * math.isqrt(n)
-    if least > SUBGROUP_WORK_LIMIT:
-        raise ResourceLimitError(
-            f"subgroup enumeration of {ring} priced at no less than {least} "
-            f"elements (2(n - 1) sqrt(n) for n = {n}), past the limit "
-            f"{SUBGROUP_WORK_LIMIT}")
+    price(f"subgroup enumeration of {ring}, at least 2(n - 1) sqrt(n) for "
+          f"n = {figure(n)},", 2 * (n - 1) * math.isqrt(n),
+          SUBGROUP_WORK_LIMIT, "elements")
     lat = subgroup_lattice(ring)
     return [FiniteSubgroup.from_mask(ring, m) for m in lat.subgroups()]
 

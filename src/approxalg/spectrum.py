@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvariantError, PreconditionError, ResourceLimitError
+from .errors import InvariantError, PreconditionError, price
 from .ideals import (
     ApproxIdeal,
     _carrier,
@@ -217,12 +217,10 @@ def topology_check(spec, z_ideal_bound=120):
         f_pool = [*range(top + 1), *(p.d for p in spec.primes if p.d > top)]
     else:
         f_pool = sorted(spec.ring.elements(), key=sort_key)
-    cells = (len(pool) ** 2 + len(f_pool)) * (spec.ring.cardinality() or 1)
-    if cells > TOPOLOGY_CELL_LIMIT:
-        raise ResourceLimitError(
-            f"topology priced at {cells} cells (({len(pool)}^2 ideal pairs "
-            f"+ {len(f_pool)} basic opens) x |R|), past the limit "
-            f"{TOPOLOGY_CELL_LIMIT}")
+    price(f"the topology walk over ({len(pool)}^2 ideal pairs + "
+          f"{len(f_pool)} basic opens) x |R|",
+          (len(pool) ** 2 + len(f_pool)) * (spec.ring.cardinality() or 1),
+          TOPOLOGY_CELL_LIMIT, "cells")
     approx = [ApproxIdeal(a, spec.cl, check=False) for a in pool]
     # the pair loop meets few distinct I: cache V(I) by I's mask (or dZ)
     v_by_subgroup = {}

@@ -1,11 +1,20 @@
 import json
+import re
+import shlex
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from approxalg import ResidueRing, cli
+from approxalg import (
+    ResidueRing,
+    cli,
+    closures,
+    localization,
+    nullstellensatz,
+    rings,
+)
 from approxalg import spectrum as spectrum_module
 from approxalg.cli import build_parser, main
 from approxalg.closures import GeneratedIdealClosure, UnionFixedClosure
@@ -213,6 +222,71 @@ class TestExitCodes:
         assert code == 3
         assert "resource limit" in err
 
+    @pytest.mark.parametrize("request_, module, limit", [
+        ("axioms --ring Zn:17 --closure gen --mode exhaustive",
+         closures, "EXHAUSTIVE_SUBSET_CAP"),
+        ("axioms --ring Fun:p=2,n=2 --closure "
+         "sample:[{(0,0),(0,1),(1,0),(1,1)}] --mode exhaustive",
+         closures, "EXHAUSTIVE_ELEMENTS"),
+        ("axioms --ring Zn:128 --closure gen --mode sampled",
+         closures, "LIST_PAIR_CELL_LIMIT"),
+        ("spec --ring Z --closure shift:J=1000000007",
+         closures, "Z_SWEEP_CELL_LIMIT"),
+        ("spec --ring Zn:1000000007 --closure gen",
+         rings, "SUBGROUP_WORK_LIMIT"),
+        ("spec --ring Zn:1024 --closure gen", rings, "SUBGROUP_WORK_LIMIT"),
+        ("quotient --ring Zn:1025 --closure gen --ideal 0",
+         rings, "SUBGROUP_WORK_LIMIT"),
+        ("localize --ring Zn:4099 --closure gen --mult-set 1",
+         localization, "LOCALIZATION_PAIR_LIMIT"),
+        ("localize --ring Z --closure shift:J=1025 --mult-set 1",
+         rings, "SUBGROUP_WORK_LIMIT"),
+        ("localize --ring Z --closure shift:J=10000 --mult-set 1",
+         closures, "LIST_PAIR_CELL_LIMIT"),
+        ("nullstellensatz --ring Fun:p=2,n=13 --closure pointwise",
+         nullstellensatz, "POINT_GUARD"),
+        ("topology --ring prod:[Zn:2,Zn:2,Zn:2,Zn:2,Zn:2,Zn:2] --closure gen",
+         spectrum_module, "TOPOLOGY_CELL_LIMIT")])
+    def test_every_refusal_names_its_price_and_limit(
+            self, capsys, request_, module, limit):
+        """One request per guard the CLI reaches: exit 3, no report, and
+        one stderr line naming the amount against the module's constant."""
+        code, out, err = run(capsys, *shlex.split(request_))
+        assert code == 3 and out == ""
+        (line,) = err.splitlines()
+        got = re.fullmatch(r"resource limit: .+ priced at (\d+) .+, "
+                           r"past the limit (\d+)", line)
+        assert got, line
+        amount, stated = map(int, got.groups())
+        assert stated == getattr(module, limit) < amount
+
+    @pytest.mark.parametrize("request_, amount", [
+        ("axioms --ring Zn:20000 --closure gen --mode exhaustive",
+         "2^20000 subsets"),
+        ("spec --ring Fun:p=2,n=14 --closure gen",
+         "more than 2^24576 elements")])
+    def test_an_amount_past_any_decimal_is_named_by_its_order(
+            self, capsys, request_, amount):
+        """Python prints no int of more than 4300 digits: 2^20000 subsets,
+        or a lower bound over a ring of 2^16384 elements, are written by
+        their binary order, not raised as a ValueError."""
+        code, out, err = run(capsys, *shlex.split(request_))
+        assert code == 3 and out == ""
+        (line,) = err.splitlines()
+        assert f" priced at {amount}, past the limit " in line
+
+    def test_auto_mode_does_not_build_its_subset_count(self, capsys):
+        """2^64 elements: the choice of mode compares the ring size with the
+        cap's bit length, so no 2^(2^64) is built (a MemoryError), and the
+        subgroup mode's price refuses the ring."""
+        code, out, err = run(capsys, "axioms", "--ring", "Fun:p=2,n=6",
+                             "--closure", "gen")
+        assert code == 3 and out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("resource limit: subgroup enumeration of "
+                               "Fun:p=2,n=6, at least 2(n - 1) sqrt(n) for "
+                               "n = 18446744073709551616, priced at ")
+
     def test_topology_pair_walk_is_priced_before_it_starts(self, capsys):
         """(Z/2)^6 has 2825 approximate ideals under gen, 2825^2 x 64
         cells: refused once the pool is known, not walked for hours."""
@@ -256,7 +330,8 @@ class TestExitCodes:
         assert code == 3 and out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("resource limit:")
-        assert "priced at no less than" in lines[0]
+        assert re.search(r"at least 2\(n - 1\) sqrt\(n\) for n = \d+, "
+                         r"priced at \d+ elements, past the limit", lines[0])
         assert peak < 4 << 20
         assert time.perf_counter() - start < 2
 
@@ -265,8 +340,8 @@ class TestExitCodes:
                              "--closure", "gen", "--mult-set", "1")
         assert code == 3 and out == ""
         assert err == (
-            "resource limit: the localization of Zn:4099 at <1> has "
-            "|R| |S| = 4099 x 1 = 4099 representative pairs, past the limit "
+            "resource limit: the localization of Zn:4099 at <1>, |R| |S| = "
+            "4099 x 1, priced at 4099 representative pairs, past the limit "
             "4096\n")
 
     def test_failed_localization_reports_its_verdicts_and_stops(
@@ -305,8 +380,8 @@ class TestExitCodes:
         code, out, err = run(capsys, "quotient", "--ring", "Zn:1025",
                              "--closure", "gen", "--ideal", "0")
         assert code == 3 and out == ""
-        assert "reads 1050625 cells of its add table, past the limit " \
-            "1048576" in err
+        assert "over its 1025 x 1025 add table priced at 1050625 cells, past " \
+            "the limit 1048576" in err
 
     @pytest.mark.parametrize("ring, closure, model", [
         ("Zn:1025", "gen", "S^-1(Zn:1025)"),
@@ -316,8 +391,8 @@ class TestExitCodes:
         code, out, err = run(capsys, "localize", "--ring", ring,
                              "--closure", closure, "--mult-set", "1")
         assert code == 3 and out == ""
-        assert f"the group check of {model} reads 1050625 cells of its " \
-            "add table, past the limit 1048576" in err
+        assert f"the group check of {model} over its 1025 x 1025 add table " \
+            "priced at 1050625 cells, past the limit 1048576" in err
 
     @pytest.mark.parametrize("spec, message", [
         ('{"bad": 1', "malformed JSON: Expecting ',' delimiter at position 9: "

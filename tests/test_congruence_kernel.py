@@ -181,8 +181,8 @@ def test_guard_case_stays_small():
 def test_guard_refuses_more_pairs():
     ring = ResidueRing(128)
     with pytest.raises(ResourceLimitError,
-                       match=r"\|R\| \|S\| = 128 x 66 = 8448 representative "
-                             r"pairs, past the limit 4096"):
+                       match=r"\|R\| \|S\| = 128 x 66, priced at 8448 "
+                             r"representative pairs, past the limit 4096"):
         localize(ring, GeneratedIdealClosure(ring), mult_set(ring, [3, 2]))
 
 

@@ -147,8 +147,8 @@ def test_the_check_is_priced_at_its_cells(monkeypatch):
     monkeypatch.setattr(rings, "SUBGROUP_WORK_LIMIT", 8)
     ring = table_ring(*BROKEN["distributive"])
     with pytest.raises(ResourceLimitError,
-                       match="reads 9 cells of its add table, past the "
-                             "limit 8"):
+                       match="over its 3 x 3 add table priced at 9 cells, "
+                             "past the limit 8"):
         subgroup_generated(ring, [1])
 
 

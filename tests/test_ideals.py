@@ -521,5 +521,5 @@ class TestCandidateSweep:
     def test_guard_limit_is_one_constant(self, monkeypatch):
         assert ideals._z_sweep_cells(3000, 3000, 6000) < 30_000
         monkeypatch.setattr(closures, "Z_SWEEP_CELL_LIMIT", 10_000)
-        with pytest.raises(ResourceLimitError, match="limit of 10000"):
+        with pytest.raises(ResourceLimitError, match="past the limit 10000"):
             z_prime_bruteforce_grid(3000, 3000)

@@ -274,8 +274,8 @@ class TestSubgroupEnumeration:
         monkeypatch.setattr(rings, "_LATTICES", weakref.WeakKeyDictionary())
         ring = parse_ring(spec)
         with pytest.raises(ResourceLimitError, match=(
-                rf"priced at no less than \d+ elements .*past the limit "
-                rf"{rings.SUBGROUP_WORK_LIMIT}")):
+                rf"at least 2\(n - 1\) sqrt\(n\) for n = \d+, priced at "
+                rf"\d+ elements, past the limit {rings.SUBGROUP_WORK_LIMIT}")):
             enumerate_subgroups(ring)
         assert ring not in rings._LATTICES
 

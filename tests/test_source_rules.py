@@ -63,6 +63,27 @@ def test_finite_kernels_evaluate_closures_on_masks(path):
     assert not lines, f"{path.name}: call eval_mask instead, lines {lines}"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_price_refuses_work(path):
+    """``ResourceLimitError`` is constructed in the package only inside
+    ``errors.price``: every guard prices its work by that one call, so
+    every refusal reads "<what> priced at <amount> <unit>, past the limit
+    <limit>"."""
+    import ast
+
+    tree = ast.parse(path.read_text(), filename=str(path))
+    inside = {id(inner) for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name == "price"
+              and path.name == "errors.py"
+              for inner in ast.walk(node)}
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and "ResourceLimitError" in (getattr(node.func, "id", None),
+                                          getattr(node.func, "attr", None))]
+    sites = [node.lineno for node in calls if id(node) not in inside]
+    assert not sites, f"{path.name}: call errors.price instead, lines {sites}"
+    assert len(calls) == (path.name == "errors.py")
+
+
 LIMIT_KNOBS = {"guard", "subset_cap", "subset_limit", "f_pool"}
 
 

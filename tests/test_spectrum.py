@@ -200,8 +200,8 @@ class TestTopology:
         sp = spectrum(ring, GeneratedIdealClosure(ring))
         monkeypatch.setattr(spectrum_module, "TOPOLOGY_CELL_LIMIT", 1084)
         with pytest.raises(ResourceLimitError, match=(
-                r"topology priced at 1085 cells \(\(2\^2 ideal pairs \+ 31 "
-                r"basic opens\) x \|R\|\), past the limit 1084")):
+                r"topology walk over \(2\^2 ideal pairs \+ 31 basic opens\) "
+                r"x \|R\| priced at 1085 cells, past the limit 1084")):
             topology_check(sp)
         monkeypatch.setattr(spectrum_module, "TOPOLOGY_CELL_LIMIT", 1085)
         assert all(v.passed for v in topology_check(sp))
