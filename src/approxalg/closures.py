@@ -27,24 +27,25 @@ runs hold those masks in numpy arrays and tabulate it over every subset.
 A closure that declares a ``join`` (the span, shift, set-shift and union
 variants) is evaluated n + 1 times, on the empty set and on each
 singleton, and the table is filled by that join, one numpy pass per
-element (``FiniteDomain.closure_vector``); any other closure is evaluated
-once per subset.  The unary axioms are one sweep over that table; the pairwise
-axioms C2 and C4a are decided by exact reductions of the all-pairs domain
-(a superset meet for C2, and fiber-minimal subsets for C4a), proved in
+element (``FiniteDomain.closure_vector``); any other closure, a
+membership-only one included, is evaluated once per subset.  The unary
+axioms are one sweep over that table; the pairwise axioms C2 and C4a are
+decided by exact reductions of the all-pairs domain (a superset meet for
+C2, and fiber-minimal subsets for C4a), proved in
 ``check_axioms_finite``.  Their counterexamples are the first violating
 pair in row-major mask order; the C4a rows are walked in chunks that start
 at one row and double, so an early counterexample costs one small chunk.
 
 Every other finite domain is an explicit list of subsets: the subgroups,
-the classical ideals, seeded samples (plus every subgroup), all subsets
-for a membership-only closure, and sampled module checks.  The list engine
-(``_check_axioms_list``) turns each member into a bool row over the
-element order of ``rings.subgroup_lattice``, computes the closure once per
-distinct row (``_ClosureRows``: from the generator rows by the join where
-that saves evaluations, else by ``eval_mask``), and decides each axiom
-with a few numpy calls over those rows: scalar multiples come from the
-kernel's action rows and set-sums from its "add e_i" rows.  C1, C3, C4b
-and absorption report the first member that violates (C4b and absorption
+the classical ideals, seeded samples (plus every subgroup), and sampled
+module checks.  The list engine (``_check_axioms_list``) turns each
+member into a bool row over the element order of
+``rings.subgroup_lattice``, computes the closure once per distinct row
+(``_ClosureRows``: from the generator rows by the join where that saves
+evaluations, else by ``eval_mask``), and decides each axiom with a few
+numpy calls over those rows: scalar multiples come from the kernel's
+action rows and set-sums from its "add e_i" rows.  C1, C3, C4b and
+absorption report the first member that violates (C4b and absorption
 with the first scalar for that member); C2 and C4a report the first
 violating pair in row-major list order, walked in doubling chunks and
 priced up front (``LIST_PAIR_CELL_LIMIT``).  It builds no table over all
@@ -66,6 +67,7 @@ from .errors import (
     ClosureNotSetValuedError,
     DomainMismatchError,
     NotEnumerableError,
+    PowerOfTwo,
     PreconditionError,
     price,
 )
@@ -90,7 +92,8 @@ from .rings import (
 )
 
 EXHAUSTIVE_SUBSET_CAP = 1 << 16
-# the most elements for which the axiom and map checks walk every subset
+# the most elements for which auto mode checks a closure with no join on
+# every subset, and the map checks walk every nonempty subset
 EXHAUSTIVE_ELEMENTS = 12
 DEFAULT_Z_GEN_BOUND = 1000
 DEFAULT_Z_MULT_BOUND = 100
@@ -544,7 +547,7 @@ class FiniteDomain:
     def __init__(self, lattice):
         self.lat = lattice
         self.n = lattice.n
-        price(f"the mask tables of {self.n} elements", 1 << self.n,
+        price(f"the mask tables of {self.n} elements", PowerOfTwo(self.n),
               EXHAUSTIVE_SUBSET_CAP, "masks")
         self.nmasks = 1 << self.n
         self.zero_bit = np.int32(1 << lattice.zero)
@@ -966,13 +969,6 @@ def _price_list(rows, n):
           f"subsets", rows * rows * n, LIST_PAIR_CELL_LIMIT, "cells")
 
 
-def _combination_masks(n, least):
-    """Masks of the subsets of n elements with at least ``least`` members,
-    by size and then in ``itertools.combinations`` order."""
-    return [_mask(c) for r in range(least, n + 1)
-            for c in itertools.combinations(range(n), r)]
-
-
 def _sampled_masks(n, count, seed):
     """``count`` seeded random subsets of n elements as masks: a size drawn
     uniformly from 0..n, then that many distinct element indices."""
@@ -1355,25 +1351,29 @@ def check_axioms(cl, mode="auto", seed=DEFAULT_SEED, count=DEFAULT_SAMPLE_COUNT,
                  mult_bound=DEFAULT_Z_MULT_BOUND):
     """Verify C1-C4a, C4b, and subgroup absorption for a closure operator.
 
-    Modes: ``exhaustive`` (all subsets of a finite ring, at most
+    Modes: ``exhaustive`` (all subsets of a finite ring or module, at most
     EXHAUSTIVE_SUBSET_CAP), ``subgroups`` (all additive subgroups, as
     priced by ``rings.enumerate_subgroups``), ``ideals`` (the classical
-    ideal lattice), ``sampled`` (seeded random subsets), ``bounded``
-    (principal subgroups of Z up to gen_bound).  ``auto`` picks exhaustive
-    when feasible, otherwise subgroups for finite rings and bounded for Z.
+    ideal lattice), ``sampled`` (seeded random subsets), ``bounded`` (the
+    only mode over Z: principal subgroups up to gen_bound).  ``auto`` picks
+    exhaustive when the 2^n subsets are within the cap and, for a closure
+    with no ``declared_join`` (2^n evaluations, not n + 1), n is at most
+    EXHAUSTIVE_ELEMENTS; otherwise subgroups.  Any other mode is refused.
 
-    Set-valued exhaustive runs use the bitmask tables.  The subgroups,
-    ideals and sampled modes, and exhaustive runs of membership-only
-    closures, go through the list engine over the stated list, in its
-    order: subgroups and ideals by size and then by elements, a sample as
-    drawn and then every subgroup.  A unary axiom reports the first member
-    that violates it (for C4b and absorption, with the first scalar in
-    ``sort_key`` order); C2 and C4a report the first violating pair (A, B)
-    in row-major list order; a witness is the least element of the
+    Exhaustive runs use the bitmask tables (``check_axioms_finite``); the
+    other finite modes go through the list engine over the stated list, in
+    its order: subgroups and ideals by size and then by elements, a sample
+    as drawn and then every subgroup.  A unary axiom reports the first
+    member that violates it (for C4b and absorption, with the first scalar
+    in ``sort_key`` order); C2 and C4a report the first violating pair
+    (A, B) in row-major list order; a witness is the least element of the
     difference.  A walk over more than LIST_PAIR_CELL_LIMIT cells (list
     length squared times the ring size) raises ResourceLimitError before
     any subset is drawn.
     """
+    if mode not in ("auto", "exhaustive", "subgroups", "ideals", "sampled",
+                    "bounded"):
+        raise PreconditionError(f"unknown axiom-check mode {mode!r}")
     ring = cl.ring
     if isinstance(ring, IntPolyContext):
         raise PreconditionError(
@@ -1389,49 +1389,35 @@ def check_axioms(cl, mode="auto", seed=DEFAULT_SEED, count=DEFAULT_SAMPLE_COUNT,
             "model the instance in a residue product ring")
 
     card = ring.cardinality()
+    subsets = PowerOfTwo(card)
     if mode == "auto":
-        # 2^card <= the cap, with no 2^card built (2^32 bits for Fun:p=2,n=5)
-        feasible = card < EXHAUSTIVE_SUBSET_CAP.bit_length() \
-            if cl.set_valued else card <= EXHAUSTIVE_ELEMENTS
+        feasible = not subsets > EXHAUSTIVE_SUBSET_CAP and (
+            declared_join(cl) is not None or card <= EXHAUSTIVE_ELEMENTS)
         mode = "exhaustive" if feasible else "subgroups"
 
     if mode == "exhaustive":
         price(f"exhaustive mode over the 2^{card} subsets of {ring}",
-              1 << card, EXHAUSTIVE_SUBSET_CAP, "subsets")
+              subsets, EXHAUSTIVE_SUBSET_CAP, "subsets")
         report = AxiomReport(mode="exhaustive", domain=f"all subsets of {ring}")
-        if cl.set_valued:
-            dom = ring_domain(ring)
-            return check_axioms_finite(cl, dom, report)
-        # membership-only closures have no table: the list engine walks
-        # every pair of the 2^card subsets
-        price(f"exhaustive mode for a membership-only closure on {ring} "
-              f"(use subgroups/ideals/sampled)", card, EXHAUSTIVE_ELEMENTS,
-              "elements")
-        return _check_axioms_list(cl, ring, _combination_masks(card, 0),
-                                  report)
-
+        return check_axioms_finite(cl, ring_domain(ring), report)
     if mode == "subgroups":
-        subs = [s.mask for s in enumerate_subgroups(ring)]
+        masks = [s.mask for s in enumerate_subgroups(ring)]
         report = AxiomReport(mode="subgroups",
-                             domain=f"{len(subs)} additive subgroups of {ring}")
-        return _check_axioms_list(cl, ring, subs, report)
-
-    if mode == "ideals":
+                             domain=f"{len(masks)} additive subgroups of {ring}")
+    elif mode == "ideals":
         from .rings import classical_ideals
-        ideals = [i.canonical.mask for i in classical_ideals(ring)]
+        masks = [i.canonical.mask for i in classical_ideals(ring)]
         report = AxiomReport(mode="ideals",
-                             domain=f"{len(ideals)} classical ideals of {ring}")
-        return _check_axioms_list(cl, ring, ideals, report)
-
-    if mode == "sampled":
+                             domain=f"{len(masks)} classical ideals of {ring}")
+    elif mode == "sampled":
         subs = [s.mask for s in enumerate_subgroups(ring)]
         _price_list(count + len(subs), card)
-        subsets = _sampled_masks(card, count, seed) + subs
+        masks = _sampled_masks(card, count, seed) + subs
         report = AxiomReport(mode="sampled", seed=seed, count=count,
-                             domain=f"{len(subsets)} sampled subsets of {ring}")
-        return _check_axioms_list(cl, ring, subsets, report)
-
-    raise PreconditionError(f"unknown axiom-check mode {mode!r}")
+                             domain=f"{len(masks)} sampled subsets of {ring}")
+    else:
+        raise PreconditionError(f"unknown axiom-check mode {mode!r}")
+    return _check_axioms_list(cl, ring, masks, report)
 
 
 def replay_counterexample(cl, axiom, ce):
@@ -1483,10 +1469,13 @@ def _subsets_for(ring):
     set is empty versus {0}) and would dominate every compatibility
     verdict, contrary to the worked models."""
     n = ring.cardinality()
-    if n <= EXHAUSTIVE_ELEMENTS:
-        return _combination_masks(n, 1), f"nonempty subsets of {ring}"
-    subs = [s.mask for s in enumerate_subgroups(ring)]
-    return subs, f"additive subgroups of {ring}"
+    if n > EXHAUSTIVE_ELEMENTS:
+        subs = [s.mask for s in enumerate_subgroups(ring)]
+        return subs, f"additive subgroups of {ring}"
+    # by size, then in ``itertools.combinations`` order
+    masks = [_mask(c) for r in range(1, n + 1)
+             for c in itertools.combinations(range(n), r)]
+    return masks, f"nonempty subsets of {ring}"
 
 
 def closure_image_compatible(f, cl_src, cl_dst):

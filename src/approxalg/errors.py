@@ -29,16 +29,32 @@ class ResourceLimitError(ApproxAlgError):
 
 
 def price(what, amount, limit, unit):
-    """Raise ResourceLimitError when ``amount`` (an int, in ``unit``) is past
-    ``limit``; ``what`` names the work and the breakdown of its amount."""
+    """Raise ResourceLimitError when ``amount`` (an int or ``PowerOfTwo``,
+    in ``unit``) is past ``limit``; ``what`` names the work and the
+    breakdown of its amount."""
     if amount > limit:
         raise ResourceLimitError(f"{what} priced at {figure(amount)} {unit}, "
                                  f"past the limit {limit}")
 
 
+class PowerOfTwo:
+    """The amount 2^k, priced and figured by its exponent: the 2^k subsets
+    of a ring of k = 2^64 elements are no int Python can build."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def __gt__(self, limit):
+        # 2^k > limit >= 0 exactly when 2^k reaches 2^(limit's bit length)
+        return self.k >= limit.bit_length()
+
+
 def figure(n):
     """n in decimal, or past 256 bits by its binary order, "2^k" or "more
-    than 2^k" (Python prints no int of more than 4300 digits)."""
+    than 2^k" (Python prints no int of more than 4300 digits); 2^k given as
+    ``PowerOfTwo(k)`` is figured alike, without building it."""
+    if isinstance(n, PowerOfTwo):
+        return str(1 << n.k) if n.k < 256 else f"2^{n.k}"
     k = n.bit_length() - 1
     return str(n) if k < 256 else f"2^{k}" if n == 1 << k \
         else f"more than 2^{k}"

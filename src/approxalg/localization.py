@@ -24,7 +24,6 @@ import math
 import numpy as np
 
 from .closures import (
-    EXHAUSTIVE_ELEMENTS,
     LIST_GRID,
     LIST_PAIR_CELL_LIMIT,
     ClosureSpec,
@@ -473,11 +472,9 @@ def _require_model(loc):
 
 
 def check_transfer_axioms(loc, mode="auto", **kwargs):
-    """Axiom suite for the transferred closure on the localized classes."""
+    """Axiom suite for the transferred closure on the localized classes,
+    in ``check_axioms``'s modes."""
     _require_model(loc)
-    if mode == "auto":
-        mode = "exhaustive" if loc.class_count() <= EXHAUSTIVE_ELEMENTS \
-            else "subgroups"
     return check_axioms(loc.transferred, mode=mode, **kwargs)
 
 

@@ -124,6 +124,28 @@ class TestChecks:
         assert code == 0
         assert "[pass] CM4" in out
 
+    def test_modules_quotient_under_setshift(self, capsys):
+        """Z/12 by N = <4> under X + <6>: cl(N) = <4> + <6> = <2>, so two
+        classes, and addition and the action ignore the representative."""
+        doc = {"module": {"scalars": "Z", "orders": [12]},
+               "closure": {"name": "setshift", "shift": [[6]]},
+               "check": "quotient", "N": [[4]]}
+        code, out, _ = run(capsys, "modules", "--spec", json.dumps(doc))
+        assert code == 0
+        assert "classes: 2" in out
+        assert out.count("[pass]") == 3 and "[FAIL]" not in out
+
+    def test_membership_only_closure_exhaustively(self, capsys):
+        """A sampling closure has no set evaluation for the caller, but the
+        exhaustive engine tabulates it like any closure without a join:
+        all 2^16 subsets of Fun:p=2,n=2."""
+        code, out, _ = run(capsys, "axioms", "--ring", "Fun:p=2,n=2",
+                           "--closure", "sample:[{(0,0),(0,1),(1,0),(1,1)}]",
+                           "--mode", "exhaustive")
+        assert code == 0
+        assert "domain: all subsets of Fun:p=2,n=2" in out
+        assert out.count("[pass]") == 6
+
     def test_modules_inline_spec(self, capsys):
         doc = {"module": {"scalars": "Z", "orders": [24]},
                "closure": {"name": "gen"}, "check": "iso3",
@@ -225,9 +247,6 @@ class TestExitCodes:
     @pytest.mark.parametrize("request_, module, limit", [
         ("axioms --ring Zn:17 --closure gen --mode exhaustive",
          closures, "EXHAUSTIVE_SUBSET_CAP"),
-        ("axioms --ring Fun:p=2,n=2 --closure "
-         "sample:[{(0,0),(0,1),(1,0),(1,1)}] --mode exhaustive",
-         closures, "EXHAUSTIVE_ELEMENTS"),
         ("axioms --ring Zn:128 --closure gen --mode sampled",
          closures, "LIST_PAIR_CELL_LIMIT"),
         ("spec --ring Z --closure shift:J=1000000007",
@@ -264,12 +283,21 @@ class TestExitCodes:
         ("axioms --ring Zn:20000 --closure gen --mode exhaustive",
          "2^20000 subsets"),
         ("spec --ring Fun:p=2,n=14 --closure gen",
-         "more than 2^24576 elements")])
+         "more than 2^24576 elements"),
+        ("axioms --ring Fun:p=2,n=6 --closure gen --mode exhaustive",
+         "2^18446744073709551616 subsets"),
+        ("modules --spec '" + json.dumps(
+            {"module": {"scalars": "Z", "orders": [4] * 34},
+             "mode": "exhaustive"}) + "'",
+         "2^295147905179352825856 subsets")])
     def test_an_amount_past_any_decimal_is_named_by_its_order(
             self, capsys, request_, amount):
         """Python prints no int of more than 4300 digits: 2^20000 subsets,
         or a lower bound over a ring of 2^16384 elements, are written by
-        their binary order, not raised as a ValueError."""
+        their binary order, not raised as a ValueError.  The subsets of an
+        exhaustive check are priced by their exponent, so 2^(2^64) subsets
+        of Fun:p=2,n=6, or 2^(4^34) of a module, are refused without being
+        built (a MemoryError or an OverflowError)."""
         code, out, err = run(capsys, *shlex.split(request_))
         assert code == 3 and out == ""
         (line,) = err.splitlines()
@@ -412,6 +440,16 @@ class TestExitCodes:
         lines = err.splitlines()
         assert len(lines) == 1 and "malformed JSON" in lines[0]
         assert "at position 44" in lines[0] and "Traceback" not in err
+
+    @pytest.mark.parametrize("mode", ["bogus", "bounded"])
+    def test_module_mode_outside_the_five_is_usage_error(self, capsys, mode):
+        """``modules`` takes auto, exhaustive, subgroups, ideals and
+        sampled; any other mode is refused, not run as sampled."""
+        doc = {"module": {"scalars": "Z", "orders": [4]}, "mode": mode}
+        code, _, err = run(capsys, "modules", "--spec", json.dumps(doc))
+        assert code == 2
+        assert err.splitlines() == [
+            f"error: unknown axiom-check mode {mode!r}"]
 
     def test_truncated_scenario_file_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "suite.json"

@@ -25,9 +25,10 @@ from approxalg import (
     ideal_generated,
     replay_counterexample,
 )
+from approxalg.closures import ClosureSpec
 from approxalg.errors import DomainMismatchError
 from approxalg.homs import identity_hom, reduction_hom, table_hom
-from approxalg.rings import FunctionRing, PrincipalSubgroup
+from approxalg.rings import FunctionRing, PrincipalSubgroup, subgroup_lattice
 
 Z12 = ResidueRing(12)
 Z2Z2 = ProductRing([ResidueRing(2), ResidueRing(2)])
@@ -144,6 +145,28 @@ class TestCheckAxioms:
         fails_b = [(v.name, str(v.counterexample)) for v in b.failed()]
         assert fails_a == fails_b
 
+    def test_unknown_mode_is_refused_before_the_ring_is_read(self):
+        for cl in (GeneratedIdealClosure(Z), GeneratedIdealClosure(Z12)):
+            with pytest.raises(PreconditionError,
+                               match="unknown axiom-check mode 'bogus'"):
+                check_axioms(cl, mode="bogus")
+
+    @pytest.mark.parametrize("cl, mode", [
+        (GeneratedIdealClosure(ResidueRing(16)), "exhaustive"),
+        (UnionFixedClosure(ResidueRing(16), [1]), "exhaustive"),
+        (PointwiseClosure(FunctionRing(2, 2)), "subgroups"),
+        (SamplingClosure(FunctionRing(2, 2), [FunctionRing(2, 2).points]),
+         "subgroups"),
+        (SamplingClosure(FunctionRing(2, 1), [FunctionRing(2, 1).points]),
+         "exhaustive")],
+        ids=["gen-Z16", "union-fixed-Z16", "pointwise-Fun22", "sample-Fun22",
+             "sample-Fun21"])
+    def test_auto_mode_is_keyed_on_the_join(self, cl, mode):
+        """Auto mode is exhaustive up to 2^16 subsets for a closure with a
+        join (n + 1 evaluations fill its table), and up to 12 elements for
+        one without (2^n evaluations), a membership-only one included."""
+        assert check_axioms(cl).mode == mode
+
     def test_exhaustive_cap_raises(self):
         big = ResidueRing(40)
         with pytest.raises(ResourceLimitError):
@@ -256,3 +279,40 @@ class TestToleranceBasics:
     def test_negative_tolerance_rejected(self):
         with pytest.raises(PreconditionError):
             ToleranceClosure(1, [(0,)], [-1])
+
+
+class _RuleClosure(ClosureSpec):
+    """A closure with no join, given by ``rule(lattice, mask)``."""
+
+    name = "rule"
+
+    def __init__(self, ring, rule):
+        super().__init__(ring)
+        self.rule = rule
+
+    def eval_mask(self, mask):
+        return self.rule(subgroup_lattice(self.ring), mask)
+
+
+Z6 = ResidueRing(6)
+# cl(A) = {0} (not extensive); cl of a singleton is the ring, else A (not
+# monotone); cl(A) = A | (A + 1) (not idempotent).  Each fails one of
+# C1-C3, and a tampered counterexample names a pair or set where it holds.
+REPLAYED = [
+    ("C1", lambda lat, m: 1 << lat.zero, {"A": [0]}),
+    ("C2", lambda lat, m: (1 << lat.n) - 1 if bin(m).count("1") == 1 else m,
+     {"B": list(range(6))}),
+    ("C3", lambda lat, m: lat.setsum(m, lat.mask({0, 1})), {"A": []}),
+]
+
+
+@pytest.mark.parametrize("axiom, rule, tamper", REPLAYED,
+                         ids=[r[0] for r in REPLAYED])
+@pytest.mark.parametrize("mode", ["exhaustive", "subgroups", "sampled"])
+def test_c1_to_c3_counterexamples_replay(axiom, rule, tamper, mode):
+    cl = _RuleClosure(Z6, rule)
+    rep = check_axioms(cl, mode=mode, count=40)
+    ce = rep.verdicts[axiom].counterexample
+    assert ce is not None, rep.to_text()
+    assert replay_counterexample(cl, axiom, ce)
+    assert not replay_counterexample(cl, axiom, dict(ce, **tamper))

@@ -162,7 +162,6 @@ def oracle_cases():
 def test_reduced_pairwise_domains_match_all_pairs(run, monkeypatch):
     reduced = run().to_dict()
     monkeypatch.setattr(closures, "check_axioms_finite", all_pairs_check)
-    monkeypatch.setattr(modules, "check_axioms_finite", all_pairs_check)
     assert reduced == run().to_dict()
 
 

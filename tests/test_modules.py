@@ -2,6 +2,7 @@ import pytest
 from lattice_oracle import generator_sets, naive_lattice, naive_span
 
 from approxalg import DomainMismatchError, PreconditionError, ResidueRing, Z
+from approxalg.closures import check_axioms
 from approxalg.modules import (
     SAMPLED_PAIR_SUBSETS,
     GeneratedSubmoduleClosure,
@@ -139,6 +140,52 @@ class TestCMAxioms:
             f"{count + n_sub} sampled subsets of {m6}; "
             f"C2 and C4a on pairs of the first {SAMPLED_PAIR_SUBSETS}")
         assert rep.all_pass(), rep.to_text()
+
+
+    @pytest.mark.parametrize("orders, make", [
+        ([12], lambda m: SubmoduleShiftClosure(m, [(6,)])),
+        ([12], lambda m: ModuleUnionFixedClosure(m, [(1,)])),
+        ([2, 4], lambda m: ModuleSetShiftClosure(m, [(0, 2)])),
+        ([2, 4], lambda m: ModuleUnionFixedClosure(m, [(1, 1)]))],
+        ids=["shift-12", "union-fixed-12", "setshift-2x4", "union-fixed-2x4"])
+    def test_exhaustive_mode_renames_check_axioms(self, orders, make):
+        """CM1-CM3 are C1-C3 and CM4 is C4a and then C4b, with the report
+        ``check_axioms`` gives the same closure."""
+        mod = finite_module(Z, orders)
+        cl = make(mod)
+        inner = check_axioms(cl, mode="exhaustive")
+        rep = check_cm_axioms(mod, cl, mode="exhaustive")
+        assert (rep.mode, rep.domain) == (inner.mode, inner.domain)
+        for name, part in [("CM1", "C1"), ("CM2", "C2"), ("CM3", "C3"),
+                           ("absorption", "absorption")]:
+            got, want = rep.verdicts[name], inner.verdicts[part]
+            assert (got.passed, got.counterexample) == \
+                (want.passed, want.counterexample)
+        c4a, c4b = inner.verdicts["C4a"], inner.verdicts["C4b"]
+        first = c4a if not c4a.passed else c4b
+        assert rep.verdicts["CM4"].passed == (c4a.passed and c4b.passed)
+        assert rep.verdicts["CM4"].counterexample == first.counterexample
+
+    def test_other_modes_are_check_axioms_modes(self):
+        """Subgroups mode runs the subgroup list, not a sample, and a mode
+        ``check_axioms`` does not know is refused."""
+        m4 = finite_module(Z, [4])
+        cl = GeneratedSubmoduleClosure(m4)
+        rep = check_cm_axioms(m4, cl, mode="subgroups")
+        assert (rep.mode, rep.domain) == (
+            "subgroups", "3 additive subgroups of mod:Z:[4]")
+        assert rep.all_pass(), rep.to_text()
+        with pytest.raises(PreconditionError,
+                           match="unknown axiom-check mode 'bogus'"):
+            check_cm_axioms(m4, cl, mode="bogus")
+
+    @pytest.mark.parametrize("mode", ["auto", "exhaustive", "sampled"])
+    def test_closure_on_another_module_is_refused(self, mode):
+        """A closure on Z/8 is no closure on Z/4: it was read on Z/4's
+        subsets (all passing) or past their end (an IndexError)."""
+        with pytest.raises(DomainMismatchError):
+            check_cm_axioms(finite_module(Z, [4]),
+                            GeneratedSubmoduleClosure(M8), mode=mode)
 
 
 class TestSubmodules:
