@@ -1416,7 +1416,9 @@ def check_axioms(cl, mode="auto", seed=DEFAULT_SEED, count=DEFAULT_SAMPLE_COUNT,
         report = AxiomReport(mode="sampled", seed=seed, count=count,
                              domain=f"{len(masks)} sampled subsets of {ring}")
     else:
-        raise PreconditionError(f"unknown axiom-check mode {mode!r}")
+        raise PreconditionError(
+            f"bounded mode is for Z only, and {ring} is finite: use "
+            f"exhaustive, subgroups, ideals or sampled")
     return _check_axioms_list(cl, ring, masks, report)
 
 

@@ -206,8 +206,11 @@ def check_cm_axioms(mod, cl, mode="auto", seed=0, count=500):
     then C4b); absorption reports which subgroups are absorbed.  Auto mode
     is exhaustive up to EXHAUSTIVE_ELEMENTS elements and sampled past them:
     ``count`` seeded subsets and then every submodule, C2 and C4a on pairs
-    of the first SAMPLED_PAIR_SUBSETS.  Every other mode is
-    ``check_axioms``'s."""
+    of the first SAMPLED_PAIR_SUBSETS.  Exhaustive, subgroups and ideals
+    are ``check_axioms``'s; Z's bounded mode is no module mode, and is
+    refused as unknown with every other."""
+    if mode not in ("auto", "exhaustive", "subgroups", "ideals", "sampled"):
+        raise PreconditionError(f"unknown axiom-check mode {mode!r}")
     if cl.ring != mod:
         raise DomainMismatchError(f"{cl!r} is not a closure on {mod}")
     card = mod.cardinality()

@@ -151,6 +151,12 @@ class TestCheckAxioms:
                                match="unknown axiom-check mode 'bogus'"):
                 check_axioms(cl, mode="bogus")
 
+    def test_bounded_mode_is_refused_over_a_finite_ring_as_known(self):
+        with pytest.raises(PreconditionError, match=(
+                r"^bounded mode is for Z only, and Zn:6 is finite: use "
+                r"exhaustive, subgroups, ideals or sampled$")):
+            check_axioms(GeneratedIdealClosure(ResidueRing(6)), mode="bounded")
+
     @pytest.mark.parametrize("cl, mode", [
         (GeneratedIdealClosure(ResidueRing(16)), "exhaustive"),
         (UnionFixedClosure(ResidueRing(16), [1]), "exhaustive"),

@@ -6,6 +6,7 @@ of Z against those of Z/N: every spectrum for N <= 120, and on a subset
 the V-sets and the extension-contraction bijection of S = <s>."""
 
 import pytest
+from axiom_oracle import Doubling, ImpliedElement, SmallSetsFill, TopSwitch
 from lattice_oracle import small_rings
 from localization_oracle import z_radical_cycle_walk
 from topology_oracle import topology_check as oracle_topology_check
@@ -17,7 +18,7 @@ from approxalg.closures import (
     SetShiftClosure,
     UnionFixedClosure,
 )
-from approxalg.grammar import parse_closure
+from approxalg.grammar import parse_closure, parse_ring
 from approxalg.localization import (
     check_ext_contr_bijection,
     check_rad_eq_nil,
@@ -29,8 +30,10 @@ from approxalg.rings import (
     FunctionRing,
     ResidueRing,
     Z,
+    classical_ideals,
     ideal_generated,
     prime_factors,
+    sort_key,
     subgroup_generated,
 )
 from approxalg.spectrum import spectrum, topology_check, v_set
@@ -68,6 +71,28 @@ class TestTopologyAgainstOracle:
         if isinstance(ring, FunctionRing):
             closures.append(PointwiseClosure(ring))
         for cl in closures:
+            same_topology(spectrum(ring, cl), 120)
+
+    @pytest.mark.parametrize("spec", [
+        "Zn:6", "Zn:8", "Zn:12", "prod:[Zn:2,Zn:2,Zn:2]", "prod:[Zn:2,Zn:4]",
+        "GF:2/x^3", "prod:[Zn:2,Zn:2,Zn:2,Zn:2]"])
+    def test_non_axiomatic_closures(self, spec):
+        """Operators that break the axioms also break the laws: the walk
+        over pairs i <= j and span classes must report the ordered walk's
+        first counterexamples, not only its passes.  The Horn rule's premise
+        is the least nonzero ideal; it implies, unless the next holds, the
+        least element outside.  Of the 35 structures, 10 fail the
+        intersection law and 10 the union law."""
+        ring = parse_ring(spec)
+        nonzero = [e for e in sorted(ring.elements(), key=sort_key)
+                   if e != ring.zero]
+        premise = [e for e in classical_ideals(ring)[1].canonical.values
+                   if e != ring.zero]
+        implied, unless = [e for e in nonzero if e not in premise][:2]
+        for cl in (TopSwitch(ring, nonzero[len(nonzero) // 2]),
+                   SmallSetsFill(ring), Doubling(ring),
+                   ImpliedElement(ring, premise, implied),
+                   ImpliedElement(ring, premise, implied, unless)):
             same_topology(spectrum(ring, cl), 120)
 
 

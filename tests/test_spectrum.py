@@ -187,23 +187,49 @@ class TestTopology:
         byname = {v.name: v for v in topology_check(sp)}
         law = byname["intersection-law"]
         assert law.passed and law.mode == "8 ideals, all pairs and triples"
-        # every ordered pair, then each triple as (I + J) + K
-        pairs = list(itertools.product(pool, repeat=2))
-        assert summed[:64] == pairs
-        assert len(summed) == 64 + 2 * 56
-        assert all(pair in summed for pair in differ)
+        # every unordered pair I <= J in pool order, then each triple as
+        # (I + J) + K: I + J = J + I, so the walk sums each pair once
+        pairs = list(itertools.combinations_with_replacement(pool, 2))
+        assert summed[:36] == pairs
+        assert len(summed) == 36 + 2 * 56
+        assert all(pair in summed or pair[::-1] in summed for pair in differ)
+
+    def test_union_law_closes_one_product_per_pair_of_spans(
+            self, monkeypatch):
+        """(Z/2)^4 under gen: its 67 subgroups are all approximate ideals
+        and span 16 ideals, so at most 16 * 17 / 2 = 136 products are
+        closed, against 2278 unordered and 4489 ordered pairs."""
+        ring = ProductRing([ResidueRing(2)] * 4)
+        sp = spectrum(ring, GeneratedIdealClosure(ring))
+        pool = spectrum_module._ideal_pool(sp, 120)
+        lat = rings.subgroup_lattice(ring)
+        assert len(pool) == 67
+        assert len({lat.span(a.mask) for a in pool}) == 16
+        calls = []
+        product = spectrum_module.approx_product
+
+        def spy(a, b):
+            calls.append((a, b))
+            return product(a, b)
+
+        monkeypatch.setattr(spectrum_module, "approx_product", spy)
+        byname = {v.name: v for v in topology_check(sp)}
+        assert byname["union-law"].passed
+        assert byname["union-law"].mode == "67 ideals, all pairs"
+        assert 0 < len(calls) <= 136
 
     def test_basic_opens_are_priced_with_the_pairs(self, monkeypatch):
-        """Z/31 under gen: 2 ideals and 31 basic opens, (2^2 + 31) x 31 =
-        1085 cells; the pairs alone would be 124."""
+        """Z/31 under gen: 2 ideals, so 3 unordered pairs, and 31 basic
+        opens, (3 + 31) x 31 = 1054 cells; the pairs alone would be 93."""
         ring = ResidueRing(31)
         sp = spectrum(ring, GeneratedIdealClosure(ring))
-        monkeypatch.setattr(spectrum_module, "TOPOLOGY_CELL_LIMIT", 1084)
+        monkeypatch.setattr(spectrum_module, "TOPOLOGY_CELL_LIMIT", 1053)
         with pytest.raises(ResourceLimitError, match=(
-                r"topology walk over \(2\^2 ideal pairs \+ 31 basic opens\) "
-                r"x \|R\| priced at 1085 cells, past the limit 1084")):
+                r"topology walk over \(3 unordered pairs of 2 ideals \+ 31 "
+                r"basic opens\) x \|R\| priced at 1054 cells, past the limit "
+                r"1053")):
             topology_check(sp)
-        monkeypatch.setattr(spectrum_module, "TOPOLOGY_CELL_LIMIT", 1085)
+        monkeypatch.setattr(spectrum_module, "TOPOLOGY_CELL_LIMIT", 1054)
         assert all(v.passed for v in topology_check(sp))
 
     def test_spectrum_and_topology_walk_the_lattice_once(self, monkeypatch):

@@ -17,6 +17,7 @@ import pathlib
 from types import SimpleNamespace
 
 import pytest
+from axiom_oracle import SmallSetsFill
 from test_congruence_kernel import closure
 from test_map_kernel import ThirdIdealClosure
 from test_transport_kernel import Doubling
@@ -138,9 +139,9 @@ def cm_axioms(orders, make):
                 .verdicts.values())
 
 
-def topology(spec, cl=None):
+def topology(spec, make=ThirdIdealClosure):
     ring = parse_ring(spec)
-    return topology_check(spectrum(ring, cl or ThirdIdealClosure(ring)))
+    return topology_check(spectrum(ring, make(ring)))
 
 
 def localization(spec, kind, s):
@@ -284,6 +285,11 @@ CASES = {
     "evaluation-separation": lambda mp, tmp: esep_third(),
     "point-ideals-prime-and-closed": lambda mp, tmp: total_shift_pp(),
     "intersection-law": lambda mp, tmp: topology("Zn:12"),
+    # I = {0}, J = {0, 2}: V(IJ) = [], as cl({0}) is the whole ring
+    "union-law": lambda mp, tmp: topology("Zn:4", SmallSetsFill),
+    "V(0)-is-whole-space": lambda mp, tmp: topology("Zn:4", SmallSetsFill),
+    # P = {0, 3} and Q = {0, 2, 4} lie in the same basic opens
+    "T0": lambda mp, tmp: topology("Zn:6", SmallSetsFill),
     "V(R)-is-empty": lambda mp, tmp: topology("Zn:2"),
     "quasi-compact": lambda mp, tmp: topology("Zn:2"),
     "T1": lambda mp, tmp: topology_check(
@@ -328,12 +334,9 @@ NO_FAILING_CASE = {
     "tolerance-balanced-rule": "the balanced rule of the tolerance "
     "closure holds by its definition (|r a| tau = |r| |a| tau); no case "
     "of its grid failed",
-    "union-law": "no instance failed on Z/2..Z/12 and three products "
-    "under the four ring closures and five non-axiomatic ones",
-    "V(0)-is-whole-space": "as union-law",
-    "T0": "as union-law",
-    "T1-criterion-agreement": "as union-law; the two computations of T1 "
-    "are both read off the same closed points",
+    "T1-criterion-agreement": "no instance failed on Z/2..Z/12 and three "
+    "products under the four ring closures and five non-axiomatic ones; "
+    "the two computations of T1 are both read off the same closed points",
 }
 
 
