@@ -214,7 +214,8 @@ def cmd_topology(args, report):
     cl = parse_closure(ring, args.closure)
     sp = spectrum(ring, cl, z_bound=args.bound)
     report.add_extra("primes", sp.labels())
-    for v in topology_check(sp, z_ideal_bound=args.bound or 120):
+    bound = 120 if args.bound is None else args.bound
+    for v in topology_check(sp, z_ideal_bound=bound):
         report.add_verdict(v)
 
 

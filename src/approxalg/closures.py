@@ -33,8 +33,8 @@ axioms are one sweep over that table; the pairwise axioms C2 and C4a are
 decided by exact reductions of the all-pairs domain (a superset meet for
 C2, and fiber-minimal subsets for C4a), proved in
 ``check_axioms_finite``.  Their counterexamples are the first violating
-pair in row-major mask order; the C4a rows are walked in chunks that start
-at one row and double, so an early counterexample costs one small chunk.
+pair in row-major mask order, walked by ``_first_break`` like the other
+chunked counterexample searches of the package.
 
 Every other finite domain is an explicit list of subsets: the subgroups,
 the classical ideals, seeded samples (plus every subgroup), and sampled
@@ -47,7 +47,7 @@ numpy calls over those rows: scalar multiples come from the kernel's
 action rows and set-sums from its "add e_i" rows.  C1, C3, C4b and
 absorption report the first member that violates (C4b and absorption
 with the first scalar for that member); C2 and C4a report the first
-violating pair in row-major list order, walked in doubling chunks and
+violating pair in row-major list order, walked by ``_first_break`` and
 priced up front (``LIST_PAIR_CELL_LIMIT``).  It builds no table over all
 2^n subsets.
 """
@@ -102,15 +102,12 @@ DEFAULT_SAMPLE_COUNT = 2000
 DEFAULT_SEED = int.from_bytes(b"A1GEBRA", "big")
 
 POINT_GUARD = 4096
-# pairs per chunk of the exhaustive engine's C4a grid, and cells per block
-# of the integer candidate sweep (ideals.z_prime_bruteforce_grid)
-PAIR_GRID = 1 << 20
 # the most cells the integer candidate sweep may be priced at
 Z_SWEEP_CELL_LIMIT = 1 << 26
-# cells per chunk of the list engine's walks (a chunk's largest arrays are
-# float32 and float64 over its cells, and a join's matrices in
-# ``_ClosureRows`` are float32 over at most this many), and the most cells
-# (pairs times elements) its pair walk may be priced at
+# cells per chunk of every row walk (``_chunks``, and the blocks of the
+# integer candidate sweep; a join's matrices in ``_ClosureRows`` are
+# float32 over at most this many), and the most cells (pairs times
+# elements) the list engine's pair walk may be priced at
 LIST_GRID = 1 << 18
 LIST_PAIR_CELL_LIMIT = 1 << 28
 
@@ -658,11 +655,9 @@ def check_axioms_finite(cl, dom, report):
     applies to B.  So both members of the first violation are minimal, it
     is the first violation among minimal pairs, and none exists among them
     when none exists at all.  When C2 fails the argument does not apply,
-    and the domain is every subset.  Rows are walked in order, in chunks
-    that start at one row and double up to about PAIR_GRID pairs, stopping
-    at the first chunk with a violation: a violation in an early row (the
-    union operators fail at the empty pair) costs one small chunk, not a
-    full grid.
+    and the domain is every subset.  The rows are walked by
+    ``_first_break``, so a violation in an early row (the union operators
+    fail at the empty pair) costs one small chunk, not a full grid.
     """
     clv = dom.closure_vector(cl)
     masks = dom.masks
@@ -763,22 +758,19 @@ def check_axioms_finite(cl, dom, report):
         pool = masks[~redundant]
     else:
         pool = masks
-    c4a_ce = None
     cl_pool = clv[pool]
-    max_rows = max(1, PAIR_GRID // len(pool))
-    start, rows = 0, 1
-    while start < len(pool):
-        a_row = pool[start:start + rows]
-        lhs = dom.setsum_vec(cl_pool[start:start + rows, None], cl_pool[None, :])
-        rhs = clv[dom.pair_setsum_aug(a_row, pool)]
-        pos = _first_violation((lhs & ~rhs) != 0)
-        if pos is not None:
-            i, j = pos
-            c4a_ce = {"A": listed(a_row[i]), "B": listed(pool[j]),
-                      "witness": least(lhs[i, j] & ~rhs[i, j])}
-            break
-        start += rows
-        rows = min(2 * rows, max_rows)
+
+    def c4a_bad(a):
+        lhs = dom.setsum_vec(clv[a][:, None], cl_pool[None, :])
+        return (lhs & ~clv[dom.pair_setsum_aug(a, pool)]) != 0
+
+    c4a_ce = None
+    (hit,) = _first_break(pool, len(pool), c4a_bad)
+    if hit is not None:
+        a, b, z = hit[0], int(pool[hit[1]]), int(dom.zero_bit)
+        gap = lat.setsum(int(clv[a]), int(clv[b])) \
+            & ~int(clv[lat.setsum(a | z, b | z)])
+        c4a_ce = {"A": listed(a), "B": listed(b), "witness": least(gap)}
 
     report.record("C2", c2_ce is None, c2_ce)
     report.record("C4a", c4a_ce is None, c4a_ce)
@@ -803,28 +795,13 @@ def ring_domain(ring):
 # the list engine: the axioms over an explicit list of subsets
 
 
-def _first_cell_break(cells, rows, allowed=None):
-    """The first (x, c) over ``rows`` and columns, row-major, where got !=
-    want or, given a bool matrix ``allowed``, not allowed[want, got]; or
-    None.  ``cells(x)`` gives (got, want), index arrays [len(x), C], for
-    the rows x, which are taken in chunks of LIST_GRID cells."""
-    rows = np.asarray(rows, dtype=np.intp)
-    for lo, hi in _chunks(len(rows), cells(rows[:1])[0].shape[1]):
-        x = rows[lo:hi]
-        got, want = cells(x)
-        pos = _first_violation(got != want if allowed is None
-                               else ~allowed[want, got])
-        if pos is not None:
-            return int(x[pos[0]]), pos[1]
-    return None
-
-
 def _first_label_break(labels, table, rows):
-    """The first (x, c), row-major, with labels[T[x, c]] !=
+    """The first (x, c), row-major over ``rows``, with labels[T[x, c]] !=
     labels[T[labels[x], c]] (an operation that depends on the class
-    representative), or None; ``table(x)`` gives the rows T[x]."""
-    return _first_cell_break(
-        lambda x: (labels[table(x)], labels[table(labels[x])]), rows)
+    representative), or None; ``table(x)`` gives the rows T[x], taken as
+    rows of len(labels) cells to size the chunks."""
+    return _first_break(rows, len(labels), lambda x:
+                        labels[table(x)] != labels[table(labels[x])])[0]
 
 
 def _index_map(src, dst, fn):
@@ -951,13 +928,14 @@ def _first_hom_break(src, dst, img, allowed=None):
         cols = np.arange(2 * len(order)).reshape(2, -1).T.ravel()
     operands = [("+", s.elems[y]) for y in order] + [("*", r) for r in scalars]
 
-    def cells(x):
+    def bad(x):
         got = np.hstack([s.add_table[x][:, order], act_s[:, x].T])
         want = np.hstack([d.add_table[img[x]][:, img[order]],
                           act_d[:, img[x]].T])
-        return img[got[:, cols]], want[:, cols]
+        got, want = img[got[:, cols]], want[:, cols]
+        return got != want if allowed is None else ~allowed[want, got]
 
-    hit = _first_cell_break(cells, order, allowed)
+    (hit,) = _first_break(order, len(cols), bad)
     return None if hit is None else (s.elems[hit[0]], *operands[cols[hit[1]]])
 
 
@@ -1164,6 +1142,27 @@ def _chunks(total, row_cells):
         rows = min(2 * rows, cap)
 
 
+def _first_break(rows, row_cells, *bads):
+    """A list of each predicate's row-major first true cell, as (row,
+    *columns), or None.  ``bad(x)`` maps a slice x of the index array
+    ``rows`` to a bool array with axis 0 along x; the rows go in
+    ``_chunks`` of ``row_cells`` cells a row, and a predicate is not
+    evaluated after its first hit.  The hit is that of the dense array,
+    whatever the chunk sizes: the chunks are consecutive row ranges, so
+    every cell of an earlier chunk precedes every cell of a later one in
+    row-major order, and the cells of the chunks before the first with a
+    true cell are all false.  An early hit costs one small chunk."""
+    hits = [None] * len(bads)
+    for lo, hi in _chunks(len(rows), row_cells):
+        x = rows[lo:hi]
+        for k, bad in enumerate(bads):
+            if hits[k] is None and (pos := _first_violation(bad(x))):
+                hits[k] = (int(x[pos[0]]), *pos[1:])
+        if None not in hits:
+            break
+    return hits
+
+
 def _spread(x, lat):
     """[a, j, k]: whether e_k is in x_a + e_j."""
     return x[:, lat.neg_add_table].astype(np.float32)
@@ -1206,8 +1205,9 @@ def _check_axioms_list(cl, struct, masks, report, paired=None):
     (0 in A and A + A inside A).  C2 and C4a report the first violating
     pair (A_i, A_j) in row-major list order over the first ``paired``
     members (all of them by default); equal members are separate rows.
-    Pair rows are walked in chunks that start at one row and double up to
-    LIST_GRID cells, and the walk is priced first (``_price_list``).
+    Pair rows are walked by ``_first_break`` once priced (``_price_list``);
+    the unary walk is its own ``_chunks`` loop, as C4b and absorption
+    share one ``_acted(x)`` a chunk.
     """
     lat = subgroup_lattice(struct)
     n, elems, scalars = lat.n, lat.elems, lat.scalars
@@ -1260,26 +1260,24 @@ def _check_axioms_list(cl, struct, masks, report, paired=None):
     aug[:, lat.zero] = True
     xf, cxf, augf = (v.astype(np.float32) for v in (x, cx, aug))
     x_out, cx_out = ((~v).T.astype(np.float32) for v in (x, cx))
-    c2 = c4a = None
-    for lo, hi in _chunks(npair, (npair + n) * n):
-        if c2 is None:
-            # A_i inside A_j, and cl(A_i) not inside cl(A_j)
-            viol = (xf[lo:hi] @ x_out == 0) & (cxf[lo:hi] @ cx_out > 0)
-            pos = _first_violation(viol)
-            if pos is not None:
-                i, j = lo + pos[0], pos[1]
-                c2 = {"A": listed(x[i]), "B": listed(x[j]),
-                      "witness": least(cx[i] & ~cx[j])}
-        if c4a is None:
-            bad = _pair_sums(cx[lo:hi], cxf, lat) \
-                & ~clo(_pair_sums(aug[lo:hi], augf, lat))
-            pos = _first_violation(bad.any(2).T)
-            if pos is not None:
-                i, j = pos
-                c4a = {"A": listed(x[lo + i]), "B": listed(x[j]),
-                       "witness": least(bad[j, i])}
-        if c2 is not None and c4a is not None:
-            break
+
+    def c2_bad(i):
+        # A_i inside A_j, and cl(A_i) not inside cl(A_j)
+        return (xf[i] @ x_out == 0) & (cxf[i] @ cx_out > 0)
+
+    def c4a_bad(i):
+        # [i, j, k]: e_k in cl(A_i) + cl(A_j), outside cl(A_i|0 + A_j|0)
+        bad = _pair_sums(cx[i], cxf, lat) & ~clo(_pair_sums(aug[i], augf, lat))
+        return bad.transpose(1, 0, 2)
+
+    c2, c4a = _first_break(np.arange(npair), (npair + n) * n, c2_bad, c4a_bad)
+    if c2 is not None:
+        i, j = c2
+        c2 = {"A": listed(x[i]), "B": listed(x[j]),
+              "witness": least(cx[i] & ~cx[j])}
+    if c4a is not None:
+        i, j, k = c4a
+        c4a = {"A": listed(x[i]), "B": listed(x[j]), "witness": elems[k]}
 
     report.record("C1", c1 is None, c1)
     report.record("C2", c2 is None, c2)
@@ -1355,7 +1353,8 @@ def check_axioms(cl, mode="auto", seed=DEFAULT_SEED, count=DEFAULT_SAMPLE_COUNT,
     EXHAUSTIVE_SUBSET_CAP), ``subgroups`` (all additive subgroups, as
     priced by ``rings.enumerate_subgroups``), ``ideals`` (the classical
     ideal lattice), ``sampled`` (seeded random subsets), ``bounded`` (the
-    only mode over Z: principal subgroups up to gen_bound).  ``auto`` picks
+    only mode over Z: principal subgroups up to gen_bound, scalars up to
+    mult_bound, both refused when negative).  ``auto`` picks
     exhaustive when the 2^n subsets are within the cap and, for a closure
     with no ``declared_join`` (2^n evaluations, not n + 1), n is at most
     EXHAUSTIVE_ELEMENTS; otherwise subgroups.  Any other mode is refused.
@@ -1380,6 +1379,9 @@ def check_axioms(cl, mode="auto", seed=DEFAULT_SEED, count=DEFAULT_SAMPLE_COUNT,
             "tolerance closures are membership-only; use the balanced-rule "
             "checks instead of check_axioms")
     if isinstance(ring, IntegerRing):
+        if min(gen_bound, mult_bound) < 0:
+            raise PreconditionError(f"the bounds {gen_bound}, {mult_bound} "
+                                    f"over Z must not be negative")
         report = AxiomReport(mode="bounded",
                              domain=f"(d) for d <= {gen_bound}, |r| <= {mult_bound}")
         return _check_axioms_z(cl, report, gen_bound, mult_bound)
@@ -1515,7 +1517,8 @@ def closure_image_compatible(f, cl_src, cl_dst):
 def _first_unabsorbed(struct, x_mask, cl_mask):
     """The first (r, x, r x), r a scalar and x in the mask ``x_mask`` in
     index order, with r x outside ``cl_mask``, read off the act table (for
-    a ring, the rows of x only, LIST_GRID cells at a time); or None."""
+    a ring, the rows of x only, in fixed steps of LIST_GRID cells, one on
+    small rings, where ``_first_break`` would add calls); or None."""
     lat = subgroup_lattice(struct)
     (cl_row,) = lat.rows([cl_mask])
     xs = np.array(_bits(x_mask), dtype=np.intp)
@@ -1550,16 +1553,12 @@ def _first_image_violation(dst, img, rows, cl_rows, cl_dst):
 def _first_preimage_violation(src, dst, img, rows, cl_src, cl_dst):
     """The position of the first B (bool rows over ``dst``) with
     f^-1(cl'(B)) outside cl(f^-1(B)), and the least element of the
-    difference, or None; walked in ``_chunks``, so an early failure
+    difference, or None; walked by ``_first_break``, so an early failure
     evaluates the closures on one small chunk."""
     cl_s, cl_d = _ClosureRows(cl_src, src), _ClosureRows(cl_dst, dst)
-    for lo, hi in _chunks(len(rows), dst.n):
-        b = rows[lo:hi]
-        bad = cl_d(b)[:, img] & ~cl_s(b[:, img])
-        pos = _first_violation(bad.any(1))
-        if pos is not None:
-            return lo + pos[0], src.elems[int(np.argmax(bad[pos[0]]))]
-    return None
+    (hit,) = _first_break(np.arange(len(rows)), dst.n, lambda k:
+                          cl_d(rows[k])[:, img] & ~cl_s(rows[k][:, img]))
+    return None if hit is None else (hit[0], src.elems[hit[1]])
 
 
 def closure_preimage_compatible(f, cl_src, cl_dst):

@@ -26,8 +26,8 @@ from .closures import (
     closure_image_compatible,
     closure_preimage_compatible,
 )
-from .closures import _chunks, _first_unabsorbed, _first_violation, _hom_map
-from .closures import _image_rows
+from .closures import _first_break, _first_unabsorbed, _first_violation
+from .closures import _hom_map, _image_rows
 from .errors import DomainMismatchError, PreconditionError, price
 from .reports import Verdict
 from .rings import (
@@ -115,7 +115,9 @@ def is_approx_prime(p, cl, check_ideal=True):
 
     Preconditions (raised as errors, with the cause named): P must be an
     approximate ideal and a proper subset of the ring.  A closure equal to
-    the whole ring yields verdict False with the witness pair (1, 1).
+    the whole ring yields verdict False with the witness pair (1, 1).  The
+    products x y go in fixed steps of LIST_GRID cells, one on small rings,
+    where ``closures._first_break`` would add numpy calls to each test.
     """
     ring = cl.ring
     if check_ideal:
@@ -211,17 +213,13 @@ def z_prime_bruteforce_grid(m, d_max, bound=None):
     verdict of (d) is that no cell of its row violates, except that (1),
     the whole ring, is never a candidate.
 
-    The rows are taken in chunks of at most ``closures.PAIR_GRID``.  In a
-    chunk the columns are walked in blocks that start at one column and
-    double, each capped at PAIR_GRID cells (live rows x width), and each is
-    evaluated only on the rows with no violation yet; a row leaves at the
-    block holding its first violating cell.  This is exact: a row's
-    verdict is the negated OR of its cells.  The blocks partition 1..bound,
-    so a row that never leaves has had every cell evaluated, all false;
-    a row leaves only once one of its cells is true, and then its OR is
-    true whatever the cells it skips hold.  Row 1 is not walked, since its
-    verdict is fixed without its cells.  So every verdict is the one the
-    dense box gives, and no more than PAIR_GRID cells are held at once.
+    Rows go in chunks of ``closures.LIST_GRID``, and in a chunk columns in
+    blocks that start at one column and double, each of at most LIST_GRID
+    cells (live rows x width) and evaluated on the rows with no violation
+    yet: unlike ``closures._first_break``, a row leaves at its first
+    violating block.  This is exact, as a row's verdict is the negated OR
+    of its cells, the blocks partition 1..bound, and a row leaves only once
+    that OR is true.  Row 1 is not walked; its verdict is fixed.
 
     The walk is priced before anything is allocated (``_z_sweep_cells``);
     beyond ``closures.Z_SWEEP_CELL_LIMIT`` cells it raises
@@ -237,7 +235,7 @@ def z_prime_bruteforce_grid(m, d_max, bound=None):
     price(f"the candidate sweep for m={m} over d <= {d_max}, x <= {bound}",
           _z_sweep_cells(m, d_max, bound), closures.Z_SWEEP_CELL_LIMIT,
           "cells")
-    grid = closures.PAIR_GRID
+    grid = closures.LIST_GRID
     verdict = np.ones(d_max + 1, dtype=bool)
     for lo in range(0, d_max + 1, grid):
         d = np.arange(lo, min(lo + grid, d_max + 1), dtype=np.int64)
@@ -544,17 +542,15 @@ def check_thm_ring_prime(ring, cl, z_bound=None):
 
 def _zero_sandwich(ring, cl):
     """The first nonzero (a, b) in index order with aRb inside cl(0), or
-    None: each (a r) b read off the act table, rows a in chunks."""
+    None: each (a r) b read off the act table, rows a by ``_first_break``."""
     lat = subgroup_lattice(ring)
     act = lat.act_table()
     (cl0,) = lat.rows([cl.eval_mask(1 << lat.zero)])
     nonzero = np.flatnonzero(np.arange(lat.n) != lat.zero)
-    for lo, hi in _chunks(len(nonzero), lat.n * len(nonzero)):
-        a = nonzero[lo:hi]
-        pos = _first_violation(cl0[act[act[a]][:, :, nonzero]].all(1))
-        if pos is not None:
-            return {"a": lat.elems[a[pos[0]]], "b": lat.elems[nonzero[pos[1]]]}
-    return None
+    (hit,) = _first_break(nonzero, lat.n * len(nonzero),
+                          lambda a: cl0[act[act[a]][:, :, nonzero]].all(1))
+    return None if hit is None else {"a": lat.elems[hit[0]],
+                                     "b": lat.elems[nonzero[hit[1]]]}
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,10 @@ from .closures import (
     ClosureSpec,
     _chunks,
     _ClosureRows,
+    _first_break,
     _first_image_violation,
     _first_label_break,
     _first_preimage_violation,
-    _first_violation,
     _image_rows,
     check_axioms,
 )
@@ -221,9 +221,9 @@ class LocalizedRing:
         """The relation is a congruence matching the class map, on a box.
 
         Both sweeps are numpy grids over the pairs, taken mod m (the
-        relation) and mod m0 (the class map), the first in doubling row
-        chunks; each reports its first violating pair in row-major order.
-        Beyond LIST_PAIR_CELL_LIMIT pairs^2 cells the check is refused."""
+        relation, by ``_first_break``) and mod m0 (the class map); each
+        reports its first violating pair in row-major order.  Beyond
+        LIST_PAIR_CELL_LIMIT pairs^2 cells the check is refused."""
         m, m0 = self.modulus, self.m0
         s_lifts = self._sat_lifts()
         n_pairs = (2 * m + 1) * len(s_lifts)
@@ -235,17 +235,15 @@ class LocalizedRing:
         cls = np.array([self.to_class_z(a, s) for a, s in pairs],
                        dtype=np.int64)
 
-        ce = None
-        for lo, hi in _chunks(len(pairs), len(pairs)):
-            # (a, s) ~ (b, t): u (a t - b s) = 0 mod m for some u in S
-            cross = (a_m[lo:hi, None] * s_m - s_m[lo:hi, None] * a_m) % m
-            rel = self._absorbed[cross]
-            hits = np.argwhere(rel != (cls[lo:hi, None] == cls))
-            if len(hits):
-                i, j = hits[0]
-                ce = {"pair1": pairs[lo + i], "pair2": pairs[j],
-                      "related": bool(rel[i, j])}
-                break
+        # (a, s) ~ (b, t): u (a t - b s) = 0 mod m for some u in S, which
+        # at a break says the opposite of the class map
+        (hit,) = _first_break(
+            np.arange(len(pairs)), len(pairs), lambda i: self._absorbed[
+                (a_m[i, None] * s_m - s_m[i, None] * a_m) % m]
+            != (cls[i, None] == cls))
+        ce = None if hit is None else {
+            "pair1": pairs[hit[0]], "pair2": pairs[hit[1]],
+            "related": bool(cls[hit[0]] != cls[hit[1]])}
         self.verdicts.append(Verdict(
             "equivalence-matches-class-map", ce is None, ce,
             mode=f"pairs with |a| <= {m}, {len(s_lifts)} denominators"))
@@ -326,15 +324,11 @@ class LocalizedRing:
                 merged = np.append(linked, labels[i])
                 labels[np.isin(labels, merged)] = merged.min()
 
-        eq_ce = None
-        for lo, hi in _chunks(n_pairs, n_pairs):
-            pos = _first_violation(
-                grid[lo:hi] != (labels[lo:hi, None] == labels))
-            if pos is not None:
-                i, j = lo + pos[0], pos[1]
-                eq_ce = {"pair1": pairs[i], "pair2": pairs[j],
-                         "related": bool(grid[i, j])}
-                break
+        (hit,) = _first_break(np.arange(n_pairs), n_pairs,
+                              lambda i: grid[i] != (labels[i, None] == labels))
+        eq_ce = None if hit is None else {
+            "pair1": pairs[hit[0]], "pair2": pairs[hit[1]],
+            "related": bool(grid[hit])}
         self.verdicts.append(Verdict("equivalence-relation", eq_ce is None,
                                      eq_ce, mode="all pairs"))
 
@@ -658,7 +652,8 @@ def _power_orbit_members(ring, cl_mask):
     ``cl_mask``, as a mask over the ring's lattice.  A power sequence in a
     finite ring takes at most n values, all among its first n powers; these
     are read off the lattice's ``act_table`` in doubling blocks,
-    g^(m + j) = g^m g^j, for LIST_GRID cells of g at once."""
+    g^(m + j) = g^m g^j, for LIST_GRID cells of g at once (fixed steps, one
+    on small rings, where doubling chunks would add numpy calls)."""
     lat = subgroup_lattice(ring)
     (inside,) = lat.rows([cl_mask])
     act, members = lat.act_table(), np.zeros(lat.n, dtype=bool)

@@ -398,11 +398,10 @@ def _check_map_is_module_iso(name, src, dst, phi, targets):
     inj, sur = len(hit) == len(image), hit == targets
     act = np.array([d.act_row(r) for r in s.scalars], dtype=np.intp)
     add_s, add_d, act_s = s.add_table, d.add_table, s.act_table()
-    add_hit = closures._first_cell_break(
-        lambda x: (phi[ls[add_s[x][:, reps]]], ld[add_d[phi[x]][:, image]]),
-        reps)
-    act_hit = closures._first_cell_break(
-        lambda x: (phi[ls[act_s[:, x].T]], ld[act[:, phi[x]].T]), reps)
+    add_hit, act_hit = closures._first_break(
+        reps, len(reps) + len(s.scalars),
+        lambda x: phi[ls[add_s[x][:, reps]]] != ld[add_d[phi[x]][:, image]],
+        lambda x: phi[ls[act_s[:, x].T]] != ld[act[:, phi[x]].T])
     add_ce = act_ce = None
     if add_hit is not None:
         add_ce = {"x": s.elems[add_hit[0]], "y": s.elems[reps[add_hit[1]]]}

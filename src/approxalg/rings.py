@@ -538,10 +538,10 @@ def _mask(indices):
 
 
 def _first_violation(viol):
-    """Row-major first True position, or None."""
+    """Row-major first True position of a bool array, or None."""
     if not viol.any():
         return None
-    return tuple(int(x) for x in np.argwhere(viol)[0])
+    return tuple(map(int, np.unravel_index(np.argmax(viol), viol.shape)))
 
 
 class _Lattice:

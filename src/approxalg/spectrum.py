@@ -110,9 +110,12 @@ def spectrum(ring, cl, z_bound=None):
     closure gives the classically bounded enumeration {(0)} + small primes.
     The sweep re-derives the candidates (d), d <= z_bound: there the two
     must agree (InvariantError otherwise), and a z_bound below m's largest
-    prime is refused with PreconditionError, as the sweep cannot reach it.
+    prime is refused with PreconditionError, as the sweep cannot reach it,
+    and so is a negative z_bound.
     """
     if isinstance(ring, IntegerRing):
+        if z_bound is not None and z_bound < 0:
+            raise PreconditionError(f"the bound {z_bound} over Z is negative")
         m = _z_shift_modulus(cl)
         bound = z_bound if z_bound is not None else max(1000, m)
         if m == 0:
@@ -230,6 +233,9 @@ def topology_check(spec, z_ideal_bound=120):
     subcover walks the pool in order, so it picks the same f.
     """
     verdicts = []
+    if isinstance(spec.ring, IntegerRing) and z_ideal_bound < 0:
+        raise PreconditionError(
+            f"the bound {z_ideal_bound} over Z is negative")
     pool = _ideal_pool(spec, z_ideal_bound)
     if isinstance(spec.ring, IntegerRing):
         top = max(_z_shift_modulus(spec.cl), 30)

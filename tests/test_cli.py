@@ -527,6 +527,36 @@ class TestExitCodes:
         assert lines[0].startswith(
             f"error: the bound {bound} is below the prime {prime} of m={m}")
 
+    @pytest.mark.parametrize("argv", [
+        ["spec", "--closure", "shift:J=6", "--bound", "-3"],
+        ["vset", "--closure", "shift:J=6", "--ideal", "2", "--bound", "-4"],
+        ["dset", "--closure", "shift:J=6", "--ideal", "2", "--bound", "-5"],
+        ["topology", "--closure", "shift:J=6", "--bound", "-3"],
+        ["radical", "--closure", "shift:J=6", "--ideal", "0", "--bound", "-3"],
+        ["localize", "--closure", "shift:J=6", "--mult-set", "2",
+         "--bound", "-4"],
+        ["axioms", "--closure", "gen", "--bound", "-2"],
+        ["topology", "--closure", "gen", "--bound", "-3"]])
+    def test_negative_bound_over_z_is_usage_error(self, capsys, argv):
+        """A negative --bound over Z leaves an empty domain: refused, where
+        the sweep crashed on it and the axiom and topology checks passed
+        over nothing."""
+        code, out, err = run(capsys, *argv, "--ring", "Z", "--format", "json")
+        assert code == 2
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: the bound")
+        assert "negative" in lines[0]
+        if argv[0] == "spec":
+            assert "primes" not in json.loads(out)
+
+    def test_topology_bound_zero_is_a_pool_of_one(self, capsys):
+        """--bound 0 is a bound, not the default: the pool is (0) alone."""
+        code, out, _ = run(capsys, "topology", "--ring", "Z", "--closure",
+                           "gen", "--bound", "0", "--format", "json")
+        assert code == 0
+        modes = {v["axiom"]: v["mode"] for v in json.loads(out)["verdicts"]}
+        assert modes["union-law"] == "1 ideals, all pairs"
+
     def test_failed_verdict_is_exit_1(self, capsys, tmp_path):
         suite = [{"name": "wrong", "ring": "Z", "closure": "shift:J=12",
                   "operation": "is-prime", "params": {"generators": "3"},

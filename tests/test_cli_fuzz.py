@@ -149,6 +149,23 @@ def run(argv):
           "--bound=2", "--format=json"])
 @example(["localize", "--ring=Z", "--closure=shift:J=12", "--mult-set=2",
           "--bound=2", "--format=json"])
+# a negative --bound over Z
+@example(["spec", "--ring=Z", "--closure=shift:J=6", "--bound=-3",
+          "--format=json"])
+@example(["vset", "--ring=Z", "--closure=shift:J=6", "--ideal=2",
+          "--bound=-4", "--format=json"])
+@example(["dset", "--ring=Z", "--closure=shift:J=6", "--ideal=2",
+          "--bound=-5", "--format=json"])
+@example(["topology", "--ring=Z", "--closure=shift:J=6", "--bound=-3",
+          "--format=json"])
+@example(["radical", "--ring=Z", "--closure=shift:J=6", "--ideal=0",
+          "--bound=-3", "--format=json"])
+@example(["localize", "--ring=Z", "--closure=shift:J=6", "--mult-set=2",
+          "--bound=-4", "--format=json"])
+@example(["axioms", "--ring=Z", "--closure=gen", "--bound=-2",
+          "--format=json"])
+@example(["topology", "--ring=Z", "--closure=gen", "--bound=-3",
+          "--format=json"])
 def test_every_request_ends_in_a_documented_exit(argv):
     code, out, err = run(argv)
     assert code in (0, 1, 2, 3), (argv, code, err)

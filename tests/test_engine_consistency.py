@@ -24,6 +24,8 @@ from axiom_oracle import (
     TopSwitch,
     check_axioms_sets,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from approxalg import (
     GeneratedIdealClosure,
@@ -193,7 +195,7 @@ def chunk_cases():
 @pytest.mark.parametrize("cl", chunk_cases(),
                          ids=lambda c: f"{c.ring}-{c.name}")
 def test_doubling_chunks_match_all_pairs(cl, monkeypatch):
-    monkeypatch.setattr(closures, "PAIR_GRID", 64)
+    monkeypatch.setattr(closures, "LIST_GRID", 64)
     reduced = check_axioms(cl, mode="exhaustive").to_dict()
     monkeypatch.setattr(closures, "check_axioms_finite", all_pairs_check)
     assert reduced == check_axioms(cl, mode="exhaustive").to_dict()
@@ -203,10 +205,10 @@ def test_doubling_chunks_match_all_pairs(cl, monkeypatch):
 def test_doubling_chunks_implied_elements(spec, monkeypatch):
     """Every implied-element operator with a premise of one or two nonzero
     elements.  Pools of 16 or fewer rows take chunks of 1, 2, 4, 4, ...
-    rows under PAIR_GRID = 64, and the first C4a violations of this family
+    rows under LIST_GRID = 64, and the first C4a violations of this family
     lie in every chunk, the fourth and the last included, with C2 holding
     or failing."""
-    monkeypatch.setattr(closures, "PAIR_GRID", 64)
+    monkeypatch.setattr(closures, "LIST_GRID", 64)
     ring = parse_ring(spec)
     nonzero = [e for e in sorted(ring.elements(), key=sort_key)
                if e != ring.zero]
@@ -472,3 +474,58 @@ def test_join_matrices_past_list_grid_evaluate_row_by_row(monkeypatch):
         np.testing.assert_array_equal(
             closures._ClosureRows(cl, lat)(rows), want)
         assert len(calls) == evaluations
+
+
+@st.composite
+def first_break_cases(draw):
+    """Two sparse bool arrays of one to three axes over the same rows, and
+    a row index array into them (repeats allowed, empty included)."""
+    nrows = draw(st.integers(0, 12))
+    shape = (nrows, *draw(st.lists(st.integers(0, 4), max_size=2)))
+    size = int(np.prod(shape))
+    arrays = []
+    for _ in range(2):
+        cells = np.zeros(size, dtype=bool)
+        if size:
+            cells[draw(st.lists(st.integers(0, size - 1), max_size=3))] = True
+        arrays.append(cells.reshape(shape))
+    rows = draw(st.lists(st.integers(0, max(0, nrows - 1)),
+                         max_size=12 if nrows else 0))
+    return arrays, np.array(rows, dtype=np.intp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=first_break_cases(), grid=st.sampled_from([1, 5, 64]),
+       row_cells=st.integers(1, 8))
+def test_first_break_is_the_dense_first_cell(case, grid, row_cells):
+    """``_first_break`` gives each predicate the first true cell of its
+    dense array over ``rows`` (the first of ``np.argwhere``), mapped
+    through ``rows``, at any grid; two predicates walked together give
+    what each gives alone, and each is evaluated on rows[:end] only,
+    where its last chunk holds its hit."""
+    arrays, rows = case
+    seen = [[], []]
+
+    def predicate(k):
+        def bad(x):
+            seen[k].append(x.copy())
+            return arrays[k][x]
+        return bad
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(closures, "LIST_GRID", grid)
+        both = closures._first_break(rows, row_cells, predicate(0),
+                                     predicate(1))
+        alone = [closures._first_break(rows, row_cells, cells.__getitem__)
+                 for cells in arrays]
+    for k, cells in enumerate(arrays):
+        dense = np.argwhere(cells[rows])
+        pos = tuple(map(int, dense[0])) if len(dense) else None
+        want = None if pos is None else (int(rows[pos[0]]), *pos[1:])
+        assert both[k] == want and alone[k] == [want]
+        walked = np.concatenate(seen[k]) if seen[k] else rows[:0]
+        np.testing.assert_array_equal(walked, rows[:len(walked)])
+        if pos is None:
+            assert len(walked) == len(rows)
+        else:
+            assert len(walked) - len(seen[k][-1]) <= pos[0] < len(walked)

@@ -440,7 +440,7 @@ class TestCandidateSweep:
         swept = z_prime_bruteforce_grid(m, m)
         assert list(np.flatnonzero(swept)) == [2, 3, 5, 7, 11, 13]
         assert max(len(d) * (x1 - x0) for d, x0, x1, _ in log) \
-            <= closures.PAIR_GRID
+            <= closures.LIST_GRID
 
     @pytest.mark.parametrize("args", [(10**30, 100, 50), (2**63, 10, 10),
                                       (12, 2**63, 10), (12, 10, 2**63),
@@ -452,7 +452,7 @@ class TestCandidateSweep:
             z_prime_bruteforce_grid(*args)
 
     def test_blocks_hold_at_most_pair_grid_cells(self, monkeypatch):
-        monkeypatch.setattr(closures, "PAIR_GRID", 64)
+        monkeypatch.setattr(closures, "LIST_GRID", 64)
         log = record_blocks(monkeypatch)
         for m in (0, 12, 360, 30030):
             log.clear()
@@ -463,7 +463,7 @@ class TestCandidateSweep:
 
     def test_violations_in_first_middle_and_last_partial_block(
             self, monkeypatch):
-        monkeypatch.setattr(closures, "PAIR_GRID", 64)
+        monkeypatch.setattr(closures, "LIST_GRID", 64)
         log = record_blocks(monkeypatch)
         m, d_max, bound = 30030, 200, 12
         assert np.array_equal(z_prime_bruteforce_grid(m, d_max, bound),

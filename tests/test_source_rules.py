@@ -144,3 +144,51 @@ def test_join_is_read_through_declared_join(path):
                          for arg in node.args))]
     assert not reads, f"{path.name}: read join through declared_join, " \
         f"lines {reads}"
+
+
+# the functions that may hold a ``for ... in _chunks(...)`` loop calling
+# ``_first_violation``, and how many: the one counterexample walk, and the
+# list engine's unary walk, whose C4b and absorption share ``_acted(x)``
+CHUNK_SEARCHES = {"_first_break": 1, "_check_axioms_list": 1}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_first_violation_walks_go_through_first_break(path):
+    """Every row-major counterexample search over chunks of rows is
+    ``closures._first_break``: no other ``for ... in _chunks(...)`` loop
+    calls ``_first_violation``, so the argument that the first chunk with
+    a true cell holds the first cell is stated and kept in one place."""
+    import ast
+
+    def name(call):
+        return getattr(call.func, "id", getattr(call.func, "attr", None))
+
+    def calls(node, callee):
+        return isinstance(node, ast.Call) and name(node) == callee
+
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = {}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for loop in ast.walk(fn):
+            if isinstance(loop, ast.For) and calls(loop.iter, "_chunks") \
+                    and any(calls(c, "_first_violation")
+                            for c in ast.walk(loop)):
+                found.setdefault(fn.name, set()).add(loop.lineno)
+    extra = {fn: sorted(lines) for fn, lines in found.items()
+             if len(lines) > CHUNK_SEARCHES.get(fn, 0)}
+    assert not extra, f"{path.name}: walk by _first_break instead: {extra}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_one_grid_constant(path):
+    """``closures.LIST_GRID`` is the one chunk size: no module defines
+    another ``*_GRID`` constant."""
+    import ast
+
+    tree = ast.parse(path.read_text(), filename=str(path))
+    grids = [target.id for node in tree.body if isinstance(node, ast.Assign)
+             for target in node.targets if isinstance(target, ast.Name)
+             and target.id.endswith("_GRID") and target.id != "LIST_GRID"]
+    assert not grids, f"{path.name}: chunk by LIST_GRID instead of {grids}"
