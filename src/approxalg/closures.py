@@ -186,6 +186,17 @@ class ClosureSpec:
         lat = subgroup_lattice(self.ring)
         return lat.values(self.eval_mask(lat.mask(values)))
 
+    def eval_rows(self, rows):
+        """cl of each row of a 2-D bool array of subsets, over the element
+        order of ``rings.subgroup_lattice``, as rows of the same shape: the
+        batch both engines evaluate a closure with no join by.  By default,
+        ``eval_mask`` of each row."""
+        lat = subgroup_lattice(self.ring)
+        out = np.zeros(rows.shape, dtype=bool)
+        for row, value in zip(rows, out):
+            value[_bits(self.eval_mask(lat.row_mask(row)))] = True
+        return out
+
     # integers: generator of cl(dZ)
     def z_principal_image(self, d):
         raise PreconditionError(f"{self.name} closure is unsupported over Z")
@@ -582,7 +593,8 @@ class FiniteDomain:
         """cl as a mask -> mask table.
 
         A closure without a ``join`` (as ``declared_join`` reads it) is
-        evaluated once per subset, which is the definition of the table.
+        evaluated on every subset, in mask order, by one ``eval_rows`` call
+        over their rows, which is the definition of the table.
         One with a join is evaluated n + 1 times: on the empty set and on
         each singleton {x_i}.  The masks below 2^i are the subsets of
         {x_0, ..., x_(i-1)}, so block [2^i, 2^(i+1)) is block [0, 2^i) with
@@ -605,8 +617,9 @@ class FiniteDomain:
         """
         join = declared_join(cl)
         if join is None:
-            return np.array([cl.eval_mask(m) for m in range(self.nmasks)],
-                            dtype=np.int32)
+            bits = np.int32(1) << np.arange(self.n, dtype=np.int32)
+            rows = cl.eval_rows(self.masks[:, None] & bits != 0)
+            return (rows * bits).sum(axis=1, dtype=np.int32)
         clv = np.zeros(self.nmasks, dtype=np.int32)
         clv[0] = cl.eval_mask(0)
         for i in range(self.n):
@@ -976,8 +989,8 @@ class _ClosureRows:
     rows are computed.
 
     A closure without a join (as ``declared_join`` reads it) is evaluated
-    by ``eval_mask`` once per new row.  One with a join is built as the
-    exhaustive engine builds its table (``FiniteDomain.closure_vector``),
+    on its new rows by one ``eval_rows`` call.  One with a join is built as
+    the exhaustive engine builds its table (``FiniteDomain.closure_vector``),
     from the generator rows cl({}) and cl({e_i}), each evaluated at most
     once and only for the elements e_i that occur in new rows:
 
@@ -992,14 +1005,14 @@ class _ClosureRows:
 
     The join pays only when it evaluates fewer rows than it fills: a call
     is built by it when its new rows outnumber the generator rows it would
-    still have to evaluate, and otherwise evaluated row by row.  Either way
-    a call makes at most as many ``eval_mask`` calls as it has new rows.
+    still have to evaluate, and otherwise by ``eval_rows``.  Either way a
+    call hands ``eval_rows`` at most as many rows as it has new rows.
     (A list of a few subgroups of Z/53 has a handful of new rows, and 54
     generator rows.)  The join's float32 matrices, G (n^2 cells) or the n
     matrices M_i (n^3 cells), are built once, and only where they fit in
     LIST_GRID cells (1 MiB; for a sum, n <= 64); a larger structure is
-    evaluated row by row, as the sum's matrices would take 64 MiB on Z/256
-    and 512 MiB on Z/512.
+    evaluated by ``eval_rows``, as the sum's matrices would take 64 MiB on
+    Z/256 and 512 MiB on Z/512.
     """
 
     def __init__(self, cl, lat):
@@ -1031,7 +1044,7 @@ class _ClosureRows:
             fresh = flat[first[new]]
             joined = self._generators(fresh)
             if joined is None:
-                values = self._evaluate(fresh)
+                values = self.cl.eval_rows(fresh)
             else:
                 if joined:
                     # generator rows just evaluated may be among the new
@@ -1075,14 +1088,6 @@ class _ClosureRows:
         self.slots = merged
         return slots
 
-    def _evaluate(self, rows):
-        """cl of each row by ``eval_mask``."""
-        lat = self.lat
-        out = np.zeros(rows.shape, dtype=bool)
-        for row, value in zip(rows, out):
-            value[_bits(self.cl.eval_mask(lat.row_mask(row)))] = True
-        return out
-
     def _generators(self, rows):
         """None when the new ``rows`` are to be evaluated one by one.
         Otherwise the generator rows they need are made known, read from
@@ -1108,7 +1113,7 @@ class _ClosureRows:
             return None
         if evaluated:
             slots[missing] = self._add(keys[missing],
-                                       self._evaluate(units[missing]))
+                                       self.cl.eval_rows(units[missing]))
         if self.mats is None:
             self.mats = np.zeros(self.shape, dtype=np.float32)
         self.known[need] = True

@@ -512,11 +512,22 @@ def check_thm_ring_prime(ring, cl, z_bound=None):
 
     Side one: (0) approximately prime.  Side two: for all nonzero a, b the
     set aRb is not contained in cl(0).  Returns the equivalence verdict.
+
+    Over Z side two is swept over the box 1 <= a, b <= z_bound (by default
+    max(2m, 12)).  For m >= 1 its first witness is (1, m), so a bound below
+    m cannot decide it and is refused with PreconditionError, as is a
+    negative bound.
     """
+    if isinstance(ring, IntegerRing) and z_bound is not None and z_bound < 0:
+        raise PreconditionError(f"the bound {z_bound} over Z is negative")
     side1, ce1 = is_approx_prime_ring(ring, cl)
     if isinstance(ring, IntegerRing):
         m = _z_shift_modulus(cl)
-        bound = z_bound or max(2 * m, 12)
+        bound = max(2 * m, 12) if z_bound is None else z_bound
+        if bound < m:
+            raise PreconditionError(
+                f"the bound {bound} is below m={m}: the box a, b <= {bound} "
+                f"cannot reach the first witness (1, {m})")
         side2 = True
         ce2 = None
         for a in range(1, bound + 1):

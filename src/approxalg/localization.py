@@ -51,6 +51,7 @@ from .rings import (
     ResidueRing,
     TableRing,
     Z,
+    _first_violation,
     _mask,
     enumerate_subgroups,
     ideal_from_subgroup,
@@ -127,7 +128,8 @@ def mult_set(ring, generators):
 
 
 class TransferredClosure(ClosureSpec):
-    """The localized closure, evaluated directly from its defining formula."""
+    """The localized closure, evaluated directly from its defining formula,
+    a batch of subsets at a time (``LocalizedRing._class_rows``)."""
 
     name = "transferred"
 
@@ -142,6 +144,10 @@ class TransferredClosure(ClosureSpec):
         """The classes with a representative (a, s) such that u * a lies in
         cl({x : x/s in A}) for some u in S (``LocalizedRing._class_masks``)."""
         return self.loc._class_masks(mask)[0]
+
+    def eval_rows(self, rows):
+        """``eval_mask`` of each row, by one ``LocalizedRing._class_rows``."""
+        return self.loc._class_rows(rows)[:, 0]
 
 
 class _ClassesModM0(ResidueRing):
@@ -159,14 +165,16 @@ class LocalizedRing:
     ``price_group_check`` refuses the model before it is built.  When its
     own relation or operations verdict fails there are no classes to model:
     ``model`` and ``transferred`` are None, the verdicts say why, and the
-    checks below refuse it (``_require_model``)."""
+    checks below refuse it (``_require_model``).  The transferred closure
+    is evaluated a batch of class subsets at a time (``_class_rows``); it
+    keeps its masks per pullback value over Z (``_masks``) and the base
+    closure's rows over a finite base (``_base_rows``)."""
 
     def __init__(self, base, base_cl, mult):
         self.base = base
         self.base_cl = base_cl
         self.mult = mult
         self.verdicts = []
-        self._masks = {}
         self.model = self.transferred = None
         if isinstance(base, IntegerRing):
             self._build_z()
@@ -210,6 +218,7 @@ class LocalizedRing:
         # the class of (a, s) is a s^-1 mod m0, for each residue a
         self._pair_labels = np.arange(m0)[:, None] * [
             pow(s, -1, m0) for s in self.denominators] % m0
+        self._masks = {}
         self._verify_z_relation()
         if self.ok():
             price_group_check(self.model, m0)
@@ -344,6 +353,7 @@ class LocalizedRing:
         # pairs in index order are in sort_key order, as the model's elements
         self._pair_labels = np.searchsorted(reps, labels).reshape(lat.n, ns)
         self._sat_act = mul[s_idx]
+        self._base_rows = _ClosureRows(self.base_cl, lat)
 
         def ops(x):
             """For pairs x = (a, s) and each representative y = (b, t), the
@@ -395,46 +405,73 @@ class LocalizedRing:
         """iota as an index map (finite base): the grid's column at s = 1."""
         return self._pair_labels[:, self.denominators.index(self.base.one)]
 
-    def _pullbacks(self, mask):
-        """cl_R({x : x/s in A}) per denominator s, for A a mask of the
-        model: over Z (g), its residues a s mod m0 for a in A; else a mask,
-        A's row through the grid at s."""
-        model = subgroup_lattice(self.model)
-        if isinstance(self.base, IntegerRing):
-            m0 = self.m0
-            if m0 == 1:
-                return [1] * len(self.denominators)  # the pullback spans Z
-            values = model.listed(mask)
-            return [self.base_cl.z_principal_image(
-                math.gcd(m0, *res) if res else 0) for res in (
-                    {(a * s) % m0 for a in values} for s in self.denominators)]
-        lat = subgroup_lattice(self.base)
-        (a_row,) = model.rows([mask])
-        return [self.base_cl.eval_mask(lat.row_mask(p))
-                for p in a_row[self._pair_labels].T]
-
     def _class_masks(self, mask):
         """Masks over the classes (model order) with a representative (a, s)
         such that u * a lies in the pullback closure at s for some u in S,
-        and with one such that none does; cached by (s, pullback closure)."""
-        hits = misses = 0
-        for t, pullback in enumerate(self._pullbacks(mask)):
-            masks = self._masks.get((t, pullback))
-            if masks is None:
-                if isinstance(self.base, IntegerRing):
-                    prods = np.multiply.outer(self.sat_residues_mod_m,
-                                              np.arange(self.m0))
-                    ok = (prods % pullback == 0 if pullback else prods == 0)
-                else:
-                    (cl,) = subgroup_lattice(self.base).rows([pullback])
-                    ok = cl[self._sat_act]
-                col = self._pair_labels[:, t]
-                masks = self._masks[(t, pullback)] = tuple(
-                    _mask(set(col[side].tolist()))
-                    for side in (ok.any(0), ~ok.any(0)))
-            hits |= masks[0]
-            misses |= masks[1]
-        return hits, misses
+        and with one such that none does (``_class_rows`` of one row)."""
+        lat = subgroup_lattice(self.model)
+        (sides,) = self._class_rows(lat.rows([mask]))
+        return lat.row_mask(sides[0]), lat.row_mask(sides[1])
+
+    def _class_rows(self, rows):
+        """``_class_masks`` of each row of a 2-D bool array over the model's
+        element order, as bool rows [row, (hits, misses), class].
+
+        Over a finite base, the pullbacks {x : x/s in A} of a batch of rows
+        (A's row read through the grid at each s) are closed by one call of
+        the base closure's row memo, ``_base_rows``; a numerator a is
+        admitted at s when u a lies in that closure for some u in S, and
+        the class of each (a, s) is set on the side its test falls.  The
+        rows go in steps of LIST_GRID cells of that test."""
+        if isinstance(self.base, IntegerRing):
+            return self._z_class_rows(rows)
+        k = rows.shape[1]
+        img = self._pair_labels.T.ravel()  # cell t n + a: the class of a/s_t
+        out = np.empty((len(rows), 2, k), dtype=bool)
+        step = max(1, LIST_GRID // (img.size * len(self._sat_act)))
+        for lo in range(0, len(rows), step):
+            closed = self._base_rows(
+                rows[lo:lo + step, self._pair_labels].transpose(0, 2, 1))
+            # [row, t, a]: u a in the closure of the pullback at s_t, some u
+            ok = closed[..., self._sat_act].any(2).reshape(len(closed), -1)
+            out[lo:lo + step, 0] = _image_rows(img, ok, k)
+            out[lo:lo + step, 1] = _image_rows(img, ~ok, k)
+        return out
+
+    def _z_class_rows(self, rows):
+        """``_class_rows`` over Z, by one pullback value g per row.
+
+        Each denominator s is a unit mod m0 (``_build_z`` checks it), so
+        the pullback {a s mod m0 : a in A} spans gcd(m0, A) with m0, for
+        every s.  A common divisor d of m0 and A divides a s - q m0, each
+        residue.  Conversely, d | m0 and d | (a s mod m0) give d | a s, and
+        gcd(d, s) = 1 as d | m0 and gcd(s, m0) = 1, so d | a.  So the
+        pullback closure at s is cl(gZ), g = gcd(m0, gcd A), the same for
+        every s (g = 0 for empty A; at m0 = 1 the pullback spans Z, g = 1,
+        and is taken as such).  The two masks of g are the union over the
+        denominators, kept per g: a class c has the representative (a, s)
+        with c = a s^-1, admitted when u a lies in cl(gZ) for some u in S.
+        """
+        m0 = self.m0
+        if m0 == 1:
+            g = np.ones(len(rows), dtype=np.int64)
+        else:
+            g = np.gcd(m0, np.gcd.reduce(rows * np.arange(m0), axis=1))
+            g[~rows.any(1)] = 0
+        values = np.unique(g)
+        new = [v for v in values.tolist() if v not in self._masks]
+        if new:
+            # the new values' closures cl(gZ), by one vector call
+            pulled = new if m0 == 1 else \
+                self.base_cl.z_principal_image_vec(np.array(new)).tolist()
+            prods = np.multiply.outer(self.sat_residues_mod_m, np.arange(m0))
+            for v, p in zip(new, pulled):
+                ok = (prods % p == 0 if p else prods == 0).any(0)
+                sides = self._masks[v] = np.zeros((2, m0), dtype=bool)
+                sides[0, self._pair_labels[ok]] = True
+                sides[1, self._pair_labels[~ok]] = True
+        return np.array([self._masks[v] for v in values.tolist()])[
+            np.searchsorted(values, g)]
 
     def class_count(self):
         return None if self.model is None else self.model.cardinality()
@@ -481,14 +518,10 @@ def check_rep_independence(loc):
     lat = subgroup_lattice(loc.model)
     tested = ([sub.mask for sub in enumerate_subgroups(loc.model)] +
               [1 << i for i in range(lat.n)])[:512]
-    bad = None
-    for a in tested:
-        hits, misses = loc._class_masks(a)
-        mixed = hits & misses
-        if mixed:
-            bad = {"A": lat.listed(a),
-                   "class": lat.elems[(mixed & -mixed).bit_length() - 1]}
-            break
+    sides = loc._class_rows(lat.rows(tested))
+    bad = _first_violation(sides[:, 0] & sides[:, 1])
+    if bad is not None:
+        bad = {"A": lat.listed(tested[bad[0]]), "class": lat.elems[bad[1]]}
     return Verdict("representative-independence", bad is None, bad,
                    mode=f"{len(tested)} class subsets")
 
@@ -501,20 +534,24 @@ def check_iota_functorial(loc):
     trans = loc.transferred
     if isinstance(loc.base, IntegerRing):
         model = subgroup_lattice(loc.model)
-        for d in range(121):
-            g = loc.base_cl.z_principal_image(d)
-            lhs, a = (model.mask({loc.iota(e * k) for k in range(loc.m0 + 1)})
-                      for e in (g, d))
-            if lhs & ~trans.eval_mask(a):
-                image_ce = {"X": f"({d})"}
-                break
-        for sub in enumerate_subgroups(loc.model):
+        # row d: iota(cl((d))) and iota((d)), the latter closed by one batch
+        lhs, a = (model.rows([model.mask({loc.iota(e * k)
+                                          for k in range(loc.m0 + 1)})
+                              for e in es])
+                  for es in (map(loc.base_cl.z_principal_image, range(121)),
+                             range(121)))
+        bad = _first_violation(lhs & ~trans.eval_rows(a))
+        if bad is not None:
+            image_ce = {"X": f"({bad[0]})"}
+        subs = enumerate_subgroups(loc.model)
+        closed = trans.eval_rows(model.rows([sub.mask for sub in subs]))
+        for sub, row in zip(subs, closed):
             b = sub.sorted_values()
             # iota^{-1}(U) = {x : x mod m0 in U}; spanning those lifts
             g = loc.base_cl.z_principal_image(math.gcd(loc.m0, *b))
             if loc.m0 > 1 and not all(
                     (c % g == 0 if g else c == 0)
-                    for c in model.listed(trans.eval_mask(sub.mask))):
+                    for c in model.listed(model.row_mask(row))):
                 pre_ce = {"B": b}
                 break
         mode = "(d) for d <= 120; subgroup subsets of classes"
@@ -525,7 +562,7 @@ def check_iota_functorial(loc):
         xs = enumerate_subgroups(loc.base)
         rows = base.rows([sub.mask for sub in xs])
         bad = _first_image_violation(
-            model, img, rows, _ClosureRows(loc.base_cl, base)(rows), trans)
+            model, img, rows, loc._base_rows(rows), trans)
         if bad is not None:
             image_ce = {"X": xs[bad[0]].sorted_values()}
         bs = enumerate_subgroups(loc.model)

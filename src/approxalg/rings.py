@@ -578,6 +578,11 @@ class _Lattice:
         self._orbits = [None] * self.n
         self._subgroups = None
 
+    def __reduce__(self):
+        """A lattice pickles as its structure's: it holds only weak
+        references to it, and is rebuilt from it."""
+        return subgroup_lattice, (self._struct(),)
+
     def _struct(self):
         """A live structure among those the lattice has served (a strong
         reference would pin the lattice's own key in the weak cache)."""
@@ -757,21 +762,24 @@ class _Lattice:
             yield (coset := _mask(row[j] for j in _bits(coset)))
             k = row[k]
 
-    def _grow(self, mask):
-        """The coset walk from H = {0} to the subgroup the mask generates:
-        for each g of the mask outside H, least first, the cosets of H in
-        H + <g> past H (``_cosets``), as (g, coset), H growing by each."""
-        h = 1 << self.zero
+    def _grow(self, mask, h=None):
+        """The coset walk from a subgroup H (by default {0}) to the subgroup
+        H | mask generates: for each g of the mask outside H, least first,
+        the cosets of H in H + <g> past H (``_cosets``), as (g, coset), H
+        growing by each."""
+        h = 1 << self.zero if h is None else h
         while rest := mask & ~h:
             g = (rest & -rest).bit_length() - 1
             for coset in self._cosets(h, g):
                 h |= coset
                 yield g, coset
 
-    def subgroup(self, mask):
-        """The subgroup the mask generates: {0} and the walk's disjoint
-        cosets, so their sum is their union."""
-        return (1 << self.zero) + sum(c for _, c in self._grow(mask))
+    def subgroup(self, mask, h=None):
+        """The subgroup generated by the mask and a subgroup H (by default
+        {0}): H and the walk's disjoint cosets, so their sum is their
+        union."""
+        h = 1 << self.zero if h is None else h
+        return h + sum(c for _, c in self._grow(mask, h))
 
     @cached_property
     def generators(self):
@@ -972,12 +980,17 @@ class FiniteSubgroup(ElementSet):
         return self.sorted_values()
 
     def __add__(self, other):
-        """H + K, the subgroup generated by H | K."""
+        """H + K, the subgroup generated by H | K: the one that holds the
+        other, or the walk from the larger adding the smaller's elements."""
         if not isinstance(other, FiniteSubgroup):
             return NotImplemented
         _same_ring(self, other)
+        big, small = (self, other) if len(self) >= len(other) \
+            else (other, self)
+        if not small.mask & ~big.mask:
+            return big
         return FiniteSubgroup.from_mask(
-            self.ring, self.lat.subgroup(self.mask | other.mask))
+            self.ring, self.lat.subgroup(small.mask, big.mask))
 
 
 class PrincipalSubgroup:

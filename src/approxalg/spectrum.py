@@ -225,12 +225,14 @@ def topology_check(spec, z_ideal_bound=120):
     is not.
 
     D(f) = {P : cl(<f>) not inside cl(P)} depends on f only through
-    cl(<f>).  So each f of the pool is closed once, and each distinct
-    closure value builds its open once.  The T0 marks are taken over the
-    distinct opens: two points agree on every D(f) iff they agree on every
-    distinct one, since each D(f) is one of them, so the equality relation
-    and the first (P, Q) counterexample are those of the per-f marks.  The
-    subcover walks the pool in order, so it picks the same f.
+    cl(<f>).  So each f of the pool is closed once (over Z, the whole pool
+    by one ``z_principal_image_vec`` call), and each distinct closure value
+    builds its open once, in the order it first occurs.  The T0 marks are
+    taken over the distinct opens: two points agree on every D(f) iff they
+    agree on every distinct one, since each D(f) is one of them, so the
+    equality relation and the first (P, Q) counterexample are those of the
+    per-f marks.  The subcover walks the pool in order, so it picks the
+    same f.
     """
     verdicts = []
     if isinstance(spec.ring, IntegerRing) and z_ideal_bound < 0:
@@ -309,15 +311,23 @@ def topology_check(spec, z_ideal_bound=120):
     # T0: no two points lie in exactly the same basic opens; one open per
     # distinct cl(<f>)
     primes = list(spec.primes)
-    distinct = {}
-    opens = []
-    for f in f_pool:
-        clf = _closure_of(spec, [f])
-        if clf not in distinct:
-            distinct[clf] = {p for p, clp in zip(primes, spec.prime_closures)
-                             if not clf <= clp}
-        opens.append(distinct[clf])
-    marks = [tuple(p in op for op in distinct.values()) for p in primes]
+    if isinstance(spec.ring, IntegerRing):
+        # cl(<f>) = cl(fZ) for the whole pool by one vector call
+        images = np.asarray(spec.cl.z_principal_image_vec(f_pool))
+        values, first, index = np.unique(images, return_index=True,
+                                         return_inverse=True)
+        order = np.argsort(first)
+        closures = [PrincipalSubgroup(int(v)) for v in values[order]]
+        f_index = np.argsort(order)[index.ravel()].tolist()
+    else:
+        closures, f_index = {}, []
+        for f in f_pool:
+            f_index.append(closures.setdefault(_closure_of(spec, [f]),
+                                               len(closures)))
+    distinct = [{p for p, clp in zip(primes, spec.prime_closures)
+                 if not clf <= clp} for clf in closures]
+    opens = [distinct[k] for k in f_index]
+    marks = [tuple(p in op for op in distinct) for p in primes]
     t0_ce = next(({"P": repr(p), "Q": repr(primes[j])}
                   for i, p in enumerate(primes)
                   for j in range(i + 1, len(primes)) if marks[i] == marks[j]),

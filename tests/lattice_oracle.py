@@ -61,6 +61,20 @@ def naive_is_subgroup(struct, values):
         for x in values)
 
 
+def subgroup_sum(add, h, k):
+    """H + K for subgroups H and K (value sets) of an abelian group with
+    the addition ``add``, as the set of sums h + k: it holds H and K (each
+    holds 0), and is closed under + and - (sums and negatives regroup), so
+    it is the subgroup H | K generates.  It is the union of the cosets
+    H + y, y in K, each added once: a y already covered lies in some
+    H + y', and then H + y = H + y'."""
+    out = set()
+    for y in k:
+        if y not in out:
+            out |= {add(x, y) for x in h}
+    return frozenset(out)
+
+
 def generator_sets(elems):
     """Each singleton and each pair of neighbours in the element order."""
     return [[x] for x in elems] + [list(p) for p in zip(elems, elems[1:])]

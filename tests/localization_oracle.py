@@ -9,18 +9,33 @@ the nested well-definedness loops of ``ideals.quotient_ring`` and
 ``modules.module_quotient``, run on the classes those functions built.
 ``rep_independence_loop`` decides representative independence of the
 transferred closure from its definition, one representative at a time.
+``transferred_masks`` is the transferred closure's per-denominator formula
+as it was before it was evaluated a batch of subsets at a time: one
+pullback closure per denominator s (over Z one gcd of the residues a s),
+and ``LoopTransferredClosure`` the closure that evaluates it one subset at
+a time, with ``loop_rep_independence`` the representative check on it.
 ``z_relation_loop`` is the relation check of a localization of Z as it was
 before it read the absorbed residues: one grid comparison per residue of
 S.  ``z_radical_cycle_walk`` is the membership sweep of rad((d)) over Z as
 it was before one power decided it: it walks each x's power residues
 modulo g until one is 0 or repeats."""
 
+import math
+
 import numpy as np
 
-from approxalg.closures import _chunks, materialize
+from approxalg.closures import ClosureSpec, _chunks, materialize
 from approxalg.errors import ResourceLimitError
+from approxalg.localization import TransferredClosure
 from approxalg.reports import Verdict
-from approxalg.rings import TableRing, sort_key
+from approxalg.rings import (
+    IntegerRing,
+    TableRing,
+    _mask,
+    enumerate_subgroups,
+    sort_key,
+    subgroup_lattice,
+)
 
 
 class LoopLocalization:
@@ -245,3 +260,77 @@ def z_radical_cycle_walk(cl, d, bound=200):
         if hit:
             out.append(x)
     return out
+
+
+def transferred_masks(loc, mask):
+    """The masks over the classes (model order) with a representative
+    (a, s) such that u * a lies in cl({x : x/s in A}) for some u in S, and
+    with one such that none does, one denominator s at a time: over Z the
+    pullback closure is cl(gZ), g the gcd of m0 and the residues a s mod m0
+    (0 for empty A; 1 at m0 = 1), else the base closure of A's row read
+    through the grid at s."""
+    model = subgroup_lattice(loc.model)
+    if isinstance(loc.base, IntegerRing):
+        m0 = loc.m0
+        values = model.listed(mask)
+        prods = np.multiply.outer(loc.sat_residues_mod_m, np.arange(m0))
+        admitted = {}  # per pullback closure: the numerators a with some u
+        oks = []
+        for s in loc.denominators:
+            residues = {(a * s) % m0 for a in values}
+            pullback = 1 if m0 == 1 else loc.base_cl.z_principal_image(
+                math.gcd(m0, *residues) if residues else 0)
+            if pullback not in admitted:
+                admitted[pullback] = (prods % pullback == 0 if pullback
+                                      else prods == 0).any(0)
+            oks.append(admitted[pullback])
+    else:
+        lat = subgroup_lattice(loc.base)
+        (a_row,) = model.rows([mask])
+        oks = []
+        for p in a_row[loc._pair_labels].T:
+            (cl,) = lat.rows([loc.base_cl.eval_mask(lat.row_mask(p))])
+            oks.append(cl[loc._sat_act].any(0))
+    hits, misses = set(), set()
+    for t, ok in enumerate(oks):
+        col = loc._pair_labels[:, t]
+        hits |= set(col[ok].tolist())
+        misses |= set(col[~ok].tolist())
+    return _mask(hits), _mask(misses)
+
+
+class LoopTransferredClosure(TransferredClosure):
+    """The transferred closure of a localization by ``transferred_masks``,
+    one subset at a time (the base class's per-row ``eval_rows``), each
+    distinct subset once."""
+
+    eval_rows = ClosureSpec.eval_rows
+
+    def __init__(self, localized):
+        super().__init__(localized)
+        self.seen = {}
+
+    def eval_mask(self, mask):
+        if mask not in self.seen:
+            self.seen[mask] = transferred_masks(self.loc, mask)
+        return self.seen[mask][0]
+
+
+def loop_rep_independence(loc):
+    """``check_rep_independence`` one subset at a time on
+    ``transferred_masks``: the first tested subset under which a class
+    mixes verdicts across its representatives, with the first such
+    class."""
+    lat = subgroup_lattice(loc.model)
+    tested = ([sub.mask for sub in enumerate_subgroups(loc.model)] +
+              [1 << i for i in range(lat.n)])[:512]
+    bad = None
+    for a in tested:
+        hits, misses = transferred_masks(loc, a)
+        mixed = hits & misses
+        if mixed:
+            bad = {"A": lat.listed(a),
+                   "class": lat.elems[(mixed & -mixed).bit_length() - 1]}
+            break
+    return Verdict("representative-independence", bad is None, bad,
+                   mode=f"{len(tested)} class subsets")

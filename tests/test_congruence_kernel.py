@@ -143,22 +143,22 @@ def test_rep_independence_matches_definition(spec, kind):
 
 def test_transfer_axioms_leave_the_localization_alone():
     """Evaluating the transferred closure records nothing on the
-    localization: its attributes, apart from the memo of pair masks, are
-    the same objects with the same values, and a later representative
-    check reads the same."""
+    localization: its attributes, apart from the memo of the base
+    closure's rows, are the same objects with the same values, and a later
+    representative check reads the same."""
     ring = parse_ring("prod:[Zn:2,Zn:2]")
     loc = localize(ring, closure(ring, "union-fixed"),
                    mult_set(ring, [(1, 0)]))
     assert loc.ok()
     before = dict(vars(loc))
-    snapshot = {k: repr(v) for k, v in before.items() if k != "_masks"}
+    snapshot = {k: repr(v) for k, v in before.items() if k != "_base_rows"}
     first = check_rep_independence(loc).to_dict()
     check_transfer_axioms(loc)
     after = vars(loc)
     assert after.keys() == before.keys()
     for key, value in before.items():
         assert after[key] is value
-        if key != "_masks":
+        if key != "_base_rows":
             assert repr(value) == snapshot[key]
     assert check_rep_independence(loc).to_dict() == first
 

@@ -292,6 +292,39 @@ class TestPrimeRing:
         assert ok
         assert check_thm_ring_prime(Z, shift(Z, [0])).passed
 
+    @pytest.mark.parametrize("m", [1, 6, 7])
+    @pytest.mark.parametrize("z_bound", [None, "m", "2m"])
+    def test_integer_box_reaching_the_witness_decides(self, m, z_bound):
+        """The default box, and any box from m up, holds the first witness
+        (1, m) of cl(0) = (m): the condition fails, as (0) is no prime."""
+        bound = {None: None, "m": m, "2m": 2 * m}[z_bound]
+        verdict = check_thm_ring_prime(Z, shift(Z, [m]), z_bound=bound)
+        assert verdict.passed
+        assert verdict.details == {"prime-ring": False, "condition": False}
+
+    @pytest.mark.parametrize("m, z_bound", [(7, 5), (7, 6), (6, 0), (1, 0)])
+    def test_integer_box_below_m_is_refused(self, m, z_bound):
+        """A box a, b <= z_bound < m cannot reach (1, m), so read as given
+        it would report the condition as holding, a false fail (shift:J=7
+        at 5 and 6); 0 is such a box, not the default one."""
+        with pytest.raises(PreconditionError,
+                           match=rf"the bound {z_bound} is below m={m}: .* "
+                                 rf"first witness \(1, {m}\)"):
+            check_thm_ring_prime(Z, shift(Z, [m]), z_bound=z_bound)
+
+    @pytest.mark.parametrize("m", [0, 7])
+    def test_integer_negative_box_is_refused(self, m):
+        with pytest.raises(PreconditionError,
+                           match="the bound -1 over Z is negative"):
+            check_thm_ring_prime(Z, shift(Z, [m]), z_bound=-1)
+
+    def test_integer_empty_box_decides_cl0_zero(self):
+        """At m = 0 no product of nonzero integers is 0, so the empty box
+        (z_bound 0) decides the condition as holding, as (0) is prime."""
+        verdict = check_thm_ring_prime(Z, shift(Z, [0]), z_bound=0)
+        assert verdict.passed
+        assert verdict.details == {"prime-ring": True, "condition": True}
+
     def test_equivalence_across_finite_suite(self):
         for ring in [ResidueRing(4), ResidueRing(6), ResidueRing(7), Z12]:
             for cl in [GeneratedIdealClosure(ring), shift(ring, [ring.canon(2)])]:

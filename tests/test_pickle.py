@@ -1,7 +1,9 @@
 """Values are plain data: every structure of ``small_rings`` with its
 subgroups, quotient rings and localizations over a finite ring and over
-Z, and a module quotient survive a pickle round trip, and each copy shows
-the same masks, labels, class count and verdicts as the original."""
+Z (also after a transferred check has filled their memos by
+``eval_rows``), and a module quotient survive a pickle round trip, and
+each copy shows the same masks, labels, class count and verdicts as the
+original."""
 
 import pickle
 
@@ -15,6 +17,7 @@ from approxalg.ideals import ApproxIdeal, QuotientRing, quotient_ring
 from approxalg.localization import (
     LocalizedRing,
     check_rep_independence,
+    check_transfer_axioms,
     localize,
     mult_set,
 )
@@ -67,6 +70,16 @@ def finite_localization():
     return localize(ring, GeneratedIdealClosure(ring), mult_set(ring, [2]))
 
 
+def evaluated(loc):
+    """The localization after a sampled transfer check, which evaluates
+    its closure by ``eval_rows``, has filled its memo (the masks per
+    pullback over Z, the base closure's rows over a finite base)."""
+    check_transfer_axioms(loc, mode="sampled", count=50)
+    memo = loc._masks if loc.base is Z else loc._base_rows.keys
+    assert len(memo)
+    return loc
+
+
 def module_quotient():
     mod = modules.finite_module(Z, [2, 4])
     return modules.module_quotient(mod, [(0, 0), (0, 2)],
@@ -86,6 +99,8 @@ VALUES = {
     "finite-localization": finite_localization,
     "Z-localization-m0=3": lambda: z_localization(2, 3),
     "Z-localization-m0=1": lambda: z_localization(6, 1),
+    "finite-localization-evaluated": lambda: evaluated(finite_localization()),
+    "Z-localization-evaluated": lambda: evaluated(z_localization(2, 3)),
     "module-quotient": module_quotient,
 }
 

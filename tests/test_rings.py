@@ -14,6 +14,7 @@ from lattice_oracle import (
     naive_lattice,
     naive_span,
     small_rings,
+    subgroup_sum,
 )
 
 from approxalg import (
@@ -408,6 +409,32 @@ class TestLatticeKernel:
         del ring, lat, act, add
         gc.collect()
         assert [ref() for ref in refs] == [None, None]
+
+
+# every structure of at most 64 elements the tests build, but for those
+# with thousands of subgroups ((Z/2)^6 and GF(64), 2825 each, 8M pairs)
+SUM_STRUCTURES = small_rings() + [
+    finite_module(Z, [2, 4]), finite_module(Z, [2, 2, 2]),
+    finite_module(Z, [4, 4]), ResidueRing(60), ResidueRing(64),
+    parse_ring("prod:[Zn:2,Zn:2,Zn:2,Zn:2,Zn:2]"),
+    parse_ring("prod:[Zn:2,Zn:4,Zn:8]"), parse_ring("prod:[Zn:4,Zn:4,Zn:4]")]
+
+
+@pytest.mark.parametrize("struct", SUM_STRUCTURES, ids=repr)
+def test_subgroup_sums_match_the_sets_of_sums(struct):
+    """H + K on every ordered pair of subgroups: the walk from the larger
+    operand (or the operand holding the other) against {h + k}, read off
+    a table of the structure's own additions."""
+    subs = enumerate_subgroups(struct)
+    values = [sub.values for sub in subs]
+    elems = list(struct.elements())
+    table = {(x, y): struct.add(x, y) for x in elems for y in elems}
+    for i, h in enumerate(subs):
+        for j in range(i, len(subs)):
+            total = h + subs[j]
+            assert total.values == subgroup_sum(
+                lambda x, y: table[x, y], values[i], values[j])
+            assert (subs[j] + h).mask == total.mask
 
 
 class TestIdealArithmetic:
