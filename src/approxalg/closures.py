@@ -102,12 +102,12 @@ DEFAULT_SAMPLE_COUNT = 2000
 DEFAULT_SEED = int.from_bytes(b"A1GEBRA", "big")
 
 POINT_GUARD = 4096
-# the most cells the integer candidate sweep may be priced at
+# the most trial divisions of m, and then divisor cells, the integer
+# candidate sweep (``ideals.z_prime_walk``) may be priced at
 Z_SWEEP_CELL_LIMIT = 1 << 26
-# cells per chunk of every row walk (``_chunks``, and the blocks of the
-# integer candidate sweep; a join's matrices in ``_ClosureRows`` are
-# float32 over at most this many), and the most cells (pairs times
-# elements) the list engine's pair walk may be priced at
+# cells per chunk of every row walk (``_chunks``; a join's matrices in
+# ``_ClosureRows`` are float32 over at most this many), and the most cells
+# (pairs times elements) the list engine's pair walk may be priced at
 LIST_GRID = 1 << 18
 LIST_PAIR_CELL_LIMIT = 1 << 28
 

@@ -12,6 +12,7 @@ bounded brute force.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -203,116 +204,82 @@ def z_prime_bruteforce(cl, d, bound=None):
     return True, None
 
 
-def z_prime_bruteforce_grid(m, d_max, bound=None):
-    """Verdicts for all candidates (d), d = 0..d_max, by a bounded sweep.
+def z_divisors(m):
+    """The divisors of m >= 1, ascending, by trial division up to isqrt(m).
 
-    Same decision as ``z_prime_bruteforce`` for the modular closure with
-    modulus m, over the box of rows d = 0..d_max and columns x = 1..bound.
-    Cell (d, x) violates when x is not in (d), y0 = g / gcd(x, g) with
-    g = gcd(d, m) is nonzero and at most bound, and y0 is not in (d); the
-    verdict of (d) is that no cell of its row violates, except that (1),
-    the whole ring, is never a candidate.
-
-    Rows go in chunks of ``closures.LIST_GRID``, and in a chunk columns in
-    blocks that start at one column and double, each of at most LIST_GRID
-    cells (live rows x width) and evaluated on the rows with no violation
-    yet: unlike ``closures._first_break``, a row leaves at its first
-    violating block.  This is exact, as a row's verdict is the negated OR
-    of its cells, the blocks partition 1..bound, and a row leaves only once
-    that OR is true.  Row 1 is not walked; its verdict is fixed.
-
-    The walk is priced before anything is allocated (``_z_sweep_cells``);
-    beyond ``closures.Z_SWEEP_CELL_LIMIT`` cells it raises
-    ResourceLimitError.  It computes in int64, so an m, d_max or bound
-    beyond 2^63 - 1 raises PreconditionError before pricing.
+    The isqrt(m) trial divisions are priced first, beyond
+    ``closures.Z_SWEEP_CELL_LIMIT`` raising ResourceLimitError before any
+    divisor is listed.
     """
-    if bound is None:
-        bound = max(2 * m, 16)
-    if max(abs(m), d_max, bound) > np.iinfo(np.int64).max:
-        raise PreconditionError(
-            f"candidate sweep for m={m} over d <= {d_max}, x <= {bound} "
-            f"computes in int64: each must be at most 2^63 - 1")
-    price(f"the candidate sweep for m={m} over d <= {d_max}, x <= {bound}",
-          _z_sweep_cells(m, d_max, bound), closures.Z_SWEEP_CELL_LIMIT,
+    root = math.isqrt(m)
+    price(f"the trial division of m={m} up to isqrt(m)", root,
+          closures.Z_SWEEP_CELL_LIMIT, "trial divisions")
+    small = [e for e in range(1, root + 1) if m % e == 0]
+    return small + [m // e for e in reversed(small) if e * e != m]
+
+
+def z_prime_walk(m, d_max):
+    """The candidates (d), d = 0..d_max, that pass the bounded sweep of
+    ``z_prime_bruteforce`` for the modular closure with modulus m >= 1, in
+    ascending order.
+
+    The sweep's box has rows d = 0..d_max and columns x = 1..X, X =
+    max(2m, 16).  Cell (d, x) violates when x is not in (d), y0 = g /
+    gcd(x, g) with g = gcd(d, m) is nonzero and at most X, and y0 is not in
+    (d); (d) passes when no cell of its row violates, except that (1), the
+    whole ring, is never a candidate.  Only the divisor rows are walked:
+
+    * Column 1 rules out every other row.  There y0 = g, nonzero as m >= 1,
+      and at most m <= X.  Row 0 violates, as 1 is not in (0) and g = m is
+      not.  A row d >= 2 that does not divide m has g a proper divisor of
+      d, so d does not divide g and the row violates.  On a divisor row d
+      >= 2, g = d and column 1 passes.
+    * On a divisor row d >= 2 a cell depends on x only through gcd(x, d):
+      x is in (d) iff gcd(x, d) = d, and y0 = d / gcd(x, d) <= d <= X is in
+      (d) iff gcd(x, d) = 1.  Every value e of gcd(x, d) is a divisor of d
+      taken first at x = e itself, which lies in the box as e <= m <= X.
+      So the first violating column of the row is a divisor e < d of d, and
+      the row is decided on those columns.
+
+    The divisors come from ``z_divisors``.  Each divisor row 2 <= d <= d_max
+    is then walked over its columns e, ascending, and leaves at its first
+    violating cell.  Those are at most tau(m)^2 cells, for the tau(m)
+    divisors of m, priced before the walk under the same
+    ``closures.Z_SWEEP_CELL_LIMIT`` (tau(m) <= 6720 for every m <= 10^12).
+    """
+    if m < 1:
+        raise PreconditionError(f"the divisor walk needs m >= 1, not m={m}")
+    divisors = z_divisors(m)
+    price(f"the divisor walk of m={m}, tau(m)^2 for tau(m) = "
+          f"{len(divisors)}", len(divisors) ** 2, closures.Z_SWEEP_CELL_LIMIT,
           "cells")
-    grid = closures.LIST_GRID
-    verdict = np.ones(d_max + 1, dtype=bool)
-    for lo in range(0, d_max + 1, grid):
-        d = np.arange(lo, min(lo + grid, d_max + 1), dtype=np.int64)
-        d = d[d != 1]
-        g = np.gcd(d, m)
-        x, width = 1, 1
-        while x <= bound and len(d):
-            width = min(width, bound - x + 1, max(1, grid // len(d)))
-            hit = _z_sweep_block(d, g, x, x + width, bound)
-            verdict[d[hit]] = False
-            d, g = d[~hit], g[~hit]
-            x += width
-            width *= 2
-    if d_max >= 1:
-        verdict[1] = False
+    bound = max(2 * m, 16)
+    passed = []
+    for k, d in enumerate(divisors):
+        if d > d_max:
+            break
+        if d == 1:
+            continue
+        g = math.gcd(d, m)
+        if not any(_z_cell_violates(d, g, x, bound)
+                   for x in itertools.islice(divisors, k) if d % x == 0):
+            passed.append(d)
+    return passed
+
+
+def _z_cell_violates(d, g, x, bound):
+    """Whether cell (d, x) of the sweep violates, for a row d >= 2 with
+    g = gcd(d, m) >= 1: x and y0 = g / gcd(x, g) <= bound outside (d)."""
+    y0 = g // math.gcd(x, g)
+    return x % d != 0 and y0 <= bound and y0 % d != 0
+
+
+def z_prime_bruteforce_grid(m, d_max):
+    """The verdicts of ``z_prime_walk`` as a bool array over d = 0..d_max,
+    for callers that index them by d."""
+    verdict = np.zeros(d_max + 1, dtype=bool)
+    verdict[z_prime_walk(m, d_max)] = True
     return verdict
-
-
-def _z_sweep_block(d, g, x0, x1, bound):
-    """For each row d (with g = gcd(d, m)): whether a cell x in [x0, x1)
-    violates, by the cell formula of ``z_prime_bruteforce_grid``."""
-    dd = d[:, None]
-    gg = g[:, None]
-    xx = np.arange(x0, x1, dtype=np.int64)[None, :]
-    d_safe = np.where(dd == 0, 1, dd)
-    x_not_in_p = np.where(dd == 0, xx != 0, xx % d_safe != 0)
-    y0 = gg // np.gcd(xx, np.where(gg == 0, 1, gg))
-    y0_ok = (gg != 0) & (y0 <= bound)
-    y_not_in_p = np.where(dd == 0, y0 != 0, y0 % d_safe != 0)
-    return (x_not_in_p & y0_ok & y_not_in_p).any(axis=1)
-
-
-def _z_sweep_cells(m, d_max, bound):
-    """An upper bound on the cells ``z_prime_bruteforce_grid`` evaluates.
-
-    Column x = 1 on every walked row, then on each row column 1 cannot rule
-    out, the further columns up to the block holding its first violation.
-    Block widths start at 1 and at most double, so no block is wider than
-    the columns before it, and a row with a violation at column c leaves by
-    column 2c - 1.  At x = 1, y0 = g, so column 1 rules out row d != 1
-    exactly when g = gcd(d, m) is nonzero, g <= bound and (d) does not
-    contain g.  It keeps every row when m = 0.  Otherwise it keeps:
-    d = 0 when m > bound; the divisors d >= 2 of m (there g = d); and the
-    rows with g > bound, each a multiple of its g, a divisor of m above
-    bound with at most d_max // g - 1 such multiples besides itself.  A
-    divisor d with least prime factor p < d violates at (d, p) when p and
-    d / p are at most bound, so it is priced at 2p - 1 columns; every
-    other kept row at all bound columns.  The divisors of m up to d_max
-    come from trial division up to min(d_max, isqrt(m)), once column 1
-    alone is within the limit.
-    """
-    if bound < 1:
-        return 0
-    rows = max(d_max, 1)  # every row but d = 1
-    if m == 0:
-        return rows * bound
-    if rows > closures.Z_SWEEP_CELL_LIMIT:
-        return rows
-    divisors = set()
-    for e in range(1, min(d_max, math.isqrt(m)) + 1):
-        if m % e == 0:
-            divisors.update(k for k in (e, m // e) if k <= d_max)
-    cells = rows + int(m > bound) * (bound - 1)
-    primes = []
-    for e in sorted(divisors - {1}):
-        p = next((q for q in primes if e % q == 0), None)
-        if p is None:
-            primes.append(e)
-            cols = bound
-        elif p <= bound and e // p <= bound:
-            cols = min(2 * p - 1, bound)
-        else:
-            cols = bound
-        cells += cols - 1
-        if e > bound:
-            cells += (d_max // e - 1) * (bound - 1)
-    return cells
 
 
 def approx_product(a, b):

@@ -566,7 +566,8 @@ class _Lattice:
     _DIGITS = bytes.maketrans(b"01", b"\0\1")  # binary digits as 0/1 bytes
 
     def __init__(self, struct):
-        self._refs = [weakref.ref(struct)]
+        self._refs = {}
+        self._serve(struct)
         self.elems = sorted(struct.elements(), key=sort_key)
         self.index = {v: i for i, v in enumerate(self.elems)}
         self.n = len(self.elems)
@@ -586,11 +587,23 @@ class _Lattice:
     def _struct(self):
         """A live structure among those the lattice has served (a strong
         reference would pin the lattice's own key in the weak cache)."""
-        for struct in (ref() for ref in self._refs):
-            if struct is not None:
+        for ref in self._refs.values():
+            if (struct := ref()) is not None:
                 return struct
         raise PreconditionError("every structure this subgroup lattice "
                                 "served has been collected")
+
+    def _serve(self, struct):
+        """Hold ``struct`` weakly under its id, so that whether it is served
+        is one lookup however many equal structures live; the entry leaves
+        when the structure is collected."""
+        refs, key = self._refs, id(struct)
+
+        def drop(ref):
+            if refs.get(key) is ref:
+                del refs[key]
+
+        refs[key] = weakref.ref(struct, drop)
 
     @cached_property
     def add_table(self):
@@ -877,9 +890,8 @@ def subgroup_lattice(struct):
     lat = _LATTICES.get(struct)
     if lat is None:
         lat = _LATTICES[struct] = _Lattice(struct)
-    elif all(ref() is not struct for ref in lat._refs):
-        lat._refs = [r for r in lat._refs if r() is not None] + \
-            [weakref.ref(struct)]
+    elif (ref := lat._refs.get(id(struct))) is None or ref() is not struct:
+        lat._serve(struct)
     return lat
 
 

@@ -13,8 +13,6 @@ import itertools
 import math
 from functools import cached_property
 
-import numpy as np
-
 from .errors import InvariantError, PreconditionError, price
 from .ideals import (
     ApproxIdeal,
@@ -23,7 +21,8 @@ from .ideals import (
     approx_product,
     is_approx_ideal,
     is_approx_prime,
-    z_prime_bruteforce_grid,
+    z_divisors,
+    z_prime_walk,
 )
 from .reports import Verdict
 from .rings import (
@@ -106,12 +105,15 @@ def spectrum(ring, cl, z_bound=None):
 
     Finite rings filter every additive subgroup by: approximate ideal,
     proper, approximately prime.  Over the integers the modular closed form
-    is used and re-derived by a bounded candidate sweep; the plain span
-    closure gives the classically bounded enumeration {(0)} + small primes.
-    The sweep re-derives the candidates (d), d <= z_bound: there the two
-    must agree (InvariantError otherwise), and a z_bound below m's largest
-    prime is refused with PreconditionError, as the sweep cannot reach it,
-    and so is a negative z_bound.
+    (the primes of m) is used and re-derived by the bounded candidate sweep
+    over (d), d <= z_bound (default max(1000, m)), which
+    ``ideals.z_prime_walk`` decides on the divisor rows of m alone and
+    returns as the passing d in ascending order, with no array over every
+    d; the plain span closure gives the classically bounded enumeration
+    {(0)} + small primes.  On the candidates the sweep reaches the two must
+    agree (InvariantError otherwise), and a z_bound below m's largest prime
+    is refused with PreconditionError, as the sweep cannot reach it, and so
+    is a negative z_bound.
     """
     if isinstance(ring, IntegerRing):
         if z_bound is not None and z_bound < 0:
@@ -124,9 +126,8 @@ def spectrum(ring, cl, z_bound=None):
             return SpectrumReport(ring, cl, primes, "bounded-enumeration")
         if m == 1:
             return SpectrumReport(ring, cl, [], "closed-form")
-        # the sweep first: it is priced, and refused, before m is factored
-        swept = z_prime_bruteforce_grid(m, bound)
-        brute = [PrincipalSubgroup(int(d)) for d in np.flatnonzero(swept)]
+        # the walk first: it is priced, and refused, before m is factored
+        brute = [PrincipalSubgroup(d) for d in z_prime_walk(m, bound)]
         closed = [PrincipalSubgroup(p) for p in prime_factors(m)]
         inside = [p for p in closed if p.d <= bound]
         if inside != brute:
@@ -201,9 +202,9 @@ def topology_check(spec, z_ideal_bound=120):
     opens, the T1 criterion computed both as inclusion-maximality and as
     singleton point closures, and quasi-compactness by exhibiting a finite
     subcover of the full basic-open cover.  The laws' walk over the p(p+1)/2
-    pairs i <= j of the p ideals of the pool and the basic opens D(f), one
-    closure each, are priced first, at (p(p+1)/2 + opens) x |R| cells
-    (|R| = 1 over Z), and refused with ResourceLimitError past
+    pairs i <= j of the p ideals of the pool and the basic opens D(f) it
+    builds, one closure each, are priced first, at (p(p+1)/2 + opens) x |R|
+    cells (|R| = 1 over Z), and refused with ResourceLimitError past
     TOPOLOGY_CELL_LIMIT.
 
     Both laws are read in row-major order over the pairs i <= j only, with
@@ -225,14 +226,33 @@ def topology_check(spec, z_ideal_bound=120):
     is not.
 
     D(f) = {P : cl(<f>) not inside cl(P)} depends on f only through
-    cl(<f>).  So each f of the pool is closed once (over Z, the whole pool
-    by one ``z_principal_image_vec`` call), and each distinct closure value
-    builds its open once, in the order it first occurs.  The T0 marks are
-    taken over the distinct opens: two points agree on every D(f) iff they
-    agree on every distinct one, since each D(f) is one of them, so the
-    equality relation and the first (P, Q) counterexample are those of the
-    per-f marks.  The subcover walks the pool in order, so it picks the
-    same f.
+    cl(<f>).  So each f of the pool is closed once, and each distinct
+    closure value builds its open once, in the order it first occurs.  The
+    T0 marks are taken over the distinct opens: two points agree on every
+    D(f) iff they agree on every distinct one, since each D(f) is one of
+    them, so the equality relation and the first (P, Q) counterexample are
+    those of the per-f marks.  The subcover walks the pool in order and
+    takes f only when D(f) meets the points still uncovered; a later f with
+    the value of an earlier one never does, as the earlier open was taken
+    or met none of them, so the subcover picks first occurrences alone.
+
+    Over Z with modulus m >= 1 the pool is f = 0..max(m, 30), and cl(<f>)
+    = gcd(f, m)Z takes the value m first at f = 0 and each divisor g < m of
+    m first at f = g (gcd(f, m) = g needs g | f).  So the opens are built
+    from f = 0 and the divisors g < m alone (``ideals.z_divisors``), in
+    that order, and priced as such; T0, the subcover and the mode's count
+    of max(m, 30) + 1 basic opens are those of the whole pool.  Under
+    ``gen`` (m = 0) the pool is 0..30 and the primes of the spectrum past
+    30, each closed.
+
+    T1 is computed as inclusion-maximality and as singleton point
+    closures, and the two agree by construction, for every operator,
+    axiomatic or not: every prime P of a spectrum is cl-closed.  Absorption
+    gives P = 1 P inside cl(P).  And 1 is not in P, else R 1 inside cl(P)
+    is the whole ring, which ``is_approx_prime`` rejects; so a z in cl(P)
+    outside P would give z 1 = z in cl(P) with neither z nor 1 in P, and P
+    would not be prime.  So V(P) = {Q : cl(P) inside cl(Q)} = {Q : Q
+    contains P}, and {P} is closed iff no prime strictly contains P.
     """
     verdicts = []
     if isinstance(spec.ring, IntegerRing) and z_ideal_bound < 0:
@@ -240,11 +260,14 @@ def topology_check(spec, z_ideal_bound=120):
             f"the bound {z_ideal_bound} over Z is negative")
     pool = _ideal_pool(spec, z_ideal_bound)
     if isinstance(spec.ring, IntegerRing):
-        top = max(_z_shift_modulus(spec.cl), 30)
-        f_pool = [*range(top + 1), *(p.d for p in spec.primes if p.d > top)]
+        m = _z_shift_modulus(spec.cl)
+        f_pool = [0, *z_divisors(m)[:-1]] if m else \
+            [*range(31), *(p.d for p in spec.primes if p.d > 30)]
+        f_count = max(m, 30) + 1 if m else len(f_pool)
         spans = [a.d for a in pool]
     else:
         f_pool = sorted(spec.ring.elements(), key=sort_key)
+        f_count = len(f_pool)
         lat = subgroup_lattice(spec.ring)
         spans = [lat.span(a.mask) for a in pool]
     pairs = len(pool) * (len(pool) + 1) // 2
@@ -311,19 +334,10 @@ def topology_check(spec, z_ideal_bound=120):
     # T0: no two points lie in exactly the same basic opens; one open per
     # distinct cl(<f>)
     primes = list(spec.primes)
-    if isinstance(spec.ring, IntegerRing):
-        # cl(<f>) = cl(fZ) for the whole pool by one vector call
-        images = np.asarray(spec.cl.z_principal_image_vec(f_pool))
-        values, first, index = np.unique(images, return_index=True,
-                                         return_inverse=True)
-        order = np.argsort(first)
-        closures = [PrincipalSubgroup(int(v)) for v in values[order]]
-        f_index = np.argsort(order)[index.ravel()].tolist()
-    else:
-        closures, f_index = {}, []
-        for f in f_pool:
-            f_index.append(closures.setdefault(_closure_of(spec, [f]),
-                                               len(closures)))
+    closures, f_index = {}, []
+    for f in f_pool:
+        f_index.append(closures.setdefault(_closure_of(spec, [f]),
+                                           len(closures)))
     distinct = [{p for p, clp in zip(primes, spec.prime_closures)
                  if not clf <= clp} for clf in closures]
     opens = [distinct[k] for k in f_index]
@@ -333,9 +347,9 @@ def topology_check(spec, z_ideal_bound=120):
                   for j in range(i + 1, len(primes)) if marks[i] == marks[j]),
                  None)
     verdicts.append(Verdict("T0", t0_ce is None, t0_ce,
-                            mode=f"{len(f_pool)} basic opens"))
+                            mode=f"{f_count} basic opens"))
 
-    # T1 computed two independent ways
+    # T1 computed two ways, which agree by construction (see above)
     incl_ce = next(({"P": repr(p), "Q": repr(q)}
                     for p in primes for q in primes if p < q), None)
     incl_max = incl_ce is None
@@ -363,8 +377,8 @@ def topology_check(spec, z_ideal_bound=120):
                             details={"subcover-size": len(cover)}))
 
     # observational report (no equivalence asserted): whether the primes
-    # are all cl-closed, and whether every proper cl-closed ideal in the
-    # pool sits under some prime
+    # are all cl-closed, always true as proved above, and whether every
+    # proper cl-closed ideal in the pool sits under some prime
     primes_closed = all(clp == p for p, clp in zip(primes,
                                                    spec.prime_closures))
     under = all(any(a <= p for p in primes) for a in pool

@@ -4,7 +4,6 @@ import shlex
 import time
 import tracemalloc
 
-import numpy as np
 import pytest
 
 from approxalg import (
@@ -78,6 +77,28 @@ class TestQueries:
                            "--closure", "shift:J=12", "--ideal", "0")
         assert code == 0
         assert "radical: (6)" in out
+
+    @pytest.mark.parametrize("m", [1_000_000_007, 1_000_000_000_039])
+    def test_paper_example_at_paper_scale(self, capsys, m):
+        """Spec(Z) under <A> + mZ for the primes m = 10^9 + 7 and 10^12 +
+        39: the one point (m), a T1 space, and rad(0) = (m)."""
+        closure = ["--ring", "Z", "--closure", f"shift:J={m}",
+                   "--format", "json"]
+        code, out, _ = run(capsys, "spec", *closure)
+        assert code == 0
+        assert json.loads(out)["primes"] == [f"({m})"]
+        code, out, _ = run(capsys, "topology", *closure)
+        verdicts = {v["axiom"]: v for v in json.loads(out)["verdicts"]}
+        assert code == 0
+        assert {v["verdict"] for v in verdicts.values()} == {"pass"}
+        assert verdicts["T1"]["details"] == {"inclusion-maximal": True,
+                                             "singleton-closures": True}
+        assert verdicts["T0"]["mode"] == f"{m + 1} basic opens"
+        code, out, _ = run(capsys, "radical", "--ideal", "0", *closure)
+        report = json.loads(out)
+        assert code == 0 and report["radical"] == f"({m})"
+        assert report["verdicts"][0]["details"] == {
+            "intersection": f"({m})", "rad0": f"({m})"}
 
 
 class TestChecks:
@@ -249,7 +270,7 @@ class TestExitCodes:
          closures, "EXHAUSTIVE_SUBSET_CAP"),
         ("axioms --ring Zn:128 --closure gen --mode sampled",
          closures, "LIST_PAIR_CELL_LIMIT"),
-        ("spec --ring Z --closure shift:J=1000000007",
+        ("spec --ring Z --closure shift:J=100000000000000003",
          closures, "Z_SWEEP_CELL_LIMIT"),
         ("spec --ring Zn:1000000007 --closure gen",
          rings, "SUBGROUP_WORK_LIMIT"),
@@ -331,7 +352,7 @@ class TestExitCodes:
         tracemalloc.start()
         try:
             code, out, err = run(capsys, "spec", "--ring", "Z",
-                                 "--closure", "shift:J=1000000007")
+                                 "--closure", "shift:J=100000000000000003")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -340,7 +361,7 @@ class TestExitCodes:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("resource limit:")
         assert "priced at" in lines[0] and "Traceback" not in err
-        # refused before the (m + 1) x 2m box or any block of it exists
+        # 3.2e8 trial divisions: refused before any divisor list is built
         assert peak < 4 << 20
 
     @pytest.mark.parametrize("ring", ["Zn:1000000007", "Fun:p=2,n=5"])
@@ -492,12 +513,10 @@ class TestExitCodes:
         assert message in out
 
     def test_internal_invariant_is_exit_4(self, capsys, monkeypatch):
-        def wrong(m, d_max, bound=None):
-            swept = np.zeros(d_max + 1, dtype=bool)
-            swept[2] = True
-            return swept
+        def wrong(m, d_max):
+            return [2]
 
-        monkeypatch.setattr(spectrum_module, "z_prime_bruteforce_grid", wrong)
+        monkeypatch.setattr(spectrum_module, "z_prime_walk", wrong)
         code, out, err = run(capsys, "spec", "--ring", "Z",
                              "--closure", "shift:J=30")
         assert code == 4

@@ -5,6 +5,9 @@ import weakref
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from approxalg import (
     GeneratedIdealClosure,
@@ -36,8 +39,10 @@ from approxalg.ideals import (
     quotient_ring,
     z_prime_bruteforce,
     z_prime_bruteforce_grid,
+    z_prime_walk,
 )
 from approxalg.rings import ElementSet, PrincipalSubgroup, is_prime
+from approxalg.spectrum import spectrum
 
 Z12 = ResidueRing(12)
 
@@ -423,17 +428,16 @@ def dense_grid(m, d_max, bound=None):
     return verdict
 
 
-def record_blocks(monkeypatch):
-    """Log (rows, x0, x1, rows with a violation) for every block walked."""
+def record_cells(monkeypatch):
+    """Log (d, x) for every cell the walk evaluates."""
     log = []
-    block = ideals._z_sweep_block
+    cell = ideals._z_cell_violates
 
-    def spy(d, g, x0, x1, bound):
-        hit = block(d, g, x0, x1, bound)
-        log.append((d.copy(), x0, x1, d[hit]))
-        return hit
+    def spy(d, g, x, bound):
+        log.append((d, x))
+        return cell(d, g, x, bound)
 
-    monkeypatch.setattr(ideals, "_z_sweep_block", spy)
+    monkeypatch.setattr(ideals, "_z_cell_violates", spy)
     return log
 
 
@@ -441,19 +445,11 @@ class TestCandidateSweep:
     def test_small_moduli_every_window(self):
         # rows do not depend on d_max, so one box of m + 3 rows serves the
         # windows d_max = 0, 1, m // 2 (< m) and m + 3 (> m)
-        for m in range(0, 401):
+        for m in range(1, 401):
             want = dense_grid(m, m + 3)
             for d_max in sorted({0, 1, m // 2, m + 3}):
                 assert np.array_equal(z_prime_bruteforce_grid(m, d_max),
                                       want[:d_max + 1]), (m, d_max)
-
-    @pytest.mark.parametrize("bound", [0, 1, 2, 5, 17, 64])
-    def test_custom_bounds(self, bound):
-        for m in list(range(0, 61)) + [210, 360, 2310]:
-            for d_max in (0, 1, 40, 250):
-                assert np.array_equal(
-                    z_prime_bruteforce_grid(m, d_max, bound),
-                    dense_grid(m, d_max, bound)), (m, d_max, bound)
 
     def test_benchmark_moduli_default_window(self):
         for m in BENCH_MODULI:
@@ -461,98 +457,72 @@ class TestCandidateSweep:
             assert np.array_equal(z_prime_bruteforce_grid(m, d_max),
                                   dense_grid(m, d_max)), m
 
-    def test_highly_composite_modulus(self, monkeypatch):
+    def test_highly_composite_modulus(self):
         # 720720 has 240 divisors; the rows up to 16 hold its six least
         # primes and nine composite divisors, walked across the full 2m box
         m = 720720
         assert np.array_equal(z_prime_bruteforce_grid(m, 16),
                               dense_grid(m, 16))
-        assert np.array_equal(z_prime_bruteforce_grid(m, 1500, 3000),
-                              dense_grid(m, 1500, 3000))
-        log = record_blocks(monkeypatch)
-        swept = z_prime_bruteforce_grid(m, m)
-        assert list(np.flatnonzero(swept)) == [2, 3, 5, 7, 11, 13]
-        assert max(len(d) * (x1 - x0) for d, x0, x1, _ in log) \
-            <= closures.LIST_GRID
+        assert z_prime_walk(m, m) == [2, 3, 5, 7, 11, 13]
 
-    @pytest.mark.parametrize("args", [(10**30, 100, 50), (2**63, 10, 10),
-                                      (12, 2**63, 10), (12, 10, 2**63),
-                                      (2**62, 10, None)])
-    def test_windows_beyond_int64_are_refused(self, args):
-        # the default bound 2m overflows for m = 2^62
-        with pytest.raises(PreconditionError, match=r"int64: each must be at "
-                                                    r"most 2\^63 - 1"):
-            z_prime_bruteforce_grid(*args)
-
-    def test_blocks_hold_at_most_pair_grid_cells(self, monkeypatch):
-        monkeypatch.setattr(closures, "LIST_GRID", 64)
-        log = record_blocks(monkeypatch)
-        for m in (0, 12, 360, 30030):
-            log.clear()
-            assert np.array_equal(z_prime_bruteforce_grid(m, 300),
-                                  dense_grid(m, 300)), m
-            assert log and all(len(d) * (x1 - x0) <= 64
-                               for d, x0, x1, _ in log), m
-
-    def test_violations_in_first_middle_and_last_partial_block(
+    def test_walk_touches_divisor_rows_and_divisor_columns_only(
             self, monkeypatch):
-        monkeypatch.setattr(closures, "LIST_GRID", 64)
-        log = record_blocks(monkeypatch)
-        m, d_max, bound = 30030, 200, 12
-        assert np.array_equal(z_prime_bruteforce_grid(m, d_max, bound),
-                              dense_grid(m, d_max, bound))
-        first = [hit for _, x0, _, hit in log if x0 == 1]
-        middle = [hit for _, x0, x1, hit in log if 1 < x0 and x1 <= bound]
-        assert any(len(hit) for hit in first)
-        assert any(len(hit) for hit in middle)
-        # a last block cut short by the box: narrower than twice the block
-        # before it, a width the cell cap would have allowed
-        assert any(len(hit) and x1 == bound + 1 and x1 - x0 < 2 * (p1 - p0)
-                   and len(d) * 2 * (p1 - p0) <= 64
-                   for (d, x0, x1, hit), (_, p0, p1, _) in zip(log[1:], log))
-        # each row is walked over consecutive blocks from column 1 and
-        # leaves at the block of its first violating cell, or at the end
-        walks = {}
-        for d, x0, x1, hit in log:
-            hit = set(hit.tolist())
-            for row in d.tolist():
-                walks.setdefault(row, []).append((x0, x1, row in hit))
-        want = dense_grid(m, d_max, bound)
-        for row, walk in walks.items():
-            assert walk[0][0] == 1, row
-            assert all(a[1] == b[0] for a, b in zip(walk, walk[1:])), row
-            assert not any(h for _, _, h in walk[:-1]), row
-            if want[row]:
-                assert walk[-1][1] == bound + 1 and not walk[-1][2], row
-            else:
-                assert walk[-1][2], row
+        """Each divisor row 2 <= d <= d_max is walked over the divisors of d
+        below d, ascending from column 1, up to its first violating cell
+        or to its end; no other row or column is evaluated."""
+        cell = ideals._z_cell_violates
+        log = record_cells(monkeypatch)
+        for m, d_max in [(1, 10), (12, 12), (97, 1000), (360, 100),
+                         (720720, 720720), (2 ** 20, 2 ** 20)]:
+            log.clear()
+            got = z_prime_walk(m, d_max)
+            rows = [d for d in range(2, min(m, d_max) + 1) if m % d == 0]
+            assert sorted({d for d, _ in log}) == rows, m
+            for d in rows:
+                walk = [x for r, x in log if r == d]
+                columns = [x for x in range(1, d) if d % x == 0]
+                assert walk == columns[:len(walk)], (m, d)
+                violated = [cell(d, d, x, 2 * m) for x in walk]
+                assert not any(violated[:-1]), (m, d)
+                assert (d in got) == (walk == columns
+                                      and not violated[-1]), (m, d)
+            if d_max <= 1000:
+                assert np.array_equal(z_prime_bruteforce_grid(m, d_max),
+                                      dense_grid(m, d_max)), m
 
-    def test_guard_prices_before_allocating(self):
-        m = 1_000_000_007
+    @pytest.mark.parametrize("m", [2 ** 54, 10 ** 17 + 3, 2 ** 63, 10 ** 30])
+    def test_guard_prices_before_allocating(self, m):
+        """Past 2^26 trial divisions m is refused before any divisor is
+        listed; the walk computes in Python ints, so past int64 too."""
         tracemalloc.start()
         try:
-            with pytest.raises(ResourceLimitError, match="priced at"):
-                z_prime_bruteforce_grid(m, m)
+            with pytest.raises(ResourceLimitError,
+                               match=r"trial division .+ priced at \d+ "
+                                     r"trial divisions, past the limit "
+                                     r"67108864"):
+                z_prime_walk(m, m)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    def test_estimate_bounds_the_cells_walked(self, monkeypatch):
-        log = record_blocks(monkeypatch)
-        cases = [(m, d_max, None) for m in (0, 2, 12, 97, 360, 3000)
-                 for d_max in (0, 1, 50, max(1000, m))] + \
-            [(30030, 200, 12), (720720, 1500, 3000), (100, 300, 7)]
-        for m, d_max, bound in cases:
-            log.clear()
-            z_prime_bruteforce_grid(m, d_max, bound)
-            walked = sum(len(d) * (x1 - x0) for d, x0, x1, _ in log)
-            full = max(2 * m, 16) if bound is None else bound
-            assert walked <= ideals._z_sweep_cells(m, d_max, full), \
-                (m, d_max, bound)
-
-    def test_guard_limit_is_one_constant(self, monkeypatch):
-        assert ideals._z_sweep_cells(3000, 3000, 6000) < 30_000
+    def test_divisor_cells_are_priced_by_the_same_limit(self, monkeypatch):
+        # 720720: 848 trial divisions, then 240^2 = 57600 cells
         monkeypatch.setattr(closures, "Z_SWEEP_CELL_LIMIT", 10_000)
-        with pytest.raises(ResourceLimitError, match="past the limit 10000"):
-            z_prime_bruteforce_grid(3000, 3000)
+        with pytest.raises(ResourceLimitError,
+                           match=r"tau\(m\) = 240 priced at 57600 cells, "
+                                 r"past the limit 10000"):
+            z_prime_walk(720720, 720720)
+
+    def test_zero_modulus_is_not_walked(self):
+        with pytest.raises(PreconditionError, match="m >= 1"):
+            z_prime_walk(0, 10)
+
+    @settings(max_examples=25, deadline=None)
+    @given(m=st.integers(1, 10 ** 12))
+    # the largest prime below 10^12, and 963761198400 with 6720 divisors
+    @example(m=999_999_999_989)
+    @example(m=963_761_198_400)
+    def test_spectrum_primes_are_the_factorint_keys(self, m):
+        labels = spectrum(Z, shift(Z, [m])).labels()
+        assert labels == [f"({p})" for p in sorted(sympy.factorint(m))]

@@ -376,6 +376,20 @@ class TestLatticeKernel:
         with pytest.raises(PreconditionError, match="collected"):
             subgroup_lattice(finite_module(Z, [2, 2])).subgroups()
 
+    def test_collected_structures_leave_the_lattice(self, monkeypatch):
+        """The lattice holds each equal structure it serves weakly, by id;
+        a collected one leaves its references."""
+        monkeypatch.setattr(rings, "_LATTICES", weakref.WeakKeyDictionary())
+        first = ResidueRing(47)
+        lat = subgroup_lattice(first)
+        others = [ResidueRing(47) for _ in range(300)]
+        assert all(subgroup_lattice(ring) is lat for ring in others * 2)
+        assert len(lat._refs) == 301
+        del others
+        gc.collect()
+        assert list(lat._refs) == [id(first)]
+        assert subgroup_lattice(first) is lat and len(lat._refs) == 1
+
     def test_act_table_builds_the_rows_it_reads(self):
         """A prime test on Z/2048 reads the act rows of the x outside P
         only, the odd x for P = (2), and builds no sum table."""

@@ -1,7 +1,6 @@
 import itertools
 import weakref
 
-import numpy as np
 import pytest
 
 from approxalg import (
@@ -64,26 +63,24 @@ class TestSpectrum:
 
     def test_sweep_covers_the_default_window(self, monkeypatch):
         calls = []
-        sweep = spectrum_module.z_prime_bruteforce_grid
+        sweep = spectrum_module.z_prime_walk
 
         def spy(*args, **kwargs):
             calls.append((args, kwargs))
             return sweep(*args, **kwargs)
 
-        monkeypatch.setattr(spectrum_module, "z_prime_bruteforce_grid", spy)
+        monkeypatch.setattr(spectrum_module, "z_prime_walk", spy)
         for m in (12, 997, 3000):
             calls.clear()
             modular_spectrum(m)
-            # the box is the sweep's default, 2m columns
+            # the rows d <= max(1000, m), over the walk's own 2m columns
             assert calls == [((m, max(1000, m)), {})], m
 
     def test_closed_form_and_sweep_must_agree(self, monkeypatch):
-        def wrong(m, d_max, bound=None):
-            swept = np.zeros(d_max + 1, dtype=bool)
-            swept[2] = True
-            return swept
+        def wrong(m, d_max):
+            return [2]
 
-        monkeypatch.setattr(spectrum_module, "z_prime_bruteforce_grid", wrong)
+        monkeypatch.setattr(spectrum_module, "z_prime_walk", wrong)
         with pytest.raises(AssertionError, match="disagree for m=30"):
             modular_spectrum(30)
 
