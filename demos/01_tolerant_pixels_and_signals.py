@@ -12,7 +12,6 @@ from approxalg import (
     SetShiftClosure,
     Z,
     closure_member,
-    elem_ops,
     ideal_generated,
 )
 from approxalg.polynomials import uni_to_str
@@ -20,20 +19,19 @@ from approxalg.polynomials import uni_to_str
 # --- gray pixels -----------------------------------------------------------
 
 lattice = ProductRing([Z, Z, Z])
-ops = elem_ops(lattice)
 
-pixel = ops.elem((130, 135, 125))
-gray = ops.elem((130, 130, 130))
-print("pixel      :", pixel.value)
-print("nearest gray:", gray.value)
-print("difference :", (pixel - gray).value)
+pixel = lattice.canon((130, 135, 125))
+gray = lattice.canon((130, 130, 130))
+print("pixel      :", pixel)
+print("nearest gray:", gray)
+print("difference :", lattice.sub(pixel, gray))
 
 # tolerance m = 5: the error ideal is 5Z x 5Z x 5Z.  The span-based
 # closure absorbs the ideal generated by the diagonal, which is the whole
 # lattice, so membership holds through pixel = gray + error
 tolerant = IdealShiftClosure(lattice, shift_modulus=5)
 print("approximately gray at m=5:",
-      closure_member(tolerant, pixel.value, [(1, 1, 1)]))
+      closure_member(tolerant, pixel, [(1, 1, 1)]))
 
 # the elementwise shift keeps the gray points themselves as the base set,
 # which makes the tolerance sharp: only componentwise multiples of m
@@ -41,28 +39,25 @@ print("approximately gray at m=5:",
 setwise = SetShiftClosure(lattice, shift_modulus=5)
 off_pixel = (130, 137, 125)
 print("setwise, (130,135,125):",
-      closure_member(setwise, pixel.value, [gray.value]))
+      closure_member(setwise, pixel, [gray]))
 print("setwise, (130,137,125):",
-      closure_member(setwise, off_pixel, [gray.value]))
+      closure_member(setwise, off_pixel, [gray]))
 
 # --- noisy codewords --------------------------------------------------------
 
 print()
 ring = PolyQuotient(2, (0, 0, 0, 0, 0, 1))  # F2[x]/(x^5), degree-4 words
-gops = elem_ops(ring)
 
-a = gops.elem((1, 0, 1, 0, 1))  # x^4 + x^2 + 1     bits 10101
-b = gops.elem((0, 0, 1, 1))     # x^3 + x^2         bits 00110
-c = gops.add(a, b)
-print("sum of codewords:", uni_to_str(c.value))
+a = ring.canon((1, 0, 1, 0, 1))  # x^4 + x^2 + 1     bits 10101
+b = ring.canon((0, 0, 1, 1))     # x^3 + x^2         bits 00110
+c = ring.add(a, b)
+print("sum of codewords:", uni_to_str(c))
 
 # the channel may flip the x-coefficient: error ideal <x>
 errors = SetShiftClosure(ring, ideal_generated(ring, [(0, 1)]))
-received = gops.elem((1, 1, 0, 1, 1))  # x^4 + x^3 + x + 1
-print("received        :", uni_to_str(received.value))
-print("accepted        :",
-      closure_member(errors, received.value, [c.value]))
+received = ring.canon((1, 1, 0, 1, 1))  # x^4 + x^3 + x + 1
+print("received        :", uni_to_str(received))
+print("accepted        :", closure_member(errors, received, [c]))
 
-garbled = gops.elem((0, 1, 0, 1, 1))
-print("garbled accepted:",
-      closure_member(errors, garbled.value, [c.value]))
+garbled = ring.canon((0, 1, 0, 1, 1))
+print("garbled accepted:", closure_member(errors, garbled, [c]))

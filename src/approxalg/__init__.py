@@ -27,10 +27,8 @@ from .rings import (
     PrincipalSubgroup,
     ProductRing,
     ResidueRing,
-    RingElem,
     TableRing,
     Z,
-    elem_ops,
     enumerate_elements,
     enumerate_subgroups,
     ideal_classical_product,

@@ -11,7 +11,11 @@ other option is refused with exit 2.  Output is a structured report
 1 a checked verdict failed, 2 usage or precondition error, 3 a resource
 limit tripped, 4 an internal invariant failed (a bug).
 Limits are measured prices, not options: ``rings.SUBGROUP_WORK_LIMIT``
-(elements translated or kept) and ``spectrum.TOPOLOGY_CELL_LIMIT`` (cells).
+(elements translated or kept), ``spectrum.TOPOLOGY_CELL_LIMIT`` (cells),
+``rings.Z_SWEEP_CELL_LIMIT`` (every trial division of an integer by
+``rings.factorize``, and the cells of the integer sweeps and of the
+``gen`` spectrum's sieve) and ``rings.POINT_GUARD`` (the points of a
+function ring).
 """
 
 from __future__ import annotations

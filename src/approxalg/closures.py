@@ -101,10 +101,6 @@ DEFAULT_SAMPLE_COUNT = 2000
 # seed constant derived from the ASCII bytes of "A1GEBRA"
 DEFAULT_SEED = int.from_bytes(b"A1GEBRA", "big")
 
-POINT_GUARD = 4096
-# the most trial divisions of m, and then divisor cells, the integer
-# candidate sweep (``ideals.z_prime_walk``) may be priced at
-Z_SWEEP_CELL_LIMIT = 1 << 26
 # cells per chunk of every row walk (``_chunks``; a join's matrices in
 # ``_ClosureRows`` are float32 over at most this many), and the most cells
 # (pairs times elements) the list engine's pair walk may be priced at
@@ -330,8 +326,6 @@ class PointwiseClosure(ClosureSpec):
     def __init__(self, ring):
         if not isinstance(ring, FunctionRing):
             raise PreconditionError("pointwise closure needs a function ring")
-        price(f"the pointwise closure of {ring}", ring.npoints, POINT_GUARD,
-              "points")
         super().__init__(ring)
 
     def _vanishing_points(self, values):

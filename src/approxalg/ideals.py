@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from . import closures
+from . import closures, rings
 from .closures import (
     GeneratedIdealClosure,
     IdealShiftClosure,
@@ -41,9 +41,9 @@ from .rings import (
     TableRing,
     _bits,
     enumerate_subgroups,
+    factorize,
     ideal_classical_product,
     ideal_from_subgroup,
-    is_prime,
     subgroup_generated,
     subgroup_lattice,
     whole_subgroup,
@@ -134,10 +134,19 @@ def is_approx_prime(p, cl, check_ideal=True):
         g = math.gcd(d, m)
         if g == 1:
             return False, {"reason": "closure-is-whole-ring", "x": 1, "y": 1}
-        ok = d == 0 or is_prime(d) if m == 0 else is_prime(d) and m % d == 0
-        if ok:
+        if d == 0:
+            # cl((0)) = (m): prime for m = 0, else g * 1 lies in it
+            return (True, None) if m == 0 else \
+                (False, {"x": g, "y": 1, "product": g})
+        if g < d:
+            # d does not divide m: g * g lies in (g) = cl((d)), g not in (d)
+            return False, {"x": g, "y": g, "product": g * g}
+        # d >= 2 divides m (or m = 0), so cl((d)) = (d): prime iff d is,
+        # else split at the least prime q of d
+        q = factorize(d)[0][0]
+        if q == d:
             return True, None
-        return False, _z_prime_counterexample(d, g)
+        return False, {"x": q, "y": d // q, "product": d}
 
     if p.is_whole():
         raise PreconditionError("improper: P is the whole ring")
@@ -160,19 +169,6 @@ def is_approx_prime(p, cl, check_ideal=True):
             return False, {"x": lat.elems[out[lo + x]], "y": lat.elems[out[y]],
                            "product": lat.elems[prods[x, y]]}
     return True, None
-
-
-def _z_prime_counterexample(d, g):
-    """A concrete witness pair for a non-prime principal candidate over Z."""
-    if d == 0:
-        return {"x": g, "y": 1, "product": g}
-    if g < d:
-        return {"x": g, "y": g, "product": g * g}
-    # g == d, d composite: split d = a*b
-    for a in range(2, d):
-        if d % a == 0:
-            return {"x": a, "y": d // a, "product": d}
-    return {"x": 1, "y": 1, "product": 1}
 
 
 def z_prime_bruteforce(cl, d, bound=None):
@@ -204,24 +200,19 @@ def z_prime_bruteforce(cl, d, bound=None):
     return True, None
 
 
-def z_divisors(m):
-    """The divisors of m >= 1, ascending, by trial division up to isqrt(m).
-
-    The isqrt(m) trial divisions are priced first, beyond
-    ``closures.Z_SWEEP_CELL_LIMIT`` raising ResourceLimitError before any
-    divisor is listed.
-    """
-    root = math.isqrt(m)
-    price(f"the trial division of m={m} up to isqrt(m)", root,
-          closures.Z_SWEEP_CELL_LIMIT, "trial divisions")
-    small = [e for e in range(1, root + 1) if m % e == 0]
-    return small + [m // e for e in reversed(small) if e * e != m]
+def _divisors(pairs):
+    """The divisors of the product of p^e over the (p, e) pairs, ascending."""
+    divisors = [1]
+    for p, e in pairs:
+        divisors += [d * p ** k for k in range(1, e + 1) for d in divisors]
+    divisors.sort()
+    return divisors
 
 
-def z_prime_walk(m, d_max):
+def z_prime_walk(pairs, d_max):
     """The candidates (d), d = 0..d_max, that pass the bounded sweep of
     ``z_prime_bruteforce`` for the modular closure with modulus m >= 1, in
-    ascending order.
+    ascending order; m is given by its ``rings.factorize`` pairs.
 
     The sweep's box has rows d = 0..d_max and columns x = 1..X, X =
     max(2m, 16).  Cell (d, x) violates when x is not in (d), y0 = g /
@@ -241,17 +232,16 @@ def z_prime_walk(m, d_max):
       So the first violating column of the row is a divisor e < d of d, and
       the row is decided on those columns.
 
-    The divisors come from ``z_divisors``.  Each divisor row 2 <= d <= d_max
-    is then walked over its columns e, ascending, and leaves at its first
-    violating cell.  Those are at most tau(m)^2 cells, for the tau(m)
-    divisors of m, priced before the walk under the same
-    ``closures.Z_SWEEP_CELL_LIMIT`` (tau(m) <= 6720 for every m <= 10^12).
+    The divisors are generated from the pairs.  Each divisor row 2 <= d <=
+    d_max is then walked over its columns e, ascending, and leaves at its
+    first violating cell.  Those are at most tau(m)^2 cells, for the tau(m)
+    divisors of m, priced before the walk under
+    ``rings.Z_SWEEP_CELL_LIMIT`` (tau(m) <= 6720 for every m <= 10^12).
     """
-    if m < 1:
-        raise PreconditionError(f"the divisor walk needs m >= 1, not m={m}")
-    divisors = z_divisors(m)
+    divisors = _divisors(pairs)
+    m = divisors[-1]
     price(f"the divisor walk of m={m}, tau(m)^2 for tau(m) = "
-          f"{len(divisors)}", len(divisors) ** 2, closures.Z_SWEEP_CELL_LIMIT,
+          f"{len(divisors)}", len(divisors) ** 2, rings.Z_SWEEP_CELL_LIMIT,
           "cells")
     bound = max(2 * m, 16)
     passed = []
@@ -275,10 +265,13 @@ def _z_cell_violates(d, g, x, bound):
 
 
 def z_prime_bruteforce_grid(m, d_max):
-    """The verdicts of ``z_prime_walk`` as a bool array over d = 0..d_max,
-    for callers that index them by d."""
+    """The verdicts of ``z_prime_walk`` for the modulus m >= 1 as a bool
+    array over d = 0..d_max, for callers that index them by d."""
+    if m < 1:
+        raise PreconditionError(f"the divisor walk needs m >= 1, not m={m}")
+    passed = z_prime_walk(factorize(m), d_max)
     verdict = np.zeros(d_max + 1, dtype=bool)
-    verdict[z_prime_walk(m, d_max)] = True
+    verdict[passed] = True
     return verdict
 
 
@@ -495,6 +488,9 @@ def check_thm_ring_prime(ring, cl, z_bound=None):
             raise PreconditionError(
                 f"the bound {bound} is below m={m}: the box a, b <= {bound} "
                 f"cannot reach the first witness (1, {m})")
+        # the walk stops at (1, m) after m cells; for m = 0 it has no stop
+        price(f"the box 1 <= a, b <= {bound} over Z for m={m}",
+              m if m else bound * bound, rings.Z_SWEEP_CELL_LIMIT, "cells")
         side2 = True
         ce2 = None
         for a in range(1, bound + 1):

@@ -54,10 +54,10 @@ from .rings import (
     _first_violation,
     _mask,
     enumerate_subgroups,
+    factorize,
     ideal_from_subgroup,
     ideal_generated,
     price_group_check,
-    prime_factors,
     sort_key,
     subgroup_lattice,
     whole_subgroup,
@@ -110,7 +110,7 @@ class MultSet:
         if d == 0:
             return False
         return all(any(g % p == 0 for g in self.generators)
-                   for p in prime_factors(abs(d)))
+                   for p, _ in factorize(d))
 
     def meets(self, sub):
         """Whether the subgroup holds an element of S."""
@@ -708,7 +708,9 @@ def radical(ring, cl, ideal):
     base = ideal.base if isinstance(ideal, ApproxIdeal) else ideal
     if isinstance(ring, IntegerRing):
         g = cl.z_principal_image(base.d)
-        return ideal_generated(Z, [_squarefree_kernel(g)])
+        # the squarefree kernel of g: the product of its primes
+        return ideal_generated(
+            Z, [math.prod(p for p, _ in factorize(g)) if g else 0])
     lat = subgroup_lattice(ring)
     members = _power_orbit_members(ring, cl.eval_mask(lat.mask(base)))
     if not lat.is_subgroup(members):
@@ -717,10 +719,6 @@ def radical(ring, cl, ideal):
     if lat.span(members) != members:
         raise PreconditionError("radical is not an ideal for this closure")
     return ideal_from_subgroup(FiniteSubgroup.from_mask(ring, members))
-
-
-def _squarefree_kernel(n):
-    return math.prod(prime_factors(n)) if n else 0
 
 
 def z_radical_bruteforce(cl, d, bound=200):
@@ -756,7 +754,8 @@ def check_rad_eq_nil(ring, cl, z_bound=None):
     inter = prime_radical(spec)
     if isinstance(ring, IntegerRing):
         m = _z_shift_modulus(cl)
-        rad0 = _squarefree_kernel(m)
+        # the product of the primes of m, (0) among them under gen
+        rad0 = math.prod(p.d for p in spec.primes)
         bound = max(60, min(200, 2 * max(m, 1)))
         swept = z_radical_bruteforce(cl, 0, bound=bound)
         expected = [x for x in range(bound + 1)

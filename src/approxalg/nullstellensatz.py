@@ -12,8 +12,8 @@ from __future__ import annotations
 import random
 
 from . import polynomials as poly
-from .closures import POINT_GUARD, _vanishing_functions
-from .errors import InvariantError, PreconditionError, price
+from .closures import _vanishing_functions
+from .errors import InvariantError, PreconditionError
 from .ideals import is_approx_prime
 from .localization import radical
 from .reports import Verdict
@@ -30,8 +30,6 @@ class Variety:
     """V(I): the common zero set, computed two ways that must agree."""
 
     def __init__(self, ring, ideal):
-        price(f"the variety of an ideal of {ring}", ring.npoints,
-              POINT_GUARD, "points")
         self.ring = ring
         self.ideal = ideal
         by_generators = self._zeros(ideal.generators)

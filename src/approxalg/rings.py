@@ -53,34 +53,50 @@ from .errors import (
 SUBGROUP_WORK_LIMIT = 1 << 20
 
 
-def is_prime(n):
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+# the most trial divisions ``factorize`` may be priced at, and the most
+# cells of the integer sweeps (``ideals.z_prime_walk``, the ``gen``
+# spectrum's sieve, the Z box of ``ideals.check_thm_ring_prime``)
+Z_SWEEP_CELL_LIMIT = 1 << 26
+# the most points F_p^n a function ring may have
+POINT_GUARD = 4096
 
 
-def prime_factors(n):
-    """The distinct primes dividing n != 0, ascending, by trial division up
-    to the square root of what is left of n."""
+def factorize(n):
+    """The ascending (p, e) pairs of |n| >= 1, by one trial division up to
+    the square root of what is left of n; a prime is the single pair (n, 1).
+
+    The isqrt(|n|) trial divisions are priced first: past
+    Z_SWEEP_CELL_LIMIT, ResourceLimitError is raised before the first.
+    """
     n = abs(n)
-    out = []
+    if n == 0:
+        raise PreconditionError("0 has no factorization")
+    price(f"the trial division of n={n} up to isqrt(n)", math.isqrt(n),
+          Z_SWEEP_CELL_LIMIT, "trial divisions")
+    pairs = []
     f = 2
     while f * f <= n:
         if n % f == 0:
-            out.append(f)
+            e = 0
             while n % f == 0:
                 n //= f
-        f += 1 if f == 2 else 2
+                e += 1
+            pairs.append((f, e))
+        # the next divisor of what is left: odd, at most its square root
+        for f in range(f + 1 | 1, math.isqrt(n) + 1, 2):
+            if n % f == 0:
+                break
+        else:
+            break
     if n > 1:
-        out.append(n)
-    return out
+        pairs.append((n, 1))
+    return pairs
+
+
+def _require_prime(p):
+    """Raise PreconditionError unless p is prime: one pair (p, 1)."""
+    if p < 2 or factorize(p) != [(p, 1)]:
+        raise PreconditionError(f"{p} is not prime")
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +273,7 @@ class PolyQuotient(Ring):
     is_finite = True
 
     def __init__(self, p, modulus):
-        if not is_prime(p):
-            raise PreconditionError(f"{p} is not prime")
+        _require_prime(p)
         modulus = poly.uni_trim(c % p for c in modulus)
         if len(modulus) < 2:
             raise PreconditionError("modulus must have degree >= 1")
@@ -309,8 +324,10 @@ class FunctionRing(Ring):
     is_finite = True
 
     def __init__(self, p, nvars):
-        if not is_prime(p):
-            raise PreconditionError(f"{p} is not prime")
+        # the grid range(p)^nvars, priced before p is tested or it is built
+        price(f"the point grid of Fun:p={p},n={nvars}",
+              len(range(p)) ** max(nvars, 0), POINT_GUARD, "points")
+        _require_prime(p)
         if nvars < 1:
             raise PreconditionError("nvars must be >= 1")
         self.p = p
@@ -423,92 +440,6 @@ def price_group_check(name, n):
     add-table cells, past SUBGROUP_WORK_LIMIT, before they are built."""
     price(f"the group check of {name} over its {n} x {n} add table", n * n,
           SUBGROUP_WORK_LIMIT, "cells")
-
-
-# ---------------------------------------------------------------------------
-# elements and the arithmetic interface
-
-
-class RingElem:
-    """A canonical value tagged with its ring."""
-
-    __slots__ = ("ring", "value")
-
-    def __init__(self, ring, value):
-        self.ring = ring
-        self.value = ring.canon(value)
-
-    def _check(self, other):
-        if not isinstance(other, RingElem) or other.ring != self.ring:
-            raise DomainMismatchError(
-                f"operands from different rings: {self.ring} vs "
-                f"{getattr(other, 'ring', type(other))}")
-
-    def __add__(self, other):
-        self._check(other)
-        return RingElem(self.ring, self.ring.add(self.value, other.value))
-
-    def __neg__(self):
-        return RingElem(self.ring, self.ring.neg(self.value))
-
-    def __sub__(self, other):
-        self._check(other)
-        return RingElem(self.ring, self.ring.sub(self.value, other.value))
-
-    def __mul__(self, other):
-        self._check(other)
-        return RingElem(self.ring, self.ring.mul(self.value, other.value))
-
-    def __eq__(self, other):
-        return (isinstance(other, RingElem) and other.ring == self.ring
-                and other.value == self.value)
-
-    def __hash__(self):
-        return hash((self.ring, self.value))
-
-    def __repr__(self):
-        return f"{self.ring.format_element(self.value)} in {self.ring}"
-
-
-class ElemOps:
-    """The arithmetic interface of a ring: add, neg, mul, zero, one, eq."""
-
-    def __init__(self, ring):
-        self.ring = ring
-        self.zero = RingElem(ring, ring.zero)
-        self.one = RingElem(ring, ring.one)
-
-    def elem(self, value):
-        return RingElem(self.ring, value)
-
-    def _values(self, a, b):
-        for x in (a, b):
-            if x.ring != self.ring:
-                raise DomainMismatchError(
-                    f"operand from {x.ring}, expected {self.ring}")
-        return a.value, b.value
-
-    def add(self, a, b):
-        x, y = self._values(a, b)
-        return RingElem(self.ring, self.ring.add(x, y))
-
-    def neg(self, a):
-        if a.ring != self.ring:
-            raise DomainMismatchError(f"operand from {a.ring}, expected {self.ring}")
-        return RingElem(self.ring, self.ring.neg(a.value))
-
-    def mul(self, a, b):
-        x, y = self._values(a, b)
-        return RingElem(self.ring, self.ring.mul(x, y))
-
-    def eq(self, a, b):
-        x, y = self._values(a, b)
-        return x == y
-
-
-def elem_ops(ring):
-    """Arithmetic interface over canonical forms; operations are total."""
-    return ElemOps(ring)
 
 
 def enumerate_elements(ring):

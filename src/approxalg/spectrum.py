@@ -13,15 +13,16 @@ import itertools
 import math
 from functools import cached_property
 
+from . import rings
 from .errors import InvariantError, PreconditionError, price
 from .ideals import (
     ApproxIdeal,
     _carrier,
+    _divisors,
     _z_shift_modulus,
     approx_product,
     is_approx_ideal,
     is_approx_prime,
-    z_divisors,
     z_prime_walk,
 )
 from .reports import Verdict
@@ -30,8 +31,7 @@ from .rings import (
     IntegerRing,
     PrincipalSubgroup,
     enumerate_subgroups,
-    is_prime,
-    prime_factors,
+    factorize,
     sort_key,
     subgroup_generated,
     subgroup_lattice,
@@ -104,16 +104,18 @@ def spectrum(ring, cl, z_bound=None):
     """Enumerate the approximate primes of the ring under the closure.
 
     Finite rings filter every additive subgroup by: approximate ideal,
-    proper, approximately prime.  Over the integers the modular closed form
-    (the primes of m) is used and re-derived by the bounded candidate sweep
-    over (d), d <= z_bound (default max(1000, m)), which
-    ``ideals.z_prime_walk`` decides on the divisor rows of m alone and
-    returns as the passing d in ascending order, with no array over every
-    d; the plain span closure gives the classically bounded enumeration
-    {(0)} + small primes.  On the candidates the sweep reaches the two must
-    agree (InvariantError otherwise), and a z_bound below m's largest prime
-    is refused with PreconditionError, as the sweep cannot reach it, and so
-    is a negative z_bound.
+    proper, approximately prime.  Over the integers m is factored once, by
+    ``rings.factorize``: its primes are the modular closed form, and its
+    pairs give the divisor rows on which ``ideals.z_prime_walk`` re-derives
+    them by the bounded candidate sweep over (d), d <= z_bound (default
+    max(1000, m)), returned as the passing d in ascending order, with no
+    array over every d.  The plain span closure gives the classically
+    bounded enumeration {(0)} + the primes up to z_bound, by a sieve priced
+    at z_bound + 1 cells under ``rings.Z_SWEEP_CELL_LIMIT``.  On the
+    candidates the sweep reaches the closed form and the sweep must agree
+    (InvariantError otherwise), and a z_bound below m's largest prime is
+    refused with PreconditionError, as the sweep cannot reach it, and so is
+    a negative z_bound.
     """
     if isinstance(ring, IntegerRing):
         if z_bound is not None and z_bound < 0:
@@ -121,14 +123,21 @@ def spectrum(ring, cl, z_bound=None):
         m = _z_shift_modulus(cl)
         bound = z_bound if z_bound is not None else max(1000, m)
         if m == 0:
+            price(f"the sieve of the primes up to {bound}", bound + 1,
+                  rings.Z_SWEEP_CELL_LIMIT, "cells")
+            sieve = bytearray([0, 0]) + bytearray([1]) * (bound - 1)
+            for p in range(2, math.isqrt(bound) + 1):
+                if sieve[p]:
+                    sieve[p * p::p] = bytes(len(range(p * p, bound + 1, p)))
             primes = [PrincipalSubgroup(0)] + [
-                PrincipalSubgroup(p) for p in range(2, bound + 1) if is_prime(p)]
+                PrincipalSubgroup(p) for p in itertools.compress(
+                    range(bound + 1), sieve)]
             return SpectrumReport(ring, cl, primes, "bounded-enumeration")
         if m == 1:
             return SpectrumReport(ring, cl, [], "closed-form")
-        # the walk first: it is priced, and refused, before m is factored
-        brute = [PrincipalSubgroup(d) for d in z_prime_walk(m, bound)]
-        closed = [PrincipalSubgroup(p) for p in prime_factors(m)]
+        pairs = factorize(m)
+        brute = [PrincipalSubgroup(d) for d in z_prime_walk(pairs, bound)]
+        closed = [PrincipalSubgroup(p) for p, _ in pairs]
         inside = [p for p in closed if p.d <= bound]
         if inside != brute:
             raise InvariantError(
@@ -239,11 +248,12 @@ def topology_check(spec, z_ideal_bound=120):
     Over Z with modulus m >= 1 the pool is f = 0..max(m, 30), and cl(<f>)
     = gcd(f, m)Z takes the value m first at f = 0 and each divisor g < m of
     m first at f = g (gcd(f, m) = g needs g | f).  So the opens are built
-    from f = 0 and the divisors g < m alone (``ideals.z_divisors``), in
-    that order, and priced as such; T0, the subcover and the mode's count
-    of max(m, 30) + 1 basic opens are those of the whole pool.  Under
-    ``gen`` (m = 0) the pool is 0..30 and the primes of the spectrum past
-    30, each closed.
+    from f = 0 and the divisors g < m alone, in that order, and priced as
+    such; the divisors come from the spectrum's primes, each with its
+    exponent in m found by division, so m is not factored again.  T0,
+    the subcover and the mode's count of max(m, 30) + 1 basic opens are
+    those of the whole pool.  Under ``gen`` (m = 0) the pool is 0..30 and
+    the primes of the spectrum past 30, each closed.
 
     T1 is computed as inclusion-maximality and as singleton point
     closures, and the two agree by construction, for every operator,
@@ -261,8 +271,13 @@ def topology_check(spec, z_ideal_bound=120):
     pool = _ideal_pool(spec, z_ideal_bound)
     if isinstance(spec.ring, IntegerRing):
         m = _z_shift_modulus(spec.cl)
-        f_pool = [0, *z_divisors(m)[:-1]] if m else \
-            [*range(31), *(p.d for p in spec.primes if p.d > 30)]
+        if m:
+            # each prime of m with its exponent: the least e, p^(e+1) not | m
+            pairs = [(p.d, next(e for e in itertools.count()
+                                if m % p.d ** (e + 1))) for p in spec.primes]
+            f_pool = [0, *_divisors(pairs)[:-1]]
+        else:
+            f_pool = [*range(31), *(p.d for p in spec.primes if p.d > 30)]
         f_count = max(m, 30) + 1 if m else len(f_pool)
         spans = [a.d for a in pool]
     else:

@@ -13,6 +13,7 @@ import time
 
 import map_oracle as oracle
 import pytest
+from sympy import isprime
 
 from approxalg import closures, modules
 from approxalg.cli import main
@@ -29,7 +30,6 @@ from approxalg.rings import (
     TableRing,
     Z,
     enumerate_subgroups,
-    is_prime,
     sort_key,
     subgroup_lattice,
 )
@@ -222,7 +222,7 @@ def test_contains_multiple_of_matches_the_prime_loop():
             return False
         d = abs(d)
         return all(any(g % p == 0 for g in s.generators)
-                   for p in range(2, d + 1) if is_prime(p) and d % p == 0)
+                   for p in range(2, d + 1) if isprime(p) and d % p == 0)
 
     seen = set()
     for gens in ([2], [3], [6], [2, 5], [4, 9], [7, 11, 13], [30], [-2]):

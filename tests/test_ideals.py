@@ -1,5 +1,6 @@
 import gc
 import itertools
+import time
 import tracemalloc
 import weakref
 
@@ -23,7 +24,7 @@ from approxalg import (
     ideal_generated,
     subgroup_generated,
 )
-from approxalg import closures, ideals
+from approxalg import ideals, rings
 from approxalg.closures import _DOMAIN_CACHE, check_axioms
 from approxalg.homs import identity_hom, reduction_hom
 from approxalg.ideals import (
@@ -41,7 +42,7 @@ from approxalg.ideals import (
     z_prime_bruteforce_grid,
     z_prime_walk,
 )
-from approxalg.rings import ElementSet, PrincipalSubgroup, is_prime
+from approxalg.rings import ElementSet, PrincipalSubgroup, factorize
 from approxalg.spectrum import spectrum
 
 Z12 = ResidueRing(12)
@@ -140,8 +141,8 @@ class TestIsApproxPrime:
     def test_vectorized_sweep_matches_definition(self):
         for m in range(2, 61):
             swept = z_prime_bruteforce_grid(m, 200)
-            expected = np.array(
-                [d > 1 and is_prime(d) and m % d == 0 for d in range(201)])
+            expected = np.array([d > 1 and sympy.isprime(d) and m % d == 0
+                                 for d in range(201)])
             assert (swept == expected).all(), m
 
 
@@ -323,6 +324,19 @@ class TestPrimeRing:
                            match="the bound -1 over Z is negative"):
             check_thm_ring_prime(Z, shift(Z, [m]), z_bound=-1)
 
+    @pytest.mark.parametrize("m, z_bound, cells", [
+        (0, 10**5, 10**10), (100_000_007, None, 100_000_007)])
+    def test_integer_box_is_priced_before_its_walk(self, m, z_bound, cells):
+        """The box walk stops at (1, m) after m cells for m >= 1, and at m
+        = 0 never stops: bound^2 cells.  Either is refused past the limit
+        before the walk starts."""
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError,
+                           match=rf"priced at {cells} cells, past the limit "
+                                 rf"{rings.Z_SWEEP_CELL_LIMIT}"):
+            check_thm_ring_prime(Z, shift(Z, [m]), z_bound=z_bound)
+        assert time.perf_counter() - start < 1
+
     def test_integer_empty_box_decides_cl0_zero(self):
         """At m = 0 no product of nonzero integers is 0, so the empty box
         (z_bound 0) decides the condition as holding, as (0) is prime."""
@@ -463,7 +477,7 @@ class TestCandidateSweep:
         m = 720720
         assert np.array_equal(z_prime_bruteforce_grid(m, 16),
                               dense_grid(m, 16))
-        assert z_prime_walk(m, m) == [2, 3, 5, 7, 11, 13]
+        assert z_prime_walk(factorize(m), m) == [2, 3, 5, 7, 11, 13]
 
     def test_walk_touches_divisor_rows_and_divisor_columns_only(
             self, monkeypatch):
@@ -475,7 +489,7 @@ class TestCandidateSweep:
         for m, d_max in [(1, 10), (12, 12), (97, 1000), (360, 100),
                          (720720, 720720), (2 ** 20, 2 ** 20)]:
             log.clear()
-            got = z_prime_walk(m, d_max)
+            got = z_prime_walk(factorize(m), d_max)
             rows = [d for d in range(2, min(m, d_max) + 1) if m % d == 0]
             assert sorted({d for d, _ in log}) == rows, m
             for d in rows:
@@ -492,15 +506,16 @@ class TestCandidateSweep:
 
     @pytest.mark.parametrize("m", [2 ** 54, 10 ** 17 + 3, 2 ** 63, 10 ** 30])
     def test_guard_prices_before_allocating(self, m):
-        """Past 2^26 trial divisions m is refused before any divisor is
-        listed; the walk computes in Python ints, so past int64 too."""
+        """Past 2^26 trial divisions m is refused before it is factored
+        or any divisor is listed; the walk computes in Python ints, so
+        past int64 too."""
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimitError,
                                match=r"trial division .+ priced at \d+ "
                                      r"trial divisions, past the limit "
                                      r"67108864"):
-                z_prime_walk(m, m)
+                spectrum(Z, shift(Z, [m]))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -508,15 +523,15 @@ class TestCandidateSweep:
 
     def test_divisor_cells_are_priced_by_the_same_limit(self, monkeypatch):
         # 720720: 848 trial divisions, then 240^2 = 57600 cells
-        monkeypatch.setattr(closures, "Z_SWEEP_CELL_LIMIT", 10_000)
+        monkeypatch.setattr(rings, "Z_SWEEP_CELL_LIMIT", 10_000)
         with pytest.raises(ResourceLimitError,
                            match=r"tau\(m\) = 240 priced at 57600 cells, "
                                  r"past the limit 10000"):
-            z_prime_walk(720720, 720720)
+            z_prime_walk(factorize(720720), 720720)
 
     def test_zero_modulus_is_not_walked(self):
         with pytest.raises(PreconditionError, match="m >= 1"):
-            z_prime_walk(0, 10)
+            z_prime_bruteforce_grid(0, 10)
 
     @settings(max_examples=25, deadline=None)
     @given(m=st.integers(1, 10 ** 12))

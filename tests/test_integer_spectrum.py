@@ -6,6 +6,7 @@ of Z against those of Z/N: every spectrum for N <= 120, and on a subset
 the V-sets and the extension-contraction bijection of S = <s>."""
 
 import pytest
+from sympy import factorint
 from axiom_oracle import Doubling, ImpliedElement, SmallSetsFill, TopSwitch
 from lattice_oracle import small_rings
 from localization_oracle import z_radical_cycle_walk
@@ -32,7 +33,6 @@ from approxalg.rings import (
     Z,
     classical_ideals,
     ideal_generated,
-    prime_factors,
     sort_key,
     subgroup_generated,
     subgroup_lattice,
@@ -161,9 +161,9 @@ def test_residue_rings_follow_the_integers(n, m):
     integer_cl = parse_closure(Z, f"shift:J={m}")
     finite = spectrum(ring, finite_cl)
     integer = spectrum(Z, integer_cl)
-    assert [p.d for p in integer.primes] == prime_factors(m)
+    assert [p.d for p in integer.primes] == sorted(factorint(m))
     assert set(finite.primes) == {subgroup_generated(ring, [p])
-                                  for p in prime_factors(m)}
+                                  for p in factorint(m)}
 
     def verdicts(spec):
         return {v.name: v.passed
@@ -190,7 +190,7 @@ def test_every_spectrum_up_to_120():
         for m in (m for m in range(1, n + 1) if n % m == 0):
             finite = spectrum(ring, parse_closure(ring, f"shift:J={m}"))
             assert sorted(map(_generator, finite.primes)) == \
-                prime_factors(m), (n, m)
+                sorted(factorint(m)), (n, m)
             pairs += 1
     assert pairs == 601
 
@@ -221,7 +221,7 @@ def test_extension_contraction_follows_the_integers(n):
     for pZ over Z, so both sides avoid the same p; the verdicts, and the
     primes matched, must agree."""
     ring = ResidueRing(n)
-    gens = sorted({1, prime_factors(n)[0] % n, n - 1} - {0})
+    gens = sorted({1, min(factorint(n)) % n, n - 1} - {0})
     for m in (m for m in range(1, n + 1) if n % m == 0):
         for s in gens:
             finite = localize(ring, parse_closure(ring, f"shift:J={m}"),
@@ -233,4 +233,4 @@ def test_extension_contraction_follows_the_integers(n):
             assert f_verdict.passed and z_verdict.passed, (n, m, s)
             assert sorted(_generator(p) for p, _ in f_matched) == \
                 [p.d for p, _ in z_matched] == \
-                [p for p in prime_factors(m) if s % p], (n, m, s)
+                [p for p in sorted(factorint(m)) if s % p], (n, m, s)

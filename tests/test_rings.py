@@ -6,8 +6,9 @@ import time
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy import factorint, isprime
 from lattice_oracle import (
     generator_sets,
     naive_is_subgroup,
@@ -26,9 +27,7 @@ from approxalg import (
     ProductRing,
     ResidueRing,
     ResourceLimitError,
-    RingElem,
     Z,
-    elem_ops,
     enumerate_elements,
     enumerate_subgroups,
     ideal_classical_product,
@@ -42,8 +41,8 @@ from approxalg.rings import (
     PrincipalSubgroup,
     classical_ideals,
     ideal_closure_set,
+    factorize,
     is_additive_subgroup,
-    prime_factors,
     sort_key,
     subgroup_generated,
     subgroup_lattice,
@@ -75,53 +74,62 @@ def abelian_groups(order):
     """The cyclic orders of each abelian group of the given order, one
     group per choice of a partition of each prime's exponent."""
     per_prime = []
-    for p in rings.prime_factors(order):
-        e = next(k for k in range(order) if order % p ** (k + 1))
+    for p, e in factorint(order).items():
         per_prime.append([[p ** k for k in part]
                           for part in partitions(e, e)])
     return [sum(choice, []) for choice in itertools.product(*per_prime)]
 
 
-class TestPrimeFactors:
+class Undividable(int):
+    """An int that fails the test when it is divided."""
+
+    def __abs__(self):
+        return Undividable(int.__abs__(self))
+
+    def __mod__(self, other):
+        raise AssertionError(f"{self} was divided by {other}")
+
+    __floordiv__ = __divmod__ = __mod__
+
+
+class TestFactorize:
     # sympy is a test-only oracle
-    def test_against_factorint(self):
-        factorint = pytest.importorskip("sympy").factorint
-        for n in list(range(2, 5001)) + [100_003, 360_360, 720_720,
-                                         999_983 * 2, 2**31 - 1,
-                                         1_000_000_007, 10**12 + 39,
-                                         2**40, 3**20 * 7]:
-            assert prime_factors(n) == sorted(factorint(n)), n
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 10**12), st.sampled_from([1, -1]))
+    @example(10**12, 1)
+    @example(999_999_999_989, -1)
+    @example(963_761_198_400, 1)
+    def test_against_factorint(self, n, sign):
+        assert factorize(sign * n) == sorted(factorint(n).items()), n
 
-    def test_sign_and_one(self):
-        assert prime_factors(1) == []
-        assert prime_factors(-12) == [2, 3]
+    def test_small_and_named_integers(self):
+        """Every n <= 5000 and some named ones; a prime is one pair.  The
+        largest n admitted, isqrt(n) at the limit, is factored."""
+        for n in [*range(1, 5001), 100_003, 360_360, 999_983 * 2, 2**31 - 1,
+                  1_000_000_007, 10**12 + 39, 2**40, 3**20 * 7,
+                  (rings.Z_SWEEP_CELL_LIMIT + 1) ** 2 - 1]:
+            pairs = factorize(n)
+            assert pairs == sorted(factorint(n).items()), n
+            assert (pairs == [(n, 1)]) == isprime(n), n
+
+    def test_zero_is_refused(self):
+        with pytest.raises(PreconditionError):
+            factorize(0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers((rings.Z_SWEEP_CELL_LIMIT + 1) ** 2, 10**40),
+           st.sampled_from([1, -1]))
+    @example((rings.Z_SWEEP_CELL_LIMIT + 1) ** 2, 1)
+    @example(2**54, -1)
+    def test_past_the_limit_is_refused_before_the_first_division(
+            self, n, sign):
+        with pytest.raises(ResourceLimitError, match=(
+                rf"priced at {math.isqrt(n)} trial divisions, past the "
+                rf"limit {rings.Z_SWEEP_CELL_LIMIT}$")):
+            factorize(Undividable(sign * n))
 
 
-class TestElemOps:
-    def test_mod_12_addition(self):
-        ops = elem_ops(Z12)
-        assert ops.add(ops.elem(7), ops.elem(8)) == ops.elem(3)
-
-    def test_codeword_sum(self):
-        # (x^4+x^2+1) + (x^3+x^2) = x^4+x^3+1 over F2[x]/(x^5)
-        ops = elem_ops(GF32)
-        a = ops.elem((1, 0, 1, 0, 1))
-        b = ops.elem((0, 0, 1, 1))
-        assert ops.add(a, b) == ops.elem((1, 0, 0, 1, 1))
-
-    def test_pixel_difference(self):
-        lattice = ProductRing([Z, Z, Z])
-        ops = elem_ops(lattice)
-        p = ops.elem((130, 135, 125))
-        a = ops.elem((130, 130, 130))
-        assert (p - a).value == (0, 5, -5)
-
-    def test_mixed_ring_operands_rejected(self):
-        ops = elem_ops(Z12)
-        other = RingElem(ResidueRing(7), 3)
-        with pytest.raises(DomainMismatchError):
-            ops.add(ops.elem(1), other)
-
+class TestRingArithmetic:
     @pytest.mark.parametrize("ring", FINITE_RINGS, ids=str)
     def test_commutative_ring_axioms_exhaustive(self, ring):
         elems = list(ring.elements())

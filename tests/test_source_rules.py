@@ -192,3 +192,58 @@ def test_one_grid_constant(path):
              for target in node.targets if isinstance(target, ast.Name)
              and target.id.endswith("_GRID") and target.id != "LIST_GRID"]
     assert not grids, f"{path.name}: chunk by LIST_GRID instead of {grids}"
+
+
+def _trial_divisions(tree):
+    """(function, line) of each ``x % q`` whose divisor q is a candidate
+    that counts: the target of a loop or comprehension over ``range`` or
+    ``itertools.count``, or a name a ``while`` loop steps with ``+=``."""
+    import ast
+
+    def counts(call):
+        return isinstance(call, ast.Call) and getattr(
+            call.func, "id", getattr(call.func, "attr", None)) in (
+                "range", "count")
+
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        candidates = set()
+        for node in ast.walk(fn):
+            if isinstance(node, (ast.For, ast.comprehension)) \
+                    and counts(node.iter):
+                candidates |= {n.id for n in ast.walk(node.target)
+                               if isinstance(n, ast.Name)}
+            if isinstance(node, ast.While):
+                candidates |= {n.target.id for n in ast.walk(node)
+                               if isinstance(n, ast.AugAssign)
+                               and isinstance(n.op, ast.Add)
+                               and isinstance(n.target, ast.Name)}
+        out += [(fn.name, node.lineno) for node in ast.walk(fn)
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+                and isinstance(node.right, ast.Name)
+                and node.right.id in candidates]
+    return out
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_factorize_trial_divides(path):
+    """``rings.factorize`` is the one trial division: a prime test, a
+    divisor list, a split or a squarefree kernel reads its (p, e) pairs,
+    so every integer factorization is priced by its one
+    ``Z_SWEEP_CELL_LIMIT`` call before it starts."""
+    import ast
+
+    tree = ast.parse(path.read_text(), filename=str(path))
+    sites = [(fn, line) for fn, line in _trial_divisions(tree)
+             if (path.name, fn) != ("rings.py", "factorize")]
+    assert not sites, f"{path.name}: read rings.factorize instead, {sites}"
+
+
+def test_the_trial_division_rule_sees_factorize():
+    import ast
+
+    from approxalg import rings
+    tree = ast.parse(pathlib.Path(rings.__file__).read_text())
+    assert {fn for fn, _ in _trial_divisions(tree)} == {"factorize"}

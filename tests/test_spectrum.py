@@ -2,6 +2,7 @@ import itertools
 import weakref
 
 import pytest
+from sympy import factorint
 
 from approxalg import (
     FiniteSubgroup,
@@ -21,7 +22,6 @@ from approxalg.rings import (
     PrincipalSubgroup,
     ideal_from_subgroup,
     ideal_sum,
-    is_prime,
 )
 from approxalg.spectrum import (
     closure_of_point,
@@ -52,8 +52,7 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("m", [2, 7, 16, 36, 60, 97, 120])
     def test_closed_form_matches_prime_divisors(self, m):
-        expected = [f"({p})" for p in range(2, m + 1)
-                    if is_prime(p) and m % p == 0]
+        expected = [f"({p})" for p in sorted(factorint(m))]
         assert modular_spectrum(m).labels() == expected
 
     def test_large_moduli_answer(self):
@@ -74,15 +73,35 @@ class TestSpectrum:
             calls.clear()
             modular_spectrum(m)
             # the rows d <= max(1000, m), over the walk's own 2m columns
-            assert calls == [((m, max(1000, m)), {})], m
+            assert calls == [((sorted(factorint(m).items()),
+                               max(1000, m)), {})], m
 
     def test_closed_form_and_sweep_must_agree(self, monkeypatch):
-        def wrong(m, d_max):
+        def wrong(pairs, d_max):
             return [2]
 
         monkeypatch.setattr(spectrum_module, "z_prime_walk", wrong)
         with pytest.raises(AssertionError, match="disagree for m=30"):
             modular_spectrum(30)
+
+    @pytest.mark.parametrize("m", [1, 97, 720720])
+    def test_m_is_factored_once_per_request(self, monkeypatch, m):
+        """The spectrum factors m once, for its closed form and its divisor
+        rows; its topology and rad(0) read the spectrum's primes."""
+        from approxalg import ideals, localization
+        calls = []
+
+        def spy(n):
+            calls.append(n)
+            return rings.factorize(n)
+
+        for module in (spectrum_module, ideals, localization):
+            monkeypatch.setattr(module, "factorize", spy)
+        cl = shift(Z, [m])
+        topology_check(spectrum(Z, cl))
+        localization.check_rad_eq_nil(Z, cl)
+        # the spectrum of m = 1 is empty: nothing to factor
+        assert calls == [m, m] if m > 1 else not calls
 
     def test_classical_z12(self):
         sp = spectrum(Z12, GeneratedIdealClosure(Z12))
