@@ -324,9 +324,13 @@ class FunctionRing(Ring):
     is_finite = True
 
     def __init__(self, p, nvars):
-        # the grid range(p)^nvars, priced before p is tested or it is built
-        price(f"the point grid of Fun:p={p},n={nvars}",
-              len(range(p)) ** max(nvars, 0), POINT_GUARD, "points")
+        # the grid range(p)^nvars, priced before p is tested or it is built;
+        # any p >= 2 is past the limit at cap variables, so no power past
+        # p^cap (a billion-bit int for n = 10^9) is built to refuse it
+        cap = POINT_GUARD.bit_length()
+        price(f"the point grid of Fun:p={p},n={nvars}, at least "
+              f"p^min(n, {cap}),", len(range(p)) ** min(max(nvars, 0), cap),
+              POINT_GUARD, "points")
         _require_prime(p)
         if nvars < 1:
             raise PreconditionError("nvars must be >= 1")

@@ -44,13 +44,16 @@ TOPOLOGY_CELL_LIMIT = 1 << 23
 
 
 class SpectrumReport:
-    """The enumerated approximate primes plus how they were found."""
+    """The enumerated approximate primes plus how they were found; over Z
+    with modulus m >= 1, ``factors`` keeps the ``rings.factorize`` pairs of
+    m that gave them."""
 
-    def __init__(self, ring, cl, primes, method):
+    def __init__(self, ring, cl, primes, method, factors=None):
         self.ring = ring
         self.cl = cl
         self.primes = primes
         self.method = method
+        self.factors = factors
 
     @cached_property
     def prime_closures(self):
@@ -134,7 +137,7 @@ def spectrum(ring, cl, z_bound=None):
                     range(bound + 1), sieve)]
             return SpectrumReport(ring, cl, primes, "bounded-enumeration")
         if m == 1:
-            return SpectrumReport(ring, cl, [], "closed-form")
+            return SpectrumReport(ring, cl, [], "closed-form", factors=[])
         pairs = factorize(m)
         brute = [PrincipalSubgroup(d) for d in z_prime_walk(pairs, bound)]
         closed = [PrincipalSubgroup(p) for p, _ in pairs]
@@ -147,7 +150,8 @@ def spectrum(ring, cl, z_bound=None):
             raise PreconditionError(
                 f"the bound {bound} is below the prime {closed[-1].d} of "
                 f"m={m}: the sweep over (d), d <= {bound}, cannot confirm it")
-        return SpectrumReport(ring, cl, closed, "closed-form+bounded-sweep")
+        return SpectrumReport(ring, cl, closed, "closed-form+bounded-sweep",
+                              factors=pairs)
 
     primes = [sub for sub in enumerate_subgroups(ring)
               if not sub.is_whole() and is_approx_ideal(sub, cl)[0]
@@ -249,10 +253,9 @@ def topology_check(spec, z_ideal_bound=120):
     = gcd(f, m)Z takes the value m first at f = 0 and each divisor g < m of
     m first at f = g (gcd(f, m) = g needs g | f).  So the opens are built
     from f = 0 and the divisors g < m alone, in that order, and priced as
-    such; the divisors come from the spectrum's primes, each with its
-    exponent in m found by division, so m is not factored again.  T0,
-    the subcover and the mode's count of max(m, 30) + 1 basic opens are
-    those of the whole pool.  Under ``gen`` (m = 0) the pool is 0..30 and
+    such; the divisors come from the factorization of m the spectrum
+    keeps, so m is not factored again.  T0, the subcover and the mode's
+    count of max(m, 30) + 1 basic opens are those of the whole pool.  Under ``gen`` (m = 0) the pool is 0..30 and
     the primes of the spectrum past 30, each closed.
 
     T1 is computed as inclusion-maximality and as singleton point
@@ -272,10 +275,7 @@ def topology_check(spec, z_ideal_bound=120):
     if isinstance(spec.ring, IntegerRing):
         m = _z_shift_modulus(spec.cl)
         if m:
-            # each prime of m with its exponent: the least e, p^(e+1) not | m
-            pairs = [(p.d, next(e for e in itertools.count()
-                                if m % p.d ** (e + 1))) for p in spec.primes]
-            f_pool = [0, *_divisors(pairs)[:-1]]
+            f_pool = [0, *_divisors(spec.factors)[:-1]]
         else:
             f_pool = [*range(31), *(p.d for p in spec.primes if p.d > 30)]
         f_count = max(m, 30) + 1 if m else len(f_pool)
@@ -285,10 +285,10 @@ def topology_check(spec, z_ideal_bound=120):
         f_count = len(f_pool)
         lat = subgroup_lattice(spec.ring)
         spans = [lat.span(a.mask) for a in pool]
-    pairs = len(pool) * (len(pool) + 1) // 2
-    price(f"the topology walk over ({pairs} unordered pairs of {len(pool)} "
-          f"ideals + {len(f_pool)} basic opens) x |R|",
-          (pairs + len(f_pool)) * (spec.ring.cardinality() or 1),
+    unordered = len(pool) * (len(pool) + 1) // 2
+    price(f"the topology walk over ({unordered} unordered pairs of "
+          f"{len(pool)} ideals + {len(f_pool)} basic opens) x |R|",
+          (unordered + len(f_pool)) * (spec.ring.cardinality() or 1),
           TOPOLOGY_CELL_LIMIT, "cells")
     approx = [ApproxIdeal(a, spec.cl, check=False) for a in pool]
     # the pair loop meets few distinct I: cache V(I) by I's mask (or dZ)

@@ -195,9 +195,10 @@ def test_one_grid_constant(path):
 
 
 def _trial_divisions(tree):
-    """(function, line) of each ``x % q`` whose divisor q is a candidate
-    that counts: the target of a loop or comprehension over ``range`` or
-    ``itertools.count``, or a name a ``while`` loop steps with ``+=``."""
+    """(function, line) of each ``x % q`` whose divisor q is built from a
+    candidate that counts: the target of a loop or comprehension over
+    ``range`` or ``itertools.count``, or a name a ``while`` loop steps
+    with ``+=`` (so ``m % f`` and ``m % p ** (e + 1)`` alike)."""
     import ast
 
     def counts(call):
@@ -222,8 +223,8 @@ def _trial_divisions(tree):
                                and isinstance(n.target, ast.Name)}
         out += [(fn.name, node.lineno) for node in ast.walk(fn)
                 if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
-                and isinstance(node.right, ast.Name)
-                and node.right.id in candidates]
+                and any(isinstance(n, ast.Name) and n.id in candidates
+                        for n in ast.walk(node.right))]
     return out
 
 
